@@ -23,9 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonScalarSeed, UnregisteredPrimitive
+from .errors import NonScalarSeed
 
-__all__ = ["Tape", "Node", "record", "backward", "gradcheck", "GradCheckReport", "PRIMITIVES"]
+__all__ = ["Tape", "Node", "backward", "gradcheck", "GradCheckReport", "PRIMITIVES"]
 
 
 class Node:
@@ -64,6 +64,7 @@ class Tape:
         return self._emit(np.asarray(value), ())
 
 
+# Every primitive by name, so tools can enumerate (and wrap) them.
 PRIMITIVES: dict[str, Callable] = {}
 
 
@@ -74,15 +75,6 @@ def _primitive(name: str):
         return fn
 
     return wrap
-
-
-def record(tape: Tape, op: str, *inputs, **params) -> Node:
-    """Dispatch to a registered primitive; the primitive computes the value
-    and attaches (parent, VJP-closure) pairs."""
-    builder = PRIMITIVES.get(op)
-    if builder is None:
-        raise UnregisteredPrimitive(f"no primitive registered under {op!r}")
-    return builder(tape, *inputs, **params)
 
 
 def _as_node(tape: Tape, x) -> Node:

@@ -148,12 +148,14 @@ def load_jsonl(path: str) -> list[Sample]:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
                 raise ValueError(f"{path}:{line_number}: invalid JSON ({error})") from None
-            samples.append(
-                Sample(
-                    np.asarray(record["positions"], dtype=float),
-                    np.asarray(record["species"], dtype=int),
-                    float(record["energy"]),
-                    np.asarray(record["forces"], dtype=float),
-                )
+            sample = Sample(
+                np.asarray(record["positions"], dtype=float),
+                np.asarray(record["species"], dtype=int),
+                float(record["energy"]),
+                np.asarray(record["forces"], dtype=float),
             )
+            for name in ("positions", "energy", "forces"):
+                if not np.all(np.isfinite(getattr(sample, name))):
+                    raise ValueError(f"{path}:{line_number}: non-finite {name}")
+            samples.append(sample)
     return samples

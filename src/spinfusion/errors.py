@@ -25,10 +25,6 @@ class ZeroVector(SpinFusionError):
     """A direction was requested for a (near-)zero 3-vector."""
 
 
-class UnregisteredPrimitive(SpinFusionError):
-    """An unknown primitive name was recorded on a tape."""
-
-
 class NonScalarSeed(SpinFusionError):
     """Backward pass was seeded with a node that is not a real scalar."""
 

@@ -23,6 +23,10 @@ class PointCloud:
             raise ValueError(f"positions must be (N, 3), got {positions.shape}")
         if positions.shape[0] < 1:
             raise ValueError("a point cloud needs at least one atom")
+        finite = np.isfinite(positions).all(axis=1)
+        if not finite.all():
+            bad = np.flatnonzero(~finite).tolist()
+            raise ValueError(f"positions must be finite; atoms {bad} are not")
         if species.shape != (positions.shape[0],):
             raise ValueError("species must be one integer per atom")
         object.__setattr__(self, "positions", positions)

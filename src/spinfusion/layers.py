@@ -1,26 +1,29 @@
-"""Equivariant message-passing layers built from fusion blocks.
+"""Equivariant message-passing layers built from fusion diagrams.
 
 Two layer families:
 
-* ``interaction_layer`` — per-atom update combining a self term, a
-  channel-wise CG self-product, a gated two-body message sum, and (in the
-  "fused" kind) a three-leaf fusion-block term per output spin; the four
-  term groups are concatenated along channels and mixed by per-spin vertex
-  matrices (realized as one weight block per term, summed in fixed order so
-  that zeroing the fusion mixing reproduces the gated layer bit for bit).
+* the interaction layer — per-atom update combining a self term, a
+  channel-wise CG self-product (``pair``), a gated two-body message sum
+  (``gated``), and (in the "fused" kind) a three-leaf fusion-block term per
+  output spin; the term groups are mixed by per-spin vertex matrices (one
+  weight block per term, summed in fixed order so that zeroing the fusion
+  mixing reproduces the gated layer bit for bit).
 
-* ``three_body_update`` — neighborhood update: for every output spin J, a
-  fusion block whose three slots are (center activation, edge feature,
-  neighbor activation) is summed over neighbors; diagram collections come
-  from an internal-spin schedule, either sparse (one internal spin per
-  coupling) or dense (staged ordered tuples of internal spins, every stage
-  pinned to the output spin so no reshaping layer is needed), followed by
-  one trainable mixing over the concatenated channel axis.
+* the three-body update — for every output spin J, a fusion block whose
+  three slots are (center activation, edge feature, neighbor activation) is
+  summed over neighbors; diagram collections come from an internal-spin
+  schedule, either sparse (one internal spin per coupling) or dense (staged
+  ordered tuples of internal spins, every stage pinned to the output spin so
+  no reshaping layer is needed), followed by one trainable mixing over the
+  concatenated channel axis.
 
-Every layer exists in two equivalent forms: a plain per-atom form operating
-on Activations (the reference, built on ``blocks.apply``), and a taped form
-vectorized over atoms/edges for training.  Both follow identical term and
-diagram orders, generated by shared enumeration helpers.
+The taped forms, vectorized over atoms and edges for training, run every
+CG product through one executor, ``taped_diagrams``: pair and gated terms
+are two-leaf diagrams, the fusion term and the three-body update run their
+blocks' diagram collections, and a subtree shared between diagrams is
+recorded once.  The per-atom forms (``interaction_layer``,
+``three_body_forward``) are the eager oracle, built on ``cg_nonlinearity``
+and ``blocks.apply``; both forms follow identical term and diagram orders.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .cg import cg_tensor
 from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb
 from .errors import ChannelMismatch, EmptySchedule
 from .features import EdgeFeature
-from .geometry import Neighborhood, PointCloud, edge_index
+from .geometry import Neighborhood, PointCloud
 from .irreps import Activation
 from .spins import admissible
 
@@ -107,11 +110,6 @@ class SpinSchedule:
             if perm not in seen:
                 seen.append(perm)
         return tuple(seen)
-
-    @property
-    def dense_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """The enumerated ordered tuples (dense mode's full collection)."""
-        return self.tuples
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +219,50 @@ def cg_nonlinearity(left: Activation, right: Activation, j_max: int) -> Activati
             )
             parts.setdefault(two_jc, []).append(product)
     return Activation({two_jc: np.concatenate(v, axis=1) for two_jc, v in parts.items()})
+
+
+# ---------------------------------------------------------------------------
+# taped diagram executor
+# ---------------------------------------------------------------------------
+
+
+def taped_diagrams(
+    tape: ad.Tape,
+    diagrams,
+    leaves: list[dict[int, ad.Node]],
+    memo: dict[tuple, ad.Node],
+) -> list[ad.Node]:
+    """Contract each diagram on the tape, batched over the leading axis.
+
+    ``leaves[slot][two_j]`` is the node a (slot, 2j) leaf consumes.  Every
+    ``FuseNode`` records one ``einsum3`` with its CG tensor, memoized under
+    the structural key (left key, right key, 2k), with (slot, 2j) at the
+    leaves, so every key ends in its subtree's spin.  A subtree shared
+    between diagrams, or between calls that pass the same ``memo`` and
+    ``leaves``, is recorded once.  Returns one node per diagram, in order.
+    """
+
+    def emit(node, leaf_iter) -> tuple[tuple, ad.Node]:
+        if isinstance(node, LeafNode):
+            slot, two_j = key = next(leaf_iter)
+            return key, leaves[slot][two_j]
+        left_key, left = emit(node.left, leaf_iter)
+        right_key, right = emit(node.right, leaf_iter)
+        key = (left_key, right_key, node.two_k)
+        value = memo.get(key)
+        if value is None:
+            # activations are (E|N, 2j+1, tau); edge harmonics are (E, 2j+1)
+            left_t, right_t = ("t" if len(n.shape) == 3 else "" for n in (left, right))
+            value = memo[key] = ad.einsum3(
+                tape,
+                cg_tensor(left_key[-1], right_key[-1], node.two_k).coeffs,
+                left,
+                right,
+                f"abc,ea{left_t},eb{right_t}->ec{left_t or right_t}",
+            )
+        return key, value
+
+    return [emit(d.tree, iter(d.leaves))[1] for d in diagrams]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +455,13 @@ def taped_interaction_layer(
     gated_dst = {
         two_j: ad.mul(tape, node, gate_col) for two_j, node in gathered_dst.items()
     }
+    if params.fusion_blocks:  # only the fusion term reads the source atoms
+        fusion_leaves = [
+            {two_j: ad.gather(tape, acts[two_j], src) for two_j in acts},
+            gathered_dst,
+            harmonics,
+        ]
+    fusion_memo: dict[tuple, ad.Node] = {}
 
     out: dict[int, ad.Node] = {}
     for two_l, blocks_for_l in params.vertex.items():
@@ -425,52 +474,18 @@ def taped_interaction_layer(
             if term == "self":
                 value = acts[two_l]
             elif term == "pair":
-                chunks = [
-                    ad.einsum3(
-                        tape,
-                        cg_tensor(two_ja, two_jb, two_l).coeffs,
-                        acts[two_ja],
-                        acts[two_jb],
-                        "abc,nat,nbt->nct",
-                    )
-                    for two_ja, two_jb in _cg_pairs(acts, acts, two_l)
-                ]
+                pairs = [left_comb(p, [], two_l) for p in _cg_pairs(acts, acts, two_l)]
+                chunks = taped_diagrams(tape, pairs, [acts, acts], {})
                 value = ad.concat(tape, chunks, axis=2)
             elif term == "gated":
-                chunks = [
-                    ad.einsum3(
-                        tape,
-                        cg_tensor(two_jy, two_jb, two_l).coeffs,
-                        harmonics[two_jy],
-                        gated_dst[two_jb],
-                        "abc,ea,ebt->ect",
-                    )
-                    for two_jy, two_jb in _cg_pairs(harmonics, acts, two_l)
-                ]
+                pairs = [left_comb(p, [], two_l) for p in _cg_pairs(harmonics, acts, two_l)]
+                chunks = taped_diagrams(tape, pairs, [harmonics, gated_dst], {})
                 per_edge = ad.concat(tape, chunks, axis=2)
                 value = ad.index_add(tape, per_edge, src, n_atoms)
             else:  # fusion
-                block = params.fusion_blocks[two_l]
-                chunks = []
-                for diagram in block.diagrams:
-                    (_, two_ji), (_, two_jj), (_, two_jy) = diagram.leaves
-                    two_k = diagram.internal_spins()[0]
-                    inner = ad.einsum3(
-                        tape,
-                        cg_tensor(two_ji, two_jj, two_k).coeffs,
-                        ad.gather(tape, acts[two_ji], src),
-                        gathered_dst[two_jj],
-                        "abc,eat,ebt->ect",
-                    )
-                    chunks.append(
-                        ad.einsum3(
-                            tape,
-                            cg_tensor(two_k, two_jy, two_l).coeffs,
-                            inner,
-                            harmonics[two_jy],
-                            "abc,eat,eb->ect",
-                        )
-                    )
+                chunks = taped_diagrams(
+                    tape, params.fusion_blocks[two_l].diagrams, fusion_leaves, fusion_memo
+                )
                 concatenated = ad.concat(tape, chunks, axis=2)
                 mixed = ad.channel_mix(
                     tape, concatenated, param_nodes[f"{name}/fusion_mix/{two_l}"]
@@ -556,7 +571,6 @@ class ThreeBodyParams:
     schedule: SpinSchedule = None  # type: ignore[assignment]
     edge_embed: dict[int, np.ndarray] = field(default_factory=dict)
     blocks: dict[int, FusionBlockConfig] = field(default_factory=dict)
-    paths: dict[int, list] = field(default_factory=dict)
 
     @property
     def output_spins(self) -> tuple[int, ...]:
@@ -586,12 +600,11 @@ def init_three_body_layer(
             (radial_channels, tau), seed, f"{name}/edge_embed/{two_j}"
         )
     for two_J in edge_spins:
-        diagrams: list[FusionDiagram] = []
-        path_list: list[tuple[tuple[int, ...], tuple]] = []
-        for ks in schedule.tuples:
-            for path in three_body_paths(input_spins, edge_spins, two_J, ks):
-                diagrams.append(_path_diagram(two_J, ks, path))
-                path_list.append((ks, path))
+        diagrams = [
+            _path_diagram(two_J, ks, path)
+            for ks in schedule.tuples
+            for path in three_body_paths(input_spins, edge_spins, two_J, ks)
+        ]
         if not diagrams:
             continue
         mixing = MixingMatrix(
@@ -600,7 +613,6 @@ def init_three_body_layer(
         params.blocks[two_J] = FusionBlockConfig(
             tuple(diagrams), AggregationKind.SUM, mixing
         )
-        params.paths[two_J] = path_list
     return params
 
 
@@ -665,7 +677,7 @@ def taped_three_body_layer(
     param_nodes: dict[str, ad.Node],
     name: str,
 ) -> dict[int, ad.Node]:
-    """Vectorized three-body update; shares stage prefixes across tuples."""
+    """Vectorized three-body update; mirrors three_body_forward."""
     tau = params.tau
     n_atoms = acts[0].shape[0] if acts else 0
     n_edges = len(src)
@@ -680,42 +692,16 @@ def taped_three_body_layer(
             tape, scaled, param_nodes[f"{name}/edge_embed/{two_j}"]
         )
 
-    gathered_src = {two_j: ad.gather(tape, acts[two_j], src) for two_j in acts}
-    gathered_dst = {two_j: ad.gather(tape, acts[two_j], dst) for two_j in acts}
+    leaves = [
+        {two_j: ad.gather(tape, acts[two_j], src) for two_j in acts},
+        edge_feats,
+        {two_j: ad.gather(tape, acts[two_j], dst) for two_j in acts},
+    ]
+    memo: dict[tuple, ad.Node] = {}
 
     out: dict[int, ad.Node] = {}
     for two_J, block in params.blocks.items():
-        cache: dict[tuple, ad.Node] = {}
-
-        def stage_value(ks: tuple[int, ...], path: tuple) -> ad.Node:
-            key = (ks[: len(path)], path)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            t = len(path) - 1
-            two_jo, two_je, two_ji = path[t]
-            carried = (
-                gathered_src[two_jo] if t == 0 else stage_value(ks, path[:-1])
-            )
-            two_k = ks[t]
-            inner = ad.einsum3(
-                tape,
-                cg_tensor(two_jo if t == 0 else two_J, two_je, two_k).coeffs,
-                carried,
-                edge_feats[two_je],
-                "abc,eat,ebt->ect",
-            )
-            value = ad.einsum3(
-                tape,
-                cg_tensor(two_k, two_ji, two_J).coeffs,
-                inner,
-                gathered_dst[two_ji],
-                "abc,eat,ebt->ect",
-            )
-            cache[key] = value
-            return value
-
-        chunks = [stage_value(ks, path) for ks, path in params.paths[two_J]]
+        chunks = taped_diagrams(tape, block.diagrams, leaves, memo)
         concatenated = ad.concat(tape, chunks, axis=2)
         aggregated = ad.index_add(tape, concatenated, src, n_atoms)
         out[two_J] = ad.channel_mix(

@@ -150,3 +150,25 @@ class TestJsonl:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ShapeMismatch):
             load_jsonl(str(path))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["positions", "energy", "forces"])
+    def test_non_finite_values_rejected_on_load(self, tmp_path, field, bad):
+        def record():
+            return {
+                "positions": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                "species": [0, 1],
+                "energy": -0.5,
+                "forces": [[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]],
+            }
+
+        broken = record()
+        if field == "energy":
+            broken["energy"] = bad
+        else:
+            broken[field][1][2] = bad
+        path = tmp_path / "bad.jsonl"
+        # json.dumps writes NaN / Infinity literals, which json.loads accepts
+        path.write_text(json.dumps(record()) + "\n" + json.dumps(broken) + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.jsonl:2: non-finite {field}"):
+            load_jsonl(str(path))

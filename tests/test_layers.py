@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from spinfusion import autodiff as ad
+from spinfusion.blocks import AggregationKind, FusionBlockConfig, apply, identity_mixing
+from spinfusion.diagrams import FuseNode, FusionDiagram, LeafNode, contract, left_comb, validate
 from spinfusion.errors import EmptySchedule
-from spinfusion.geometry import PointCloud, build_neighborhood
+from spinfusion.features import taped_distances, taped_edge_harmonics, taped_radial_basis
+from spinfusion.geometry import PointCloud, build_neighborhood, edge_index
 from spinfusion.irreps import Activation
 from spinfusion.layers import (
+    InteractionParams,
     SpinSchedule,
     init_interaction_layer,
     init_three_body_layer,
     interaction_layer,
     seeded_uniform,
+    taped_diagrams,
+    taped_interaction_layer,
+    taped_three_body_layer,
     three_body_forward,
     three_body_paths,
 )
@@ -190,6 +197,156 @@ class TestLayerEquivariance:
             for s in out[0].spins
         )
         assert worst <= 1e-12
+
+
+def _random_leaves(spins_per_slot, n, tau, seed, channel_less=()):
+    """Per-slot {two_j: array}; channel-less slots are (n, 2j+1) like harmonics."""
+    rng = np.random.default_rng(seed)
+    leaves = []
+    for slot, spins in enumerate(spins_per_slot):
+        part = {}
+        for two_j in spins:
+            shape = (n, two_j + 1) if slot in channel_less else (n, two_j + 1, tau)
+            part[two_j] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        leaves.append(part)
+    return leaves
+
+
+def _on_tape(tape, leaves):
+    return [{two_j: tape.constant(v) for two_j, v in part.items()} for part in leaves]
+
+
+def _row_activation(part, e, tau):
+    """Row e of one slot as an Activation; channel-less rows repeat over tau."""
+    return Activation(
+        {
+            two_j: v[e] if v.ndim == 3 else np.repeat(v[e][:, None], tau, axis=1)
+            for two_j, v in part.items()
+        }
+    )
+
+
+# slot 3 carries channel-less (harmonic-like) leaves
+EXECUTOR_DIAGRAMS = [
+    # balanced four-leaf tree, not a left comb; slot 0 feeds two leaves
+    FusionDiagram(
+        ((0, 2), (1, 1), (2, 1), (0, 0)),
+        FuseNode(FuseNode(LeafNode(0), LeafNode(1), 1), FuseNode(LeafNode(2), LeafNode(0), 1), 2),
+        2,
+    ),
+    left_comb([2, 2, 2], [2], 2, slots=[0, 1, 0]),
+    left_comb([2, 2], [], 0, slots=[3, 0]),
+    left_comb([2, 2], [], 2, slots=[0, 3]),
+    # channel-less x channel-less inner coupling, then a channelled leaf
+    left_comb([2, 2, 2], [2], 0, slots=[3, 3, 0]),
+]
+
+
+class TestTapedDiagrams:
+    def test_matches_contract(self):
+        n, tau = 4, 3
+        leaves = _random_leaves([(0, 2), (1, 2), (1,), (0, 2)], n, tau, seed=1, channel_less=(3,))
+        tape = ad.Tape()
+        outs = taped_diagrams(tape, EXECUTOR_DIAGRAMS, _on_tape(tape, leaves), {})
+        for d, node in zip(EXECUTOR_DIAGRAMS, outs):
+            assert validate(d) == []
+            assert node.shape == (n, d.two_J + 1, tau)
+            for e in range(n):
+                inputs = [_row_activation(part, e, tau) for part in leaves]
+                expected = contract(d, inputs).data
+                assert np.max(np.abs(node.value[e] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["fused", "three_body_dense"])
+    def test_matches_block_apply_before_mixing(self, kind):
+        n, tau = 5, 3
+        if kind == "fused":
+            blocks = init_interaction_layer((0, 2), 1, tau, 4, 8, True, 2, "L").fusion_blocks
+            channel_less = (2,)  # slots: center, neighbor, edge harmonic
+        else:
+            schedule = SpinSchedule("dense", (0, 2, 4))
+            blocks = init_three_body_layer((0, 2), 1, tau, 4, schedule, 2, "L").blocks
+            channel_less = ()  # slots: center, embedded edge, neighbor
+        leaves = _random_leaves([(0, 2)] * 3, n, tau, seed=2, channel_less=channel_less)
+        tape = ad.Tape()
+        nodes, memo = _on_tape(tape, leaves), {}
+        assert blocks
+        for block in blocks.values():
+            chunks = taped_diagrams(tape, block.diagrams, nodes, memo)
+            got = np.concatenate([c.value for c in chunks], axis=2).sum(axis=0)
+            unmixed = FusionBlockConfig(
+                block.diagrams, AggregationKind.SUM, identity_mixing(len(block.diagrams) * tau)
+            )
+            per_slot = [[_row_activation(part, e, tau) for e in range(n)] for part in leaves]
+            expected = apply(unmixed, per_slot).data
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_shared_prefix_recorded_once(self):
+        # both diagrams open with the same (slot 0, slot 1) -> 1 coupling
+        diagrams = [left_comb([0, 2, 2], [2], 0), left_comb([0, 2, 2], [2], 2)]
+        leaves = _random_leaves([(0,), (2,), (2,)], 3, 2, seed=3)
+        tape = ad.Tape()
+        nodes, memo = _on_tape(tape, leaves), {}
+        start = len(tape.nodes)
+        first = taped_diagrams(tape, diagrams, nodes, memo)
+        assert len(tape.nodes) - start == 3  # shared prefix + two roots
+        again = taped_diagrams(tape, diagrams, nodes, memo)
+        assert len(tape.nodes) - start == 3
+        assert all(a is b for a, b in zip(first, again))
+        unshared = taped_diagrams(tape, diagrams, nodes, {})
+        for a, b in zip(first, unshared):
+            assert np.array_equal(a.value, b.value)
+
+
+TAPED_KINDS = [
+    dict(kind="gated"),
+    dict(kind="fused"),
+    dict(kind="three_body", internal_spins=(0, 1, 2)),
+    dict(kind="three_body", schedule_mode="dense", internal_spins=(0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "extra", TAPED_KINDS, ids=["gated", "fused", "three_body_sparse", "three_body_dense"]
+)
+def test_taped_layer_records_no_dead_nodes(extra):
+    # every node a layer records must reach one of its outputs; an unused
+    # gather (say of the source atoms in the gated kind, which only the
+    # fusion term reads) would show up here
+    config = ModelConfig(
+        n_layers=2, tau=3, j_max=1, radial_channels=4, hidden=8, seed=1, **extra
+    )
+    model = Model(config)
+    layer = model.layers[1]  # sees inputs of every spin up to j_max
+    pc = _cloud(6, seed=5)
+    src, dst = edge_index(build_neighborhood(pc, config.cutoff))
+    rng = np.random.default_rng(6)
+
+    tape = ad.Tape()
+    positions = tape.constant(pc.positions)
+    disp = ad.sub(tape, ad.gather(tape, positions, dst), ad.gather(tape, positions, src))
+    harmonics = taped_edge_harmonics(tape, disp, config.j_max)
+    basis = taped_radial_basis(
+        tape, taped_distances(tape, disp), config.cutoff, config.radial_channels
+    )
+    acts = {
+        two_j: tape.constant(rng.normal(size=(6, two_j + 1, 3)) + 0j)
+        for two_j in model.layer_input_spins[1]
+    }
+    param_nodes = model.parameter_nodes(tape)
+    taped = (
+        taped_interaction_layer if isinstance(layer, InteractionParams) else taped_three_body_layer
+    )
+    start = len(tape.nodes)
+    out = taped(tape, acts, src, dst, harmonics, basis, layer, param_nodes, "layer1")
+
+    live: set[int] = set()
+    stack = list(out.values())
+    while stack:
+        node = stack.pop()
+        if node.id >= start and node.id not in live:
+            live.add(node.id)
+            stack.extend(parent for parent, _ in node.parents)
+    assert len(live) == len(tape.nodes) - start
 
 
 class TestPlainTapedAgreement:

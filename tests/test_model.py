@@ -167,6 +167,17 @@ class TestParameters:
         with pytest.raises(ShapeMismatch):
             model.plain_energy(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("path", ["energy_and_forces", "plain_energy"])
+    def test_non_finite_positions_rejected(self, path, bad):
+        # a NaN atom fails every cutoff test, so without the check it would
+        # silently count as isolated: finite energy, zero force
+        model = Model(_small_config("fused"))
+        positions, species = _cloud(5, seed=4)
+        positions[2, 1] = bad
+        with pytest.raises(ValueError, match=r"finite; atoms \[2\]"):
+            getattr(model, path)(positions, species)
+
     def test_species_out_of_range_rejected(self):
         model = Model(_small_config("gated", n_species=2))
         with pytest.raises(ValueError):
