@@ -14,10 +14,20 @@ adjoint of a complex node is w = dL/dRe + i dL/dIm.  Linear maps pull
 cotangents back through the conjugated matrix, bilinear products conjugate
 the other factor, and real parameters receive Re(x^H w), so real-parameter
 gradients come out real.
+
+The two kernels the models spend their time in are sparse.  ``einsum3``
+contracts a CG tensor over its nonzero entries only (m_c = m_a + m_b
+leaves most entries zero), with a plan built once per tensor and subscript;
+its VJPs reuse a real tensor rather than a conjugated copy, so they hit the
+same plans.  ``index_add`` sums sorted segments, with the sort computed once
+per index array.  ``backward`` walks parent links back from the seed and
+visits only its ancestors.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -317,6 +327,28 @@ def pad_axis(tape: Tape, x: Node, axis: int, before: int, after: int) -> Node:
     )
 
 
+# Plans derived from a constant array, keyed by the array's identity and
+# dropped when it is freed (a weak reference's callback), so a new array
+# can never inherit a freed one's plans.  Arrays handed to the tape are
+# already required to stay unchanged: the VJP closures read them too.  A
+# plan depends on its array alone, so a race between threads can at worst
+# build one twice.
+_plans: dict[int, tuple[weakref.ref, dict]] = {}
+
+
+def _cached(array: np.ndarray, key, build: Callable):
+    """``build(array)`` memoized per (array object, key)."""
+    address = id(array)
+    entry = _plans.get(address)
+    if entry is None:
+        ref = weakref.ref(array, lambda _: _plans.pop(address, None))
+        entry = _plans[address] = (ref, {})
+    plans = entry[1]
+    if key not in plans:
+        plans[key] = build(array)
+    return plans[key]
+
+
 @_primitive("gather")
 def gather(tape: Tape, x: Node, indices) -> Node:
     """Rows x[indices] along axis 0."""
@@ -328,13 +360,35 @@ def gather(tape: Tape, x: Node, indices) -> Node:
     )
 
 
+def _segments(indices: np.ndarray) -> tuple:
+    """(order, starts, rows) that turn a scatter-add over ``indices`` into a
+    sum of contiguous segments: ``order`` is a stable sort (None when the
+    indices are already sorted), ``starts`` the first position of each run
+    of equal sorted indices and ``rows`` the index of that run."""
+    order = None if np.all(indices[:-1] <= indices[1:]) else np.argsort(indices, kind="stable")
+    ordered = indices if order is None else indices[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return order, starts, ordered[starts]
+
+
 @_primitive("index_add")
 def index_add(tape: Tape, x: Node, indices, n_rows: int) -> Node:
-    """Scatter-add rows of x into n_rows bins (segment sum along axis 0)."""
+    """Scatter-add rows of x into n_rows bins (segment sum along axis 0).
+
+    Rows are summed as sorted segments with ``np.add.reduceat``, in their
+    original order within each bin; the sort and the segment starts are
+    computed once per index array (see ``_cached``).  Indices must lie in
+    ``[0, n_rows)``.
+    """
     x = _as_node(tape, x)
     indices = np.asarray(indices, dtype=int)
     value = np.zeros((n_rows,) + x.shape[1:], dtype=np.asarray(x.value).dtype)
-    np.add.at(value, indices, x.value)
+    if indices.size:
+        order, starts, rows = _cached(indices, "segments", _segments)
+        if rows[0] < 0:
+            raise IndexError(f"index_add: negative index {rows[0]}")
+        rows_in = x.value if order is None else x.value[order]
+        value[rows] = np.add.reduceat(rows_in, starts, axis=0)
     return tape._emit(value, ((x, lambda w: gather(tape, w, indices)),))
 
 
@@ -351,6 +405,86 @@ def _split_subscript(subscript: str) -> tuple[str, str, str, str]:
     return parts[0], parts[1], parts[2], out
 
 
+def _adjoint_tensor(tensor: np.ndarray) -> np.ndarray:
+    """The conjugate a VJP contracts with; a real tensor is its own, so it is
+    reused (and keeps its cached plans) instead of copied."""
+    return np.conj(tensor) if np.iscomplexobj(tensor) else tensor
+
+
+def _sparse_plan(tensor: np.ndarray, subscript: str):
+    """The nonzero-entry contraction plan of a three-index tensor, or None
+    when ``subscript`` is not of the form it handles: each operand and the
+    output carry exactly one distinct tensor index, no letter repeats within
+    a term, and there is no ellipsis."""
+    t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
+    terms = (x_sub, y_sub, out_sub)
+    if (
+        "." in subscript
+        or len(t_sub) != 3
+        or any(len(set(term)) != len(term) for term in (t_sub,) + terms)
+    ):
+        return None
+    own = [[c for c in term if c in t_sub] for term in terms]
+    if any(len(letters) != 1 for letters in own) or {l[0] for l in own} != set(t_sub):
+        return None
+    (lx,), (ly,), (lo,) = own
+    rest_x, rest_y, rest_o = (term.replace(l, "") for term, l in zip(terms, (lx, ly, lo)))
+    broadcast = set(rest_x) | set(rest_y) == set(rest_o)
+
+    def operand(term, letter, rest):
+        # tensor index first; with no summed letters the rest follows the
+        # output's order, so that the gathered operands broadcast directly
+        kept = sorted(rest, key=rest_o.index) if broadcast else list(rest)
+        axes = (term.index(letter),) + tuple(term.index(c) for c in kept)
+        expand = (slice(None),) + tuple(slice(None) if c in rest else None for c in rest_o)
+        return axes, expand
+
+    # a broadcast product overwrites a gathered operand of its full shape
+    full = [set(rest) == set(rest_o) for rest in (rest_x, rest_y)]
+    into = full.index(True) if broadcast and any(full) else None
+    roles = [t_sub.index(l) for l in (lx, ly, lo)]
+    coords = np.nonzero(tensor)
+    ix, iy, io = (coords[r] for r in roles)
+    coeffs = np.zeros((tensor.shape[roles[2]], len(io)), dtype=tensor.dtype)
+    coeffs[io, np.arange(len(io))] = tensor[coords]
+    return (
+        operand(x_sub, lx, rest_x),
+        ix,
+        operand(y_sub, ly, rest_y),
+        iy,
+        None if broadcast else f"n{rest_x},n{rest_y}->n{rest_o}",
+        into,
+        coeffs,
+        tuple((lo + rest_o).index(c) for c in out_sub),
+    )
+
+
+def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """einsum over the tensor's nonzero entries only.
+
+    Gathers the components each entry reads into (nnz, ...) arrays, forms
+    their products, and sums them into the output components with one
+    (out dim, nnz) coefficient matrix; a complex product meets a real matrix
+    as one real GEMM over its interleaved re/im parts.  The NumPy call count
+    is fixed, so the cost stays low at small edge counts too.
+    """
+    (x_axes, x_expand), ix, (y_axes, y_expand), iy, product, into, coeffs, out_axes = plan
+    xs = x.transpose(x_axes)[ix]
+    ys = y.transpose(y_axes)[iy]
+    if product is None:
+        factors = (xs[x_expand], ys[y_expand])
+        prod = np.multiply(*factors, out=None if into is None else factors[into])
+    else:
+        prod = np.ascontiguousarray(np.einsum(product, xs, ys))
+    inner = prod.shape[1:]
+    flat = prod.reshape(len(ix), math.prod(inner))
+    if flat.dtype == np.complex128 and coeffs.dtype == np.float64:
+        out = (coeffs @ flat.view(np.float64)).view(np.complex128)
+    else:
+        out = coeffs @ flat
+    return out.reshape((len(coeffs),) + inner).transpose(out_axes)
+
+
 @_primitive("einsum2")
 def einsum2(tape: Tape, tensor: np.ndarray, x: Node, subscript: str) -> Node:
     """Linear contraction with a constant tensor: einsum(subscript, T, x)."""
@@ -358,28 +492,42 @@ def einsum2(tape: Tape, tensor: np.ndarray, x: Node, subscript: str) -> Node:
     t_sub, x_sub, _, out_sub = _split_subscript(subscript)
     value = np.einsum(subscript, tensor, x.value)
     back = f"{t_sub},{out_sub}->{x_sub}"
-    t_conj = np.conj(tensor)
-    return tape._emit(value, ((x, lambda w: einsum2(tape, t_conj, w, back)),))
+    t_adj = _adjoint_tensor(tensor)
+    return tape._emit(value, ((x, lambda w: einsum2(tape, t_adj, w, back)),))
 
 
 @_primitive("einsum3")
 def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) -> Node:
     """Bilinear contraction with a constant tensor: einsum(subscript, T, x, y).
 
-    Used for channel-wise CG products; the cotangent of one factor contracts
-    the constant tensor with the conjugate of the other factor.
+    Used for channel-wise CG products.  A three-index tensor whose indices
+    fall one to each operand and one to the output (every CG product and
+    each of its VJPs) is contracted over its nonzero entries only
+    (``_contract_nonzeros``), with a plan built once per tensor and
+    subscript; any other form runs ``np.einsum``.  The cotangent of one
+    factor contracts the conjugate tensor (the tensor itself when real)
+    with the conjugate of the other factor.
     """
     x, y = _as_node(tape, x), _as_node(tape, y)
     t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
-    value = np.einsum(subscript, tensor, x.value, y.value)
+    tensor = np.asarray(tensor)
+    plan = (
+        _cached(tensor, subscript, lambda t: _sparse_plan(t, subscript))
+        if tensor.ndim == 3
+        else None
+    )
+    if plan is None:
+        value = np.einsum(subscript, tensor, x.value, y.value)
+    else:
+        value = _contract_nonzeros(plan, x.value, y.value)
     back_x = f"{t_sub},{y_sub},{out_sub}->{x_sub}"
     back_y = f"{t_sub},{x_sub},{out_sub}->{y_sub}"
-    t_conj = np.conj(tensor)
+    t_adj = _adjoint_tensor(tensor)
     return tape._emit(
         value,
         (
-            (x, lambda w: einsum3(tape, t_conj, conj(tape, y), w, back_x)),
-            (y, lambda w: einsum3(tape, t_conj, conj(tape, x), w, back_y)),
+            (x, lambda w: einsum3(tape, t_adj, conj(tape, y), w, back_x)),
+            (y, lambda w: einsum3(tape, t_adj, conj(tape, x), w, back_y)),
         ),
     )
 
@@ -446,28 +594,39 @@ def backward(tape: Tape, seed: Node, wrt: Optional[list[Node]] = None) -> dict[i
 
     Returns a map from node id to the adjoint *node* (its ``.value`` is the
     gradient array).  Adjoint arithmetic is recorded on the tape, so adjoints
-    can feed later losses.  When ``wrt`` is given, propagation is pruned to
-    ancestors of those nodes.
+    can feed later losses.  Only the seed's ancestors are visited, so the
+    cost follows the seed's graph, not the tape's length.  When ``wrt`` is
+    given, propagation is further pruned to nodes that depend on one of
+    those.
     """
     value = np.asarray(seed.value)
     if value.ndim != 0 or np.iscomplexobj(value):
         raise NonScalarSeed(f"seed must be a real scalar, got shape {value.shape} "
                             f"dtype {value.dtype}")
 
+    # The seed's ancestors, found by walking parent links back from it, in
+    # increasing id order (parents precede children).  Only they can receive
+    # an adjoint; nodes appended by the adjoint arithmetic below are never
+    # among them (their adjoints belong to a later pass).
+    ancestors = {seed.id: seed}
+    stack = [seed]
+    while stack:
+        for parent, _ in stack.pop().parents:
+            if parent.id not in ancestors:
+                ancestors[parent.id] = parent
+                stack.append(parent)
+    order = [ancestors[i] for i in sorted(ancestors)]
+
     needed: Optional[set[int]] = None
     if wrt is not None:
-        needed = set()
-        targets = {n.id for n in wrt}
-        for node in tape.nodes:  # increasing id: parents precede children
-            if node.id in targets or any(p.id in needed for p, _ in node.parents):
+        needed = {n.id for n in wrt}
+        for node in order:
+            if any(p.id in needed for p, _ in node.parents):
                 needed.add(node.id)
         if seed.id not in needed:
             return {n.id: tape.constant(np.zeros_like(np.asarray(n.value))) for n in wrt}
 
     adjoints: dict[int, Node] = {seed.id: tape.constant(np.ones_like(value))}
-    # Snapshot: adjoint arithmetic appends nodes, which must not be revisited
-    # within this backward pass (their adjoints belong to a later one).
-    order = tape.nodes[: seed.id + 1]
     for node in reversed(order):
         w = adjoints.get(node.id)
         if w is None:

@@ -21,9 +21,12 @@ The taped forms, vectorized over atoms and edges for training, run every
 CG product through one executor, ``taped_diagrams``: pair and gated terms
 are two-leaf diagrams, the fusion term and the three-body update run their
 blocks' diagram collections, and a subtree shared between diagrams is
-recorded once.  The per-atom forms (``interaction_layer``,
-``three_body_forward``) are the eager oracle, built on ``cg_nonlinearity``
-and ``blocks.apply``; both forms follow identical term and diagram orders.
+recorded once.  A taped layer records only the output spins its caller
+asks for, the spins its consumer reads (spin 0 alone in a model's last
+layer).  The per-atom forms (``interaction_layer``, ``three_body_forward``)
+are the eager oracle, built on ``cg_nonlinearity`` and ``blocks.apply``;
+they compute every output spin, and both forms follow identical term and
+diagram orders.
 """
 
 from __future__ import annotations
@@ -443,8 +446,13 @@ def taped_interaction_layer(
     params: InteractionParams,
     param_nodes: dict[str, ad.Node],
     name: str,
+    output_spins: tuple[int, ...],
 ) -> dict[int, ad.Node]:
-    """Vectorized interaction layer on the tape; mirrors interaction_layer."""
+    """Vectorized interaction layer on the tape; mirrors interaction_layer.
+
+    Records only the outputs whose spin is in ``output_spins``, the spins
+    its consumer reads.
+    """
     tau = params.tau
     n_atoms = acts[0].shape[0]
     gate = taped_gate(tape, acts, src, dst, basis, param_nodes, f"{name}/gate")
@@ -465,6 +473,8 @@ def taped_interaction_layer(
 
     out: dict[int, ad.Node] = {}
     for two_l, blocks_for_l in params.vertex.items():
+        if two_l not in output_spins:
+            continue
         dim_l = two_l + 1
         total = None
         for term in VERTEX_TERMS:
@@ -676,8 +686,12 @@ def taped_three_body_layer(
     params: ThreeBodyParams,
     param_nodes: dict[str, ad.Node],
     name: str,
+    output_spins: tuple[int, ...],
 ) -> dict[int, ad.Node]:
-    """Vectorized three-body update; mirrors three_body_forward."""
+    """Vectorized three-body update; mirrors three_body_forward.
+
+    Records only the outputs whose spin is in ``output_spins``.
+    """
     tau = params.tau
     n_atoms = acts[0].shape[0] if acts else 0
     n_edges = len(src)
@@ -701,6 +715,8 @@ def taped_three_body_layer(
 
     out: dict[int, ad.Node] = {}
     for two_J, block in params.blocks.items():
+        if two_J not in output_spins:
+            continue
         chunks = taped_diagrams(tape, block.diagrams, leaves, memo)
         concatenated = ad.concat(tape, chunks, axis=2)
         aggregated = ad.index_add(tape, concatenated, src, n_atoms)

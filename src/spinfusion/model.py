@@ -6,9 +6,11 @@ interaction or three-body update) refine per-atom activations, and an
 invariant readout on the final spin-0 part sums per-atom energies.  Forces
 are exact reverse-mode gradients of the energy with respect to positions.
 
-The taped forward (vectorized over atoms and edges) is the trainable path;
-``plain_energy`` recomputes the same number through the per-atom reference
-layers for cross-checking.
+The taped forward (vectorized over atoms and edges) is the trainable path.
+It asks each layer only for the spins read after it: the next layer's input
+spins, and spin 0 alone from the last layer, so the tape holds no output the
+energy does not depend on.  ``plain_energy`` recomputes the same number
+through the per-atom reference layers for cross-checking.
 """
 
 from __future__ import annotations
@@ -224,6 +226,9 @@ class Model:
                 tape, ad.reshape(tape, embedded, (n_atoms, 1, cfg.tau))
             )
         }
+        # each layer records only the spins its consumer reads: the next
+        # layer's inputs, or spin 0 for the readout
+        wanted = self.layer_input_spins[1:] + [(0,)]
         for s, layer in enumerate(self.layers):
             taped = (
                 taped_interaction_layer
@@ -231,7 +236,8 @@ class Model:
                 else taped_three_body_layer
             )
             acts = taped(
-                tape, acts, src, dst, harmonics, basis, layer, param_nodes, f"layer{s}"
+                tape, acts, src, dst, harmonics, basis, layer, param_nodes, f"layer{s}",
+                wanted[s],
             )
 
         scalar = ad.reshape(tape, acts[0], (n_atoms, cfg.tau))

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from spinfusion import autodiff as ad
+from spinfusion.cg import cg_tensor
 from spinfusion.errors import NonScalarSeed
+from spinfusion.spins import admissible
 
 RNG = np.random.default_rng(2024)
 
@@ -99,6 +101,110 @@ def _scalar_case(build):
         return float(np.real(loss.value)), np.broadcast_to(gradient, values.shape)
 
     return f
+
+
+def _vjp_subscripts(forward):
+    """Every subscript einsum3 runs for ``forward``: the forward form and,
+    closed under repetition, the back_x and back_y forms of its VJPs."""
+    seen, todo = set(), [forward]
+    while todo:
+        sub = todo.pop()
+        if sub in seen:
+            continue
+        seen.add(sub)
+        lhs, out = sub.split("->")
+        t, x, y = lhs.split(",")
+        todo += [f"{t},{y},{out}->{x}", f"{t},{x},{out}->{y}"]
+    return sorted(seen)
+
+
+# the executor's three operand forms: activation (e, m, t) or harmonic (e, m)
+EXECUTOR_SUBSCRIPTS = sorted(
+    {
+        sub
+        for forward in ("abc,eat,ebt->ect", "abc,ea,ebt->ect", "abc,eat,eb->ect")
+        for sub in _vjp_subscripts(forward)
+    }
+)
+ADMISSIBLE_UP_TO_2 = [
+    (a, b, c)
+    for a in range(5)
+    for b in range(5)
+    for c in range(5)
+    if admissible(a, b, c)
+]
+
+
+def _operand(sub, dims, n_edges, rng):
+    shape = [{"e": n_edges, "t": 4, **dims}[c] for c in sub]
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestKernelOracles:
+    """The sparse einsum3 and the segment-sum index_add against NumPy."""
+
+    def test_subscript_closure_includes_channelless_output(self):
+        assert "abc,eat,ect->eb" in EXECUTOR_SUBSCRIPTS
+
+    @pytest.mark.parametrize("triple", ADMISSIBLE_UP_TO_2, ids=str)
+    def test_einsum3_matches_dense_einsum(self, triple):
+        coeffs = cg_tensor(*triple).coeffs
+        dims = dict(zip("abc", coeffs.shape))
+        rng = np.random.default_rng(sum(triple))
+        for sub in EXECUTOR_SUBSCRIPTS:
+            t_sub, x_sub, y_sub = sub.split("->")[0].split(",")
+            for n_edges in (0, 1, 37):
+                x = _operand(x_sub, dims, n_edges, rng)
+                y = _operand(y_sub, dims, n_edges, rng)
+                got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+                want = np.einsum(sub, coeffs, x, y)
+                assert got.shape == want.shape and got.dtype == want.dtype, sub
+                scale = np.max(np.abs(want), initial=0.0)
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale, sub
+
+    def test_einsum3_dense_complex_tensor(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(3, 2)) + 0j, rng.normal(size=(3, 2)) * 1j
+        got = ad.einsum3(ad.Tape(), CG_LIKE, x, y, "abc,at,bt->ct").value
+        want = np.einsum("abc,at,bt->ct", CG_LIKE, x, y)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "indices, n_rows",
+        [
+            ([0, 0, 1, 3, 3, 3], 5),  # sorted with repeats; row 2 and 4 unhit
+            ([4, 0, 2, 0, 4, 4, 1], 6),  # unsorted with repeats; row 3 and 5 unhit
+            ([2], 3),
+            ([], 4),
+        ],
+    )
+    def test_index_add_matches_add_at(self, indices, n_rows):
+        indices = np.array(indices, dtype=int)
+        rng = np.random.default_rng(len(indices))
+        x = rng.normal(size=(len(indices), 3, 2)) + 1j * rng.normal(size=(len(indices), 3, 2))
+        want = np.zeros((n_rows, 3, 2), dtype=complex)
+        np.add.at(want, indices, x)
+        for _ in range(2):  # the second call reuses the cached segments
+            got = ad.index_add(ad.Tape(), x, indices, n_rows).value
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.abs(x).sum()
+            unhit = np.setdiff1d(np.arange(n_rows), indices)
+            assert not np.any(got[unhit])
+
+    def test_index_add_fresh_arrays_never_reuse_stale_segments(self):
+        # index arrays freed and re-allocated (often at the same address)
+        # must each get their own segments
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            indices = rng.integers(0, 7, size=int(rng.integers(1, 12)))
+            x = rng.normal(size=(len(indices), 2))
+            want = np.zeros((7, 2))
+            np.add.at(want, indices, x)
+            got = ad.index_add(ad.Tape(), x, indices, 7).value
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_index_add_rejects_negative_index(self):
+        with pytest.raises(IndexError):
+            ad.index_add(ad.Tape(), np.ones((2, 1)), np.array([-1, 0]), 3)
 
 
 class TestPrimitiveGradients:

@@ -337,7 +337,9 @@ def test_taped_layer_records_no_dead_nodes(extra):
         taped_interaction_layer if isinstance(layer, InteractionParams) else taped_three_body_layer
     )
     start = len(tape.nodes)
-    out = taped(tape, acts, src, dst, harmonics, basis, layer, param_nodes, "layer1")
+    out = taped(
+        tape, acts, src, dst, harmonics, basis, layer, param_nodes, "layer1", layer.output_spins
+    )
 
     live: set[int] = set()
     stack = list(out.values())

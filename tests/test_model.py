@@ -146,6 +146,31 @@ class TestPlainVsTaped:
         assert energy.value == pytest.approx(plain, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind, overrides",
+    [("gated", {}), ("fused", {}), ("three_body", {}), ("three_body", {"schedule_mode": "dense"})],
+    ids=["gated", "fused", "three_body_sparse", "three_body_dense"],
+)
+def test_taped_forward_records_only_ancestors_of_the_energy(kind, overrides):
+    # the last layer must record only the spins the readout reads (spin 0);
+    # outputs of higher spin there would be recorded and never used
+    model = Model(_small_config(kind, n_layers=2, **overrides))
+    positions, species = _cloud(6, seed=5)
+    tape = ad.Tape()
+    energy = model.taped_forward(
+        tape, tape.variable(positions), species, model.parameter_nodes(tape)
+    )
+    live: set[int] = set()
+    stack = [energy]
+    while stack:
+        node = stack.pop()
+        if node.id not in live:
+            live.add(node.id)
+            stack.extend(parent for parent, _ in node.parents)
+    dead = [node.id for node in tape.nodes if node.parents and node.id not in live]
+    assert dead == []
+
+
 class TestParameters:
     def test_set_parameters_round_trip(self):
         model = Model(_small_config("fused"))
