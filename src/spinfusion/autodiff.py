@@ -9,6 +9,14 @@ can appear in a later loss whose own backward pass then reaches the
 parameters.  This works because every VJP closure is composed of registered
 primitives only.
 
+A VJP is called as ``vjp(tape, w)``: ``backward`` hands it the tape to
+record on, so no closure captures the tape, and none captures the node it
+belongs to (``exp``, ``sqrt``, ``tanh`` and ``div`` rebuild their output
+from their inputs, which gives the same values).  A tape is therefore
+acyclic, nodes referring only to their parents, and reference counting
+frees it as soon as its last node is dropped; the cyclic collector never
+has to find one.
+
 Complex data follows the conjugate (Wirtinger) cotangent convention: the
 adjoint of a complex node is w = dL/dRe + i dL/dIm.  Linear maps pull
 cotangents back through the conjugated matrix, bilinear products conjugate
@@ -41,13 +49,12 @@ __all__ = ["Tape", "Node", "backward", "gradcheck", "GradCheckReport", "PRIMITIV
 class Node:
     """One recorded value: array, parent links, and VJP closures."""
 
-    __slots__ = ("value", "parents", "id", "tape")
+    __slots__ = ("value", "parents", "id")
 
-    def __init__(self, value, parents, node_id, tape):
+    def __init__(self, value, parents, node_id):
         self.value = value
-        self.parents = parents  # tuple of (Node, vjp: cotangent Node -> Node)
+        self.parents = parents  # tuple of (Node, vjp: (Tape, cotangent Node) -> Node)
         self.id = node_id
-        self.tape = tape
 
     @property
     def shape(self):
@@ -61,7 +68,7 @@ class Tape:
         self.nodes: list[Node] = []
 
     def _emit(self, value, parents) -> Node:
-        node = Node(value, tuple(parents), len(self.nodes), self)
+        node = Node(value, tuple(parents), len(self.nodes))
         self.nodes.append(node)
         return node
 
@@ -103,8 +110,8 @@ def add(tape: Tape, x: Node, y: Node) -> Node:
     return tape._emit(
         value,
         (
-            (x, lambda w: reduce_to_shape(tape, w, x.shape)),
-            (y, lambda w: reduce_to_shape(tape, w, y.shape)),
+            (x, lambda tape, w: reduce_to_shape(tape, w, x.shape)),
+            (y, lambda tape, w: reduce_to_shape(tape, w, y.shape)),
         ),
     )
 
@@ -116,8 +123,8 @@ def sub(tape: Tape, x: Node, y: Node) -> Node:
     return tape._emit(
         value,
         (
-            (x, lambda w: reduce_to_shape(tape, w, x.shape)),
-            (y, lambda w: scale(tape, reduce_to_shape(tape, w, y.shape), -1.0)),
+            (x, lambda tape, w: reduce_to_shape(tape, w, x.shape)),
+            (y, lambda tape, w: scale(tape, reduce_to_shape(tape, w, y.shape), -1.0)),
         ),
     )
 
@@ -129,8 +136,8 @@ def mul(tape: Tape, x: Node, y: Node) -> Node:
     return tape._emit(
         value,
         (
-            (x, lambda w: reduce_to_shape(tape, mul(tape, w, conj(tape, y)), x.shape)),
-            (y, lambda w: reduce_to_shape(tape, mul(tape, w, conj(tape, x)), y.shape)),
+            (x, lambda tape, w: reduce_to_shape(tape, mul(tape, w, conj(tape, y)), x.shape)),
+            (y, lambda tape, w: reduce_to_shape(tape, mul(tape, w, conj(tape, x)), y.shape)),
         ),
     )
 
@@ -138,75 +145,75 @@ def mul(tape: Tape, x: Node, y: Node) -> Node:
 @_primitive("div")
 def div(tape: Tape, x: Node, y: Node) -> Node:
     x, y = _as_node(tape, x), _as_node(tape, y)
-    value = x.value / y.value
-    out = tape._emit(value, ())
 
-    def vjp_x(w):
+    def vjp_x(tape, w):
         return reduce_to_shape(tape, div(tape, w, conj(tape, y)), x.shape)
 
-    def vjp_y(w):
-        # d(x/y)/dy = -x/y^2 = -out/y
-        ratio = div(tape, out, y)
+    def vjp_y(tape, w):
+        # d(x/y)/dy = -x/y^2 = -(x/y)/y
+        ratio = div(tape, div(tape, x, y), y)
         return reduce_to_shape(
             tape, scale(tape, mul(tape, w, conj(tape, ratio)), -1.0), y.shape
         )
 
-    out.parents = ((x, vjp_x), (y, vjp_y))
-    return out
+    return tape._emit(x.value / y.value, ((x, vjp_x), (y, vjp_y)))
 
 
 @_primitive("scale")
 def scale(tape: Tape, x: Node, factor) -> Node:
     x = _as_node(tape, x)
-    return tape._emit(x.value * factor, ((x, lambda w: scale(tape, w, np.conj(factor))),))
+    return tape._emit(x.value * factor, ((x, lambda tape, w: scale(tape, w, np.conj(factor))),))
 
 
 @_primitive("conj")
 def conj(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
-    return tape._emit(np.conj(x.value), ((x, lambda w: conj(tape, w)),))
+    if not np.iscomplexobj(x.value):
+        return x  # real data is its own conjugate; no copy, no node
+    return tape._emit(np.conj(x.value), ((x, lambda tape, w: conj(tape, w)),))
 
 
 @_primitive("real")
 def real(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
-    return tape._emit(np.real(x.value), ((x, lambda w: complex_cast(tape, w)),))
+    return tape._emit(np.real(x.value), ((x, lambda tape, w: complex_cast(tape, w)),))
 
 
 @_primitive("imag")
 def imag(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
     return tape._emit(
-        np.imag(x.value), ((x, lambda w: scale(tape, complex_cast(tape, w), 1j)),)
+        np.imag(x.value), ((x, lambda tape, w: scale(tape, complex_cast(tape, w), 1j)),)
     )
 
 
 @_primitive("complex_cast")
 def complex_cast(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
-    return tape._emit(np.asarray(x.value, dtype=complex), ((x, lambda w: real(tape, w)),))
+    return tape._emit(np.asarray(x.value, dtype=complex), ((x, lambda tape, w: real(tape, w)),))
 
 
 @_primitive("exp")
 def exp(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
-    out = tape._emit(np.exp(x.value), ())
-    out.parents = ((x, lambda w: mul(tape, w, conj(tape, out))),)
-    return out
+    return tape._emit(
+        np.exp(x.value), ((x, lambda tape, w: mul(tape, w, conj(tape, exp(tape, x)))),)
+    )
 
 
 @_primitive("sqrt")
 def sqrt(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
-    out = tape._emit(np.sqrt(x.value), ())
-    out.parents = ((x, lambda w: div(tape, w, conj(tape, scale(tape, out, 2.0)))),)
-    return out
+    return tape._emit(
+        np.sqrt(x.value),
+        ((x, lambda tape, w: div(tape, w, conj(tape, scale(tape, sqrt(tape, x), 2.0)))),),
+    )
 
 
 @_primitive("sin")
 def sin(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
-    return tape._emit(np.sin(x.value), ((x, lambda w: mul(tape, w, conj(tape, cos(tape, x)))),))
+    return tape._emit(np.sin(x.value), ((x, lambda tape, w: mul(tape, w, conj(tape, cos(tape, x)))),))
 
 
 @_primitive("cos")
@@ -214,21 +221,19 @@ def cos(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
     return tape._emit(
         np.cos(x.value),
-        ((x, lambda w: scale(tape, mul(tape, w, conj(tape, sin(tape, x))), -1.0)),),
+        ((x, lambda tape, w: scale(tape, mul(tape, w, conj(tape, sin(tape, x))), -1.0)),),
     )
 
 
 @_primitive("tanh")
 def tanh(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
-    out = tape._emit(np.tanh(x.value), ())
 
-    def vjp(w):
-        sq = mul(tape, out, out)
-        return sub(tape, w, mul(tape, w, sq))  # w * (1 - tanh^2)
+    def vjp(tape, w):
+        out = tanh(tape, x)
+        return sub(tape, w, mul(tape, w, mul(tape, out, out)))  # w * (1 - tanh^2)
 
-    out.parents = ((x, vjp),)
-    return out
+    return tape._emit(np.tanh(x.value), ((x, vjp),))
 
 
 @_primitive("reshape")
@@ -237,7 +242,7 @@ def reshape(tape: Tape, x: Node, shape) -> Node:
     shape = tuple(shape)
     old = x.shape
     return tape._emit(
-        np.reshape(x.value, shape), ((x, lambda w: reshape(tape, w, old)),)
+        np.reshape(x.value, shape), ((x, lambda tape, w: reshape(tape, w, old)),)
     )
 
 
@@ -248,7 +253,7 @@ def broadcast_to(tape: Tape, x: Node, shape) -> Node:
     old = x.shape
     return tape._emit(
         np.broadcast_to(x.value, shape).copy(),
-        ((x, lambda w: reduce_to_shape(tape, w, old)),),
+        ((x, lambda tape, w: reduce_to_shape(tape, w, old)),),
     )
 
 
@@ -272,7 +277,7 @@ def reduce_to_shape(tape: Tape, x: Node, shape) -> Node:
     old = x.shape
     return tape._emit(
         _reduce_value(np.asarray(x.value), shape),
-        ((x, lambda w: broadcast_to(tape, w, old)),),
+        ((x, lambda tape, w: broadcast_to(tape, w, old)),),
     )
 
 
@@ -281,7 +286,7 @@ def sum_all(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
     old = x.shape
     return tape._emit(
-        np.asarray(np.sum(x.value)), ((x, lambda w: broadcast_to(tape, w, old)),)
+        np.asarray(np.sum(x.value)), ((x, lambda tape, w: broadcast_to(tape, w, old)),)
     )
 
 
@@ -295,7 +300,7 @@ def concat(tape: Tape, xs, axis: int) -> Node:
         width = x.shape[axis]
         start = offset
 
-        def vjp(w, start=start, stop=offset + width):
+        def vjp(tape, w, start=start, stop=offset + width):
             return slice_axis(tape, w, axis=axis, start=start, stop=stop)
 
         parents.append((x, vjp))
@@ -311,7 +316,7 @@ def slice_axis(tape: Tape, x: Node, axis: int, start: int, stop: int) -> Node:
     before, after = start, x.shape[axis] - stop
     return tape._emit(
         np.ascontiguousarray(x.value[tuple(index)]),
-        ((x, lambda w: pad_axis(tape, w, axis=axis, before=before, after=after)),),
+        ((x, lambda tape, w: pad_axis(tape, w, axis=axis, before=before, after=after)),),
     )
 
 
@@ -323,7 +328,7 @@ def pad_axis(tape: Tape, x: Node, axis: int, before: int, after: int) -> Node:
     n = x.shape[axis]
     return tape._emit(
         np.pad(x.value, pad),
-        ((x, lambda w: slice_axis(tape, w, axis=axis, start=before, stop=before + n)),),
+        ((x, lambda tape, w: slice_axis(tape, w, axis=axis, start=before, stop=before + n)),),
     )
 
 
@@ -356,7 +361,7 @@ def gather(tape: Tape, x: Node, indices) -> Node:
     indices = np.asarray(indices, dtype=int)
     n = x.shape[0]
     return tape._emit(
-        x.value[indices], ((x, lambda w: index_add(tape, w, indices, n)),)
+        x.value[indices], ((x, lambda tape, w: index_add(tape, w, indices, n)),)
     )
 
 
@@ -389,7 +394,7 @@ def index_add(tape: Tape, x: Node, indices, n_rows: int) -> Node:
             raise IndexError(f"index_add: negative index {rows[0]}")
         rows_in = x.value if order is None else x.value[order]
         value[rows] = np.add.reduceat(rows_in, starts, axis=0)
-    return tape._emit(value, ((x, lambda w: gather(tape, w, indices)),))
+    return tape._emit(value, ((x, lambda tape, w: gather(tape, w, indices)),))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +498,7 @@ def einsum2(tape: Tape, tensor: np.ndarray, x: Node, subscript: str) -> Node:
     value = np.einsum(subscript, tensor, x.value)
     back = f"{t_sub},{out_sub}->{x_sub}"
     t_adj = _adjoint_tensor(tensor)
-    return tape._emit(value, ((x, lambda w: einsum2(tape, t_adj, w, back)),))
+    return tape._emit(value, ((x, lambda tape, w: einsum2(tape, t_adj, w, back)),))
 
 
 @_primitive("einsum3")
@@ -526,8 +531,8 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     return tape._emit(
         value,
         (
-            (x, lambda w: einsum3(tape, t_adj, conj(tape, y), w, back_x)),
-            (y, lambda w: einsum3(tape, t_adj, conj(tape, x), w, back_y)),
+            (x, lambda tape, w: einsum3(tape, t_adj, conj(tape, y), w, back_x)),
+            (y, lambda tape, w: einsum3(tape, t_adj, conj(tape, x), w, back_y)),
         ),
     )
 
@@ -542,7 +547,7 @@ def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
     x, weights = _as_node(tape, x), _as_node(tape, weights)
     value = x.value @ weights.value
 
-    def vjp_x(w):
+    def vjp_x(tape, w):
         # Contract with the weights *node*, not its current value: the data
         # cotangent must stay differentiable with respect to the weights so
         # that losses built from gradients (e.g. force errors) see the mixed
@@ -552,7 +557,7 @@ def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
         adjoint = einsum3(tape, np.array(1.0), w_flat, weights, ",rj,ij->ri")
         return reshape(tape, adjoint, x.shape)
 
-    def vjp_w(w):
+    def vjp_w(tape, w):
         rows = int(np.prod(x.shape[:-1], dtype=int))
         x_flat = reshape(tape, x, (rows, x.shape[-1]))
         w_flat = reshape(tape, w, (rows, weights.shape[-1]))
@@ -578,7 +583,7 @@ def spherical(tape: Tape, x: Node, two_j: int) -> Node:
     value = sph_values(x.value, two_j)
     jac_conj = np.conj(sph_jacobian(x.value, two_j))  # (..., 2j+1, 3)
 
-    def vjp(w):
+    def vjp(tape, w):
         return real(tape, einsum2(tape, jac_conj, w, "...mk,...m->...k"))
 
     return tape._emit(value, ((x, vjp),))
@@ -634,7 +639,7 @@ def backward(tape: Tape, seed: Node, wrt: Optional[list[Node]] = None) -> dict[i
         for parent, vjp in node.parents:
             if needed is not None and parent.id not in needed:
                 continue
-            contribution = vjp(w)
+            contribution = vjp(tape, w)
             # The cotangent of a real-valued node is d(loss)/d(node), a real
             # quantity.  A complex consumer's vjp may hand back a complex
             # array whose imaginary part is meaningless for this node; drop

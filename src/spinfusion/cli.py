@@ -29,7 +29,13 @@ from .model import Model, ModelConfig
 from .potentials import POTENTIAL_KINDS
 from .rotations import haar_rotation
 from .spins import format_spin, parse_spin, twice_m_range
-from .training import AdamConfig, LossConfig, evaluate as run_evaluate, sample_loss, train as run_train
+from .training import (
+    AdamConfig,
+    LossConfig,
+    _taped_batch_loss,
+    evaluate as run_evaluate,
+    train as run_train,
+)
 from .wigner import wigner_D
 
 __all__ = ["main"]
@@ -175,31 +181,11 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
             model.parameters()[name][...] = values
             tape = ad.Tape()
             param_nodes = model.parameter_nodes(tape)
-            tape_positions = tape.variable(sample.positions)
-            energy = model.taped_forward(tape, tape_positions, sample.species, param_nodes)
-            grads = ad.backward(tape, energy, wrt=[tape_positions])
-            force = ad.scale(tape, grads[tape_positions.id], -1.0)
-            energy_error = ad.sub(tape, energy, tape.constant(np.float64(sample.energy)))
-            force_error = ad.sub(tape, force, tape.constant(sample.forces))
-            loss = ad.add(
-                tape,
-                ad.scale(
-                    tape,
-                    ad.mul(tape, energy_error, energy_error),
-                    loss_config.energy_weight,
-                ),
-                ad.scale(
-                    tape,
-                    ad.sum_all(tape, ad.mul(tape, force_error, force_error)),
-                    loss_config.force_weight / sample.forces.size,
-                ),
-            )
-            grads2 = ad.backward(tape, loss, wrt=[param_nodes[name]])
+            loss = _taped_batch_loss(tape, model, param_nodes, [sample], loss_config)
             node = param_nodes[name]
+            grads = ad.backward(tape, loss, wrt=[node])
             gradient = (
-                np.real(grads2[node.id].value)
-                if node.id in grads2
-                else np.zeros_like(values)
+                np.real(grads[node.id].value) if node.id in grads else np.zeros_like(values)
             )
             return float(np.real(loss.value)), np.broadcast_to(gradient, values.shape)
 

@@ -244,28 +244,32 @@ def taped_diagrams(
     between diagrams, or between calls that pass the same ``memo`` and
     ``leaves``, is recorded once.  Returns one node per diagram, in order.
     """
+    return [_emit_diagram(tape, d.tree, iter(d.leaves), leaves, memo)[1] for d in diagrams]
 
-    def emit(node, leaf_iter) -> tuple[tuple, ad.Node]:
-        if isinstance(node, LeafNode):
-            slot, two_j = key = next(leaf_iter)
-            return key, leaves[slot][two_j]
-        left_key, left = emit(node.left, leaf_iter)
-        right_key, right = emit(node.right, leaf_iter)
-        key = (left_key, right_key, node.two_k)
-        value = memo.get(key)
-        if value is None:
-            # activations are (E|N, 2j+1, tau); edge harmonics are (E, 2j+1)
-            left_t, right_t = ("t" if len(n.shape) == 3 else "" for n in (left, right))
-            value = memo[key] = ad.einsum3(
-                tape,
-                cg_tensor(left_key[-1], right_key[-1], node.two_k).coeffs,
-                left,
-                right,
-                f"abc,ea{left_t},eb{right_t}->ec{left_t or right_t}",
-            )
-        return key, value
 
-    return [emit(d.tree, iter(d.leaves))[1] for d in diagrams]
+def _emit_diagram(tape, node, leaf_iter, leaves, memo) -> tuple[tuple, ad.Node]:
+    """(structural key, node) of one subtree; see ``taped_diagrams``.
+
+    A module-level function rather than a recursive closure, which would be
+    a reference cycle holding the tape."""
+    if isinstance(node, LeafNode):
+        slot, two_j = key = next(leaf_iter)
+        return key, leaves[slot][two_j]
+    left_key, left = _emit_diagram(tape, node.left, leaf_iter, leaves, memo)
+    right_key, right = _emit_diagram(tape, node.right, leaf_iter, leaves, memo)
+    key = (left_key, right_key, node.two_k)
+    value = memo.get(key)
+    if value is None:
+        # activations are (E|N, 2j+1, tau); edge harmonics are (E, 2j+1)
+        left_t, right_t = ("t" if len(n.shape) == 3 else "" for n in (left, right))
+        value = memo[key] = ad.einsum3(
+            tape,
+            cg_tensor(left_key[-1], right_key[-1], node.two_k).coeffs,
+            left,
+            right,
+            f"abc,ea{left_t},eb{right_t}->ec{left_t or right_t}",
+        )
+    return key, value
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ invariant readout on the final spin-0 part sums per-atom energies.  Forces
 are exact reverse-mode gradients of the energy with respect to positions.
 
 The taped forward (vectorized over atoms and edges) is the trainable path.
+It takes a batch of samples as one disjoint-union graph and returns one
+energy per sample; a single cloud is a batch of one.
 It asks each layer only for the spins read after it: the next layer's input
 spins, and spin 0 alone from the last layer, so the tape holds no output the
 energy does not depend on.  ``plain_energy`` recomputes the same number
@@ -204,14 +206,36 @@ class Model:
         tape: ad.Tape,
         positions: ad.Node,
         species: np.ndarray,
+        counts,
         param_nodes: dict[str, ad.Node],
     ) -> ad.Node:
-        """Energy as a tape node; differentiable in positions and parameters."""
+        """Energies of a batch of samples as one (B,) node; differentiable in
+        positions and parameters.
+
+        ``positions`` holds the atoms of every sample, one after another, in
+        one (N, 3) node, ``species`` their labels concatenated, and
+        ``counts`` the atom count of each sample.  The batch is a
+        disjoint-union graph: each sample's neighborhood is built on its own
+        cloud (samples may overlap in space) and its edges are offset by its
+        first atom, so no edge joins two samples.
+        """
         cfg = self.config
-        n_atoms = positions.shape[0]
-        pc = PointCloud(positions.value, self._check_inputs(positions.value, species))
-        nbr = build_neighborhood(pc, cfg.cutoff)
-        src, dst = edge_index(nbr)
+        species = self._check_inputs(positions.value, species)
+        counts = np.asarray(counts, dtype=int)
+        n_atoms = len(species)
+        if counts.ndim != 1 or counts.size == 0 or counts.min() < 1 or counts.sum() != n_atoms:
+            raise ShapeMismatch(
+                f"counts must be positive atom counts summing to {n_atoms}, got {counts}"
+            )
+        firsts = np.cumsum(counts) - counts
+        edges = [
+            edge_index(build_neighborhood(
+                PointCloud(positions.value[a : a + n], species[a : a + n]), cfg.cutoff
+            ))
+            for a, n in zip(firsts, counts)
+        ]
+        src = np.concatenate([s + a for (s, _), a in zip(edges, firsts)])
+        dst = np.concatenate([d + a for (_, d), a in zip(edges, firsts)])
 
         disp = ad.sub(
             tape, ad.gather(tape, positions, dst), ad.gather(tape, positions, src)
@@ -249,7 +273,27 @@ class Model:
             ad.channel_mix(tape, invariants, param_nodes["readout/w"]),
             param_nodes["readout/b"],
         )
-        return ad.sum_all(tape, per_atom)
+        sample_of_atom = np.repeat(np.arange(counts.size), counts)
+        energies = ad.index_add(tape, per_atom, sample_of_atom, counts.size)
+        return ad.reshape(tape, energies, (counts.size,))
+
+    def taped_energies_and_forces(
+        self,
+        tape: ad.Tape,
+        positions: ad.Node,
+        species: np.ndarray,
+        counts,
+        param_nodes: dict[str, ad.Node],
+    ) -> tuple[ad.Node, ad.Node]:
+        """(B,) energies and (N, 3) forces of a batch (see ``taped_forward``).
+
+        The forces are the negative position gradient of the summed energy,
+        from one backward pass recorded on the tape, so a loss built from
+        them can be differentiated again with respect to the parameters.
+        """
+        energies = self.taped_forward(tape, positions, species, counts, param_nodes)
+        grads = ad.backward(tape, ad.sum_all(tape, energies), wrt=[positions])
+        return energies, ad.scale(tape, grads[positions.id], -1.0)
 
     def parameter_nodes(self, tape: ad.Tape) -> dict[str, ad.Node]:
         return {name: tape.variable(arr) for name, arr in self.parameters().items()}
@@ -258,13 +302,13 @@ class Model:
         self, positions: np.ndarray, species: np.ndarray
     ) -> tuple[float, np.ndarray]:
         """Energy and exact forces (negative position gradient)."""
+        species = np.asarray(species, dtype=int)
         tape = ad.Tape()
         pos_node = tape.variable(np.asarray(positions, dtype=float))
-        param_nodes = self.parameter_nodes(tape)
-        energy = self.taped_forward(tape, pos_node, np.asarray(species, dtype=int), param_nodes)
-        grads = ad.backward(tape, energy, wrt=[pos_node])
-        force = -np.real(grads[pos_node.id].value)
-        return float(np.real(energy.value)), force
+        energies, forces = self.taped_energies_and_forces(
+            tape, pos_node, species, [species.size], self.parameter_nodes(tape)
+        )
+        return float(energies.value[0]), forces.value
 
     def plain_energy(self, positions: np.ndarray, species: np.ndarray) -> float:
         """Reference energy through the per-atom layer implementations."""

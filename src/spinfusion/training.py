@@ -7,7 +7,10 @@ The per-sample loss is
 with forces computed by reverse-mode differentiation of the energy on the
 same tape, so the force term is itself differentiable with respect to the
 parameters (a second reverse pass over the recorded adjoint arithmetic).
-Batches accumulate by summation; epochs shuffle with a run-seeded generator.
+A batch's loss is the sum of its samples' losses, recorded as one
+disjoint-union graph: one forward, one force backward and one parameter
+backward per step, on a tape that is freed when the step returns.  Epochs
+shuffle with a run-seeded generator.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import Sample
-from .errors import NonFiniteLoss, ShapeMismatch
+from .errors import NonFiniteLoss
 from .model import Model
 
 __all__ = ["LossConfig", "AdamConfig", "RunRecord", "sample_loss", "train", "evaluate"]
@@ -56,32 +59,41 @@ class RunRecord:
     wall_clock_seconds: float = 0.0
 
 
-def _taped_sample_loss(
+def _taped_batch_loss(
     tape: ad.Tape,
     model: Model,
     param_nodes: dict[str, ad.Node],
-    sample: Sample,
+    batch: list[Sample],
     loss_config: LossConfig,
 ) -> ad.Node:
-    """Loss for one sample as a tape node (differentiable in parameters)."""
-    if sample.forces.shape != sample.positions.shape:
-        raise ShapeMismatch(
-            f"forces shape {sample.forces.shape} does not match positions "
-            f"{sample.positions.shape}"
-        )
-    positions = tape.variable(sample.positions)
-    energy = model.taped_forward(tape, positions, sample.species, param_nodes)
-    grads = ad.backward(tape, energy, wrt=[positions])
-    force = ad.scale(tape, grads[positions.id], -1.0)
+    """Summed loss of a batch as a tape node (differentiable in parameters).
 
-    energy_error = ad.sub(tape, energy, tape.constant(np.float64(sample.energy)))
-    energy_term = ad.mul(tape, energy_error, energy_error)
-
-    force_error = ad.sub(tape, force, tape.constant(sample.forces))
-    force_term = ad.scale(
+    The batch runs as one disjoint-union graph (``Model.taped_forward``)
+    with one force backward.  Each atom's squared force error is weighted
+    by 1 / forces.size of its own sample, so every sample's force term is
+    its own mean over coordinates whatever the atom counts.
+    """
+    counts = [sample.n_atoms for sample in batch]
+    positions = tape.variable(np.concatenate([sample.positions for sample in batch]))
+    energies, forces = model.taped_energies_and_forces(
         tape,
-        ad.sum_all(tape, ad.mul(tape, force_error, force_error)),
-        1.0 / sample.forces.size,
+        positions,
+        np.concatenate([sample.species for sample in batch]),
+        counts,
+        param_nodes,
+    )
+
+    reference = np.array([sample.energy for sample in batch])
+    energy_error = ad.sub(tape, energies, tape.constant(reference))
+    energy_term = ad.sum_all(tape, ad.mul(tape, energy_error, energy_error))
+
+    force_error = ad.sub(
+        tape, forces, tape.constant(np.concatenate([sample.forces for sample in batch]))
+    )
+    weights = np.repeat([1.0 / sample.forces.size for sample in batch], counts)[:, None]
+    force_term = ad.sum_all(
+        tape,
+        ad.mul(tape, ad.mul(tape, force_error, force_error), tape.constant(weights)),
     )
     return ad.add(
         tape,
@@ -94,15 +106,36 @@ def sample_loss(model: Model, sample: Sample, loss_config: LossConfig) -> float:
     """Loss value for one sample with the model's current parameters."""
     tape = ad.Tape()
     param_nodes = model.parameter_nodes(tape)
-    node = _taped_sample_loss(tape, model, param_nodes, sample, loss_config)
+    node = _taped_batch_loss(tape, model, param_nodes, [sample], loss_config)
     return float(np.real(node.value))
+
+
+def _batch_loss_and_gradients(
+    model: Model, batch: list[Sample], loss_config: LossConfig
+) -> tuple[float, dict[str, np.ndarray]]:
+    """One training step's loss and parameter gradients, as plain values.
+
+    The step's tape is local, so it is freed when this returns: nothing
+    holds a node of it.
+    """
+    tape = ad.Tape()
+    param_nodes = model.parameter_nodes(tape)
+    loss = _taped_batch_loss(tape, model, param_nodes, batch, loss_config)
+    value = float(np.real(loss.value))
+    if not np.isfinite(value):
+        raise NonFiniteLoss(f"batch loss is {value}")
+    grads = ad.backward(tape, loss, wrt=list(param_nodes.values()))
+    return value, {
+        name: np.real(grads[node.id].value) if node.id in grads else 0.0
+        for name, node in param_nodes.items()
+    }
 
 
 def _run_hash(model: Model, loss_config: LossConfig, adam: AdamConfig,
               n_epochs: int, batch_size: int, seed: int, n_train: int, n_val: int) -> str:
     payload = json.dumps(
         {
-            "model": json.loads(model.config.to_json()),
+            "model": asdict(model.config),
             "loss": [loss_config.energy_weight, loss_config.force_weight],
             "adam": [adam.learning_rate, adam.beta1, adam.beta2, adam.epsilon],
             "n_epochs": n_epochs,
@@ -152,25 +185,14 @@ def train(
         epoch_loss = 0.0
         for batch_start in range(0, len(order), batch_size):
             batch = [train_samples[i] for i in order[batch_start : batch_start + batch_size]]
-            tape = ad.Tape()
-            param_nodes = model.parameter_nodes(tape)
-            total = None
-            for sample in batch:
-                loss_node = _taped_sample_loss(tape, model, param_nodes, sample, loss_config)
-                total = loss_node if total is None else ad.add(tape, total, loss_node)
-            batch_loss = float(np.real(total.value))
-            if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(f"batch loss is {batch_loss}")
+            batch_loss, gradients = _batch_loss_and_gradients(model, batch, loss_config)
             epoch_loss += batch_loss
-            grads = ad.backward(tape, total, wrt=list(param_nodes.values()))
             step += 1
             bias1 = 1.0 - adam.beta1**step
             bias2 = 1.0 - adam.beta2**step
             parameters = model.parameters()
             for name in names:
-                node = param_nodes[name]
-                gradient = np.real(grads[node.id].value) if node.id in grads else 0.0
-                gradient = np.broadcast_to(gradient, parameters[name].shape)
+                gradient = np.broadcast_to(gradients[name], parameters[name].shape)
                 first_moment[name] = (
                     adam.beta1 * first_moment[name] + (1.0 - adam.beta1) * gradient
                 )

@@ -5,6 +5,8 @@ at module/test setup, never inside the checked function, so repeated calls
 see the same function.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ class TestTapeBasics:
         g_a = ad.backward(tape, a, wrt=[x])[x.id].value
         g_b = ad.backward(tape, b, wrt=[x])[x.id].value
         assert np.allclose(g_combined, g_a + g_b, atol=1e-14)
+
+    def test_conj_of_real_data_records_nothing(self):
+        tape = ad.Tape()
+        x = tape.variable(np.array([0.5, -1.5]))
+        assert ad.conj(tape, x) is x
+        assert len(tape.nodes) == 1
+        z = ad.conj(tape, tape.variable(np.array([1.0 + 2.0j])))
+        assert np.array_equal(z.value, [1.0 - 2.0j])
 
     def test_gradcheck_flags_corrupted_vjp(self):
         point = np.array([0.5, -1.5])
@@ -371,6 +381,14 @@ class TestPrimitiveGradients:
         assert np.allclose(grads[x.id].value, np.ones_like(REAL_MAT))
 
 
+def _div_exp_sqrt_tanh(tape, x):
+    """sum(exp(x) / sqrt(x^2 + 1) + tanh(x)): every primitive whose VJP
+    reads its own output."""
+    root = ad.sqrt(tape, ad.add(tape, ad.mul(tape, x, x), tape.constant(1.0)))
+    ratio = ad.div(tape, ad.exp(tape, x), root)
+    return ad.sum_all(tape, ad.add(tape, ratio, ad.tanh(tape, x)))
+
+
 class TestSecondOrder:
     """Losses built from first-order gradients stay differentiable."""
 
@@ -436,6 +454,42 @@ class TestSecondOrder:
             return float(np.real(loss.value)), np.real(g2[x.id].value)
 
         _check(f, point)
+
+    def test_grad_of_grad_through_rebuilt_outputs(self):
+        # div, exp, sqrt and tanh VJPs rebuild the forward output from the
+        # inputs rather than capture it; the rebuilt node must stay
+        # differentiable
+        point = REAL_VEC * 0.5
+
+        def f(values):
+            tape = ad.Tape()
+            x = tape.variable(values)
+            energy = _div_exp_sqrt_tanh(tape, x)
+            g = ad.backward(tape, energy, wrt=[x])[x.id]
+            loss = ad.sum_all(tape, ad.mul(tape, g, tape.constant(PROBE_VEC)))
+            g2 = ad.backward(tape, loss, wrt=[x])
+            return float(np.real(loss.value)), np.real(g2[x.id].value)
+
+        _check(f, point)
+
+    def test_tapes_hold_no_reference_cycles(self):
+        # a VJP gets the tape from backward and captures no output node, so
+        # reference counting alone frees a tape after a second-order pass
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            x = tape.variable(REAL_VEC * 0.5)
+            energy = _div_exp_sqrt_tanh(tape, x)
+            g = ad.backward(tape, energy, wrt=[x])[x.id]
+            loss = ad.sum_all(tape, ad.mul(tape, g, tape.constant(PROBE_VEC)))
+            ad.backward(tape, loss, wrt=[x])
+            del tape, x, energy, g, loss
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_real_cotangents_stay_real(self):
         tape = ad.Tape()

@@ -377,7 +377,7 @@ class TestPlainTapedAgreement:
         tape = ad.Tape()
         pos_node = tape.variable(positions)
         params = model.parameter_nodes(tape)
-        energy_node = model.taped_forward(tape, pos_node, species, params)
+        energy_node = model.taped_forward(tape, pos_node, species, [6], params)
         assert energy_node.value == pytest.approx(plain, abs=1e-12)
 
     def test_dense_schedule_also_agrees(self):
@@ -400,7 +400,7 @@ class TestPlainTapedAgreement:
         plain = model.plain_energy(positions, species)
         tape = ad.Tape()
         pos_node = tape.variable(positions)
-        energy = model.taped_forward(tape, pos_node, species, model.parameter_nodes(tape))
+        energy = model.taped_forward(tape, pos_node, species, [5], model.parameter_nodes(tape))
         assert energy.value == pytest.approx(plain, abs=1e-12)
 
 

@@ -142,7 +142,7 @@ class TestPlainVsTaped:
         plain = model.plain_energy(positions, species)
         tape = ad.Tape()
         node = tape.variable(positions)
-        energy = model.taped_forward(tape, node, species, model.parameter_nodes(tape))
+        energy = model.taped_forward(tape, node, species, [6], model.parameter_nodes(tape))
         assert energy.value == pytest.approx(plain, abs=1e-12)
 
 
@@ -158,7 +158,7 @@ def test_taped_forward_records_only_ancestors_of_the_energy(kind, overrides):
     positions, species = _cloud(6, seed=5)
     tape = ad.Tape()
     energy = model.taped_forward(
-        tape, tape.variable(positions), species, model.parameter_nodes(tape)
+        tape, tape.variable(positions), species, [6], model.parameter_nodes(tape)
     )
     live: set[int] = set()
     stack = [energy]
@@ -191,6 +191,16 @@ class TestParameters:
         model = Model(_small_config("gated"))
         with pytest.raises(ShapeMismatch):
             model.plain_energy(np.zeros((4, 2)), np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("counts", [[5], [3, 3, 0], [7, -1], [], [[6]]])
+    def test_batch_counts_must_cover_the_atoms(self, counts):
+        model = Model(_small_config("gated"))
+        positions, species = _cloud(6, seed=5)
+        tape = ad.Tape()
+        with pytest.raises(ShapeMismatch):
+            model.taped_forward(
+                tape, tape.variable(positions), species, counts, model.parameter_nodes(tape)
+            )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("path", ["energy_and_forces", "plain_energy"])

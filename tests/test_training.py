@@ -1,14 +1,18 @@
 """Adam training loop, loss semantics, and evaluation metrics."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from spinfusion import autodiff as ad
 from spinfusion.data import Sample, generate_dataset
 from spinfusion.errors import NonFiniteLoss
-from spinfusion.model import Model, ModelConfig
+from spinfusion.model import KINDS, Model, ModelConfig
 from spinfusion.training import (
     AdamConfig,
     LossConfig,
+    _batch_loss_and_gradients,
     evaluate,
     sample_loss,
     train,
@@ -214,3 +218,112 @@ class TestEvaluate:
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError):
             evaluate(_tiny_model(), [])
+
+
+BATCH_KINDS = [
+    dict(kind="gated"),
+    dict(kind="fused"),
+    dict(kind="three_body", internal_spins=(0, 1, 2)),
+    dict(kind="three_body", schedule_mode="dense", internal_spins=(0, 1, 2)),
+]
+
+
+def _mixed_batch():
+    """5-, 8- and 9-atom samples, and a 5-atom sample with an isolated atom."""
+    batch = [generate_dataset(1, n, "morse", seed=n)[0] for n in (5, 8, 9)]
+    positions = batch[0].positions.copy()
+    positions[-1] += 50.0  # far beyond the cutoff of every other atom
+    rng = np.random.default_rng(7)
+    batch.append(Sample(positions, batch[0].species, 0.3, rng.normal(size=positions.shape)))
+    return batch
+
+
+class TestBatchedTape:
+    """One disjoint-union tape per batch against one tape per sample."""
+
+    @pytest.mark.parametrize(
+        "extra", BATCH_KINDS, ids=["gated", "fused", "three_body_sparse", "three_body_dense"]
+    )
+    def test_batch_matches_single_samples(self, extra):
+        model = Model(
+            ModelConfig(n_layers=2, tau=3, j_max=1, radial_channels=4, hidden=8, seed=4, **extra)
+        )
+        batch = _mixed_batch()
+        counts = [sample.n_atoms for sample in batch]
+        tape = ad.Tape()
+        energies, forces = model.taped_energies_and_forces(
+            tape,
+            tape.variable(np.concatenate([sample.positions for sample in batch])),
+            np.concatenate([sample.species for sample in batch]),
+            counts,
+            model.parameter_nodes(tape),
+        )
+        firsts = np.cumsum(counts) - counts
+        for sample, energy, first in zip(batch, energies.value, firsts):
+            single_energy, single_forces = model.energy_and_forces(
+                sample.positions, sample.species
+            )
+            assert abs(energy - single_energy) <= 1e-12
+            rows = forces.value[first : first + sample.n_atoms]
+            assert np.max(np.abs(rows - single_forces)) <= 1e-12
+        # the isolated atom feels no force
+        assert np.array_equal(forces.value[-1], np.zeros(3))
+
+        loss_config = LossConfig()
+        loss, gradients = _batch_loss_and_gradients(model, batch, loss_config)
+        expected = sum(sample_loss(model, sample, loss_config) for sample in batch)
+        assert loss == pytest.approx(expected, rel=1e-12, abs=0.0)
+        singles = [_batch_loss_and_gradients(model, [s], loss_config)[1] for s in batch]
+        for name, gradient in gradients.items():
+            summed = sum(np.broadcast_to(single[name], np.shape(gradient)) for single in singles)
+            assert np.max(np.abs(gradient - summed)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tapes_are_freed_by_reference_counting(kind):
+    # with the cyclic collector off, nothing a force call or a training step
+    # leaves behind is garbage it would have to find (an uncollected tape
+    # would keep every array of its step alive)
+    model = Model(ModelConfig(kind=kind, n_layers=2, tau=3, j_max=1, radial_channels=4, hidden=8))
+    data = generate_dataset(4, 5, "morse", seed=2)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model.energy_and_forces(data[0].positions, data[0].species)
+        assert gc.collect() == 0
+        train(model, data, 1, batch_size=len(data), seed=0)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_each_step_records_one_tape(monkeypatch):
+    # one training step builds one tape and one set of parameter leaves, in
+    # that order, and evaluate goes through energy_and_forces per sample
+    events = []
+    tape_init = ad.Tape.__init__
+    parameter_nodes = Model.parameter_nodes
+    energy_and_forces = Model.energy_and_forces
+
+    def counting_tape_init(tape):
+        events.append("tape")
+        tape_init(tape)
+
+    def counting_parameter_nodes(model, tape):
+        events.append("parameters")
+        return parameter_nodes(model, tape)
+
+    def counting_energy_and_forces(model, positions, species):
+        events.append("energy_and_forces")
+        return energy_and_forces(model, positions, species)
+
+    monkeypatch.setattr(ad.Tape, "__init__", counting_tape_init)
+    monkeypatch.setattr(Model, "parameter_nodes", counting_parameter_nodes)
+    monkeypatch.setattr(Model, "energy_and_forces", counting_energy_and_forces)
+    data = generate_dataset(4, 4, "morse", seed=2)
+    train(_tiny_model(), data, 1, batch_size=2, seed=0)
+    steps = ["tape", "parameters"] * 2
+    evaluation = ["energy_and_forces", "tape", "parameters"] * len(data)
+    assert events == steps + evaluation
