@@ -293,6 +293,8 @@ def sum_all(tape: Tape, x: Node) -> Node:
 @_primitive("concat")
 def concat(tape: Tape, xs, axis: int) -> Node:
     xs = [_as_node(tape, x) for x in xs]
+    if len(xs) == 1:
+        return xs[0]  # one part is its own concatenation; no copy, no node
     value = np.concatenate([x.value for x in xs], axis=axis)
     parents = []
     offset = 0

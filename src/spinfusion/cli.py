@@ -236,9 +236,15 @@ def _load_model(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     model = Model(ModelConfig.from_json(json.dumps(payload["config"])))
-    model.set_parameters(
-        {name: np.asarray(values) for name, values in payload["parameters"].items()}
-    )
+    stored, expected = payload["parameters"], model.parameters()
+    missing = [name for name in expected if name not in stored]
+    unknown = [name for name in stored if name not in expected]
+    if missing or unknown:
+        raise SpinFusionError(
+            f"{path} does not match its model config: missing parameters {missing}, "
+            f"unknown parameters {unknown}"
+        )
+    model.set_parameters({name: np.asarray(values) for name, values in stored.items()})
     return model
 
 

@@ -5,9 +5,11 @@ Two layer families:
 * the interaction layer — per-atom update combining a self term, a
   channel-wise CG self-product (``pair``), a gated two-body message sum
   (``gated``), and (in the "fused" kind) a three-leaf fusion-block term per
-  output spin; the term groups are mixed by per-spin vertex matrices (one
-  weight block per term, summed in fixed order so that zeroing the fusion
-  mixing reproduces the gated layer bit for bit).
+  output spin.  Every term is a fusion-diagram collection (the self term a
+  one-leaf diagram), held in a table built once at init; the term groups
+  are mixed by per-spin vertex matrices (one weight block per term, summed
+  in fixed order so that zeroing the fusion mixing reproduces the gated
+  layer bit for bit).
 
 * the three-body update — for every output spin J, a fusion block whose
   three slots are (center activation, edge feature, neighbor activation) is
@@ -17,16 +19,14 @@ Two layer families:
   no reshaping layer is needed), followed by one trainable mixing over the
   concatenated channel axis.
 
-The taped forms, vectorized over atoms and edges for training, run every
-CG product through one executor, ``taped_diagrams``: pair and gated terms
-are two-leaf diagrams, the fusion term and the three-body update run their
-blocks' diagram collections, and a subtree shared between diagrams is
-recorded once.  A taped layer records only the output spins its caller
-asks for, the spins its consumer reads (spin 0 alone in a model's last
-layer).  The per-atom forms (``interaction_layer``, ``three_body_forward``)
-are the eager oracle, built on ``cg_nonlinearity`` and ``blocks.apply``;
-they compute every output spin, and both forms follow identical term and
-diagram orders.
+Both layers have two executors over the same diagrams.  The taped forms,
+vectorized over atoms and edges for training, run every CG product through
+``taped_diagrams``, which records a subtree shared between diagrams once;
+a taped layer records only the output spins its caller asks for, the spins
+its consumer reads (spin 0 alone in a model's last layer).  The per-atom
+forms (``interaction_layer``, ``three_body_forward``) are the eager oracle,
+built on ``blocks.apply``; they compute every output spin.  No layer call
+builds a diagram.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from . import autodiff as ad
 from .blocks import AggregationKind, FusionBlockConfig, MixingMatrix, apply as block_apply
 from .cg import cg_tensor
 from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb
-from .errors import ChannelMismatch, EmptySchedule
+from .errors import EmptySchedule
 from .features import EdgeFeature
 from .geometry import Neighborhood, PointCloud
 from .irreps import Activation
@@ -54,16 +54,15 @@ __all__ = [
     "ThreeBodyParams",
     "init_gate",
     "invariant_gate",
-    "cg_nonlinearity",
     "init_interaction_layer",
     "interaction_layer",
     "init_three_body_layer",
-    "three_body_update",
     "three_body_forward",
     "seeded_uniform",
 ]
 
-VERTEX_TERMS = ("self", "pair", "gated", "fusion")
+# interaction terms with per-edge leaves, summed onto their source atoms
+EDGE_TERMS = ("gated", "fusion")
 
 
 def seeded_uniform(shape: tuple[int, ...], seed: int, name: str) -> np.ndarray:
@@ -189,42 +188,6 @@ def taped_gate(
 
 
 # ---------------------------------------------------------------------------
-# channel-wise CG nonlinearity
-# ---------------------------------------------------------------------------
-
-
-def _cg_pairs(spins_a, spins_b, two_l: int):
-    """(two_ja, two_jb) pairs admissible with two_l, in lexicographic order."""
-    return [
-        (two_ja, two_jb)
-        for two_ja in sorted(spins_a)
-        for two_jb in sorted(spins_b)
-        if admissible(two_ja, two_jb, two_l)
-    ]
-
-
-def cg_nonlinearity(left: Activation, right: Activation, j_max: int) -> Activation:
-    """Channel-wise CG products for every admissible spin pair.
-
-    Outputs for the same spin concatenate along channels in (ja, jb, jc)
-    lexicographic order.
-    """
-    if left.channels != right.channels:
-        raise ChannelMismatch(
-            f"channel counts differ: {left.channels} vs {right.channels}"
-        )
-    parts: dict[int, list[np.ndarray]] = {}
-    for two_jc in range(0, 2 * j_max + 1):
-        for two_ja, two_jb in _cg_pairs(left.spins, right.spins, two_jc):
-            coeffs = cg_tensor(two_ja, two_jb, two_jc).coeffs
-            product = np.einsum(
-                "abc,at,bt->ct", coeffs, left.part(two_ja), right.part(two_jb)
-            )
-            parts.setdefault(two_jc, []).append(product)
-    return Activation({two_jc: np.concatenate(v, axis=1) for two_jc, v in parts.items()})
-
-
-# ---------------------------------------------------------------------------
 # taped diagram executor
 # ---------------------------------------------------------------------------
 
@@ -277,43 +240,67 @@ def _emit_diagram(tape, node, leaf_iter, leaves, memo) -> tuple[tuple, ad.Node]:
 # ---------------------------------------------------------------------------
 
 
-def _fusion_leaf_combos(input_spins, edge_spins, two_l: int):
-    """(two_ji, two_jj, two_k, two_jy) admissible combos, lexicographic.
-
-    The three-leaf diagram couples (center, neighbor) through k, then
-    (k, edge harmonic) into the output spin.
-    """
-    combos = []
-    for two_ji in sorted(input_spins):
-        for two_jj in sorted(input_spins):
-            for two_k in range(abs(two_ji - two_jj), two_ji + two_jj + 2, 2):
-                for two_jy in sorted(edge_spins):
-                    if admissible(two_k, two_jy, two_l):
-                        combos.append((two_ji, two_jj, two_k, two_jy))
-    return combos
-
-
 @dataclass
 class InteractionParams:
-    """Parameters of one interaction layer.
+    """Parameters and diagram table of one interaction layer.
 
-    ``vertex[two_l][term]`` are the per-spin per-term weight blocks; the
-    blocks act after concatenation, equivalently as a sum of per-term
-    products (fixed order: self, pair, gated, fusion).  ``fusion_blocks``
-    maps output spins to block configs in the fused kind (empty when gated).
+    ``diagrams[two_l][term]`` is the fusion-diagram collection of one term
+    at output spin 2l, built once at init; the terms present at a spin
+    appear in the fixed order self, pair, gated, fusion, and none is empty.
+    Slots per term: self (0 = center), pair (0, 1 = center), gated (0 = edge
+    harmonic, 1 = gated neighbor), fusion (0 = center, 1 = neighbor, 2 =
+    edge harmonic).  ``vertex[two_l][term]`` mixes a term's concatenated
+    diagram outputs to tau channels, except in the fused kind's fusion term,
+    whose ``fusion_mix[two_l]`` does that and whose vertex block is square.
+    The mixed terms are summed in table order, so zeroing the fusion mixing
+    reproduces the gated layer bit for bit.
     """
 
-    input_spins: tuple[int, ...]
-    j_max: int
     tau: int
-    radial_channels: int
-    gate: GateParams = None  # type: ignore[assignment]
+    gate: GateParams
+    diagrams: dict[int, dict[str, tuple[FusionDiagram, ...]]] = field(default_factory=dict)
     vertex: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
-    fusion_blocks: dict[int, FusionBlockConfig] = field(default_factory=dict)
+    fusion_mix: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def output_spins(self) -> tuple[int, ...]:
         return tuple(sorted(self.vertex))
+
+
+def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
+    """The non-empty terms' diagram collections at one output spin.
+
+    Two-leaf terms list their (2ja, 2jb) leaf pairs lexicographically; the
+    fusion term couples (center, neighbor) through k, then (k, edge
+    harmonic) into the output spin, lexicographic in (2ji, 2jj, 2k, 2jy).
+    """
+
+    def pairs(spins_a, spins_b):
+        return tuple(
+            left_comb([two_ja, two_jb], [], two_l)
+            for two_ja in spins_a
+            for two_jb in spins_b
+            if admissible(two_ja, two_jb, two_l)
+        )
+
+    terms = {
+        "self": (
+            (FusionDiagram(((0, two_l),), LeafNode(0), two_l),)
+            if two_l in input_spins
+            else ()
+        ),
+        "pair": pairs(input_spins, input_spins),
+        "gated": pairs(edge_spins, input_spins),
+        "fusion": tuple(
+            left_comb([two_ji, two_jj, two_jy], [two_k], two_l, slots=[0, 1, 2])
+            for two_ji in input_spins
+            for two_jj in input_spins
+            for two_k in range(abs(two_ji - two_jj), two_ji + two_jj + 2, 2)
+            for two_jy in edge_spins
+            if fused and admissible(two_k, two_jy, two_l)
+        ),
+    }
+    return {term: diagrams for term, diagrams in terms.items() if diagrams}
 
 
 def init_interaction_layer(
@@ -329,45 +316,22 @@ def init_interaction_layer(
     input_spins = tuple(sorted(input_spins))
     edge_spins = tuple(2 * j for j in range(j_max + 1))
     params = InteractionParams(
-        input_spins=input_spins,
-        j_max=j_max,
-        tau=tau,
-        radial_channels=radial_channels,
-        gate=init_gate(tau, radial_channels, hidden, seed, f"{name}/gate"),
+        tau=tau, gate=init_gate(tau, radial_channels, hidden, seed, f"{name}/gate")
     )
     for two_l in edge_spins:
-        blocks_for_l: dict[str, np.ndarray] = {}
-        if two_l in input_spins:
-            blocks_for_l["self"] = seeded_uniform((tau, tau), seed, f"{name}/vertex/{two_l}/self")
-        n_pair = len(_cg_pairs(input_spins, input_spins, two_l))
-        if n_pair:
-            blocks_for_l["pair"] = seeded_uniform(
-                (n_pair * tau, tau), seed, f"{name}/vertex/{two_l}/pair"
+        table = params.diagrams[two_l] = _term_diagrams(input_spins, edge_spins, two_l, fused)
+        params.vertex[two_l] = {
+            term: seeded_uniform(
+                ((1 if term == "fusion" else len(diagrams)) * tau, tau),
+                seed,
+                f"{name}/vertex/{two_l}/{term}",
             )
-        n_gated = len(_cg_pairs(edge_spins, input_spins, two_l))
-        if n_gated:
-            blocks_for_l["gated"] = seeded_uniform(
-                (n_gated * tau, tau), seed, f"{name}/vertex/{two_l}/gated"
+            for term, diagrams in table.items()
+        }
+        if "fusion" in table:
+            params.fusion_mix[two_l] = seeded_uniform(
+                (len(table["fusion"]) * tau, tau), seed, f"{name}/fusion_mix/{two_l}"
             )
-        if fused:
-            combos = _fusion_leaf_combos(input_spins, edge_spins, two_l)
-            if combos:
-                diagrams = tuple(
-                    left_comb([ji, jj, jy], [k], two_l, slots=[0, 1, 2])
-                    for ji, jj, k, jy in combos
-                )
-                mixing = MixingMatrix(
-                    seeded_uniform(
-                        (len(diagrams) * tau, tau), seed, f"{name}/fusion_mix/{two_l}"
-                    )
-                )
-                params.fusion_blocks[two_l] = FusionBlockConfig(
-                    diagrams, AggregationKind.SUM, mixing
-                )
-                blocks_for_l["fusion"] = seeded_uniform(
-                    (tau, tau), seed, f"{name}/vertex/{two_l}/fusion"
-                )
-        params.vertex[two_l] = blocks_for_l
     return params
 
 
@@ -386,55 +350,42 @@ def interaction_layer(
     feats: dict[tuple[int, int], EdgeFeature],
     params: InteractionParams,
 ) -> list[Activation]:
-    """Plain per-atom interaction layer (reference implementation)."""
+    """Plain per-atom interaction layer (reference implementation).
+
+    Runs each term's diagrams through ``blocks.apply``, with the per-edge
+    slots listed over the atom's neighbors and the term's vertex block (the
+    fusion term: its ``fusion_mix``, then its vertex block) as the mixing.
+    """
     tau = params.tau
     out: list[Activation] = []
     for o in range(pc.n_atoms):
         center = acts[o]
         neighbors = nbr.neighbors(o)
-        pair_product = cg_nonlinearity(center, center, params.j_max)
-
-        gated_sum: dict[int, np.ndarray] = {}
+        harmonics = [_broadcast_harmonics(feats[(o, i)], tau) for i in neighbors]
+        gated = []
         for i in neighbors:
-            edge = feats[(o, i)]
-            gate = invariant_gate(center, acts[i], edge, params.gate)
-            gated_neighbor = Activation(
-                {two_j: acts[i].part(two_j) * gate[None, :] for two_j in acts[i].spins}
+            gate = invariant_gate(center, acts[i], feats[(o, i)], params.gate)
+            gated.append(
+                Activation({two_j: acts[i].part(two_j) * gate[None, :] for two_j in acts[i].spins})
             )
-            message = cg_nonlinearity(
-                _broadcast_harmonics(edge, tau), gated_neighbor, params.j_max
-            )
-            for two_l in message.spins:
-                part = message.part(two_l)
-                gated_sum[two_l] = gated_sum.get(two_l, 0.0) + part
+        inputs = {
+            "self": [center],
+            "pair": [center, center],
+            "gated": [harmonics, gated],
+            "fusion": [center, [acts[i] for i in neighbors], harmonics],
+        }
 
         parts: dict[int, np.ndarray] = {}
-        for two_l, blocks_for_l in params.vertex.items():
-            dim_l = two_l + 1
-            total = np.zeros((dim_l, tau), dtype=complex)
-            for term in VERTEX_TERMS:
-                weights = blocks_for_l.get(term)
-                if weights is None:
-                    continue
-                if term == "self":
-                    value = center.part(two_l)
-                elif term == "pair":
-                    value = pair_product.part(two_l)
-                elif term == "gated":
-                    value = gated_sum.get(two_l)
-                    if value is None:
-                        value = np.zeros((dim_l, weights.shape[0]), dtype=complex)
-                else:  # fusion
-                    block = params.fusion_blocks[two_l]
-                    value = block_apply(
-                        block,
-                        [
-                            center,
-                            [acts[i] for i in neighbors],
-                            [_broadcast_harmonics(feats[(o, i)], tau) for i in neighbors],
-                        ],
-                    ).data
-                total = total + value @ weights
+        for two_l, table in params.diagrams.items():
+            total = np.zeros((two_l + 1, tau), dtype=complex)
+            for term, diagrams in table.items():
+                weights = params.vertex[two_l][term]
+                mixing = params.fusion_mix[two_l] if term == "fusion" else weights
+                block = FusionBlockConfig(diagrams, AggregationKind.SUM, MixingMatrix(mixing))
+                value = block_apply(block, inputs[term]).data
+                if term == "fusion":
+                    value = value @ weights
+                total = total + value
             parts[two_l] = total
         out.append(Activation(parts))
     return out
@@ -454,8 +405,10 @@ def taped_interaction_layer(
 ) -> dict[int, ad.Node]:
     """Vectorized interaction layer on the tape; mirrors interaction_layer.
 
-    Records only the outputs whose spin is in ``output_spins``, the spins
-    its consumer reads.
+    Runs the same diagram table through ``taped_diagrams``; the per-edge
+    terms (gated, fusion) are summed onto their source atoms before the
+    vertex mixing.  Records only the outputs whose spin is in
+    ``output_spins``, the spins its consumer reads.
     """
     tau = params.tau
     n_atoms = acts[0].shape[0]
@@ -464,51 +417,38 @@ def taped_interaction_layer(
     gate_col = ad.reshape(tape, gate, (n_edges, 1, tau))
 
     gathered_dst = {two_j: ad.gather(tape, acts[two_j], dst) for two_j in acts}
-    gated_dst = {
-        two_j: ad.mul(tape, node, gate_col) for two_j, node in gathered_dst.items()
+    leaves = {
+        "self": [acts],
+        "pair": [acts, acts],
+        "gated": [
+            harmonics,
+            {two_j: ad.mul(tape, node, gate_col) for two_j, node in gathered_dst.items()},
+        ],
     }
-    if params.fusion_blocks:  # only the fusion term reads the source atoms
-        fusion_leaves = [
+    if params.fusion_mix:  # only the fusion term reads the source atoms
+        leaves["fusion"] = [
             {two_j: ad.gather(tape, acts[two_j], src) for two_j in acts},
             gathered_dst,
             harmonics,
         ]
-    fusion_memo: dict[tuple, ad.Node] = {}
+    memos: dict[str, dict[tuple, ad.Node]] = {term: {} for term in leaves}
 
     out: dict[int, ad.Node] = {}
-    for two_l, blocks_for_l in params.vertex.items():
+    for two_l, table in params.diagrams.items():
         if two_l not in output_spins:
             continue
-        dim_l = two_l + 1
         total = None
-        for term in VERTEX_TERMS:
-            if term not in blocks_for_l:
-                continue
-            weights = param_nodes[f"{name}/vertex/{two_l}/{term}"]
-            if term == "self":
-                value = acts[two_l]
-            elif term == "pair":
-                pairs = [left_comb(p, [], two_l) for p in _cg_pairs(acts, acts, two_l)]
-                chunks = taped_diagrams(tape, pairs, [acts, acts], {})
-                value = ad.concat(tape, chunks, axis=2)
-            elif term == "gated":
-                pairs = [left_comb(p, [], two_l) for p in _cg_pairs(harmonics, acts, two_l)]
-                chunks = taped_diagrams(tape, pairs, [harmonics, gated_dst], {})
-                per_edge = ad.concat(tape, chunks, axis=2)
-                value = ad.index_add(tape, per_edge, src, n_atoms)
-            else:  # fusion
-                chunks = taped_diagrams(
-                    tape, params.fusion_blocks[two_l].diagrams, fusion_leaves, fusion_memo
-                )
-                concatenated = ad.concat(tape, chunks, axis=2)
-                mixed = ad.channel_mix(
-                    tape, concatenated, param_nodes[f"{name}/fusion_mix/{two_l}"]
-                )
-                value = ad.index_add(tape, mixed, src, n_atoms)
-            term_out = ad.channel_mix(tape, value, weights)
+        for term, diagrams in table.items():
+            chunks = taped_diagrams(tape, diagrams, leaves[term], memos[term])
+            value = ad.concat(tape, chunks, axis=2)
+            if term == "fusion":
+                value = ad.channel_mix(tape, value, param_nodes[f"{name}/fusion_mix/{two_l}"])
+            if term in EDGE_TERMS:
+                value = ad.index_add(tape, value, src, n_atoms)
+            term_out = ad.channel_mix(tape, value, param_nodes[f"{name}/vertex/{two_l}/{term}"])
             total = term_out if total is None else ad.add(tape, total, term_out)
         if total is None:
-            total = tape.constant(np.zeros((n_atoms, dim_l, tau), dtype=complex))
+            total = tape.constant(np.zeros((n_atoms, two_l + 1, tau), dtype=complex))
         out[two_l] = total
     return out
 
@@ -578,11 +518,8 @@ class ThreeBodyParams:
     feature channels per edge spin.
     """
 
-    input_spins: tuple[int, ...]
-    j_max: int
     tau: int
     radial_channels: int
-    schedule: SpinSchedule = None  # type: ignore[assignment]
     edge_embed: dict[int, np.ndarray] = field(default_factory=dict)
     blocks: dict[int, FusionBlockConfig] = field(default_factory=dict)
 
@@ -602,13 +539,7 @@ def init_three_body_layer(
 ) -> ThreeBodyParams:
     input_spins = tuple(sorted(input_spins))
     edge_spins = tuple(2 * j for j in range(j_max + 1))
-    params = ThreeBodyParams(
-        input_spins=input_spins,
-        j_max=j_max,
-        tau=tau,
-        radial_channels=radial_channels,
-        schedule=schedule,
-    )
+    params = ThreeBodyParams(tau=tau, radial_channels=radial_channels)
     for two_j in edge_spins:
         params.edge_embed[two_j] = seeded_uniform(
             (radial_channels, tau), seed, f"{name}/edge_embed/{two_j}"
@@ -640,24 +571,6 @@ def embed_edge(edge: EdgeFeature, params: ThreeBodyParams) -> Activation:
     )
 
 
-def three_body_update(
-    center: Activation,
-    neighbor_acts: list[Activation],
-    edges: list[EdgeFeature],
-    params: ThreeBodyParams,
-) -> Activation:
-    """Plain single-atom three-body update (reference implementation).
-
-    Slots: 0 = center activation, 1 = embedded edge feature, 2 = neighbor
-    activation; listed slots aggregate over the index-aligned neighbor list.
-    """
-    embedded = [embed_edge(edge, params) for edge in edges]
-    parts = {}
-    for two_J, block in params.blocks.items():
-        parts[two_J] = block_apply(block, [center, embedded, neighbor_acts]).data
-    return Activation(parts)
-
-
 def three_body_forward(
     acts: list[Activation],
     pc: PointCloud,
@@ -665,16 +578,22 @@ def three_body_forward(
     feats: dict[tuple[int, int], EdgeFeature],
     params: ThreeBodyParams,
 ) -> list[Activation]:
-    """Plain full-cloud three-body update."""
+    """Plain per-atom three-body update (reference implementation).
+
+    Slots: 0 = center activation, 1 = embedded edge feature, 2 = neighbor
+    activation; listed slots aggregate over the index-aligned neighbor list.
+    """
     out = []
     for o in range(pc.n_atoms):
         neighbors = nbr.neighbors(o)
+        inputs = [
+            acts[o],
+            [embed_edge(feats[(o, i)], params) for i in neighbors],
+            [acts[i] for i in neighbors],
+        ]
         out.append(
-            three_body_update(
-                acts[o],
-                [acts[i] for i in neighbors],
-                [feats[(o, i)] for i in neighbors],
-                params,
+            Activation(
+                {two_J: block_apply(block, inputs).data for two_J, block in params.blocks.items()}
             )
         )
     return out

@@ -150,8 +150,8 @@ class Model:
                 for two_l, terms in layer.vertex.items():
                     for term, weights in terms.items():
                         params[f"{name}/vertex/{two_l}/{term}"] = weights
-                for two_l, block in layer.fusion_blocks.items():
-                    params[f"{name}/fusion_mix/{two_l}"] = block.mixing.weights
+                for two_l, weights in layer.fusion_mix.items():
+                    params[f"{name}/fusion_mix/{two_l}"] = weights
             else:
                 for two_j, weights in layer.edge_embed.items():
                     params[f"{name}/edge_embed/{two_j}"] = weights

@@ -65,6 +65,19 @@ class TestTapeBasics:
         z = ad.conj(tape, tape.variable(np.array([1.0 + 2.0j])))
         assert np.array_equal(z.value, [1.0 - 2.0j])
 
+    def test_concat_of_one_node_records_nothing(self):
+        tape = ad.Tape()
+        x = tape.variable(np.array([[0.5, -1.5]]))
+        assert ad.concat(tape, [x], axis=1) is x
+        assert len(tape.nodes) == 1
+        # the gradient through a one-part concat is the gradient without it
+        with_concat = ad.sum_all(tape, ad.mul(tape, ad.concat(tape, [x], axis=0), x))
+        without = ad.sum_all(tape, ad.mul(tape, x, x))
+        g_with = ad.backward(tape, with_concat, wrt=[x])[x.id].value
+        g_without = ad.backward(tape, without, wrt=[x])[x.id].value
+        assert np.array_equal(g_with, g_without)
+        assert np.array_equal(g_with, 2.0 * x.value)
+
     def test_gradcheck_flags_corrupted_vjp(self):
         point = np.array([0.5, -1.5])
 

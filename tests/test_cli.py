@@ -15,7 +15,7 @@ from spinfusion.blocks import (
 )
 from spinfusion.cli import main
 from spinfusion.diagrams import diagram_to_json, left_comb
-from spinfusion.model import ModelConfig
+from spinfusion.model import Model, ModelConfig
 
 
 def _write_model_config(tmp_path, **overrides):
@@ -261,6 +261,35 @@ class TestPipeline:
 
 def rows_header(curve_path):
     return _rows(curve_path.read_text())[0]
+
+
+class TestModelFile:
+    def _evaluate(self, tmp_path, capsys, edit):
+        model = Model(ModelConfig(tau=2, radial_channels=4, hidden=8))
+        parameters = {name: array.tolist() for name, array in model.parameters().items()}
+        edit(parameters)
+        path = tmp_path / "model.json"
+        path.write_text(
+            json.dumps({"config": json.loads(model.config.to_json()), "parameters": parameters})
+        )
+        data = tmp_path / "data.jsonl"
+        main(["gen-data", "--out", str(data), "--n-samples", "2", "--n-atoms", "3"])
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(path), "--data", str(data)])
+        return code, capsys.readouterr().err
+
+    def test_missing_parameter_is_rejected(self, tmp_path, capsys):
+        # a partial file must not evaluate with the seeded initial weights
+        code, err = self._evaluate(tmp_path, capsys, lambda p: p.pop("readout/w"))
+        assert code == 1
+        assert "missing parameters ['readout/w']" in err
+
+    def test_unknown_parameter_is_rejected(self, tmp_path, capsys):
+        code, err = self._evaluate(
+            tmp_path, capsys, lambda p: p.update({"layer9/bogus": [0.0]})
+        )
+        assert code == 1
+        assert "unknown parameters ['layer9/bogus']" in err
 
 
 class TestArgumentErrors:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinfusion import autodiff as ad
+from spinfusion import layers
 from spinfusion.blocks import AggregationKind, FusionBlockConfig, apply, identity_mixing
 from spinfusion.diagrams import FuseNode, FusionDiagram, LeafNode, contract, left_comb, validate
 from spinfusion.errors import EmptySchedule
@@ -104,6 +105,44 @@ class TestThreeBodyPaths:
     def test_impossible_target_gives_no_paths(self):
         # spin-0 inputs and edges can never reach a nonzero total spin
         assert three_body_paths((0,), (0,), 2, (0, 2)) == []
+
+
+class TestInteractionTable:
+    @pytest.mark.parametrize("fused", [False, True], ids=["gated", "fused"])
+    @pytest.mark.parametrize("input_spins", [(0,), (0, 2)], ids=["in0", "in01"])
+    def test_table_shapes(self, fused, input_spins):
+        tau = 3
+        params = init_interaction_layer(input_spins, 1, tau, 4, 8, fused, 2, "L")
+        assert set(params.diagrams) == set(params.vertex) == {0, 2}
+        for two_l, table in params.diagrams.items():
+            terms = [t for t in ("self", "pair", "gated", "fusion") if t in table]
+            assert list(table) == terms  # fixed order, no extra terms
+            assert list(params.vertex[two_l]) == terms
+            assert ("self" in table) == (two_l in input_spins)
+            for term, diagrams in table.items():
+                assert diagrams  # no empty term
+                for d in diagrams:
+                    assert validate(d) == []
+                    assert d.two_J == two_l
+                rows = tau if term == "fusion" else len(diagrams) * tau
+                assert params.vertex[two_l][term].shape == (rows, tau)
+            if fused:
+                assert params.fusion_mix[two_l].shape == (len(table["fusion"]) * tau, tau)
+        assert bool(params.fusion_mix) == fused
+
+    def test_layer_calls_build_no_diagram(self, monkeypatch):
+        # the fused kind at two layers runs every term at every spin
+        model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, radial_channels=4, hidden=8))
+        rng = np.random.default_rng(4)
+        positions, species = rng.normal(size=(5, 3)) * 1.2, rng.integers(0, 2, size=5)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a layer call built a diagram")
+
+        monkeypatch.setattr(layers, "left_comb", forbidden)
+        monkeypatch.setattr(layers, "FusionDiagram", forbidden)
+        energy, _ = model.energy_and_forces(positions, species)  # taped
+        assert model.plain_energy(positions, species) == pytest.approx(energy, abs=1e-12)
 
 
 def _cloud(n, seed, spread=1.4):
@@ -260,21 +299,23 @@ class TestTapedDiagrams:
     def test_matches_block_apply_before_mixing(self, kind):
         n, tau = 5, 3
         if kind == "fused":
-            blocks = init_interaction_layer((0, 2), 1, tau, 4, 8, True, 2, "L").fusion_blocks
+            params = init_interaction_layer((0, 2), 1, tau, 4, 8, True, 2, "L")
+            collections = [params.diagrams[two_l]["fusion"] for two_l in params.fusion_mix]
             channel_less = (2,)  # slots: center, neighbor, edge harmonic
         else:
             schedule = SpinSchedule("dense", (0, 2, 4))
             blocks = init_three_body_layer((0, 2), 1, tau, 4, schedule, 2, "L").blocks
+            collections = [block.diagrams for block in blocks.values()]
             channel_less = ()  # slots: center, embedded edge, neighbor
         leaves = _random_leaves([(0, 2)] * 3, n, tau, seed=2, channel_less=channel_less)
         tape = ad.Tape()
         nodes, memo = _on_tape(tape, leaves), {}
-        assert blocks
-        for block in blocks.values():
-            chunks = taped_diagrams(tape, block.diagrams, nodes, memo)
+        assert collections
+        for diagrams in collections:
+            chunks = taped_diagrams(tape, diagrams, nodes, memo)
             got = np.concatenate([c.value for c in chunks], axis=2).sum(axis=0)
             unmixed = FusionBlockConfig(
-                block.diagrams, AggregationKind.SUM, identity_mixing(len(block.diagrams) * tau)
+                diagrams, AggregationKind.SUM, identity_mixing(len(diagrams) * tau)
             )
             per_slot = [[_row_activation(part, e, tau) for e in range(n)] for part in leaves]
             expected = apply(unmixed, per_slot).data
