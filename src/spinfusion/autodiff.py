@@ -28,8 +28,9 @@ contracts a CG tensor over its nonzero entries only (m_c = m_a + m_b
 leaves most entries zero), with a plan built once per tensor and subscript;
 its VJPs reuse a real tensor rather than a conjugated copy, so they hit the
 same plans.  ``index_add`` sums sorted segments, with the sort computed once
-per index array.  ``backward`` walks parent links back from the seed and
-visits only its ancestors.
+per index array.  ``channel_mix`` and its cotangents are BLAS matrix
+products (``matmul``).  ``backward`` walks parent links back from the seed
+and visits only its ancestors.
 """
 
 from __future__ import annotations
@@ -539,34 +540,55 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     )
 
 
+@_primitive("matmul")
+def matmul(tape: Tape, a: Node, b: Node, trans_a: bool = False, trans_b: bool = False) -> Node:
+    """op(a) @ op(b) for matrices, op the transpose when its flag is set.
+
+    One BLAS call forward and per cotangent.  The cotangent of op(a) is
+    w @ op(b)^H and that of op(b) is op(a)^H @ w; each is again a
+    ``matmul`` of the other factor's conjugate, so products of products
+    stay differentiable.
+    """
+    a, b = _as_node(tape, a), _as_node(tape, b)
+    value = (a.value.T if trans_a else a.value) @ (b.value.T if trans_b else b.value)
+
+    def vjp_a(tape, w):
+        if trans_a:
+            return matmul(tape, conj(tape, b), w, trans_b, True)
+        return matmul(tape, w, conj(tape, b), False, not trans_b)
+
+    def vjp_b(tape, w):
+        if trans_b:
+            return matmul(tape, w, conj(tape, a), True, trans_a)
+        return matmul(tape, conj(tape, a), w, not trans_a, False)
+
+    return tape._emit(value, ((a, vjp_a), (b, vjp_b)))
+
+
 @_primitive("channel_mix")
 def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
     """x @ W on the trailing channel axis; W is a real parameter matrix.
 
     The weight cotangent is Re(x^H w) accumulated over all leading axes, so
-    real parameters receive real gradients from complex data.
+    real parameters receive real gradients from complex data.  Both
+    cotangents are ``matmul`` products over the flattened leading axes.
     """
     x, weights = _as_node(tape, x), _as_node(tape, weights)
     value = x.value @ weights.value
+    rows = int(np.prod(x.shape[:-1], dtype=int))
 
     def vjp_x(tape, w):
         # Contract with the weights *node*, not its current value: the data
         # cotangent must stay differentiable with respect to the weights so
         # that losses built from gradients (e.g. force errors) see the mixed
         # second-derivative term.
-        rows = int(np.prod(x.shape[:-1], dtype=int))
         w_flat = reshape(tape, w, (rows, weights.shape[-1]))
-        adjoint = einsum3(tape, np.array(1.0), w_flat, weights, ",rj,ij->ri")
-        return reshape(tape, adjoint, x.shape)
+        return reshape(tape, matmul(tape, w_flat, weights, False, True), x.shape)
 
     def vjp_w(tape, w):
-        rows = int(np.prod(x.shape[:-1], dtype=int))
         x_flat = reshape(tape, x, (rows, x.shape[-1]))
         w_flat = reshape(tape, w, (rows, weights.shape[-1]))
-        prod = einsum3(
-            tape, np.array(1.0), conj(tape, x_flat), w_flat, ",ri,rj->ij"
-        )
-        return real(tape, prod)
+        return real(tape, matmul(tape, conj(tape, x_flat), w_flat, True, False))
 
     return tape._emit(value, ((x, vjp_x), (weights, vjp_w)))
 

@@ -249,6 +249,8 @@ def _load_model(path: str) -> Model:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    if args.epochs < 1:  # the run reports its last epoch's loss
+        raise ValueError(f"--epochs must be at least 1, got {args.epochs}")
     config = ModelConfig.from_json(_read_text(args.config))
     model = Model(config)
     train_samples = load_jsonl(args.data)

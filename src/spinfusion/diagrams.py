@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .cg import cg_tensor
-from .errors import ChannelMismatch, SpinMismatch
+from .errors import ChannelMismatch, RecouplingError, SpinMismatch
 from .irreps import Activation, IrrepVector
 from .spins import Spin, admissible, allowed_couplings, dim
 
@@ -35,6 +35,8 @@ __all__ = [
     "enumerate_internal",
     "contract",
     "dense_map",
+    "recouple",
+    "check_recoupling",
     "diagram_to_json",
     "diagram_from_json",
 ]
@@ -262,6 +264,114 @@ def dense_map(d: FusionDiagram) -> np.ndarray:
 
     _, matrix = build(d.tree)
     return matrix
+
+
+def _left_pair(d: FusionDiagram) -> bool:
+    """True for the three-leaf shape ((a b)_k c)_J."""
+    tree = d.tree
+    return (
+        isinstance(tree, FuseNode)
+        and isinstance(tree.left, FuseNode)
+        and isinstance(tree.left.left, LeafNode)
+        and isinstance(tree.left.right, LeafNode)
+        and isinstance(tree.right, LeafNode)
+    )
+
+
+def recouple(diagrams, tolerance: float = 1e-12) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
+    """F-move each three-leaf diagram ((a b)_k c)_J into (a (b c)_k')_J.
+
+    Returns ``(targets, U)`` with ``dense_map(d) == sum_t U[t, d] *
+    dense_map(targets[t])`` for every input diagram ``d``, so contracting
+    the targets and mixing their outputs with ``U`` reproduces the inputs'
+    outputs.  The targets of one (leaves, J) are the complete family over
+    k', ascending, listed once, in order of the leaves' first appearance;
+    they span the space the inputs' family spans, whatever k the inputs
+    use.  Any other diagram (fewer or more leaves, another tree shape) is
+    its own target with weight 1.
+
+    ``U[t, d] = Re <dense_map(t), dense_map(d)> / (2J+1)``, nonzero only
+    between diagrams with the same leaves: each dense map has orthonormal
+    columns, and by Schur's lemma the overlap of two of them is a multiple
+    of the identity (a 6j symbol times dimension factors), so no closed-form
+    6j code is needed.  ``check_recoupling`` verifies the result.
+    """
+    diagrams = tuple(diagrams)
+    groups: dict[object, list[FusionDiagram]] = {}
+    for d in diagrams:
+        if not _left_pair(d):
+            groups.setdefault(d, [d])
+            continue
+        key = (d.leaves, d.two_J)
+        if key not in groups:
+            (_, two_a), (slot_b, two_b), (slot_c, two_c) = d.leaves
+            groups[key] = [
+                FusionDiagram(
+                    d.leaves,
+                    FuseNode(
+                        d.tree.left.left,
+                        FuseNode(LeafNode(slot_b), LeafNode(slot_c), two_k),
+                        d.two_J,
+                    ),
+                    d.two_J,
+                )
+                for two_k in allowed_couplings(two_b, two_c)
+                if admissible(two_a, two_k, d.two_J)
+            ]
+    targets = tuple(t for family in groups.values() for t in family)
+    row = {t: i for i, t in enumerate(targets)}
+    maps: dict[FusionDiagram, np.ndarray] = {}
+    overlaps = np.zeros((len(targets), len(diagrams)), dtype=complex)
+    for column, d in enumerate(diagrams):
+        if not _left_pair(d):
+            overlaps[row[d], column] = 1.0
+            continue
+        for t in groups[(d.leaves, d.two_J)]:
+            overlaps[row[t], column] = np.vdot(_dense(t, maps), _dense(d, maps)) / dim(d.two_J)
+    _verify(diagrams, targets, overlaps, tolerance, maps)
+    return targets, overlaps.real.copy()
+
+
+def check_recoupling(diagrams, targets, U: np.ndarray, tolerance: float = 1e-12) -> None:
+    """Raise ``RecouplingError`` unless U is real and maps the targets'
+    dense maps onto the diagrams' (see ``recouple``) to within
+    ``tolerance``, with no weight between diagrams of different leaves."""
+    _verify(tuple(diagrams), tuple(targets), np.asarray(U), tolerance, {})
+
+
+def _dense(d: FusionDiagram, maps: dict) -> np.ndarray:
+    """``dense_map(d)``, memoized in ``maps``."""
+    if d not in maps:
+        maps[d] = dense_map(d)
+    return maps[d]
+
+
+def _verify(diagrams, targets, U: np.ndarray, tolerance: float, maps: dict) -> None:
+    if U.shape != (len(targets), len(diagrams)):
+        raise RecouplingError(
+            f"U has shape {U.shape}; {len(targets)} targets and {len(diagrams)} diagrams need "
+            f"({len(targets)}, {len(diagrams)})"
+        )
+    imaginary = float(np.max(np.abs(U.imag), initial=0.0))
+    if imaginary > tolerance:
+        raise RecouplingError(f"U has an imaginary part of {imaginary:.3g}")
+    for column, d in enumerate(diagrams):
+        same, stray = [], 0.0
+        for t, w in zip(targets, U[:, column]):
+            if (t.leaves, t.two_J) == (d.leaves, d.two_J):
+                same.append((t, w))
+            else:
+                stray = max(stray, abs(w))
+        if stray > tolerance:
+            raise RecouplingError(f"U weighs diagram {column} with a target of other leaves")
+        if [(t, w) for t, w in same if w != 0] == [(d, 1)]:
+            continue  # its own target, exactly
+        residual = _dense(d, maps) - sum(w * _dense(t, maps) for t, w in same)
+        error = float(np.max(np.abs(residual), initial=0.0))
+        if error > tolerance:
+            raise RecouplingError(
+                f"targets reproduce diagram {column} only to {error:.3g} (tolerance {tolerance:g})"
+            )
 
 
 def diagram_to_json(d: FusionDiagram) -> str:

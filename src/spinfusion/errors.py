@@ -43,3 +43,7 @@ class ShapeMismatch(SpinFusionError):
 
 class NonFiniteLoss(SpinFusionError):
     """Training produced a NaN or infinite loss."""
+
+
+class RecouplingError(SpinFusionError):
+    """A recoupling matrix does not reproduce the diagrams it re-associates."""

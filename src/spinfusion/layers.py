@@ -27,6 +27,21 @@ its consumer reads (spin 0 alone in a model's last layer).  The per-atom
 forms (``interaction_layer``, ``three_body_forward``) are the eager oracle,
 built on ``blocks.apply``; they compute every output spin.  No layer call
 builds a diagram.
+
+The taped fusion term and three-body blocks do not run their diagrams as
+built.  At init, ``diagrams.recouple`` rewrites each three-leaf diagram
+((center ⊗ a)_k ⊗ b)_J as a combination, with the real matrix U, of
+(center ⊗ T)_J, T = (a ⊗ b)_k' the subtree of per-edge leaves (an F-move,
+which spans the same space).  ``taped_recoupled`` then runs three stages:
+
+* edge stage: each distinct T, once per edge (E rows);
+* ``index_add`` of each T over the edges' source atoms;
+* atom stage: one CG product of the center with each summed T (N rows).
+
+The center is never gathered to the edges, and the mixing,
+``kron(U, I_tau) @ W`` recorded from the stored weights, runs on N rows.
+Multi-stage chains (the dense schedule's diagrams with five or more
+leaves) keep the per-edge lowering.
 """
 
 from __future__ import annotations
@@ -40,7 +55,7 @@ import numpy as np
 from . import autodiff as ad
 from .blocks import AggregationKind, FusionBlockConfig, MixingMatrix, apply as block_apply
 from .cg import cg_tensor
-from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb
+from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb, recouple
 from .errors import EmptySchedule
 from .features import EdgeFeature
 from .geometry import Neighborhood, PointCloud
@@ -60,10 +75,6 @@ __all__ = [
     "three_body_forward",
     "seeded_uniform",
 ]
-
-# interaction terms with per-edge leaves, summed onto their source atoms
-EDGE_TERMS = ("gated", "fusion")
-
 
 def seeded_uniform(shape: tuple[int, ...], seed: int, name: str) -> np.ndarray:
     """Deterministic per-name init: uniform [-s, s], s = fan_in ** -0.5.
@@ -235,6 +246,81 @@ def _emit_diagram(tape, node, leaf_iter, leaves, memo) -> tuple[tuple, ad.Node]:
     return key, value
 
 
+def _center_first(d: FusionDiagram) -> bool:
+    """True for (center ⊗ T)_J: the center (slot 0) fused once, at the root,
+    with a subtree T of per-edge leaves."""
+    tree = d.tree
+    return (
+        isinstance(tree, FuseNode)
+        and tree.left == LeafNode(0)
+        and isinstance(tree.right, FuseNode)
+        and all(slot != 0 for slot, _ in d.leaves[1:])
+    )
+
+
+def taped_recoupled(
+    tape: ad.Tape,
+    recoupled: dict[int, tuple[tuple[FusionDiagram, ...], np.ndarray]],
+    center: dict[int, ad.Node],
+    edge_leaves: list[dict[int, ad.Node]],
+    src: np.ndarray,
+    weights: dict[int, ad.Node],
+) -> dict[int, ad.Node]:
+    """Diagram collections summed over each atom's edges, then mixed.
+
+    ``recoupled[two_J] = (targets, U)`` comes from ``diagrams.recouple`` on
+    a collection over slots 0 = center atom (N rows) and 1, 2 = per-edge
+    leaves, ``edge_leaves[slot - 1]`` (E rows); ``weights[two_J]`` mixes
+    the collection's concatenated diagram outputs.  Three stages:
+
+    * edge stage: the per-edge subtree T of each (center ⊗ T)_J target,
+      through ``taped_diagrams``' memo, so a T shared between targets or
+      output spins is recorded once;
+    * ``index_add`` of each distinct T over ``src``;
+    * atom stage: one CG product (center ⊗ sum of T)_J per target, at N rows.
+
+    Other targets (multi-stage chains) run per edge, with the center
+    gathered to the edges, and are summed after.  The mixing is
+    ``kron(U, I_tau) @ weights``, recorded from the weight node, so the
+    result equals summing the original collection over edges and mixing.
+    """
+    n_atoms, _, tau = center[0].shape
+    leaves = [None, *edge_leaves]
+    if any(0 in d.slots and not _center_first(d)
+           for targets, _ in recoupled.values() for d in targets):
+        leaves[0] = {two_j: ad.gather(tape, node, src) for two_j, node in center.items()}
+    memo: dict[tuple, ad.Node] = {}
+    summed: dict[tuple, ad.Node] = {}
+    out: dict[int, ad.Node] = {}
+    for two_J, (targets, U) in recoupled.items():
+        atom_rows, atom_chunks, edge_rows, edge_chunks = [], [], [], []
+        for row, d in enumerate(targets):
+            if not _center_first(d):
+                edge_rows.append(row)
+                edge_chunks.extend(taped_diagrams(tape, (d,), leaves, memo))
+                continue
+            key, subtree = _emit_diagram(tape, d.tree.right, iter(d.leaves[1:]), leaves, memo)
+            if key not in summed:
+                summed[key] = ad.index_add(tape, subtree, src, n_atoms)
+            two_j = d.leaves[0][1]
+            atom_rows.append(row)
+            atom_chunks.append(ad.einsum3(
+                tape, cg_tensor(two_j, key[-1], two_J).coeffs, center[two_j], summed[key],
+                "abc,eat,ebt->ect",
+            ))
+        if edge_chunks:
+            atom_chunks.append(
+                ad.index_add(tape, ad.concat(tape, edge_chunks, axis=2), src, n_atoms)
+            )
+        mixing = ad.channel_mix(
+            tape,
+            tape.constant(np.kron(U[atom_rows + edge_rows], np.eye(tau))),
+            weights[two_J],
+        )
+        out[two_J] = ad.channel_mix(tape, ad.concat(tape, atom_chunks, axis=2), mixing)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # pairwise interaction layer (gated / fused kinds)
 # ---------------------------------------------------------------------------
@@ -253,7 +339,9 @@ class InteractionParams:
     diagram outputs to tau channels, except in the fused kind's fusion term,
     whose ``fusion_mix[two_l]`` does that and whose vertex block is square.
     The mixed terms are summed in table order, so zeroing the fusion mixing
-    reproduces the gated layer bit for bit.
+    reproduces the gated layer bit for bit.  ``recoupled[two_l]`` holds the
+    fusion term recoupled to (center ⊗ (neighbor ⊗ harmonic)_k')_l, as
+    ``diagrams.recouple``'s (targets, U), for the taped executor.
     """
 
     tau: int
@@ -261,6 +349,9 @@ class InteractionParams:
     diagrams: dict[int, dict[str, tuple[FusionDiagram, ...]]] = field(default_factory=dict)
     vertex: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
     fusion_mix: dict[int, np.ndarray] = field(default_factory=dict)
+    recoupled: dict[int, tuple[tuple[FusionDiagram, ...], np.ndarray]] = field(
+        default_factory=dict
+    )
 
     @property
     def output_spins(self) -> tuple[int, ...]:
@@ -332,6 +423,7 @@ def init_interaction_layer(
             params.fusion_mix[two_l] = seeded_uniform(
                 (len(table["fusion"]) * tau, tau), seed, f"{name}/fusion_mix/{two_l}"
             )
+            params.recoupled[two_l] = recouple(table["fusion"])
     return params
 
 
@@ -405,10 +497,12 @@ def taped_interaction_layer(
 ) -> dict[int, ad.Node]:
     """Vectorized interaction layer on the tape; mirrors interaction_layer.
 
-    Runs the same diagram table through ``taped_diagrams``; the per-edge
-    terms (gated, fusion) are summed onto their source atoms before the
-    vertex mixing.  Records only the outputs whose spin is in
-    ``output_spins``, the spins its consumer reads.
+    Runs the same diagram table through ``taped_diagrams``; the gated term
+    is summed onto its source atoms before the vertex mixing.  The fusion
+    term runs recoupled (``taped_recoupled``): its per-edge subtree is
+    summed over each atom's neighbors, and the center is coupled once per
+    atom.  Records only the outputs whose spin is in ``output_spins``, the
+    spins its consumer reads.
     """
     tau = params.tau
     n_atoms = acts[0].shape[0]
@@ -425,13 +519,15 @@ def taped_interaction_layer(
             {two_j: ad.mul(tape, node, gate_col) for two_j, node in gathered_dst.items()},
         ],
     }
-    if params.fusion_mix:  # only the fusion term reads the source atoms
-        leaves["fusion"] = [
-            {two_j: ad.gather(tape, acts[two_j], src) for two_j in acts},
-            gathered_dst,
-            harmonics,
-        ]
     memos: dict[str, dict[tuple, ad.Node]] = {term: {} for term in leaves}
+    fused = taped_recoupled(
+        tape,
+        {two_l: pair for two_l, pair in params.recoupled.items() if two_l in output_spins},
+        acts,
+        [gathered_dst, harmonics],
+        src,
+        {two_l: param_nodes[f"{name}/fusion_mix/{two_l}"] for two_l in params.recoupled},
+    )
 
     out: dict[int, ad.Node] = {}
     for two_l, table in params.diagrams.items():
@@ -439,11 +535,12 @@ def taped_interaction_layer(
             continue
         total = None
         for term, diagrams in table.items():
-            chunks = taped_diagrams(tape, diagrams, leaves[term], memos[term])
-            value = ad.concat(tape, chunks, axis=2)
             if term == "fusion":
-                value = ad.channel_mix(tape, value, param_nodes[f"{name}/fusion_mix/{two_l}"])
-            if term in EDGE_TERMS:
+                value = fused[two_l]
+            else:
+                chunks = taped_diagrams(tape, diagrams, leaves[term], memos[term])
+                value = ad.concat(tape, chunks, axis=2)
+            if term == "gated":
                 value = ad.index_add(tape, value, src, n_atoms)
             term_out = ad.channel_mix(tape, value, param_nodes[f"{name}/vertex/{two_l}/{term}"])
             total = term_out if total is None else ad.add(tape, total, term_out)
@@ -515,13 +612,20 @@ class ThreeBodyParams:
     ``blocks[two_J]`` hold the full diagram collections (slots: 0 = center,
     1 = edge, 2 = neighbor) with the trainable final mixing over the
     concatenated diagram axis; ``edge_embed[two_j]`` map radial channels to
-    feature channels per edge spin.
+    feature channels per edge spin.  ``recoupled[two_J]`` holds the block's
+    diagrams as ``diagrams.recouple``'s (targets, U) for the taped
+    executor: every three-leaf diagram becomes (center ⊗ (edge ⊗
+    neighbor)_k')_J, and the dense schedule's multi-stage chains stay as
+    they are.
     """
 
     tau: int
     radial_channels: int
     edge_embed: dict[int, np.ndarray] = field(default_factory=dict)
     blocks: dict[int, FusionBlockConfig] = field(default_factory=dict)
+    recoupled: dict[int, tuple[tuple[FusionDiagram, ...], np.ndarray]] = field(
+        default_factory=dict
+    )
 
     @property
     def output_spins(self) -> tuple[int, ...]:
@@ -558,6 +662,7 @@ def init_three_body_layer(
         params.blocks[two_J] = FusionBlockConfig(
             tuple(diagrams), AggregationKind.SUM, mixing
         )
+        params.recoupled[two_J] = recouple(diagrams)
     return params
 
 
@@ -613,10 +718,9 @@ def taped_three_body_layer(
 ) -> dict[int, ad.Node]:
     """Vectorized three-body update; mirrors three_body_forward.
 
-    Records only the outputs whose spin is in ``output_spins``.
+    Runs the recoupled blocks through ``taped_recoupled``.  Records only the
+    outputs whose spin is in ``output_spins``.
     """
-    tau = params.tau
-    n_atoms = acts[0].shape[0] if acts else 0
     n_edges = len(src)
     basis_rows = ad.reshape(tape, basis, (n_edges, 1, params.radial_channels))
 
@@ -629,21 +733,11 @@ def taped_three_body_layer(
             tape, scaled, param_nodes[f"{name}/edge_embed/{two_j}"]
         )
 
-    leaves = [
-        {two_j: ad.gather(tape, acts[two_j], src) for two_j in acts},
-        edge_feats,
-        {two_j: ad.gather(tape, acts[two_j], dst) for two_j in acts},
-    ]
-    memo: dict[tuple, ad.Node] = {}
-
-    out: dict[int, ad.Node] = {}
-    for two_J, block in params.blocks.items():
-        if two_J not in output_spins:
-            continue
-        chunks = taped_diagrams(tape, block.diagrams, leaves, memo)
-        concatenated = ad.concat(tape, chunks, axis=2)
-        aggregated = ad.index_add(tape, concatenated, src, n_atoms)
-        out[two_J] = ad.channel_mix(
-            tape, aggregated, param_nodes[f"{name}/mixing/{two_J}"]
-        )
-    return out
+    return taped_recoupled(
+        tape,
+        {two_J: pair for two_J, pair in params.recoupled.items() if two_J in output_spins},
+        acts,
+        [edge_feats, {two_j: ad.gather(tape, acts[two_j], dst) for two_j in acts}],
+        src,
+        {two_J: param_nodes[f"{name}/mixing/{two_J}"] for two_J in params.recoupled},
+    )

@@ -166,6 +166,10 @@ def train(
     """
     if not train_samples:
         raise ValueError("training needs at least one sample")
+    if n_epochs < 0:
+        raise ValueError(f"n_epochs must not be negative, got {n_epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     start = time.perf_counter()
     record = RunRecord(
         config_hash=_run_hash(

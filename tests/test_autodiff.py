@@ -513,6 +513,85 @@ class TestSecondOrder:
         assert not np.iscomplexobj(g.value)
 
 
+def _complex_parts(tape, x, shapes):
+    """Complex matrices of the given shapes from one real variable vector
+    (real parts, then imaginary parts, matrix by matrix)."""
+    parts, offset = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        re, im = (
+            ad.reshape(tape, ad.slice_axis(tape, x, 0, start, start + size), shape)
+            for start in (offset, offset + size)
+        )
+        parts.append(ad.add(tape, ad.complex_cast(tape, re),
+                            ad.scale(tape, ad.complex_cast(tape, im), 1j)))
+        offset += 2 * size
+    return parts
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("trans_a", [False, True])
+    @pytest.mark.parametrize("trans_b", [False, True])
+    def test_value_and_gradients(self, trans_a, trans_b):
+        rng = np.random.default_rng(7)
+        shape_a = (3, 4) if trans_a else (4, 3)
+        shape_b = (2, 3) if trans_b else (3, 2)
+        probe = rng.normal(size=(4, 2))
+
+        def build(tape, x):
+            a, b = _complex_parts(tape, x, [shape_a, shape_b])
+            product = ad.matmul(tape, a, b, trans_a, trans_b)
+            expected = (a.value.T if trans_a else a.value) @ (b.value.T if trans_b else b.value)
+            assert np.max(np.abs(product.value - expected)) <= 1e-13
+            return _real_loss(tape, product, probe)
+
+        _check(_scalar_case(build), rng.normal(size=2 * (12 + 6)))
+
+    def test_channel_mix_on_complex_data(self, monkeypatch):
+        # value and both cotangents against NumPy, the mixed second
+        # derivative against finite differences; all as matrix products
+        rng = np.random.default_rng(8)
+        x_value = rng.normal(size=(5, 3, 4)) + 1j * rng.normal(size=(5, 3, 4))
+        weights = rng.normal(size=(4, 2))
+        cotangent = rng.normal(size=(5, 3, 2)) + 1j * rng.normal(size=(5, 3, 2))
+        probe = rng.normal(size=(5, 3, 4))
+        tensors = []
+        einsum3 = ad.einsum3
+
+        def recording_einsum3(tape, tensor, x, y, subscript):
+            tensors.append(np.ndim(tensor))
+            return einsum3(tape, tensor, x, y, subscript)
+
+        monkeypatch.setattr(ad, "einsum3", recording_einsum3)
+
+        tape = ad.Tape()
+        x, w = tape.variable(x_value), tape.variable(weights)
+        mixed = ad.channel_mix(tape, x, w)
+        assert np.max(np.abs(mixed.value - x_value @ weights)) <= 1e-13
+        # loss = Re <cotangent, mixed>, whose adjoint of ``mixed`` is the cotangent
+        loss = ad.sum_all(tape, ad.real(tape, ad.mul(
+            tape, ad.conj(tape, tape.constant(cotangent)), mixed)))
+        grads = ad.backward(tape, loss, wrt=[x, w])
+        assert np.max(np.abs(grads[x.id].value - cotangent @ weights.T)) <= 1e-13
+        expected_w = np.real(x_value.reshape(15, 4).conj().T @ cotangent.reshape(15, 2))
+        assert np.max(np.abs(grads[w.id].value - expected_w)) <= 1e-13
+
+        def mixed_second(values):
+            tape = ad.Tape()
+            w = tape.variable(values)
+            x = tape.variable(x_value)
+            out = ad.channel_mix(tape, x, w)
+            energy = ad.sum_all(tape, ad.real(tape, ad.mul(tape, ad.conj(tape, out), out)))
+            dx = ad.backward(tape, energy, wrt=[x])[x.id]
+            loss = _real_loss(tape, dx, probe)
+            g2 = ad.backward(tape, loss, wrt=[w])
+            return float(np.real(loss.value)), np.real(g2[w.id].value)
+
+        _check(mixed_second, weights.copy())
+        assert np.max(np.abs(mixed_second(weights.copy())[1])) > 1e-6
+        assert tensors == []  # no einsum3, let alone a 0-d one
+
+
 class TestGradcheckHarness:
     def test_linear_function_is_exact(self):
         coefficients = PROBE_VEC.copy()

@@ -327,6 +327,29 @@ class TestArgumentErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epochs", "0"], "--epochs must be at least 1, got 0"),
+            (["--epochs", "1", "--batch-size", "0"], "batch_size must be at least 1, got 0"),
+            (["--epochs", "1", "--batch-size", "-2"], "batch_size must be at least 1, got -2"),
+        ],
+    )
+    def test_bad_epochs_or_batch_size_is_exit_1(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "train.jsonl"
+        main(["gen-data", "--out", str(data), "--n-samples", "2", "--n-atoms", "3"])
+        capsys.readouterr()
+        curve, trained = tmp_path / "curve.csv", tmp_path / "model.json"
+        code = main(
+            ["train", "--config", _write_model_config(tmp_path), "--data", str(data),
+             "--out-curve", str(curve), "--out-model", str(trained)] + flags
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip() == f"error: {message}"
+        assert captured.out == ""
+        assert not curve.exists() and not trained.exists()
+
     def test_every_subcommand_accepts_seed(self, capsys):
         # --seed parses everywhere; commands with missing required arguments
         # still exit 2, proving the flag itself was accepted

@@ -8,14 +8,17 @@ from spinfusion.diagrams import (
     FuseNode,
     FusionDiagram,
     LeafNode,
+    check_recoupling,
     contract,
     dense_map,
     diagram_from_json,
     diagram_to_json,
     enumerate_internal,
     left_comb,
+    recouple,
     validate,
 )
+from spinfusion.errors import RecouplingError
 from spinfusion.irreps import Activation, IrrepVector
 from spinfusion.rotations import haar_rotation
 from spinfusion.spins import Spin, allowed_couplings, dim
@@ -140,6 +143,111 @@ class TestDenseMap:
             for j in range(i + 1, 3):
                 overlap = maps[i].conj().T @ maps[j]
                 assert np.max(np.abs(overlap)) < 1e-13
+
+
+def _left_family(leaf_two_js, two_J, slots=(0, 1, 2)):
+    """Every ((a b)_k c)_J over the given leaves, k ascending."""
+    return [
+        left_comb(list(leaf_two_js), list(ks), two_J, slots=list(slots))
+        for ks in enumerate_internal(leaf_two_js, two_J)
+    ]
+
+
+def _families():
+    """Complete left-comb families over leaf spins 0..3/2, half-integers
+    included, at every admissible root."""
+    spins = (0, 1, 2, 3)
+    for a in spins:
+        for b in spins:
+            for c in spins:
+                for two_J in range(0, a + b + c + 1):
+                    family = _left_family((a, b, c), two_J)
+                    if family:
+                        yield family
+
+
+class TestRecouple:
+    def test_every_family_is_reproduced_by_an_orthogonal_map(self):
+        n_families = 0
+        for family in _families():
+            targets, U = recouple(family)
+            assert U.dtype == np.float64
+            assert U.shape == (len(family), len(family))  # complete families
+            assert np.max(np.abs(U.T @ U - np.eye(len(family)))) <= 1e-12
+            assert np.max(np.abs(U @ U.T - np.eye(len(family)))) <= 1e-12
+            for column, d in enumerate(family):
+                rebuilt = sum(U[row, column] * dense_map(t) for row, t in enumerate(targets))
+                assert np.max(np.abs(rebuilt - dense_map(d))) <= 1e-12
+            n_families += 1
+        assert n_families > 50
+
+    def test_targets_are_right_pairs_grouped_by_leaves(self):
+        # two families interleaved: targets still come one family at a time,
+        # in order of first appearance, each (a (b c)_k')_J with k' ascending
+        first, second = _left_family((2, 2, 2), 2), _left_family((4, 4, 2), 2)
+        mixed = [first[0], second[0], first[1], second[1], first[2], second[2]]
+        targets, U = recouple(mixed)
+        leaves = [t.leaves for t in targets]
+        n = len(_left_family((2, 2, 2), 2))
+        assert leaves == [first[0].leaves] * n + [second[0].leaves] * (len(targets) - n)
+        for group in (targets[:n], targets[n:]):
+            ks = [t.tree.right.two_k for t in group]
+            assert ks == sorted(ks)
+            for t in group:
+                assert isinstance(t.tree.left, LeafNode) and validate(t) == []
+                assert isinstance(t.tree.right.left, LeafNode)
+                assert isinstance(t.tree.right.right, LeafNode)
+        # no weight between different leaves
+        assert np.all(U[n:, [0, 2, 4]] == 0) and np.all(U[:n, [1, 3, 5]] == 0)
+
+    def test_incomplete_family_maps_onto_the_complete_one(self):
+        # one internal spin of three: the targets are still the complete
+        # family, and U has orthonormal columns
+        d = left_comb([2, 2, 2], [4], 2)
+        targets, U = recouple([d])
+        assert U.shape == (3, 1)
+        assert abs(np.linalg.norm(U[:, 0]) - 1.0) <= 1e-12
+
+    def test_other_shapes_come_back_unchanged(self):
+        chain = FusionDiagram(
+            ((0, 0), (1, 2), (2, 2), (1, 2), (2, 2)),
+            FuseNode(
+                FuseNode(
+                    FuseNode(FuseNode(LeafNode(0), LeafNode(1), 2), LeafNode(2), 2),
+                    LeafNode(1), 2,
+                ),
+                LeafNode(2), 2,
+            ),
+            2,
+        )
+        others = [
+            left_comb([2, 2, 2, 2], [2, 2], 2, slots=[0, 1, 2, 1]),
+            chain,
+            left_comb([2, 2], [], 2),
+            FusionDiagram(((0, 2),), LeafNode(0), 2),
+            FusionDiagram(
+                ((0, 2), (1, 2), (2, 2)),
+                FuseNode(LeafNode(0), FuseNode(LeafNode(1), LeafNode(2), 2), 2),
+                2,
+            ),
+        ]
+        targets, U = recouple(others)
+        assert targets == tuple(others)
+        assert np.array_equal(U, np.eye(len(others)))
+
+    def test_corrupted_map_raises(self):
+        family = _left_family((2, 2, 2), 2) + _left_family((0, 2, 2), 2)
+        targets, U = recouple(family)
+        check_recoupling(family, targets, U)  # the real map passes
+        nudged = U.copy()
+        nudged[0, 0] += 1e-9
+        stray = U.copy()
+        stray[-1, 0] = 1e-9  # weight on a target of other leaves
+        for corrupt in (nudged, U + 1e-9j, stray, U[:-1]):
+            with pytest.raises(RecouplingError):
+                check_recoupling(family, targets, corrupt)
+        with pytest.raises(RecouplingError):
+            check_recoupling(family, targets[::-1], U)
 
 
 class TestContract:

@@ -445,6 +445,76 @@ class TestPlainTapedAgreement:
         assert energy.value == pytest.approx(plain, abs=1e-12)
 
 
+class TestRecoupledTape:
+    """The taped fused and three-body terms sum each edge's subtree over the
+    neighbors, then couple the center once per atom."""
+
+    def _forward_calls(self, monkeypatch):
+        config = ModelConfig(kind="fused", n_layers=2, tau=6, j_max=1, seed=2)
+        model = Model(config)
+        rng = np.random.default_rng(9)
+        positions = rng.normal(size=(9, 3)) * 1.3
+        species = rng.integers(0, 2, size=9)
+        src, dst = edge_index(build_neighborhood(PointCloud(positions, species), config.cutoff))
+        assert len(src) not in (0, 9)
+        gathers, products = [], []
+        gather, einsum3 = ad.gather, ad.einsum3
+
+        def recording_gather(tape, x, indices):
+            node = gather(tape, x, indices)
+            gathers.append((len(x.shape), np.asarray(indices)))
+            return node
+
+        def recording_einsum3(tape, tensor, x, y, subscript):
+            node = einsum3(tape, tensor, x, y, subscript)
+            products.append((np.ndim(tensor), node.shape[0]))
+            return node
+
+        monkeypatch.setattr(ad, "gather", recording_gather)
+        monkeypatch.setattr(ad, "einsum3", recording_einsum3)
+        tape = ad.Tape()
+        model.taped_forward(
+            tape, tape.variable(positions), species, [9], model.parameter_nodes(tape)
+        )
+        return src, dst, gathers, products
+
+    def test_center_is_never_gathered_to_the_edges(self, monkeypatch):
+        src, dst, gathers, _ = self._forward_calls(monkeypatch)
+        activation_gathers = [idx for ndim, idx in gathers if ndim == 3]
+        assert activation_gathers  # the neighbors still are
+        assert all(np.array_equal(idx, dst) for idx in activation_gathers)
+        assert not any(np.array_equal(idx, src) for idx in activation_gathers)
+
+    def test_edge_row_products(self, monkeypatch):
+        # gated term 2 + 2 per-edge products; the fusion term's per-edge
+        # subtrees (neighbor ⊗ harmonic)_k': 2 in layer 0, 5 in layer 1 (it
+        # was (center ⊗ neighbor)_k, then ⊗ harmonic, per edge: 3 + 10)
+        src, _, _, products = self._forward_calls(monkeypatch)
+        edge_rows = [rows for ndim, rows in products if ndim == 3 and rows == len(src)]
+        assert len(edge_rows) == 11
+
+    @pytest.mark.parametrize(
+        "extra", TAPED_KINDS, ids=["gated", "fused", "three_body_sparse", "three_body_dense"]
+    )
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            [[0.0, 0.0, 0.0]],
+            [[0.0, 0.0, 0.0], [3.5, 0.0, 0.0]],
+            [[0.0, 0.0, 0.0], [1.1, 0.3, 0.0], [8.0, 0.0, 0.0]],
+        ],
+        ids=["single_atom", "pair_beyond_cutoff", "pair_and_isolated_atom"],
+    )
+    def test_sparse_neighborhoods_match_plain_energy(self, extra, positions):
+        model = Model(ModelConfig(n_layers=2, tau=3, j_max=1, radial_channels=4, hidden=8,
+                                  seed=4, **extra))
+        positions = np.array(positions)
+        species = np.arange(len(positions)) % 2
+        energy, forces = model.energy_and_forces(positions, species)
+        assert energy == pytest.approx(model.plain_energy(positions, species), abs=1e-12)
+        assert forces.shape == positions.shape and np.all(np.isfinite(forces))
+
+
 class TestAblation:
     def test_zeroed_fusion_mixing_reproduces_gated_layer(self):
         common = dict(

@@ -160,6 +160,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(_tiny_model(), [], 1)
 
+    @pytest.mark.parametrize(
+        "n_epochs, batch_size, name",
+        [(-1, 4, "n_epochs"), (1, 0, "batch_size"), (1, -2, "batch_size")],
+    )
+    def test_bad_epoch_and_batch_counts_rejected(self, n_epochs, batch_size, name):
+        data = generate_dataset(2, 4, "morse", seed=2)
+        model = _tiny_model()
+        before = {k: v.copy() for k, v in model.parameters().items()}
+        with pytest.raises(ValueError, match=name):
+            train(model, data, n_epochs, batch_size=batch_size)
+        for key, value in model.parameters().items():
+            assert np.array_equal(value, before[key])
+
     def test_run_record_bookkeeping(self):
         data = generate_dataset(4, 4, "morse", seed=2)
         record = train(_tiny_model(), data, 2, batch_size=2, seed=3)
