@@ -266,6 +266,10 @@ def dense_map(d: FusionDiagram) -> np.ndarray:
     return matrix
 
 
+# bound on U's imaginary part, cross-leaf weights and reconstruction residual
+_RECOUPLING_TOLERANCE = 1e-12
+
+
 def _left_pair(d: FusionDiagram) -> bool:
     """True for the three-leaf shape ((a b)_k c)_J."""
     tree = d.tree
@@ -278,7 +282,18 @@ def _left_pair(d: FusionDiagram) -> bool:
     )
 
 
-def recouple(diagrams, tolerance: float = 1e-12) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
+def _subtrees(node, leaf_iter, out: set) -> tuple:
+    """Add (leaves, subtree) for every ``FuseNode`` under ``node`` to
+    ``out``, with ``leaf_iter`` yielding the (slot, 2j) leaves in order;
+    returns the leaves under ``node``."""
+    if isinstance(node, LeafNode):
+        return (next(leaf_iter),)
+    leaves = _subtrees(node.left, leaf_iter, out) + _subtrees(node.right, leaf_iter, out)
+    out.add((leaves, node))
+    return leaves
+
+
+def recouple(diagrams) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
     """F-move each three-leaf diagram ((a b)_k c)_J into (a (b c)_k')_J.
 
     Returns ``(targets, U)`` with ``dense_map(d) == sum_t U[t, d] *
@@ -288,7 +303,10 @@ def recouple(diagrams, tolerance: float = 1e-12) -> tuple[tuple[FusionDiagram, .
     k', ascending, listed once, in order of the leaves' first appearance;
     they span the space the inputs' family spans, whatever k the inputs
     use.  Any other diagram (fewer or more leaves, another tree shape) is
-    its own target with weight 1.
+    its own target with weight 1, and so is a three-leaf diagram that is a
+    subtree of a longer diagram in the collection (the first stage of a
+    multi-stage chain): contracting the longer one records it anyway, so
+    as built it costs nothing, where its targets would.
 
     ``U[t, d] = Re <dense_map(t), dense_map(d)> / (2J+1)``, nonzero only
     between diagrams with the same leaves: each dense map has orthonormal
@@ -297,9 +315,14 @@ def recouple(diagrams, tolerance: float = 1e-12) -> tuple[tuple[FusionDiagram, .
     6j code is needed.  ``check_recoupling`` verifies the result.
     """
     diagrams = tuple(diagrams)
+    inner: set[tuple] = set()
+    for d in diagrams:
+        if len(d.leaves) > 3:
+            _subtrees(d.tree, iter(d.leaves), inner)
+    moved = {d for d in diagrams if _left_pair(d) and (d.leaves, d.tree) not in inner}
     groups: dict[object, list[FusionDiagram]] = {}
     for d in diagrams:
-        if not _left_pair(d):
+        if d not in moved:
             groups.setdefault(d, [d])
             continue
         key = (d.leaves, d.two_J)
@@ -323,20 +346,20 @@ def recouple(diagrams, tolerance: float = 1e-12) -> tuple[tuple[FusionDiagram, .
     maps: dict[FusionDiagram, np.ndarray] = {}
     overlaps = np.zeros((len(targets), len(diagrams)), dtype=complex)
     for column, d in enumerate(diagrams):
-        if not _left_pair(d):
+        if d not in moved:
             overlaps[row[d], column] = 1.0
             continue
         for t in groups[(d.leaves, d.two_J)]:
             overlaps[row[t], column] = np.vdot(_dense(t, maps), _dense(d, maps)) / dim(d.two_J)
-    _verify(diagrams, targets, overlaps, tolerance, maps)
+    _verify(diagrams, targets, overlaps, maps)
     return targets, overlaps.real.copy()
 
 
-def check_recoupling(diagrams, targets, U: np.ndarray, tolerance: float = 1e-12) -> None:
+def check_recoupling(diagrams, targets, U: np.ndarray) -> None:
     """Raise ``RecouplingError`` unless U is real and maps the targets'
-    dense maps onto the diagrams' (see ``recouple``) to within
-    ``tolerance``, with no weight between diagrams of different leaves."""
-    _verify(tuple(diagrams), tuple(targets), np.asarray(U), tolerance, {})
+    dense maps onto the diagrams' (see ``recouple``) to within 1e-12, with
+    no weight between diagrams of different leaves."""
+    _verify(tuple(diagrams), tuple(targets), np.asarray(U), {})
 
 
 def _dense(d: FusionDiagram, maps: dict) -> np.ndarray:
@@ -346,14 +369,14 @@ def _dense(d: FusionDiagram, maps: dict) -> np.ndarray:
     return maps[d]
 
 
-def _verify(diagrams, targets, U: np.ndarray, tolerance: float, maps: dict) -> None:
+def _verify(diagrams, targets, U: np.ndarray, maps: dict) -> None:
     if U.shape != (len(targets), len(diagrams)):
         raise RecouplingError(
             f"U has shape {U.shape}; {len(targets)} targets and {len(diagrams)} diagrams need "
             f"({len(targets)}, {len(diagrams)})"
         )
     imaginary = float(np.max(np.abs(U.imag), initial=0.0))
-    if imaginary > tolerance:
+    if imaginary > _RECOUPLING_TOLERANCE:
         raise RecouplingError(f"U has an imaginary part of {imaginary:.3g}")
     for column, d in enumerate(diagrams):
         same, stray = [], 0.0
@@ -362,15 +385,16 @@ def _verify(diagrams, targets, U: np.ndarray, tolerance: float, maps: dict) -> N
                 same.append((t, w))
             else:
                 stray = max(stray, abs(w))
-        if stray > tolerance:
+        if stray > _RECOUPLING_TOLERANCE:
             raise RecouplingError(f"U weighs diagram {column} with a target of other leaves")
         if [(t, w) for t, w in same if w != 0] == [(d, 1)]:
             continue  # its own target, exactly
         residual = _dense(d, maps) - sum(w * _dense(t, maps) for t, w in same)
         error = float(np.max(np.abs(residual), initial=0.0))
-        if error > tolerance:
+        if error > _RECOUPLING_TOLERANCE:
             raise RecouplingError(
-                f"targets reproduce diagram {column} only to {error:.3g} (tolerance {tolerance:g})"
+                f"targets reproduce diagram {column} only to {error:.3g} "
+                f"(tolerance {_RECOUPLING_TOLERANCE:g})"
             )
 
 

@@ -38,10 +38,11 @@ which spans the same space).  ``taped_recoupled`` then runs three stages:
 * ``index_add`` of each T over the edges' source atoms;
 * atom stage: one CG product of the center with each summed T (N rows).
 
-The center is never gathered to the edges, and the mixing,
+The center is not gathered to the edges, and the mixing,
 ``kron(U, I_tau) @ W`` recorded from the stored weights, runs on N rows.
 Multi-stage chains (the dense schedule's diagrams with five or more
-leaves) keep the per-edge lowering.
+leaves), and the three-leaf diagrams that are their first stages, keep the
+per-edge lowering: the chains record those stages per edge anyway.
 """
 
 from __future__ import annotations
@@ -246,21 +247,40 @@ def _emit_diagram(tape, node, leaf_iter, leaves, memo) -> tuple[tuple, ad.Node]:
     return key, value
 
 
-def _center_first(d: FusionDiagram) -> bool:
-    """True for (center ⊗ T)_J: the center (slot 0) fused once, at the root,
-    with a subtree T of per-edge leaves."""
-    tree = d.tree
-    return (
-        isinstance(tree, FuseNode)
-        and tree.left == LeafNode(0)
-        and isinstance(tree.right, FuseNode)
-        and all(slot != 0 for slot, _ in d.leaves[1:])
+@dataclass(frozen=True)
+class RecoupledCollection:
+    """A diagram collection recoupled for ``taped_recoupled``, built at init.
+
+    ``atom`` are the (center ⊗ T)_J targets ``diagrams.recouple`` made from
+    the three-leaf diagrams; ``edge`` are the diagrams it passed through
+    (the dense schedule's multi-stage chains and their first stages).
+    ``mixing`` is kron(U, I_tau) with U's rows in ``atom + edge`` order: it
+    maps the targets' concatenated outputs onto the collection's, diagram
+    by diagram.
+    """
+
+    atom: tuple[FusionDiagram, ...]
+    edge: tuple[FusionDiagram, ...]
+    mixing: np.ndarray
+
+
+def recoupled_collection(diagrams, tau: int) -> RecoupledCollection:
+    """``diagrams.recouple`` on a collection, split into its atom and edge
+    targets; a target that is one of the inputs was passed through."""
+    targets, U = recouple(diagrams)
+    inputs = set(diagrams)
+    atom_rows = [row for row, t in enumerate(targets) if t not in inputs]
+    edge_rows = [row for row, t in enumerate(targets) if t in inputs]
+    return RecoupledCollection(
+        tuple(targets[row] for row in atom_rows),
+        tuple(targets[row] for row in edge_rows),
+        np.kron(U[atom_rows + edge_rows], np.eye(tau)),
     )
 
 
 def taped_recoupled(
     tape: ad.Tape,
-    recoupled: dict[int, tuple[tuple[FusionDiagram, ...], np.ndarray]],
+    collections: dict[int, RecoupledCollection],
     center: dict[int, ad.Node],
     edge_leaves: list[dict[int, ad.Node]],
     src: np.ndarray,
@@ -268,56 +288,45 @@ def taped_recoupled(
 ) -> dict[int, ad.Node]:
     """Diagram collections summed over each atom's edges, then mixed.
 
-    ``recoupled[two_J] = (targets, U)`` comes from ``diagrams.recouple`` on
-    a collection over slots 0 = center atom (N rows) and 1, 2 = per-edge
-    leaves, ``edge_leaves[slot - 1]`` (E rows); ``weights[two_J]`` mixes
-    the collection's concatenated diagram outputs.  Three stages:
+    ``collections[two_J]`` is a collection over slots 0 = center atom
+    (N rows) and 1, 2 = per-edge leaves, ``edge_leaves[slot - 1]`` (E
+    rows); ``weights[two_J]`` mixes the collection's concatenated diagram
+    outputs.  Three stages:
 
-    * edge stage: the per-edge subtree T of each (center ⊗ T)_J target,
-      through ``taped_diagrams``' memo, so a T shared between targets or
-      output spins is recorded once;
+    * edge stage: the per-edge subtree T of each (center ⊗ T)_J atom
+      target, through ``taped_diagrams``' memo, so a T shared between
+      targets or output spins is recorded once;
     * ``index_add`` of each distinct T over ``src``;
     * atom stage: one CG product (center ⊗ sum of T)_J per target, at N rows.
 
-    Other targets (multi-stage chains) run per edge, with the center
-    gathered to the edges, and are summed after.  The mixing is
-    ``kron(U, I_tau) @ weights``, recorded from the weight node, so the
-    result equals summing the original collection over edges and mixing.
+    The edge targets run per edge, with the center gathered to the edges,
+    and are summed after.  The mixing is ``collection.mixing @ weights``,
+    recorded from the weight node, so the result equals summing the
+    original collection over edges and mixing.
     """
-    n_atoms, _, tau = center[0].shape
+    n_atoms = center[0].shape[0]
     leaves = [None, *edge_leaves]
-    if any(0 in d.slots and not _center_first(d)
-           for targets, _ in recoupled.values() for d in targets):
+    if any(collection.edge for collection in collections.values()):
         leaves[0] = {two_j: ad.gather(tape, node, src) for two_j, node in center.items()}
     memo: dict[tuple, ad.Node] = {}
     summed: dict[tuple, ad.Node] = {}
     out: dict[int, ad.Node] = {}
-    for two_J, (targets, U) in recoupled.items():
-        atom_rows, atom_chunks, edge_rows, edge_chunks = [], [], [], []
-        for row, d in enumerate(targets):
-            if not _center_first(d):
-                edge_rows.append(row)
-                edge_chunks.extend(taped_diagrams(tape, (d,), leaves, memo))
-                continue
+    for two_J, collection in collections.items():
+        chunks = []
+        for d in collection.atom:
             key, subtree = _emit_diagram(tape, d.tree.right, iter(d.leaves[1:]), leaves, memo)
             if key not in summed:
                 summed[key] = ad.index_add(tape, subtree, src, n_atoms)
             two_j = d.leaves[0][1]
-            atom_rows.append(row)
-            atom_chunks.append(ad.einsum3(
+            chunks.append(ad.einsum3(
                 tape, cg_tensor(two_j, key[-1], two_J).coeffs, center[two_j], summed[key],
                 "abc,eat,ebt->ect",
             ))
-        if edge_chunks:
-            atom_chunks.append(
-                ad.index_add(tape, ad.concat(tape, edge_chunks, axis=2), src, n_atoms)
-            )
-        mixing = ad.channel_mix(
-            tape,
-            tape.constant(np.kron(U[atom_rows + edge_rows], np.eye(tau))),
-            weights[two_J],
-        )
-        out[two_J] = ad.channel_mix(tape, ad.concat(tape, atom_chunks, axis=2), mixing)
+        if collection.edge:
+            per_edge = taped_diagrams(tape, collection.edge, leaves, memo)
+            chunks.append(ad.index_add(tape, ad.concat(tape, per_edge, axis=2), src, n_atoms))
+        mixing = ad.channel_mix(tape, tape.constant(collection.mixing), weights[two_J])
+        out[two_J] = ad.channel_mix(tape, ad.concat(tape, chunks, axis=2), mixing)
     return out
 
 
@@ -340,8 +349,8 @@ class InteractionParams:
     whose ``fusion_mix[two_l]`` does that and whose vertex block is square.
     The mixed terms are summed in table order, so zeroing the fusion mixing
     reproduces the gated layer bit for bit.  ``recoupled[two_l]`` holds the
-    fusion term recoupled to (center ⊗ (neighbor ⊗ harmonic)_k')_l, as
-    ``diagrams.recouple``'s (targets, U), for the taped executor.
+    fusion term recoupled to (center ⊗ (neighbor ⊗ harmonic)_k')_l, as a
+    ``RecoupledCollection`` for the taped executor.
     """
 
     tau: int
@@ -349,9 +358,7 @@ class InteractionParams:
     diagrams: dict[int, dict[str, tuple[FusionDiagram, ...]]] = field(default_factory=dict)
     vertex: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
     fusion_mix: dict[int, np.ndarray] = field(default_factory=dict)
-    recoupled: dict[int, tuple[tuple[FusionDiagram, ...], np.ndarray]] = field(
-        default_factory=dict
-    )
+    recoupled: dict[int, RecoupledCollection] = field(default_factory=dict)
 
     @property
     def output_spins(self) -> tuple[int, ...]:
@@ -423,7 +430,7 @@ def init_interaction_layer(
             params.fusion_mix[two_l] = seeded_uniform(
                 (len(table["fusion"]) * tau, tau), seed, f"{name}/fusion_mix/{two_l}"
             )
-            params.recoupled[two_l] = recouple(table["fusion"])
+            params.recoupled[two_l] = recoupled_collection(table["fusion"], tau)
     return params
 
 
@@ -522,7 +529,7 @@ def taped_interaction_layer(
     memos: dict[str, dict[tuple, ad.Node]] = {term: {} for term in leaves}
     fused = taped_recoupled(
         tape,
-        {two_l: pair for two_l, pair in params.recoupled.items() if two_l in output_spins},
+        {two_l: c for two_l, c in params.recoupled.items() if two_l in output_spins},
         acts,
         [gathered_dst, harmonics],
         src,
@@ -613,19 +620,17 @@ class ThreeBodyParams:
     1 = edge, 2 = neighbor) with the trainable final mixing over the
     concatenated diagram axis; ``edge_embed[two_j]`` map radial channels to
     feature channels per edge spin.  ``recoupled[two_J]`` holds the block's
-    diagrams as ``diagrams.recouple``'s (targets, U) for the taped
-    executor: every three-leaf diagram becomes (center ⊗ (edge ⊗
-    neighbor)_k')_J, and the dense schedule's multi-stage chains stay as
-    they are.
+    diagrams as a ``RecoupledCollection`` for the taped executor: every
+    three-leaf diagram becomes (center ⊗ (edge ⊗ neighbor)_k')_J, except
+    in a dense block, whose multi-stage chains and their three-leaf first
+    stages stay as they are.
     """
 
     tau: int
     radial_channels: int
     edge_embed: dict[int, np.ndarray] = field(default_factory=dict)
     blocks: dict[int, FusionBlockConfig] = field(default_factory=dict)
-    recoupled: dict[int, tuple[tuple[FusionDiagram, ...], np.ndarray]] = field(
-        default_factory=dict
-    )
+    recoupled: dict[int, RecoupledCollection] = field(default_factory=dict)
 
     @property
     def output_spins(self) -> tuple[int, ...]:
@@ -662,7 +667,7 @@ def init_three_body_layer(
         params.blocks[two_J] = FusionBlockConfig(
             tuple(diagrams), AggregationKind.SUM, mixing
         )
-        params.recoupled[two_J] = recouple(diagrams)
+        params.recoupled[two_J] = recoupled_collection(diagrams, tau)
     return params
 
 
@@ -735,7 +740,7 @@ def taped_three_body_layer(
 
     return taped_recoupled(
         tape,
-        {two_J: pair for two_J, pair in params.recoupled.items() if two_J in output_spins},
+        {two_J: c for two_J, c in params.recoupled.items() if two_J in output_spins},
         acts,
         [edge_feats, {two_j: ad.gather(tape, acts[two_j], dst) for two_j in acts}],
         src,

@@ -235,6 +235,29 @@ class TestRecouple:
         assert targets == tuple(others)
         assert np.array_equal(U, np.eye(len(others)))
 
+    def test_first_stage_of_a_chain_comes_back_unchanged(self):
+        # ((0 1)_2 2)_2 is the chain's first stage, so it stays as built;
+        # ((0 1)_0 2)_2 is not, so it is recoupled
+        chain = FusionDiagram(
+            ((0, 0), (1, 2), (2, 2), (1, 2), (2, 2)),
+            FuseNode(
+                FuseNode(
+                    FuseNode(FuseNode(LeafNode(0), LeafNode(1), 2), LeafNode(2), 2),
+                    LeafNode(1), 2,
+                ),
+                LeafNode(2), 2,
+            ),
+            2,
+        )
+        stage = left_comb([0, 2, 2], [2], 2)
+        single = left_comb([2, 2, 2], [0], 2)
+        targets, U = recouple([stage, chain, single])
+        assert targets[:2] == (stage, chain)
+        assert np.array_equal(U[:2, :2], np.eye(2))
+        assert all(t.leaves == single.leaves for t in targets[2:])
+        # alone, the stage is recoupled like any three-leaf diagram
+        assert recouple([stage])[0] != (stage,)
+
     def test_corrupted_map_raises(self):
         family = _left_family((2, 2, 2), 2) + _left_family((0, 2, 2), 2)
         targets, U = recouple(family)

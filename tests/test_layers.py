@@ -449,8 +449,8 @@ class TestRecoupledTape:
     """The taped fused and three-body terms sum each edge's subtree over the
     neighbors, then couple the center once per atom."""
 
-    def _forward_calls(self, monkeypatch):
-        config = ModelConfig(kind="fused", n_layers=2, tau=6, j_max=1, seed=2)
+    def _forward_calls(self, monkeypatch, **kind):
+        config = ModelConfig(**(kind or {"kind": "fused"}), n_layers=2, tau=6, j_max=1, seed=2)
         model = Model(config)
         rng = np.random.default_rng(9)
         positions = rng.normal(size=(9, 3)) * 1.3
@@ -492,6 +492,19 @@ class TestRecoupledTape:
         src, _, _, products = self._forward_calls(monkeypatch)
         edge_rows = [rows for ndim, rows in products if ndim == 3 and rows == len(src)]
         assert len(edge_rows) == 11
+
+    def test_dense_chains_keep_their_first_stages_per_edge(self, monkeypatch):
+        # the last layer's block at J = 0 holds five three-leaf diagrams that
+        # are first stages of its five chains, so they stay per edge, where
+        # the chains record them anyway: layer 0's two singles are recoupled
+        # (2 per-edge products, where they were 4) and layer 1 records the
+        # chains' 20, none more
+        src, _, _, products = self._forward_calls(
+            monkeypatch, kind="three_body", schedule_mode="dense", internal_spins=(0, 1)
+        )
+        rows = [rows for ndim, rows in products if ndim == 3]
+        assert rows.count(len(src)) == 22
+        assert rows.count(9) == 2
 
     @pytest.mark.parametrize(
         "extra", TAPED_KINDS, ids=["gated", "fused", "three_body_sparse", "three_body_dense"]
