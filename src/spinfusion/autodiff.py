@@ -15,7 +15,9 @@ belongs to (``exp``, ``sqrt``, ``tanh`` and ``div`` rebuild their output
 from their inputs, which gives the same values).  A tape is therefore
 acyclic, nodes referring only to their parents, and reference counting
 frees it as soon as its last node is dropped; the cyclic collector never
-has to find one.
+has to find one.  Under glibc the freed memory stays in the process for
+the next tape (``_keep_freed_memory``), so each step does not fault its
+pages in afresh.
 
 Complex data follows the conjugate (Wirtinger) cotangent convention: the
 adjoint of a complex node is w = dL/dRe + i dL/dIm.  Linear maps pull
@@ -35,6 +37,7 @@ and visits only its ancestors.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -60,6 +63,36 @@ class Node:
     @property
     def shape(self):
         return np.shape(self.value)
+
+
+# glibc mallopt parameters, and the values set for them below.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES = 1 << 30
+_MMAP_BYTES = 32 << 20  # the ceiling of glibc's own adaptive threshold
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed array memory for reuse.
+
+    A tape holds every value of one training step or force call, tens of
+    MB, and frees them all when it is dropped.  By default glibc gives a
+    free heap top back to the kernel and serves arrays above an adaptive
+    size from fresh mmaps, so the next step faults those pages in again.
+    How much it gives back depends on where the few surviving allocations
+    land, so the same step cost a different amount from one process to the
+    next.  Fixed thresholds keep the freed memory in the process; it was
+    resident already, so the peak resident set does not grow.  Elsewhere
+    (no ``mallopt``) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+
+
+_keep_freed_memory()
 
 
 class Tape:

@@ -6,6 +6,7 @@ see the same function.
 """
 
 import gc
+import platform
 
 import numpy as np
 import pytest
@@ -503,6 +504,24 @@ class TestSecondOrder:
         finally:
             if enabled:
                 gc.enable()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_a_dropped_tapes_memory_is_reused(self):
+        # 32 MiB of 1 MiB values, freed together when the tape goes; the
+        # same tape again must not fault those pages in afresh
+        import resource
+
+        def one_tape():
+            tape = ad.Tape()
+            x = tape.variable(np.ones((256, 512)))
+            for _ in range(32):
+                x = ad.add(tape, x, x)
+
+        one_tape()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        one_tape()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000  # 32 MiB is 8192 pages
 
     def test_real_cotangents_stay_real(self):
         tape = ad.Tape()
