@@ -107,7 +107,10 @@ class Tape:
         return node
 
     def constant(self, value) -> Node:
-        """Leaf that never receives an adjoint (weights frozen, references)."""
+        """Leaf for a value not differentiated against (frozen weights,
+        references).  The tape does not tell it from a variable: ``backward``
+        gives it an adjoint, as it does every ancestor of the seed, unless
+        ``wrt`` prunes it."""
         return self._emit(np.asarray(value), ())
 
     def variable(self, value) -> Node:

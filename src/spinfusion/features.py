@@ -35,13 +35,12 @@ class EdgeFeature:
     ``activation``: spins 0..j_max with radial channels, part[m, c] =
     Y^j_m(unit displacement) * basis_c(distance).
     ``harmonics``: the bare single-channel spherical harmonics.
-    ``basis``: the radial basis row (with envelope); ``length``: |x_oi|.
+    ``basis``: the radial basis row (with envelope).
     """
 
     activation: Activation
     harmonics: Activation
     basis: np.ndarray
-    length: float
 
 
 def radial_centers(cutoff: float, n_channels: int) -> tuple[np.ndarray, float]:
@@ -134,6 +133,5 @@ def edge_features(
             activation=Activation(parts),
             harmonics=Activation(bare),
             basis=basis[e].copy(),
-            length=float(lengths[e]),
         )
     return features

@@ -58,7 +58,7 @@ def build_neighborhood(pc: PointCloud, cutoff: float) -> Neighborhood:
     Brute-force O(N^2); lists are sorted ascending and symmetric by
     construction.
     """
-    if cutoff <= 0:
+    if not cutoff > 0:  # also catches NaN
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     pos = pc.positions
     delta = pos[None, :, :] - pos[:, None, :]

@@ -6,10 +6,9 @@ Two layer families:
   channel-wise CG self-product (``pair``), a gated two-body message sum
   (``gated``), and (in the "fused" kind) a three-leaf fusion-block term per
   output spin.  Every term is a fusion-diagram collection (the self term a
-  one-leaf diagram), held in a table built once at init; the term groups
-  are mixed by per-spin vertex matrices (one weight block per term, summed
-  in fixed order so that zeroing the fusion mixing reproduces the gated
-  layer bit for bit).
+  one-leaf diagram); the term groups are mixed by per-spin vertex matrices
+  (one weight block per term, summed in fixed order so that zeroing the
+  fusion mixing reproduces the gated layer bit for bit).
 
 * the three-body update — for every output spin J, a fusion block whose
   three slots are (center activation, edge feature, neighbor activation) is
@@ -19,7 +18,13 @@ Two layer families:
   no reshaping layer is needed), followed by one trainable mixing over the
   concatenated channel axis.
 
-Both layers have two executors over the same diagrams.  The taped forms,
+Each layer is a ``LayerParams``: a diagram table keyed by output spin and
+one weight table, ``weights``, keyed by the parameter's name within the
+layer (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``, ...), both
+built once at init.  A model lists the weight tables under the layer's
+name; that is all it knows of them.
+
+Both layers have two executors over the same tables.  The taped forms,
 vectorized over atoms and edges for training, run every CG product through
 ``taped_diagrams``, which records a subtree shared between diagrams once;
 a taped layer records only the output spins its caller asks for, the spins
@@ -65,10 +70,9 @@ from .spins import admissible
 
 __all__ = [
     "SpinSchedule",
-    "GateParams",
+    "LayerParams",
     "InteractionParams",
     "ThreeBodyParams",
-    "init_gate",
     "invariant_gate",
     "init_interaction_layer",
     "interaction_layer",
@@ -131,30 +135,6 @@ class SpinSchedule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GateParams:
-    """Two-layer perceptron on invariant inputs; one gate per channel."""
-
-    w_hidden: np.ndarray
-    b_hidden: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    @property
-    def n_inputs(self) -> int:
-        return self.w_hidden.shape[0]
-
-
-def init_gate(tau: int, radial_channels: int, hidden: int, seed: int, name: str) -> GateParams:
-    n_inputs = 4 * tau + radial_channels
-    return GateParams(
-        w_hidden=seeded_uniform((n_inputs, hidden), seed, f"{name}/w_hidden"),
-        b_hidden=np.zeros(hidden),
-        w_out=seeded_uniform((hidden, tau), seed, f"{name}/w_out"),
-        b_out=np.zeros(tau),
-    )
-
-
 def _gate_features(center: Activation, neighbor: Activation, basis: np.ndarray) -> np.ndarray:
     """Invariant inputs: Re/Im of both j=0 parts plus the radial basis row."""
     c0 = center.part(0)[0]
@@ -163,12 +143,13 @@ def _gate_features(center: Activation, neighbor: Activation, basis: np.ndarray) 
 
 
 def invariant_gate(
-    center: Activation, neighbor: Activation, edge: EdgeFeature, params: GateParams
+    center: Activation, neighbor: Activation, edge: EdgeFeature, weights: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """Rotation-invariant per-channel gate value for one edge."""
+    """Rotation-invariant per-channel gate value for one edge: a two-layer
+    perceptron on invariant inputs, read from a layer's ``gate/*`` weights."""
     x = _gate_features(center, neighbor, edge.basis)
-    hidden = np.tanh(x @ params.w_hidden + params.b_hidden)
-    return hidden @ params.w_out + params.b_out
+    hidden = np.tanh(x @ weights["gate/w_hidden"] + weights["gate/b_hidden"])
+    return hidden @ weights["gate/w_out"] + weights["gate/b_out"]
 
 
 def taped_gate(
@@ -177,8 +158,7 @@ def taped_gate(
     src: np.ndarray,
     dst: np.ndarray,
     basis: ad.Node,
-    params: dict[str, ad.Node],
-    prefix: str,
+    weights: dict[str, ad.Node],
 ) -> ad.Node:
     """Vectorized gate over all edges -> (E, tau) real node."""
     n_atoms, _, tau = acts[0].shape
@@ -192,11 +172,9 @@ def taped_gate(
     x = ad.concat(tape, rows, axis=1)
     hidden = ad.tanh(
         tape,
-        ad.add(tape, ad.channel_mix(tape, x, params[f"{prefix}/w_hidden"]),
-               params[f"{prefix}/b_hidden"]),
+        ad.add(tape, ad.channel_mix(tape, x, weights["gate/w_hidden"]), weights["gate/b_hidden"]),
     )
-    return ad.add(tape, ad.channel_mix(tape, hidden, params[f"{prefix}/w_out"]),
-                  params[f"{prefix}/b_out"])
+    return ad.add(tape, ad.channel_mix(tape, hidden, weights["gate/w_out"]), weights["gate/b_out"])
 
 
 # ---------------------------------------------------------------------------
@@ -331,38 +309,62 @@ def taped_recoupled(
 
 
 # ---------------------------------------------------------------------------
-# pairwise interaction layer (gated / fused kinds)
+# layer tables
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class InteractionParams:
-    """Parameters and diagram table of one interaction layer.
+class LayerParams:
+    """One layer's diagram table and weight table, both built at init.
 
-    ``diagrams[two_l][term]`` is the fusion-diagram collection of one term
-    at output spin 2l, built once at init; the terms present at a spin
-    appear in the fixed order self, pair, gated, fusion, and none is empty.
-    Slots per term: self (0 = center), pair (0, 1 = center), gated (0 = edge
-    harmonic, 1 = gated neighbor), fusion (0 = center, 1 = neighbor, 2 =
-    edge harmonic).  ``vertex[two_l][term]`` mixes a term's concatenated
-    diagram outputs to tau channels, except in the fused kind's fusion term,
-    whose ``fusion_mix[two_l]`` does that and whose vertex block is square.
-    The mixed terms are summed in table order, so zeroing the fusion mixing
-    reproduces the gated layer bit for bit.  ``recoupled[two_l]`` holds the
-    fusion term recoupled to (center ⊗ (neighbor ⊗ harmonic)_k')_l, as a
-    ``RecoupledCollection`` for the taped executor.
+    ``diagrams`` is keyed by output spin; ``recoupled`` holds the
+    collections the taped executor runs recoupled.  ``weights`` maps each
+    parameter's name within the layer (``gate/w_hidden``, ``vertex/2/pair``,
+    ``mixing/0``, ...) to its array, in checkpoint order; a model lists it
+    under ``{layer name}/{key}``, which is also the name the array was
+    seeded under.  The eager oracle reads the arrays, the taped layer their
+    nodes (``weight_nodes``).
     """
 
     tau: int
-    gate: GateParams
-    diagrams: dict[int, dict[str, tuple[FusionDiagram, ...]]] = field(default_factory=dict)
-    vertex: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
-    fusion_mix: dict[int, np.ndarray] = field(default_factory=dict)
+    diagrams: dict = field(default_factory=dict)
     recoupled: dict[int, RecoupledCollection] = field(default_factory=dict)
+    weights: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def output_spins(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vertex))
+        return tuple(sorted(self.diagrams))
+
+    def add_seeded(self, key: str, shape: tuple[int, int], seed: int, name: str) -> None:
+        """Add weight ``key`` of the layer called ``name``, ``seeded_uniform``."""
+        self.weights[key] = seeded_uniform(shape, seed, f"{name}/{key}")
+
+    def weight_nodes(self, param_nodes: dict[str, ad.Node], name: str) -> dict[str, ad.Node]:
+        """The table's nodes among a model's, keyed as in ``weights``."""
+        return {key: param_nodes[f"{name}/{key}"] for key in self.weights}
+
+
+# ---------------------------------------------------------------------------
+# pairwise interaction layer (gated / fused kinds)
+# ---------------------------------------------------------------------------
+
+
+class InteractionParams(LayerParams):
+    """Tables of one interaction layer.
+
+    ``diagrams[two_l][term]`` is the fusion-diagram collection of one term
+    at output spin 2l; the terms present at a spin appear in the fixed order
+    self, pair, gated, fusion, and none is empty.  Slots per term: self (0 =
+    center), pair (0, 1 = center), gated (0 = edge harmonic, 1 = gated
+    neighbor), fusion (0 = center, 1 = neighbor, 2 = edge harmonic).
+    Weights: ``gate/*`` (``invariant_gate``); ``vertex/{2l}/{term}`` mixes a
+    term's concatenated diagram outputs to tau channels, except in the fused
+    kind's fusion term, whose ``fusion_mix/{2l}`` does that and whose vertex
+    block is square.  The mixed terms are summed in table order, so zeroing
+    the fusion mixing reproduces the gated layer bit for bit.
+    ``recoupled[two_l]`` holds the fusion term recoupled to (center ⊗
+    (neighbor ⊗ harmonic)_k')_l.
+    """
 
 
 def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
@@ -413,23 +415,19 @@ def init_interaction_layer(
 ) -> InteractionParams:
     input_spins = tuple(sorted(input_spins))
     edge_spins = tuple(2 * j for j in range(j_max + 1))
-    params = InteractionParams(
-        tau=tau, gate=init_gate(tau, radial_channels, hidden, seed, f"{name}/gate")
-    )
+    params = InteractionParams(tau=tau)
+    params.add_seeded("gate/w_hidden", (4 * tau + radial_channels, hidden), seed, name)
+    params.weights["gate/b_hidden"] = np.zeros(hidden)
+    params.add_seeded("gate/w_out", (hidden, tau), seed, name)
+    params.weights["gate/b_out"] = np.zeros(tau)
     for two_l in edge_spins:
         table = params.diagrams[two_l] = _term_diagrams(input_spins, edge_spins, two_l, fused)
-        params.vertex[two_l] = {
-            term: seeded_uniform(
-                ((1 if term == "fusion" else len(diagrams)) * tau, tau),
-                seed,
-                f"{name}/vertex/{two_l}/{term}",
-            )
-            for term, diagrams in table.items()
-        }
+        for term, diagrams in table.items():
+            rows = (1 if term == "fusion" else len(diagrams)) * tau
+            params.add_seeded(f"vertex/{two_l}/{term}", (rows, tau), seed, name)
+    for two_l, table in params.diagrams.items():
         if "fusion" in table:
-            params.fusion_mix[two_l] = seeded_uniform(
-                (len(table["fusion"]) * tau, tau), seed, f"{name}/fusion_mix/{two_l}"
-            )
+            params.add_seeded(f"fusion_mix/{two_l}", (len(table["fusion"]) * tau, tau), seed, name)
             params.recoupled[two_l] = recoupled_collection(table["fusion"], tau)
     return params
 
@@ -463,7 +461,7 @@ def interaction_layer(
         harmonics = [_broadcast_harmonics(feats[(o, i)], tau) for i in neighbors]
         gated = []
         for i in neighbors:
-            gate = invariant_gate(center, acts[i], feats[(o, i)], params.gate)
+            gate = invariant_gate(center, acts[i], feats[(o, i)], params.weights)
             gated.append(
                 Activation({two_j: acts[i].part(two_j) * gate[None, :] for two_j in acts[i].spins})
             )
@@ -478,12 +476,12 @@ def interaction_layer(
         for two_l, table in params.diagrams.items():
             total = np.zeros((two_l + 1, tau), dtype=complex)
             for term, diagrams in table.items():
-                weights = params.vertex[two_l][term]
-                mixing = params.fusion_mix[two_l] if term == "fusion" else weights
+                vertex = params.weights[f"vertex/{two_l}/{term}"]
+                mixing = params.weights[f"fusion_mix/{two_l}"] if term == "fusion" else vertex
                 block = FusionBlockConfig(diagrams, AggregationKind.SUM, MixingMatrix(mixing))
                 value = block_apply(block, inputs[term]).data
                 if term == "fusion":
-                    value = value @ weights
+                    value = value @ vertex
                 total = total + value
             parts[two_l] = total
         out.append(Activation(parts))
@@ -513,7 +511,8 @@ def taped_interaction_layer(
     """
     tau = params.tau
     n_atoms = acts[0].shape[0]
-    gate = taped_gate(tape, acts, src, dst, basis, param_nodes, f"{name}/gate")
+    weights = params.weight_nodes(param_nodes, name)
+    gate = taped_gate(tape, acts, src, dst, basis, weights)
     n_edges = len(src)
     gate_col = ad.reshape(tape, gate, (n_edges, 1, tau))
 
@@ -533,7 +532,7 @@ def taped_interaction_layer(
         acts,
         [gathered_dst, harmonics],
         src,
-        {two_l: param_nodes[f"{name}/fusion_mix/{two_l}"] for two_l in params.recoupled},
+        {two_l: weights[f"fusion_mix/{two_l}"] for two_l in params.recoupled},
     )
 
     out: dict[int, ad.Node] = {}
@@ -549,10 +548,8 @@ def taped_interaction_layer(
                 value = ad.concat(tape, chunks, axis=2)
             if term == "gated":
                 value = ad.index_add(tape, value, src, n_atoms)
-            term_out = ad.channel_mix(tape, value, param_nodes[f"{name}/vertex/{two_l}/{term}"])
+            term_out = ad.channel_mix(tape, value, weights[f"vertex/{two_l}/{term}"])
             total = term_out if total is None else ad.add(tape, total, term_out)
-        if total is None:
-            total = tape.constant(np.zeros((n_atoms, two_l + 1, tau), dtype=complex))
         out[two_l] = total
     return out
 
@@ -612,29 +609,18 @@ def _path_diagram(two_J: int, ks: tuple[int, ...], path) -> FusionDiagram:
     return FusionDiagram(tuple(leaves), node, two_J)
 
 
-@dataclass
-class ThreeBodyParams:
-    """Parameters of one three-body update layer.
+class ThreeBodyParams(LayerParams):
+    """Tables of one three-body update layer.
 
-    ``blocks[two_J]`` hold the full diagram collections (slots: 0 = center,
-    1 = edge, 2 = neighbor) with the trainable final mixing over the
-    concatenated diagram axis; ``edge_embed[two_j]`` map radial channels to
-    feature channels per edge spin.  ``recoupled[two_J]`` holds the block's
-    diagrams as a ``RecoupledCollection`` for the taped executor: every
-    three-leaf diagram becomes (center ⊗ (edge ⊗ neighbor)_k')_J, except
-    in a dense block, whose multi-stage chains and their three-leaf first
-    stages stay as they are.
+    ``diagrams[two_J]`` is the fusion block's diagram collection (slots: 0 =
+    center, 1 = edge, 2 = neighbor), non-empty.  Weights:
+    ``edge_embed/{2j}`` maps radial channels to feature channels per edge
+    spin; ``mixing/{2J}`` is the block's trainable final mixing over the
+    concatenated diagram axis.  ``recoupled[two_J]`` holds the collection
+    recoupled: every three-leaf diagram becomes (center ⊗ (edge ⊗
+    neighbor)_k')_J, except in a dense block, whose multi-stage chains and
+    their three-leaf first stages stay as they are.
     """
-
-    tau: int
-    radial_channels: int
-    edge_embed: dict[int, np.ndarray] = field(default_factory=dict)
-    blocks: dict[int, FusionBlockConfig] = field(default_factory=dict)
-    recoupled: dict[int, RecoupledCollection] = field(default_factory=dict)
-
-    @property
-    def output_spins(self) -> tuple[int, ...]:
-        return tuple(sorted(self.blocks))
 
 
 def init_three_body_layer(
@@ -648,25 +634,19 @@ def init_three_body_layer(
 ) -> ThreeBodyParams:
     input_spins = tuple(sorted(input_spins))
     edge_spins = tuple(2 * j for j in range(j_max + 1))
-    params = ThreeBodyParams(tau=tau, radial_channels=radial_channels)
+    params = ThreeBodyParams(tau=tau)
     for two_j in edge_spins:
-        params.edge_embed[two_j] = seeded_uniform(
-            (radial_channels, tau), seed, f"{name}/edge_embed/{two_j}"
-        )
+        params.add_seeded(f"edge_embed/{two_j}", (radial_channels, tau), seed, name)
     for two_J in edge_spins:
-        diagrams = [
+        diagrams = tuple(
             _path_diagram(two_J, ks, path)
             for ks in schedule.tuples
             for path in three_body_paths(input_spins, edge_spins, two_J, ks)
-        ]
+        )
         if not diagrams:
             continue
-        mixing = MixingMatrix(
-            seeded_uniform((len(diagrams) * tau, tau), seed, f"{name}/mixing/{two_J}")
-        )
-        params.blocks[two_J] = FusionBlockConfig(
-            tuple(diagrams), AggregationKind.SUM, mixing
-        )
+        params.diagrams[two_J] = diagrams
+        params.add_seeded(f"mixing/{two_J}", (len(diagrams) * tau, tau), seed, name)
         params.recoupled[two_J] = recoupled_collection(diagrams, tau)
     return params
 
@@ -675,8 +655,8 @@ def embed_edge(edge: EdgeFeature, params: ThreeBodyParams) -> Activation:
     """Radial-channel edge feature mapped to tau feature channels per spin."""
     return Activation(
         {
-            two_j: edge.activation.part(two_j) @ params.edge_embed[two_j]
-            for two_j in sorted(params.edge_embed)
+            two_j: edge.activation.part(two_j) @ params.weights[f"edge_embed/{two_j}"]
+            for two_j in edge.activation.spins
         }
     )
 
@@ -693,6 +673,12 @@ def three_body_forward(
     Slots: 0 = center activation, 1 = embedded edge feature, 2 = neighbor
     activation; listed slots aggregate over the index-aligned neighbor list.
     """
+    blocks = {
+        two_J: FusionBlockConfig(
+            diagrams, AggregationKind.SUM, MixingMatrix(params.weights[f"mixing/{two_J}"])
+        )
+        for two_J, diagrams in params.diagrams.items()
+    }
     out = []
     for o in range(pc.n_atoms):
         neighbors = nbr.neighbors(o)
@@ -703,7 +689,7 @@ def three_body_forward(
         ]
         out.append(
             Activation(
-                {two_J: block_apply(block, inputs).data for two_J, block in params.blocks.items()}
+                {two_J: block_apply(block, inputs).data for two_J, block in blocks.items()}
             )
         )
     return out
@@ -727,16 +713,14 @@ def taped_three_body_layer(
     outputs whose spin is in ``output_spins``.
     """
     n_edges = len(src)
-    basis_rows = ad.reshape(tape, basis, (n_edges, 1, params.radial_channels))
+    weights = params.weight_nodes(param_nodes, name)
+    basis_rows = ad.reshape(tape, basis, (n_edges, 1, basis.shape[1]))
 
     edge_feats: dict[int, ad.Node] = {}
-    for two_j in sorted(params.edge_embed):
-        dim_j = two_j + 1
-        harm = ad.reshape(tape, harmonics[two_j], (n_edges, dim_j, 1))
+    for two_j, harm in harmonics.items():
+        harm = ad.reshape(tape, harm, (n_edges, two_j + 1, 1))
         scaled = ad.mul(tape, harm, basis_rows)
-        edge_feats[two_j] = ad.channel_mix(
-            tape, scaled, param_nodes[f"{name}/edge_embed/{two_j}"]
-        )
+        edge_feats[two_j] = ad.channel_mix(tape, scaled, weights[f"edge_embed/{two_j}"])
 
     return taped_recoupled(
         tape,
@@ -744,5 +728,5 @@ def taped_three_body_layer(
         acts,
         [edge_feats, {two_j: ad.gather(tape, acts[two_j], dst) for two_j in acts}],
         src,
-        {two_J: param_nodes[f"{name}/mixing/{two_J}"] for two_J in params.recoupled},
+        {two_J: weights[f"mixing/{two_J}"] for two_J in params.recoupled},
     )

@@ -18,6 +18,8 @@ through the per-atom reference layers for cross-checking.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,8 +37,8 @@ from .irreps import Activation
 from .spins import Spin
 from .layers import (
     InteractionParams,
+    LayerParams,
     SpinSchedule,
-    ThreeBodyParams,
     init_interaction_layer,
     init_three_body_layer,
     interaction_layer,
@@ -49,6 +51,16 @@ from .layers import (
 __all__ = ["ModelConfig", "Model", "KINDS"]
 
 KINDS = ("gated", "fused", "three_body")
+
+# integer fields and their least allowed value
+_INTEGER_FIELDS = {
+    "n_layers": 1, "tau": 1, "j_max": 0, "radial_channels": 1, "hidden": 1, "n_species": 1,
+    "seed": 0,
+}
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,17 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for name, least in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            if not _is_integer(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        cutoff = self.cutoff
+        if not isinstance(cutoff, numbers.Real) or not (math.isfinite(cutoff) and cutoff > 0):
+            raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
+        if self.schedule_mode not in ("sparse", "dense"):
+            raise ValueError(f"schedule_mode must be sparse or dense, got {self.schedule_mode!r}")
+        if not all(_is_integer(j) and j >= 0 for j in self.internal_spins):
+            raise ValueError(f"internal_spins must be integers >= 0, got {list(self.internal_spins)}")
         object.__setattr__(self, "internal_spins", tuple(int(j) for j in self.internal_spins))
 
     def to_json(self) -> str:
@@ -94,7 +117,7 @@ class Model:
         self.config = config
         seed = config.seed
         self.embedding = seeded_uniform((config.n_species, config.tau), seed, "embed")
-        self.layers: list[InteractionParams | ThreeBodyParams] = []
+        self.layers: list[LayerParams] = []
         spins: tuple[int, ...] = (0,)
         self.layer_input_spins: list[tuple[int, ...]] = []
         for s in range(config.n_layers):
@@ -130,7 +153,6 @@ class Model:
                     f"layer {s} produces no spin-0 part; the readout needs one"
                 )
             self.layers.append(layer)
-        self.output_spins = spins
         self.readout_w = seeded_uniform((2 * config.tau, 1), seed, "readout/w")
         self.readout_b = np.zeros(1)
 
@@ -140,29 +162,14 @@ class Model:
         """Ordered name -> array view of every trainable parameter."""
         params: dict[str, np.ndarray] = {"embed": self.embedding}
         for s, layer in enumerate(self.layers):
-            name = f"layer{s}"
-            if isinstance(layer, InteractionParams):
-                gate = layer.gate
-                params[f"{name}/gate/w_hidden"] = gate.w_hidden
-                params[f"{name}/gate/b_hidden"] = gate.b_hidden
-                params[f"{name}/gate/w_out"] = gate.w_out
-                params[f"{name}/gate/b_out"] = gate.b_out
-                for two_l, terms in layer.vertex.items():
-                    for term, weights in terms.items():
-                        params[f"{name}/vertex/{two_l}/{term}"] = weights
-                for two_l, weights in layer.fusion_mix.items():
-                    params[f"{name}/fusion_mix/{two_l}"] = weights
-            else:
-                for two_j, weights in layer.edge_embed.items():
-                    params[f"{name}/edge_embed/{two_j}"] = weights
-                for two_J, block in layer.blocks.items():
-                    params[f"{name}/mixing/{two_J}"] = block.mixing.weights
+            params.update({f"layer{s}/{key}": arr for key, arr in layer.weights.items()})
         params["readout/w"] = self.readout_w
         params["readout/b"] = self.readout_b
         return params
 
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
-        """Write new values into the stored parameter arrays, in place."""
+        """Write new values into the stored parameter arrays, in place; all
+        values are checked before any is written."""
         current = self.parameters()
         for name, value in values.items():
             target = current[name]
@@ -170,18 +177,22 @@ class Model:
                 raise ShapeMismatch(
                     f"parameter {name}: expected shape {target.shape}, got {np.shape(value)}"
                 )
-            target[...] = value
+            if not np.isfinite(value).all():
+                raise ValueError(f"parameter {name} has non-finite entries")
+        for name, value in values.items():
+            current[name][...] = value
 
     def parameter_count(self) -> int:
         return sum(arr.size for arr in self.parameters().values())
 
     def mixing_parameter_count(self) -> int:
         """Parameters in three-body final mixings (grows with the schedule)."""
-        total = 0
-        for layer in self.layers:
-            if isinstance(layer, ThreeBodyParams):
-                total += sum(blk.mixing.weights.size for blk in layer.blocks.values())
-        return total
+        return sum(
+            arr.size
+            for layer in self.layers
+            for key, arr in layer.weights.items()
+            if key.startswith("mixing/")
+        )
 
     # -- forward passes -------------------------------------------------------
 
@@ -352,10 +363,9 @@ class Model:
             spins_in = "[" + ", ".join(str(Spin(t)) for t in self.layer_input_spins[s]) + "]"
             spins_out = "[" + ", ".join(str(Spin(t)) for t in layer.output_spins) + "]"
             extra = ""
-            if isinstance(layer, ThreeBodyParams):
+            if cfg.kind == "three_body":
                 n_diagrams = {
-                    str(Spin(two_J)): len(blk.diagrams)
-                    for two_J, blk in layer.blocks.items()
+                    str(Spin(two_J)): len(diagrams) for two_J, diagrams in layer.diagrams.items()
                 }
                 extra = f"  diagrams per output spin: {n_diagrams}"
             lines.append(

@@ -139,6 +139,14 @@ class TestModelDescribe:
         assert main(["model", "describe", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_invalid_config_value_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"tau": 0}')
+        assert main(["model", "describe", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau must be")
+        assert err.count("\n") == 1
+
 
 class TestGradcheck:
     @pytest.mark.parametrize("kind", ["gated", "fused", "three_body"])
@@ -290,6 +298,14 @@ class TestModelFile:
         )
         assert code == 1
         assert "unknown parameters ['layer9/bogus']" in err
+
+    def test_non_finite_parameter_is_rejected(self, tmp_path, capsys):
+        def poison(parameters):
+            parameters["readout/w"][0][0] = float("nan")
+
+        code, err = self._evaluate(tmp_path, capsys, poison)
+        assert code == 1
+        assert "parameter readout/w has non-finite entries" in err
 
 
 class TestArgumentErrors:

@@ -113,11 +113,12 @@ class TestInteractionTable:
     def test_table_shapes(self, fused, input_spins):
         tau = 3
         params = init_interaction_layer(input_spins, 1, tau, 4, 8, fused, 2, "L")
-        assert set(params.diagrams) == set(params.vertex) == {0, 2}
+        assert set(params.diagrams) == {0, 2}
         for two_l, table in params.diagrams.items():
             terms = [t for t in ("self", "pair", "gated", "fusion") if t in table]
             assert list(table) == terms  # fixed order, no extra terms
-            assert list(params.vertex[two_l]) == terms
+            vertex = [key for key in params.weights if key.startswith(f"vertex/{two_l}/")]
+            assert vertex == [f"vertex/{two_l}/{term}" for term in terms]
             assert ("self" in table) == (two_l in input_spins)
             for term, diagrams in table.items():
                 assert diagrams  # no empty term
@@ -125,10 +126,12 @@ class TestInteractionTable:
                     assert validate(d) == []
                     assert d.two_J == two_l
                 rows = tau if term == "fusion" else len(diagrams) * tau
-                assert params.vertex[two_l][term].shape == (rows, tau)
+                assert params.weights[f"vertex/{two_l}/{term}"].shape == (rows, tau)
             if fused:
-                assert params.fusion_mix[two_l].shape == (len(table["fusion"]) * tau, tau)
-        assert bool(params.fusion_mix) == fused
+                assert params.weights[f"fusion_mix/{two_l}"].shape == (
+                    len(table["fusion"]) * tau, tau
+                )
+        assert any(key.startswith("fusion_mix/") for key in params.weights) == fused
 
     def test_layer_calls_build_no_diagram(self, monkeypatch):
         # the fused kind at two layers runs every term at every spin
@@ -300,12 +303,12 @@ class TestTapedDiagrams:
         n, tau = 5, 3
         if kind == "fused":
             params = init_interaction_layer((0, 2), 1, tau, 4, 8, True, 2, "L")
-            collections = [params.diagrams[two_l]["fusion"] for two_l in params.fusion_mix]
+            collections = [params.diagrams[two_l]["fusion"] for two_l in params.recoupled]
             channel_less = (2,)  # slots: center, neighbor, edge harmonic
         else:
             schedule = SpinSchedule("dense", (0, 2, 4))
-            blocks = init_three_body_layer((0, 2), 1, tau, 4, schedule, 2, "L").blocks
-            collections = [block.diagrams for block in blocks.values()]
+            params = init_three_body_layer((0, 2), 1, tau, 4, schedule, 2, "L")
+            collections = list(params.diagrams.values())
             channel_less = ()  # slots: center, embedded edge, neighbor
         leaves = _random_leaves([(0, 2)] * 3, n, tau, seed=2, channel_less=channel_less)
         tape = ad.Tape()

@@ -5,6 +5,8 @@ import pytest
 
 from spinfusion import autodiff as ad
 from spinfusion.errors import ShapeMismatch
+from spinfusion.geometry import PointCloud, build_neighborhood
+from spinfusion.layers import seeded_uniform
 from spinfusion.model import KINDS, Model, ModelConfig
 from spinfusion.rotations import haar_rotation, rotation_matrix
 
@@ -48,6 +50,25 @@ class TestConfig:
     def test_defaults_build(self):
         model = Model(ModelConfig())
         assert model.parameter_count() > 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau", 0), ("tau", 2.5), ("n_species", 0), ("hidden", 0), ("radial_channels", 0),
+            ("n_layers", 0), ("n_layers", -2), ("j_max", -1), ("cutoff", 0.0),
+            ("cutoff", -1.0), ("cutoff", float("nan")), ("cutoff", float("inf")),
+            ("internal_spins", (-1,)), ("internal_spins", (0.5,)),
+            ("schedule_mode", "full"), ("seed", -1),
+        ],
+    )
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+
+    def test_nan_cutoff_rejected_by_neighborhood(self):
+        pc = PointCloud(np.array([[0.0, 0, 0], [1, 0, 0]]), np.zeros(2, dtype=int))
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            build_neighborhood(pc, float("nan"))
 
 
 class TestInvariances:
@@ -181,6 +202,17 @@ class TestParameters:
         for key, v in doubled.items():
             assert np.array_equal(after[key], v)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_set_parameters_rejects_non_finite(self, bad):
+        model = Model(_small_config("gated"))
+        value = np.ones(model.parameters()["readout/w"].shape)
+        value[1, 0] = bad
+        before = {name: arr.copy() for name, arr in model.parameters().items()}
+        with pytest.raises(ValueError, match="parameter readout/w has non-finite"):
+            model.set_parameters({"embed": 2.0 * before["embed"], "readout/w": value})
+        for name, arr in model.parameters().items():  # nothing was written
+            assert np.array_equal(arr, before[name])
+
     def test_set_parameters_shape_mismatch(self):
         model = Model(_small_config("gated"))
         name = next(iter(model.parameters()))
@@ -231,3 +263,69 @@ class TestParameters:
         assert set(a) == set(b)
         for key in a:
             assert np.array_equal(a[key], b[key])
+
+
+def _layer_entries(s, entries):
+    return [(f"layer{s}/{key}", shape) for key, shape in entries]
+
+
+_GATE = [("gate/w_hidden", (11, 4)), ("gate/b_hidden", (4,)),
+         ("gate/w_out", (4, 2)), ("gate/b_out", (2,))]
+_ENDS = ([("embed", (2, 2))], [("readout/w", (4, 1)), ("readout/b", (1,))])
+
+# Model.parameters() as a saved model file sees it, for one two-layer config
+# of each kind (tau 2, j_max 1, 3 radial channels, 4 hidden units, internal
+# spins (0, 1)): names in order and their shapes.
+CHECKPOINT_TABLES = {
+    "gated": [
+        *_layer_entries(0, [*_GATE, ("vertex/0/self", (2, 2)), ("vertex/0/pair", (2, 2)),
+                            ("vertex/0/gated", (2, 2)), ("vertex/2/gated", (2, 2))]),
+        *_layer_entries(1, [*_GATE, ("vertex/0/self", (2, 2)), ("vertex/0/pair", (4, 2)),
+                            ("vertex/0/gated", (4, 2)), ("vertex/2/self", (2, 2)),
+                            ("vertex/2/pair", (6, 2)), ("vertex/2/gated", (6, 2))]),
+    ],
+    "fused": [
+        *_layer_entries(0, [*_GATE, ("vertex/0/self", (2, 2)), ("vertex/0/pair", (2, 2)),
+                            ("vertex/0/gated", (2, 2)), ("vertex/0/fusion", (2, 2)),
+                            ("vertex/2/gated", (2, 2)), ("vertex/2/fusion", (2, 2)),
+                            ("fusion_mix/0", (2, 2)), ("fusion_mix/2", (2, 2))]),
+        *_layer_entries(1, [*_GATE, ("vertex/0/self", (2, 2)), ("vertex/0/pair", (4, 2)),
+                            ("vertex/0/gated", (4, 2)), ("vertex/0/fusion", (2, 2)),
+                            ("vertex/2/self", (2, 2)), ("vertex/2/pair", (6, 2)),
+                            ("vertex/2/gated", (6, 2)), ("vertex/2/fusion", (2, 2)),
+                            ("fusion_mix/0", (10, 2)), ("fusion_mix/2", (18, 2))]),
+    ],
+    "sparse": [
+        *_layer_entries(0, [("edge_embed/0", (3, 2)), ("edge_embed/2", (3, 2)),
+                            ("mixing/0", (2, 2)), ("mixing/2", (2, 2))]),
+        *_layer_entries(1, [("edge_embed/0", (3, 2)), ("edge_embed/2", (3, 2)),
+                            ("mixing/0", (10, 2)), ("mixing/2", (16, 2))]),
+    ],
+    "dense": [
+        *_layer_entries(0, [("edge_embed/0", (3, 2)), ("edge_embed/2", (3, 2)),
+                            ("mixing/0", (2, 2)), ("mixing/2", (2, 2))]),
+        *_layer_entries(1, [("edge_embed/0", (3, 2)), ("edge_embed/2", (3, 2)),
+                            ("mixing/0", (20, 2)), ("mixing/2", (44, 2))]),
+    ],
+}
+
+
+@pytest.mark.parametrize("label", list(CHECKPOINT_TABLES))
+def test_parameter_table_is_pinned(label):
+    # saved model files are keyed by these names; renaming, reordering or
+    # reseeding any of them breaks every stored checkpoint
+    kind = "three_body" if label in ("sparse", "dense") else label
+    mode = "dense" if label == "dense" else "sparse"
+    model = Model(ModelConfig(kind=kind, n_layers=2, tau=2, j_max=1, radial_channels=3,
+                              hidden=4, schedule_mode=mode, internal_spins=(0, 1), seed=5))
+    params = model.parameters()
+    head, tail = _ENDS
+    assert [(name, arr.shape) for name, arr in params.items()] == [
+        *head, *CHECKPOINT_TABLES[label], *tail
+    ]
+    for name, arr in params.items():
+        if name.endswith(("gate/b_hidden", "gate/b_out")) or name == "readout/b":
+            expected = np.zeros(arr.shape)
+        else:
+            expected = seeded_uniform(arr.shape, 5, name)
+        assert np.array_equal(arr, expected), name
