@@ -735,7 +735,10 @@ def gradcheck(
 
     ``f`` maps a real array to (real scalar value, gradient array of the same
     shape).  The relative error uses an absolute floor so exact zeros agree.
+    ``step`` must be finite and > 0.
     """
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"gradcheck step must be finite and > 0, got {step}")
     point = np.asarray(point, dtype=float)
     _, analytic = f(point)
     analytic = np.asarray(analytic, dtype=float)

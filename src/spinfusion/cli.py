@@ -119,6 +119,8 @@ def _slot_inputs(block, rng):
 
 
 def _cmd_block_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:  # zero trials would report residuals of 0 for nothing checked
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     block = block_from_json(_read_text(args.config))
     rng = np.random.default_rng(args.seed)
     slots = sorted({slot for d in block.diagrams for slot, _ in d.leaves})

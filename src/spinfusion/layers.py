@@ -18,36 +18,35 @@ Two layer families:
   no reshaping layer is needed), followed by one trainable mixing over the
   concatenated channel axis.
 
-Each layer is a ``LayerParams``: a diagram table keyed by output spin and
-one weight table, ``weights``, keyed by the parameter's name within the
-layer (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``, ...), both
-built once at init.  A model lists the weight tables under the layer's
-name; that is all it knows of them.
+Each layer is a ``LayerParams``: a diagram table keyed by output spin, its
+collections lowered for the taped executor, and one weight table,
+``weights``, keyed by the parameter's name within the layer
+(``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``, ...), all built once
+at init.  A model lists the weight tables under the layer's name; that is
+all it knows of them.  Every collection reads one slot table per layer:
+slot 0 is the center atom (N rows), the other slots are per edge (E rows).
 
-Both layers have two executors over the same tables.  The taped forms,
-vectorized over atoms and edges for training, run every CG product through
-``taped_diagrams``, which records a subtree shared between diagrams once;
-a taped layer records only the output spins its caller asks for, the spins
-its consumer reads (spin 0 alone in a model's last layer).  The per-atom
-forms (``interaction_layer``, ``three_body_forward``) are the eager oracle,
-built on ``blocks.apply``; they compute every output spin.  No layer call
-builds a diagram.
+Both executors run the same collections and weight keys.  The per-atom one
+(``interaction_layer``, ``three_body_forward``), the eager oracle, binds
+one slot mapping per atom and runs each collection as built through
+``blocks.apply``.  The taped one (``taped_collections``), vectorized over
+atoms and edges, runs each collection as lowered at init: ``recouple``
+F-moves each three-leaf diagram ((center ⊗ a)_k ⊗ b)_J into (center ⊗
+T)_J, T = (a ⊗ b)_k' (same span, real matrix U), and every target falls in
+one of three groups by its tree:
 
-The taped fusion term and three-body blocks do not run their diagrams as
-built.  At init, ``diagrams.recouple`` rewrites each three-leaf diagram
-((center ⊗ a)_k ⊗ b)_J as a combination, with the real matrix U, of
-(center ⊗ T)_J, T = (a ⊗ b)_k' the subtree of per-edge leaves (an F-move,
-which spans the same space).  ``taped_recoupled`` then runs three stages:
+* center-only: every leaf is slot 0, contracted at N rows;
+* (center ⊗ T)_J, T over edge slots only: T per edge, summed over each
+  atom's edges with ``index_add``, then coupled with the center at N rows;
+* everything else (the gated term, the dense schedule's multi-stage chains
+  and their three-leaf first stages): per edge, then summed.
 
-* edge stage: each distinct T, once per edge (E rows);
-* ``index_add`` of each T over the edges' source atoms;
-* atom stage: one CG product of the center with each summed T (N rows).
-
-The center is not gathered to the edges, and the mixing,
-``kron(U, I_tau) @ W`` recorded from the stored weights, runs on N rows.
-Multi-stage chains (the dense schedule's diagrams with five or more
-leaves), and the three-leaf diagrams that are their first stages, keep the
-per-edge lowering: the chains record those stages per edge anyway.
+So each edge's contribution is summed over the neighborhood as early as
+the tree allows, and the center is gathered to the edges only for a target
+of the last group that reads it.  The taped executor records each distinct
+subtree once per layer, and only the output spins its caller asks for, the
+spins its consumer reads (spin 0 alone in a model's last layer).  No layer
+call builds a diagram.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .blocks import AggregationKind, FusionBlockConfig, MixingMatrix, apply as block_apply
+from .blocks import FusionBlockConfig, MixingMatrix, apply as block_apply
 from .cg import cg_tensor
 from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb, recouple
 from .errors import EmptySchedule
@@ -178,7 +177,7 @@ def taped_gate(
 
 
 # ---------------------------------------------------------------------------
-# taped diagram executor
+# lowered diagram collections and their two executors
 # ---------------------------------------------------------------------------
 
 
@@ -208,16 +207,22 @@ def _emit_diagram(tape, node, leaf_iter, leaves, memo) -> tuple[tuple, ad.Node]:
     if isinstance(node, LeafNode):
         slot, two_j = key = next(leaf_iter)
         return key, leaves[slot][two_j]
-    left_key, left = _emit_diagram(tape, node.left, leaf_iter, leaves, memo)
-    right_key, right = _emit_diagram(tape, node.right, leaf_iter, leaves, memo)
-    key = (left_key, right_key, node.two_k)
+    left = _emit_diagram(tape, node.left, leaf_iter, leaves, memo)
+    right = _emit_diagram(tape, node.right, leaf_iter, leaves, memo)
+    return _fuse(tape, left, right, node.two_k, memo)
+
+
+def _fuse(tape, left, right, two_k: int, memo) -> tuple[tuple, ad.Node]:
+    """(key, node) of the CG product of two keyed nodes into 2k, memoized."""
+    (left_key, left), (right_key, right) = left, right
+    key = (left_key, right_key, two_k)
     value = memo.get(key)
     if value is None:
         # activations are (E|N, 2j+1, tau); edge harmonics are (E, 2j+1)
         left_t, right_t = ("t" if len(n.shape) == 3 else "" for n in (left, right))
         value = memo[key] = ad.einsum3(
             tape,
-            cg_tensor(left_key[-1], right_key[-1], node.two_k).coeffs,
+            cg_tensor(left_key[-1], right_key[-1], two_k).coeffs,
             left,
             right,
             f"abc,ea{left_t},eb{right_t}->ec{left_t or right_t}",
@@ -227,84 +232,134 @@ def _emit_diagram(tape, node, leaf_iter, leaves, memo) -> tuple[tuple, ad.Node]:
 
 @dataclass(frozen=True)
 class RecoupledCollection:
-    """A diagram collection recoupled for ``taped_recoupled``, built at init.
+    """One diagram collection of a layer and its lowering, built at init.
 
-    ``atom`` are the (center ⊗ T)_J targets ``diagrams.recouple`` made from
-    the three-leaf diagrams; ``edge`` are the diagrams it passed through
-    (the dense schedule's multi-stage chains and their first stages).
-    ``mixing`` is kron(U, I_tau) with U's rows in ``atom + edge`` order: it
-    maps the targets' concatenated outputs onto the collection's, diagram
-    by diagram.
+    ``diagrams`` is the collection as built, which the eager executor runs.
+    ``diagrams.recouple`` rewrites it into targets that the taped executor
+    runs, each in one group, decided by its tree:
+
+    * ``center``: every leaf is slot 0; contracted at N rows;
+    * ``atom``: (center ⊗ T)_J with T over edge slots only; T runs per edge
+      and is summed over each atom's edges, then coupled with the center;
+    * ``edge``: every other target; it runs per edge and is then summed.
+
+    ``mixing`` is kron(U, I_tau), U's rows in ``center + atom + edge`` order:
+    it maps the targets' concatenated outputs onto the diagrams', diagram by
+    diagram.  It is ``None`` where it would be the identity: when the
+    targets are the diagrams, in order (the self, pair and gated terms,
+    and a dense block's chains), or stand for them one to one with weight 1.
+    ``weights`` are the weight-table keys that mix the diagrams'
+    concatenated outputs to tau channels, applied in order.
     """
 
+    diagrams: tuple[FusionDiagram, ...]
+    center: tuple[FusionDiagram, ...]
     atom: tuple[FusionDiagram, ...]
     edge: tuple[FusionDiagram, ...]
-    mixing: np.ndarray
+    mixing: np.ndarray | None
+    weights: tuple[str, ...]
 
 
-def recoupled_collection(diagrams, tau: int) -> RecoupledCollection:
-    """``diagrams.recouple`` on a collection, split into its atom and edge
-    targets; a target that is one of the inputs was passed through."""
+def _target_group(target: FusionDiagram) -> int:
+    """0 = center-only, 1 = (center ⊗ T)_J with T over edge slots, 2 = other."""
+    slots = [slot for slot, _ in target.leaves]
+    if not any(slots):
+        return 0
+    tree = target.tree
+    if isinstance(tree, FuseNode) and tree.left == LeafNode(0) and 0 not in slots[1:]:
+        return 1
+    return 2
+
+
+def recoupled_collection(diagrams, tau: int, weights: tuple[str, ...]) -> RecoupledCollection:
+    """Lower one collection: ``diagrams.recouple``, its targets grouped."""
     targets, U = recouple(diagrams)
-    inputs = set(diagrams)
-    atom_rows = [row for row, t in enumerate(targets) if t not in inputs]
-    edge_rows = [row for row, t in enumerate(targets) if t in inputs]
+    groups: tuple[list, list, list] = ([], [], [])
+    for row, target in enumerate(targets):
+        groups[_target_group(target)].append(row)
+    order = [row for group in groups for row in group]
+    same = U.shape[0] == U.shape[1] and np.array_equal(U[order], np.eye(len(order)))
     return RecoupledCollection(
-        tuple(targets[row] for row in atom_rows),
-        tuple(targets[row] for row in edge_rows),
-        np.kron(U[atom_rows + edge_rows], np.eye(tau)),
+        tuple(diagrams),
+        *(tuple(targets[row] for row in group) for group in groups),
+        None if same else np.kron(U[order], np.eye(tau)),
+        weights,
     )
 
 
-def taped_recoupled(
+def apply_collections(
+    collections: dict[int, tuple[RecoupledCollection, ...]],
+    inputs: list,
+    weights: dict[str, np.ndarray],
+) -> Activation:
+    """Eager executor: per output spin, the sum of the collections, each run
+    as built through ``blocks.apply`` with its first weight as the block's
+    mixing and the rest applied after.  ``inputs`` binds the layer's slots
+    for one atom (see ``blocks.apply``)."""
+    parts: dict[int, np.ndarray] = {}
+    for two_J, group in collections.items():
+        for c in group:
+            first, *rest = c.weights
+            mixing = MixingMatrix(weights[first])
+            value = block_apply(FusionBlockConfig(c.diagrams, mixing=mixing), inputs).data
+            for key in rest:
+                value = value @ weights[key]
+            parts[two_J] = value if two_J not in parts else parts[two_J] + value
+    return Activation(parts)
+
+
+def taped_collections(
     tape: ad.Tape,
-    collections: dict[int, RecoupledCollection],
-    center: dict[int, ad.Node],
-    edge_leaves: list[dict[int, ad.Node]],
+    collections: dict[int, tuple[RecoupledCollection, ...]],
+    leaves: list[dict[int, ad.Node]],
     src: np.ndarray,
-    weights: dict[int, ad.Node],
+    weights: dict[str, ad.Node],
+    output_spins: tuple[int, ...],
 ) -> dict[int, ad.Node]:
-    """Diagram collections summed over each atom's edges, then mixed.
+    """Taped executor: per output spin in ``output_spins``, the sum of the
+    collections, each lowered (see ``RecoupledCollection``) and mixed.
 
-    ``collections[two_J]`` is a collection over slots 0 = center atom
-    (N rows) and 1, 2 = per-edge leaves, ``edge_leaves[slot - 1]`` (E
-    rows); ``weights[two_J]`` mixes the collection's concatenated diagram
-    outputs.  Three stages:
-
-    * edge stage: the per-edge subtree T of each (center ⊗ T)_J atom
-      target, through ``taped_diagrams``' memo, so a T shared between
-      targets or output spins is recorded once;
-    * ``index_add`` of each distinct T over ``src``;
-    * atom stage: one CG product (center ⊗ sum of T)_J per target, at N rows.
-
-    The edge targets run per edge, with the center gathered to the edges,
-    and are summed after.  The mixing is ``collection.mixing @ weights``,
-    recorded from the weight node, so the result equals summing the
-    original collection over edges and mixing.
+    ``leaves[slot][two_j]`` are the layer's slots: slot 0 the center atom
+    (N rows), the others per edge (E rows), ``src`` each edge's atom.  One
+    memo per row count, so each distinct subtree is recorded once per
+    layer: the center-only targets and the atom stages at N rows, next to
+    each distinct T summed over ``src``; the per-edge subtrees at E rows.
+    The center is gathered to the edges only when an edge target reads it.
+    A collection's mixing, ``mixing`` and then its weights, is composed in
+    weight space, so its concatenated targets are mixed by one product.
     """
+    center = leaves[0]
     n_atoms = center[0].shape[0]
-    leaves = [None, *edge_leaves]
-    if any(collection.edge for collection in collections.values()):
-        leaves[0] = {two_j: ad.gather(tape, node, src) for two_j, node in center.items()}
-    memo: dict[tuple, ad.Node] = {}
-    summed: dict[tuple, ad.Node] = {}
+    wanted = {two_J: group for two_J, group in collections.items() if two_J in output_spins}
+    edge_leaves = [None, *leaves[1:]]
+    if any(0 in d.slots for group in wanted.values() for c in group for d in c.edge):
+        edge_leaves[0] = {two_j: ad.gather(tape, node, src) for two_j, node in center.items()}
+    atom_memo: dict[tuple, ad.Node] = {}
+    edge_memo: dict[tuple, ad.Node] = {}
     out: dict[int, ad.Node] = {}
-    for two_J, collection in collections.items():
-        chunks = []
-        for d in collection.atom:
-            key, subtree = _emit_diagram(tape, d.tree.right, iter(d.leaves[1:]), leaves, memo)
-            if key not in summed:
-                summed[key] = ad.index_add(tape, subtree, src, n_atoms)
-            two_j = d.leaves[0][1]
-            chunks.append(ad.einsum3(
-                tape, cg_tensor(two_j, key[-1], two_J).coeffs, center[two_j], summed[key],
-                "abc,eat,ebt->ect",
-            ))
-        if collection.edge:
-            per_edge = taped_diagrams(tape, collection.edge, leaves, memo)
-            chunks.append(ad.index_add(tape, ad.concat(tape, per_edge, axis=2), src, n_atoms))
-        mixing = ad.channel_mix(tape, tape.constant(collection.mixing), weights[two_J])
-        out[two_J] = ad.channel_mix(tape, ad.concat(tape, chunks, axis=2), mixing)
+    for two_J, group in wanted.items():
+        for c in group:
+            chunks = taped_diagrams(tape, c.center, leaves, atom_memo)
+            for d in c.atom:
+                leaf, t_leaves = d.leaves[0], iter(d.leaves[1:])
+                key, t = _emit_diagram(tape, d.tree.right, t_leaves, edge_leaves, edge_memo)
+                if key not in atom_memo:  # T's key has no slot 0, so no center key equals it
+                    atom_memo[key] = ad.index_add(tape, t, src, n_atoms)
+                _, product = _fuse(
+                    tape, (leaf, center[leaf[1]]), (key, atom_memo[key]), two_J, atom_memo
+                )
+                chunks.append(product)
+            if c.edge:
+                per_edge = taped_diagrams(tape, c.edge, edge_leaves, edge_memo)
+                chunks.append(ad.index_add(tape, ad.concat(tape, per_edge, axis=2), src, n_atoms))
+            first, *rest = c.weights
+            mixing = weights[first]
+            if c.mixing is not None:
+                mixing = ad.channel_mix(tape, tape.constant(c.mixing), mixing)
+            for key in rest:
+                mixing = ad.channel_mix(tape, mixing, weights[key])
+            value = ad.channel_mix(tape, ad.concat(tape, chunks, axis=2), mixing)
+            out[two_J] = value if two_J not in out else ad.add(tape, out[two_J], value)
     return out
 
 
@@ -315,20 +370,22 @@ def taped_recoupled(
 
 @dataclass
 class LayerParams:
-    """One layer's diagram table and weight table, both built at init.
+    """One layer's diagram table, lowered collections and weight table, all
+    built at init.
 
-    ``diagrams`` is keyed by output spin; ``recoupled`` holds the
-    collections the taped executor runs recoupled.  ``weights`` maps each
-    parameter's name within the layer (``gate/w_hidden``, ``vertex/2/pair``,
-    ``mixing/0``, ...) to its array, in checkpoint order; a model lists it
-    under ``{layer name}/{key}``, which is also the name the array was
-    seeded under.  The eager oracle reads the arrays, the taped layer their
-    nodes (``weight_nodes``).
+    ``diagrams`` is keyed by output spin; ``recoupled[two_J]`` holds that
+    spin's collections, lowered (``RecoupledCollection``), in the order
+    their mixed outputs are summed.  ``weights`` maps each parameter's name
+    within the layer (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``,
+    ...) to its array, in checkpoint order; a model lists it under
+    ``{layer name}/{key}``, which is also the name the array was seeded
+    under.  The eager oracle reads the arrays, the taped layer their nodes
+    (``weight_nodes``).
     """
 
     tau: int
     diagrams: dict = field(default_factory=dict)
-    recoupled: dict[int, RecoupledCollection] = field(default_factory=dict)
+    recoupled: dict[int, tuple[RecoupledCollection, ...]] = field(default_factory=dict)
     weights: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -352,18 +409,18 @@ class LayerParams:
 class InteractionParams(LayerParams):
     """Tables of one interaction layer.
 
-    ``diagrams[two_l][term]`` is the fusion-diagram collection of one term
-    at output spin 2l; the terms present at a spin appear in the fixed order
-    self, pair, gated, fusion, and none is empty.  Slots per term: self (0 =
-    center), pair (0, 1 = center), gated (0 = edge harmonic, 1 = gated
-    neighbor), fusion (0 = center, 1 = neighbor, 2 = edge harmonic).
-    Weights: ``gate/*`` (``invariant_gate``); ``vertex/{2l}/{term}`` mixes a
-    term's concatenated diagram outputs to tau channels, except in the fused
-    kind's fusion term, whose ``fusion_mix/{2l}`` does that and whose vertex
-    block is square.  The mixed terms are summed in table order, so zeroing
-    the fusion mixing reproduces the gated layer bit for bit.
-    ``recoupled[two_l]`` holds the fusion term recoupled to (center ⊗
-    (neighbor ⊗ harmonic)_k')_l.
+    Slots: 0 = center (N rows), 1 = neighbor, 2 = edge harmonic, 3 = gated
+    neighbor (E rows each).  ``diagrams[two_l][term]`` is the
+    fusion-diagram collection of one term at output spin 2l; the terms
+    present at a spin appear in the fixed order self (slot 0), pair (0, 0),
+    gated (2, 3), fusion (0, 1, 2), and none is empty.  Weights: ``gate/*``
+    (``invariant_gate``); ``vertex/{2l}/{term}`` mixes a term's
+    concatenated diagram outputs to tau channels, except in the fused kind's
+    fusion term, whose ``fusion_mix/{2l}`` does that and whose vertex block
+    is square.  ``recoupled[two_l]`` lowers the terms in table order: self
+    and pair center-only, gated per edge, fusion recoupled to (center ⊗
+    (neighbor ⊗ harmonic)_k')_l.  The mixed terms are summed in that order,
+    so zeroing the fusion mixing reproduces the gated layer bit for bit.
     """
 
 
@@ -375,9 +432,9 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
     harmonic) into the output spin, lexicographic in (2ji, 2jj, 2k, 2jy).
     """
 
-    def pairs(spins_a, spins_b):
+    def pairs(spins_a, spins_b, slots):
         return tuple(
-            left_comb([two_ja, two_jb], [], two_l)
+            left_comb([two_ja, two_jb], [], two_l, slots=slots)
             for two_ja in spins_a
             for two_jb in spins_b
             if admissible(two_ja, two_jb, two_l)
@@ -389,8 +446,8 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
             if two_l in input_spins
             else ()
         ),
-        "pair": pairs(input_spins, input_spins),
-        "gated": pairs(edge_spins, input_spins),
+        "pair": pairs(input_spins, input_spins, [0, 0]),
+        "gated": pairs(edge_spins, input_spins, [2, 3]),
         "fusion": tuple(
             left_comb([two_ji, two_jj, two_jy], [two_k], two_l, slots=[0, 1, 2])
             for two_ji in input_spins
@@ -428,7 +485,13 @@ def init_interaction_layer(
     for two_l, table in params.diagrams.items():
         if "fusion" in table:
             params.add_seeded(f"fusion_mix/{two_l}", (len(table["fusion"]) * tau, tau), seed, name)
-            params.recoupled[two_l] = recoupled_collection(table["fusion"], tau)
+        lowered = []
+        for term, diagrams in table.items():
+            keys = (f"vertex/{two_l}/{term}",)
+            if term == "fusion":
+                keys = (f"fusion_mix/{two_l}",) + keys
+            lowered.append(recoupled_collection(diagrams, tau, keys))
+        params.recoupled[two_l] = tuple(lowered)
     return params
 
 
@@ -449,42 +512,26 @@ def interaction_layer(
 ) -> list[Activation]:
     """Plain per-atom interaction layer (reference implementation).
 
-    Runs each term's diagrams through ``blocks.apply``, with the per-edge
-    slots listed over the atom's neighbors and the term's vertex block (the
-    fusion term: its ``fusion_mix``, then its vertex block) as the mixing.
+    Binds the layer's slots for each atom, the per-edge slots listed over
+    its neighbors, and runs every term through ``apply_collections``.
     """
-    tau = params.tau
     out: list[Activation] = []
     for o in range(pc.n_atoms):
         center = acts[o]
         neighbors = nbr.neighbors(o)
-        harmonics = [_broadcast_harmonics(feats[(o, i)], tau) for i in neighbors]
         gated = []
         for i in neighbors:
             gate = invariant_gate(center, acts[i], feats[(o, i)], params.weights)
             gated.append(
                 Activation({two_j: acts[i].part(two_j) * gate[None, :] for two_j in acts[i].spins})
             )
-        inputs = {
-            "self": [center],
-            "pair": [center, center],
-            "gated": [harmonics, gated],
-            "fusion": [center, [acts[i] for i in neighbors], harmonics],
-        }
-
-        parts: dict[int, np.ndarray] = {}
-        for two_l, table in params.diagrams.items():
-            total = np.zeros((two_l + 1, tau), dtype=complex)
-            for term, diagrams in table.items():
-                vertex = params.weights[f"vertex/{two_l}/{term}"]
-                mixing = params.weights[f"fusion_mix/{two_l}"] if term == "fusion" else vertex
-                block = FusionBlockConfig(diagrams, AggregationKind.SUM, MixingMatrix(mixing))
-                value = block_apply(block, inputs[term]).data
-                if term == "fusion":
-                    value = value @ vertex
-                total = total + value
-            parts[two_l] = total
-        out.append(Activation(parts))
+        inputs = [
+            center,
+            [acts[i] for i in neighbors],
+            [_broadcast_harmonics(feats[(o, i)], params.tau) for i in neighbors],
+            gated,
+        ]
+        out.append(apply_collections(params.recoupled, inputs, params.weights))
     return out
 
 
@@ -502,56 +549,17 @@ def taped_interaction_layer(
 ) -> dict[int, ad.Node]:
     """Vectorized interaction layer on the tape; mirrors interaction_layer.
 
-    Runs the same diagram table through ``taped_diagrams``; the gated term
-    is summed onto its source atoms before the vertex mixing.  The fusion
-    term runs recoupled (``taped_recoupled``): its per-edge subtree is
-    summed over each atom's neighbors, and the center is coupled once per
-    atom.  Records only the outputs whose spin is in ``output_spins``, the
-    spins its consumer reads.
+    Records the gate and the layer's four slots, then runs its collections
+    through ``taped_collections`` at the spins in ``output_spins``.
     """
-    tau = params.tau
-    n_atoms = acts[0].shape[0]
     weights = params.weight_nodes(param_nodes, name)
     gate = taped_gate(tape, acts, src, dst, basis, weights)
-    n_edges = len(src)
-    gate_col = ad.reshape(tape, gate, (n_edges, 1, tau))
-
-    gathered_dst = {two_j: ad.gather(tape, acts[two_j], dst) for two_j in acts}
-    leaves = {
-        "self": [acts],
-        "pair": [acts, acts],
-        "gated": [
-            harmonics,
-            {two_j: ad.mul(tape, node, gate_col) for two_j, node in gathered_dst.items()},
-        ],
-    }
-    memos: dict[str, dict[tuple, ad.Node]] = {term: {} for term in leaves}
-    fused = taped_recoupled(
-        tape,
-        {two_l: c for two_l, c in params.recoupled.items() if two_l in output_spins},
-        acts,
-        [gathered_dst, harmonics],
-        src,
-        {two_l: weights[f"fusion_mix/{two_l}"] for two_l in params.recoupled},
+    gate_col = ad.reshape(tape, gate, (len(src), 1, params.tau))
+    neighbor = {two_j: ad.gather(tape, node, dst) for two_j, node in acts.items()}
+    gated = {two_j: ad.mul(tape, node, gate_col) for two_j, node in neighbor.items()}
+    return taped_collections(
+        tape, params.recoupled, [acts, neighbor, harmonics, gated], src, weights, output_spins
     )
-
-    out: dict[int, ad.Node] = {}
-    for two_l, table in params.diagrams.items():
-        if two_l not in output_spins:
-            continue
-        total = None
-        for term, diagrams in table.items():
-            if term == "fusion":
-                value = fused[two_l]
-            else:
-                chunks = taped_diagrams(tape, diagrams, leaves[term], memos[term])
-                value = ad.concat(tape, chunks, axis=2)
-            if term == "gated":
-                value = ad.index_add(tape, value, src, n_atoms)
-            term_out = ad.channel_mix(tape, value, weights[f"vertex/{two_l}/{term}"])
-            total = term_out if total is None else ad.add(tape, total, term_out)
-        out[two_l] = total
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +621,13 @@ class ThreeBodyParams(LayerParams):
     """Tables of one three-body update layer.
 
     ``diagrams[two_J]`` is the fusion block's diagram collection (slots: 0 =
-    center, 1 = edge, 2 = neighbor), non-empty.  Weights:
+    center, 1 = embedded edge, 2 = neighbor), non-empty.  Weights:
     ``edge_embed/{2j}`` maps radial channels to feature channels per edge
     spin; ``mixing/{2J}`` is the block's trainable final mixing over the
-    concatenated diagram axis.  ``recoupled[two_J]`` holds the collection
-    recoupled: every three-leaf diagram becomes (center ⊗ (edge ⊗
+    concatenated diagram axis.  ``recoupled[two_J]`` holds the block
+    lowered: every three-leaf diagram becomes (center ⊗ (edge ⊗
     neighbor)_k')_J, except in a dense block, whose multi-stage chains and
-    their three-leaf first stages stay as they are.
+    their three-leaf first stages stay per edge.
     """
 
 
@@ -647,7 +655,7 @@ def init_three_body_layer(
             continue
         params.diagrams[two_J] = diagrams
         params.add_seeded(f"mixing/{two_J}", (len(diagrams) * tau, tau), seed, name)
-        params.recoupled[two_J] = recoupled_collection(diagrams, tau)
+        params.recoupled[two_J] = (recoupled_collection(diagrams, tau, (f"mixing/{two_J}",)),)
     return params
 
 
@@ -673,12 +681,6 @@ def three_body_forward(
     Slots: 0 = center activation, 1 = embedded edge feature, 2 = neighbor
     activation; listed slots aggregate over the index-aligned neighbor list.
     """
-    blocks = {
-        two_J: FusionBlockConfig(
-            diagrams, AggregationKind.SUM, MixingMatrix(params.weights[f"mixing/{two_J}"])
-        )
-        for two_J, diagrams in params.diagrams.items()
-    }
     out = []
     for o in range(pc.n_atoms):
         neighbors = nbr.neighbors(o)
@@ -687,11 +689,7 @@ def three_body_forward(
             [embed_edge(feats[(o, i)], params) for i in neighbors],
             [acts[i] for i in neighbors],
         ]
-        out.append(
-            Activation(
-                {two_J: block_apply(block, inputs).data for two_J, block in blocks.items()}
-            )
-        )
+        out.append(apply_collections(params.recoupled, inputs, params.weights))
     return out
 
 
@@ -709,8 +707,8 @@ def taped_three_body_layer(
 ) -> dict[int, ad.Node]:
     """Vectorized three-body update; mirrors three_body_forward.
 
-    Runs the recoupled blocks through ``taped_recoupled``.  Records only the
-    outputs whose spin is in ``output_spins``.
+    Records the embedded edge features and the layer's slots, then runs its
+    blocks through ``taped_collections`` at the spins in ``output_spins``.
     """
     n_edges = len(src)
     weights = params.weight_nodes(param_nodes, name)
@@ -721,12 +719,7 @@ def taped_three_body_layer(
         harm = ad.reshape(tape, harm, (n_edges, two_j + 1, 1))
         scaled = ad.mul(tape, harm, basis_rows)
         edge_feats[two_j] = ad.channel_mix(tape, scaled, weights[f"edge_embed/{two_j}"])
-
-    return taped_recoupled(
-        tape,
-        {two_J: c for two_J, c in params.recoupled.items() if two_J in output_spins},
-        acts,
-        [edge_feats, {two_j: ad.gather(tape, acts[two_j], dst) for two_j in acts}],
-        src,
-        {two_J: weights[f"mixing/{two_J}"] for two_J in params.recoupled},
+    neighbor = {two_j: ad.gather(tape, node, dst) for two_j, node in acts.items()}
+    return taped_collections(
+        tape, params.recoupled, [acts, edge_feats, neighbor], src, weights, output_spins
     )

@@ -633,3 +633,11 @@ class TestGradcheckHarness:
         report = ad.gradcheck(f, np.zeros(4))
         assert not report.passed
         assert report.worst_index == (2,)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan")])
+    def test_step_must_be_finite_and_positive(self, step):
+        def f(values):
+            return float(values.sum()), np.ones_like(values)
+
+        with pytest.raises(ValueError, match="step"):
+            ad.gradcheck(f, np.zeros(3), step=step)

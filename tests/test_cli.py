@@ -124,6 +124,18 @@ class TestBlockCheck:
         path.write_text("{not json")
         assert main(["block", "check", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_one_error_line(self, tmp_path, capsys, trials):
+        # no trial checks nothing, so it must not report residuals of 0
+        diagrams = (left_comb([2, 2], [], 2, slots=[0, 1]),)
+        config = FusionBlockConfig(diagrams, AggregationKind.SUM, uniform_mixing(2, 2, seed=4))
+        path = tmp_path / "block.json"
+        path.write_text(block_to_json(config))
+        assert main(["block", "check", "--config", str(path), f"--trials={trials}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
 
 class TestModelDescribe:
     def test_lists_groups_and_total(self, tmp_path, capsys):
@@ -155,6 +167,13 @@ class TestGradcheck:
         assert main(["gradcheck", "--config", config, "--n-atoms", "4"]) == 0
         rows = _rows(capsys.readouterr().out)
         assert all(row[2] == "True" for row in rows[1:])
+
+    def test_zero_step_is_one_error_line(self, tmp_path, capsys):
+        config = _write_model_config(tmp_path)
+        assert main(["gradcheck", "--config", config, "--n-atoms", "4", "--step", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gradcheck step must be finite and > 0")
+        assert err.count("\n") == 1
 
     def test_reports_per_group_rows(self, tmp_path, capsys):
         config = _write_model_config(tmp_path)

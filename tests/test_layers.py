@@ -531,6 +531,81 @@ class TestRecoupledTape:
         assert forces.shape == positions.shape and np.all(np.isfinite(forces))
 
 
+class TestLowering:
+    """Every collection is lowered at init into center-only, (center ⊗ T)_J
+    and per-edge targets, which one taped executor runs."""
+
+    def test_target_groups_of_the_fused_table(self):
+        model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=1, seed=2))
+        for layer in model.layers:
+            assert set(layer.recoupled) == set(layer.diagrams)
+            for two_l, table in layer.diagrams.items():
+                lowered = dict(zip(table, layer.recoupled[two_l]))
+                assert len(lowered) == len(layer.recoupled[two_l])
+                for term, c in lowered.items():
+                    assert c.diagrams == table[term]
+                    keys = (f"vertex/{two_l}/{term}",)
+                    if term == "fusion":
+                        keys = (f"fusion_mix/{two_l}",) + keys
+                    assert c.weights == keys
+                for term in ("self", "pair"):
+                    if term in lowered:
+                        c = lowered[term]
+                        assert (c.center, c.atom, c.edge) == (c.diagrams, (), ())
+                        assert c.mixing is None
+                gated = lowered["gated"]
+                assert (gated.center, gated.atom, gated.edge) == ((), (), gated.diagrams)
+                assert gated.mixing is None
+                fusion = lowered["fusion"]
+                assert fusion.atom and not fusion.center and not fusion.edge
+                for t in fusion.atom:
+                    assert t.tree.left == LeafNode(0)
+                    assert [slot for slot, _ in t.leaves] == [0, 1, 2]
+
+    def test_dense_chains_and_first_stages_stay_per_edge(self):
+        schedule = SpinSchedule("dense", (0, 2))
+        params = init_three_body_layer((0, 2), 1, 3, 4, schedule, 2, "L")
+        for two_J, (block,) in params.recoupled.items():
+            assert block.weights == (f"mixing/{two_J}",)
+            chains = [d for d in block.diagrams if len(d.leaves) > 3]
+            assert chains
+            assert set(chains) <= set(block.edge)
+            for chain in chains:
+                first_stage = FusionDiagram(chain.leaves[:3], chain.tree.left.left, two_J)
+                assert first_stage in block.edge  # a single of the schedule as well
+
+    @pytest.mark.parametrize(
+        "extra, count",
+        [
+            (dict(kind="fused"), 11),
+            (dict(kind="gated"), 8),
+            (dict(kind="three_body", internal_spins=(0, 1, 2)), 4),
+        ],
+        ids=["fused", "gated", "three_body_sparse"],
+    )
+    def test_atom_row_channel_mix_products(self, monkeypatch, extra, count):
+        # each collection's mixings compose in weight space, so its targets
+        # are mixed by one N-row product (the readout is one more)
+        model = Model(ModelConfig(**extra, n_layers=2, tau=6, j_max=1, seed=2))
+        rng = np.random.default_rng(9)
+        positions = rng.normal(size=(9, 3)) * 1.3
+        species = rng.integers(0, 2, size=9)
+        rows = []
+        channel_mix = ad.channel_mix
+
+        def recording_channel_mix(tape, x, weights):
+            node = channel_mix(tape, x, weights)
+            rows.append(node.shape[0])
+            return node
+
+        monkeypatch.setattr(ad, "channel_mix", recording_channel_mix)
+        tape = ad.Tape()
+        model.taped_forward(
+            tape, tape.variable(positions), species, [9], model.parameter_nodes(tape)
+        )
+        assert rows.count(9) == count
+
+
 class TestAblation:
     def test_zeroed_fusion_mixing_reproduces_gated_layer(self):
         common = dict(
