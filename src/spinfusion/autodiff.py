@@ -635,12 +635,15 @@ def spherical(tape: Tape, x: Node, two_j: int) -> Node:
 
     The cotangent uses the analytic position Jacobian, captured at forward
     time; only first derivatives of the harmonics are ever required because
-    positions are data, not trained parameters.
+    positions are data, not trained parameters.  Y^0_0 is a constant, so at
+    spin 0 the result is a constant node with no cotangent.
     """
     from .harmonics import sph_jacobian, sph_values
 
     x = _as_node(tape, x)
     value = sph_values(x.value, two_j)
+    if two_j == 0:
+        return tape.constant(value)
     jac_conj = np.conj(sph_jacobian(x.value, two_j))  # (..., 2j+1, 3)
 
     def vjp(tape, w):

@@ -226,9 +226,9 @@ class Model:
         ``positions`` holds the atoms of every sample, one after another, in
         one (N, 3) node, ``species`` their labels concatenated, and
         ``counts`` the atom count of each sample.  The batch is a
-        disjoint-union graph: each sample's neighborhood is built on its own
-        cloud (samples may overlap in space) and its edges are offset by its
-        first atom, so no edge joins two samples.
+        disjoint-union graph: one neighbor search over the whole batch keys
+        each atom's cell by its sample, so samples may overlap in space and
+        no edge joins two samples.
         """
         cfg = self.config
         species = self._check_inputs(positions.value, species)
@@ -238,15 +238,10 @@ class Model:
             raise ShapeMismatch(
                 f"counts must be positive atom counts summing to {n_atoms}, got {counts}"
             )
-        firsts = np.cumsum(counts) - counts
-        edges = [
-            edge_index(build_neighborhood(
-                PointCloud(positions.value[a : a + n], species[a : a + n]), cfg.cutoff
-            ))
-            for a, n in zip(firsts, counts)
-        ]
-        src = np.concatenate([s + a for (s, _), a in zip(edges, firsts)])
-        dst = np.concatenate([d + a for (_, d), a in zip(edges, firsts)])
+        sample_of_atom = np.repeat(np.arange(counts.size), counts)
+        src, dst = edge_index(build_neighborhood(
+            PointCloud(positions.value, species), cfg.cutoff, sample_of_atom
+        ))
 
         disp = ad.sub(
             tape, ad.gather(tape, positions, dst), ad.gather(tape, positions, src)
@@ -284,7 +279,6 @@ class Model:
             ad.channel_mix(tape, invariants, param_nodes["readout/w"]),
             param_nodes["readout/b"],
         )
-        sample_of_atom = np.repeat(np.arange(counts.size), counts)
         energies = ad.index_add(tape, per_atom, sample_of_atom, counts.size)
         return ad.reshape(tape, energies, (counts.size,))
 
