@@ -459,7 +459,7 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     """The nonzero-entry contraction plan of a three-index tensor, or None
     when ``subscript`` is not of the form it handles: each operand and the
     output carry exactly one distinct tensor index, no letter repeats within
-    a term, and there is no ellipsis."""
+    a term, there is no ellipsis, and a summed letter is in both operands."""
     t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
     terms = (x_sub, y_sub, out_sub)
     if (
@@ -473,19 +473,19 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
         return None
     (lx,), (ly,), (lo,) = own
     rest_x, rest_y, rest_o = (term.replace(l, "") for term, l in zip(terms, (lx, ly, lo)))
-    broadcast = set(rest_x) | set(rest_y) == set(rest_o)
+    summed = "".join(sorted(set(rest_x + rest_y) - set(rest_o)))
+    if summed and not set(rest_x) == set(rest_y) >= set(rest_o):
+        return None
+    kept = rest_o + summed  # gathered axes: tensor index, output letters, summed letters
 
     def operand(term, letter, rest):
-        # tensor index first; with no summed letters the rest follows the
-        # output's order, so that the gathered operands broadcast directly
-        kept = sorted(rest, key=rest_o.index) if broadcast else list(rest)
-        axes = (term.index(letter),) + tuple(term.index(c) for c in kept)
-        expand = (slice(None),) + tuple(slice(None) if c in rest else None for c in rest_o)
+        axes = (term.index(letter),) + tuple(term.index(c) for c in kept if c in rest)
+        expand = (slice(None),) + tuple(slice(None) if c in rest else None for c in kept)
         return axes, expand
 
-    # a broadcast product overwrites a gathered operand of its full shape
-    full = [set(rest) == set(rest_o) for rest in (rest_x, rest_y)]
-    into = full.index(True) if broadcast and any(full) else None
+    # the product overwrites a gathered operand of its full shape
+    full = [set(rest) == set(kept) for rest in (rest_x, rest_y)]
+    into = full.index(True) if any(full) else None
     roles = [t_sub.index(l) for l in (lx, ly, lo)]
     coords = np.nonzero(tensor)
     ix, iy, io = (coords[r] for r in roles)
@@ -496,7 +496,7 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
         ix,
         operand(y_sub, ly, rest_y),
         iy,
-        None if broadcast else f"n{rest_x},n{rest_y}->n{rest_o}",
+        len(summed),
         into,
         coeffs,
         tuple((lo + rest_o).index(c) for c in out_sub),
@@ -506,20 +506,24 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
 def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """einsum over the tensor's nonzero entries only.
 
-    Gathers the components each entry reads into (nnz, ...) arrays, forms
-    their products, and sums them into the output components with one
-    (out dim, nnz) coefficient matrix; a complex product meets a real matrix
-    as one real GEMM over its interleaved re/im parts.  The NumPy call count
-    is fixed, so the cost stays low at small edge counts too.
+    Gathers the components each entry reads into (nnz, ...) arrays, multiplies
+    them in place, sums any summed letters (the trailing axes) with one
+    product against a ones vector, and sums the result into the output
+    components with one (out dim, nnz) coefficient matrix; a complex product
+    meets a real matrix as one real GEMM over its interleaved re/im parts.
+    The NumPy call count is fixed, so the cost stays low at small edge counts
+    too.
     """
-    (x_axes, x_expand), ix, (y_axes, y_expand), iy, product, into, coeffs, out_axes = plan
-    xs = x.transpose(x_axes)[ix]
-    ys = y.transpose(y_axes)[iy]
-    if product is None:
-        factors = (xs[x_expand], ys[y_expand])
-        prod = np.multiply(*factors, out=None if into is None else factors[into])
-    else:
-        prod = np.ascontiguousarray(np.einsum(product, xs, ys))
+    (x_axes, x_expand), ix, (y_axes, y_expand), iy, n_summed, into, coeffs, out_axes = plan
+    factors = (x.transpose(x_axes)[ix][x_expand], y.transpose(y_axes)[iy][y_expand])
+    out = None if into is None else factors[into]
+    if out is not None and out.dtype != np.result_type(*factors):
+        out = None
+    prod = np.multiply(*factors, out=out)
+    if n_summed:
+        # np.sum over a short trailing axis is slower than a matrix-vector product
+        kept, width = prod.shape[: prod.ndim - n_summed], math.prod(prod.shape[-n_summed:])
+        prod = prod.reshape(kept + (width,)) @ np.ones(width)
     inner = prod.shape[1:]
     flat = prod.reshape(len(ix), math.prod(inner))
     if flat.dtype == np.complex128 and coeffs.dtype == np.float64:

@@ -171,6 +171,8 @@ def _cmd_model_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not (np.isfinite(args.step) and args.step > 0):  # before the table header
+        raise ValueError(f"gradcheck step must be finite and > 0, got {args.step}")
     config = ModelConfig.from_json(_read_text(args.config))
     model = Model(config)
     sample = generate_dataset(

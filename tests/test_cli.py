@@ -171,9 +171,10 @@ class TestGradcheck:
     def test_zero_step_is_one_error_line(self, tmp_path, capsys):
         config = _write_model_config(tmp_path)
         assert main(["gradcheck", "--config", config, "--n-atoms", "4", "--step", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: gradcheck step must be finite and > 0")
-        assert err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no header-only table
+        assert captured.err.startswith("error: gradcheck step must be finite and > 0")
+        assert captured.err.count("\n") == 1
 
     def test_reports_per_group_rows(self, tmp_path, capsys):
         config = _write_model_config(tmp_path)
