@@ -5,12 +5,13 @@
 of side slightly above the cutoff, so that a neighbor of an atom lies in
 its own cell or one of the 26 around it.  Occupied cells get integer keys
 (empty stretches of space are squeezed out first, so the keys stay below
-8 N^3 however far apart the atoms are), the atoms are sorted by key, and
+about 8 N^3 however far apart the atoms are), the atoms are sorted by key, and
 each atom's candidates are read from its 27 cells with ``searchsorted``
 and ``repeat``, with no Python loop over atoms or edges.  Each candidate is
 kept by the exact test of the all-pairs definition.  An optional per-atom
-group id is a leading cell coordinate with no neighboring values, so a
-batch of samples is searched at once and no edge joins two samples.
+group id joins the first cell coordinate, with distinct groups never in
+adjacent cells, so a batch of samples is searched at once and no edge joins
+two samples.
 
 A ``Neighborhood`` stores the edges as (src, dst) arrays ordered by src,
 then dst.  ``edge_index`` returns them as they are; the per-atom tuples
@@ -21,6 +22,7 @@ per-atom reference layers.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +30,7 @@ import numpy as np
 __all__ = ["PointCloud", "Neighborhood", "build_neighborhood", "edge_index"]
 
 # the 27 cell offsets (dx, dy, dz) of a cell and its neighbors
-_OFFSETS = np.stack(np.meshgrid([-1, 0, 1], [-1, 0, 1], [-1, 0, 1], indexing="ij"), -1)
-_OFFSETS = _OFFSETS.reshape(27, 3)
+_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
 
 @dataclass(frozen=True)
