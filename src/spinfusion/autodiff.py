@@ -28,11 +28,13 @@ gradients come out real.
 The two kernels the models spend their time in are sparse.  ``einsum3``
 contracts a CG tensor over its nonzero entries only (m_c = m_a + m_b
 leaves most entries zero), with a plan built once per tensor and subscript;
-its VJPs reuse a real tensor rather than a conjugated copy, so they hit the
-same plans.  ``index_add`` sums sorted segments, with the sort computed once
-per index array.  ``channel_mix`` and its cotangents are BLAS matrix
-products (``matmul``).  ``backward`` walks parent links back from the seed
-and visits only its ancestors.
+a spin-0 factor, whose CG block is c times the identity, is one broadcast
+multiply instead (the broadcast plan).  Its VJPs reuse a real tensor rather
+than a conjugated copy, so they hit the same plans.  ``index_add`` sums
+sorted segments, with the sort computed once per index array.
+``channel_mix`` and its cotangents are BLAS matrix products (``matmul``).
+``backward`` walks parent links back from the seed and visits only its
+ancestors.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import ctypes
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -455,11 +458,28 @@ def _adjoint_tensor(tensor: np.ndarray) -> np.ndarray:
     return np.conj(tensor) if np.iscomplexobj(tensor) else tensor
 
 
+def _scaled_identity(block: np.ndarray):
+    """c when ``block`` is c times the identity matrix, else None."""
+    n = len(block)
+    if block.shape != (n, n) or n == 0:
+        return None
+    c = block[0, 0]
+    return c if np.array_equal(block, c * np.eye(n, dtype=block.dtype)) else None
+
+
 def _sparse_plan(tensor: np.ndarray, subscript: str):
-    """The nonzero-entry contraction plan of a three-index tensor, or None
-    when ``subscript`` is not of the form it handles: each operand and the
-    output carry exactly one distinct tensor index, no letter repeats within
-    a term, there is no ellipsis, and a summed letter is in both operands."""
+    """The contraction of a three-index tensor as a function of the two
+    operands' arrays, or None when ``subscript`` is not of the form it
+    handles: each operand and the output carry exactly one distinct tensor
+    index, no letter repeats within a term, there is no ellipsis, and a
+    summed letter is in both operands.
+
+    The broadcast plan (``_contract_broadcast``) serves a tensor with an
+    operand index of dimension 1 between whose other two indices it is c
+    times the identity (every 0 ⊗ j -> j CG product, and the VJP of one
+    that keeps that form); every other tensor gets the nonzero-entry plan
+    (``_contract_nonzeros``), so does a product into a dimension-1 output
+    such as 1 ⊗ 1 -> 0."""
     t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
     terms = (x_sub, y_sub, out_sub)
     if (
@@ -483,24 +503,51 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
         expand = (slice(None),) + tuple(slice(None) if c in rest else None for c in kept)
         return axes, expand
 
+    x_op, y_op = operand(x_sub, lx, rest_x), operand(y_sub, ly, rest_y)
+    out_axes = tuple((lo + rest_o).index(c) for c in out_sub)
+    roles = [t_sub.index(l) for l in (lx, ly, lo)]
+    block = tensor.transpose(roles)  # (x index, y index, output index)
+    for scalar_dim in (0, 1):
+        if block.shape[scalar_dim] == 1:
+            c = _scaled_identity(block[0] if scalar_dim == 0 else block[:, 0])
+            if c is not None:
+                return partial(_contract_broadcast, x_op, y_op, len(summed), c, out_axes)
+
     # the product overwrites a gathered operand of its full shape
     full = [set(rest) == set(kept) for rest in (rest_x, rest_y)]
     into = full.index(True) if any(full) else None
-    roles = [t_sub.index(l) for l in (lx, ly, lo)]
     coords = np.nonzero(tensor)
     ix, iy, io = (coords[r] for r in roles)
-    coeffs = np.zeros((tensor.shape[roles[2]], len(io)), dtype=tensor.dtype)
+    coeffs = np.zeros((block.shape[2], len(io)), dtype=tensor.dtype)
     coeffs[io, np.arange(len(io))] = tensor[coords]
-    return (
-        operand(x_sub, lx, rest_x),
-        ix,
-        operand(y_sub, ly, rest_y),
-        iy,
-        len(summed),
-        into,
-        coeffs,
-        tuple((lo + rest_o).index(c) for c in out_sub),
+    return partial(
+        _contract_nonzeros, (x_op, ix, y_op, iy, len(summed), into, coeffs, out_axes)
     )
+
+
+def _sum_trailing(prod: np.ndarray, n_summed: int) -> np.ndarray:
+    """``prod`` summed over its last ``n_summed`` axes."""
+    if not n_summed:
+        return prod
+    # np.sum over a short trailing axis is slower than a matrix-vector product
+    kept, width = prod.shape[: prod.ndim - n_summed], math.prod(prod.shape[-n_summed:])
+    return prod.reshape(kept + (width,)) @ np.ones(width)
+
+
+def _contract_broadcast(x_op, y_op, n_summed: int, c, out_axes, x, y) -> np.ndarray:
+    """einsum with a tensor that is c times the identity between the output
+    and one operand, the other operand's index having dimension 1.
+
+    Each operand's tensor axis comes first (the dimension-1 one broadcasts
+    against the other, whose components are the output's), so the product
+    is one broadcast multiply; summed letters are reduced as in
+    ``_contract_nonzeros``, then the result is scaled by c unless c is 1.
+    """
+    (x_axes, x_expand), (y_axes, y_expand) = x_op, y_op
+    prod = _sum_trailing(x.transpose(x_axes)[x_expand] * y.transpose(y_axes)[y_expand], n_summed)
+    if c != 1:
+        prod = prod * c
+    return prod.transpose(out_axes)
 
 
 def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -519,11 +566,7 @@ def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = None if into is None else factors[into]
     if out is not None and out.dtype != np.result_type(*factors):
         out = None
-    prod = np.multiply(*factors, out=out)
-    if n_summed:
-        # np.sum over a short trailing axis is slower than a matrix-vector product
-        kept, width = prod.shape[: prod.ndim - n_summed], math.prod(prod.shape[-n_summed:])
-        prod = prod.reshape(kept + (width,)) @ np.ones(width)
+    prod = _sum_trailing(np.multiply(*factors, out=out), n_summed)
     inner = prod.shape[1:]
     flat = prod.reshape(len(ix), math.prod(inner))
     if flat.dtype == np.complex128 and coeffs.dtype == np.float64:
@@ -550,11 +593,14 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
 
     Used for channel-wise CG products.  A three-index tensor whose indices
     fall one to each operand and one to the output (every CG product and
-    each of its VJPs) is contracted over its nonzero entries only
-    (``_contract_nonzeros``), with a plan built once per tensor and
-    subscript; any other form runs ``np.einsum``.  The cotangent of one
-    factor contracts the conjugate tensor (the tensor itself when real)
-    with the conjugate of the other factor.
+    each of its VJPs) runs a plan built once per tensor and subscript
+    (``_sparse_plan``): one broadcast multiply when an operand has
+    dimension 1 and the tensor is c times the identity between the other
+    two indices (a spin-0 factor: 0 ⊗ j -> j, j ⊗ 0 -> j, 0 ⊗ 0 -> 0),
+    else a contraction over its nonzero entries only; any other form runs
+    ``np.einsum``.  The cotangent of one factor contracts the conjugate
+    tensor (the tensor itself when real) with the conjugate of the other
+    factor.
     """
     x, y = _as_node(tape, x), _as_node(tape, y)
     t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
@@ -567,7 +613,7 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     if plan is None:
         value = np.einsum(subscript, tensor, x.value, y.value)
     else:
-        value = _contract_nonzeros(plan, x.value, y.value)
+        value = plan(x.value, y.value)
     back_x = f"{t_sub},{y_sub},{out_sub}->{x_sub}"
     back_y = f"{t_sub},{x_sub},{out_sub}->{y_sub}"
     t_adj = _adjoint_tensor(tensor)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "dense_map",
     "recouple",
     "check_recoupling",
+    "check_lowering",
     "diagram_to_json",
     "diagram_from_json",
 ]
@@ -260,7 +261,10 @@ def dense_map(d: FusionDiagram) -> np.ndarray:
         two_a, left_map = build(node.left)
         two_b, right_map = build(node.right)
         coupling = cg_tensor(two_a, two_b, node.two_k).as_matrix()
-        return node.two_k, np.kron(left_map, right_map) @ coupling
+        # np.kron(left_map, right_map), as one broadcast product
+        rows = left_map.shape[0] * right_map.shape[0]
+        product = left_map[:, None, :, None] * right_map[None, :, None, :]
+        return node.two_k, product.reshape(rows, coupling.shape[0]) @ coupling
 
     _, matrix = build(d.tree)
     return matrix
@@ -343,15 +347,14 @@ def recouple(diagrams) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
             ]
     targets = tuple(t for family in groups.values() for t in family)
     row = {t: i for i, t in enumerate(targets)}
-    maps: dict[FusionDiagram, np.ndarray] = {}
     overlaps = np.zeros((len(targets), len(diagrams)), dtype=complex)
     for column, d in enumerate(diagrams):
         if d not in moved:
             overlaps[row[d], column] = 1.0
             continue
         for t in groups[(d.leaves, d.two_J)]:
-            overlaps[row[t], column] = np.vdot(_dense(t, maps), _dense(d, maps)) / dim(d.two_J)
-    _verify(diagrams, targets, overlaps, maps)
+            overlaps[row[t], column] = np.vdot(_dense(t), _dense(d)) / dim(d.two_J)
+    check_lowering(diagrams, targets, overlaps)
     return targets, overlaps.real.copy()
 
 
@@ -359,17 +362,30 @@ def check_recoupling(diagrams, targets, U: np.ndarray) -> None:
     """Raise ``RecouplingError`` unless U is real and maps the targets'
     dense maps onto the diagrams' (see ``recouple``) to within 1e-12, with
     no weight between diagrams of different leaves."""
-    _verify(tuple(diagrams), tuple(targets), np.asarray(U), {})
+    check_lowering(diagrams, targets, U)
 
 
-def _dense(d: FusionDiagram, maps: dict) -> np.ndarray:
-    """``dense_map(d)``, memoized in ``maps``."""
-    if d not in maps:
-        maps[d] = dense_map(d)
-    return maps[d]
+def _as_input(leaf: tuple[int, int]) -> tuple[tuple, None]:
+    """A leaf that is a base input itself (see ``check_lowering``)."""
+    return (leaf,), None
 
 
-def _verify(diagrams, targets, U: np.ndarray, maps: dict) -> None:
+def check_lowering(diagrams, targets, U: np.ndarray, read: Callable = _as_input) -> None:
+    """Raise ``RecouplingError`` unless U is real and ``sum_t U[t, d] *
+    map(t) == map(d)`` to within 1e-12 for every diagram d, where map is
+    the dense map over a layer's base inputs, and U gives no weight to a
+    target of other inputs.
+
+    ``read(leaf)`` gives a diagram's (slot, 2j) leaf as ``(labels,
+    factor)``: the base inputs it is a multilinear function of and the
+    tensor of that function, one axis per label and then the leaf's
+    components (a constant leaf has no label; a product of two inputs has
+    two), or ``((leaf,), None)`` for a leaf that is a base input itself,
+    as every target's leaf is.  So targets may drop, add or reorder leaves,
+    as long as their maps agree.  With the default, every leaf is an input
+    (``check_recoupling``).
+    """
+    diagrams, targets, U = tuple(diagrams), tuple(targets), np.asarray(U)
     if U.shape != (len(targets), len(diagrams)):
         raise RecouplingError(
             f"U has shape {U.shape}; {len(targets)} targets and {len(diagrams)} diagrams need "
@@ -378,24 +394,65 @@ def _verify(diagrams, targets, U: np.ndarray, maps: dict) -> None:
     imaginary = float(np.max(np.abs(U.imag), initial=0.0))
     if imaginary > _RECOUPLING_TOLERANCE:
         raise RecouplingError(f"U has an imaginary part of {imaginary:.3g}")
+    lowered: dict[int, tuple] = {}
     for column, d in enumerate(diagrams):
-        same, stray = [], 0.0
-        for t, w in zip(targets, U[:, column]):
-            if (t.leaves, t.two_J) == (d.leaves, d.two_J):
-                same.append((t, w))
+        weights = [(row, w.real) for row, w in enumerate(U[:, column]) if w != 0]
+        if [(targets[row], w) for row, w in weights] == [(d, 1)]:
+            continue  # its own target, exactly
+        labels, want = _base_map(d, read)
+        got, stray = np.zeros_like(want), 0.0
+        for row, w in weights:
+            if row not in lowered:
+                lowered[row] = _base_map(targets[row], _as_input)
+            t_labels, t_map = lowered[row]
+            if t_labels == labels and t_map.shape == want.shape:
+                got = got + w * t_map
             else:
                 stray = max(stray, abs(w))
         if stray > _RECOUPLING_TOLERANCE:
-            raise RecouplingError(f"U weighs diagram {column} with a target of other leaves")
-        if [(t, w) for t, w in same if w != 0] == [(d, 1)]:
-            continue  # its own target, exactly
-        residual = _dense(d, maps) - sum(w * _dense(t, maps) for t, w in same)
-        error = float(np.max(np.abs(residual), initial=0.0))
+            raise RecouplingError(f"U weighs diagram {column} with a target of other inputs")
+        error = float(np.max(np.abs(want - got), initial=0.0))
         if error > _RECOUPLING_TOLERANCE:
             raise RecouplingError(
                 f"targets reproduce diagram {column} only to {error:.3g} "
                 f"(tolerance {_RECOUPLING_TOLERANCE:g})"
             )
+
+
+def _base_map(d: FusionDiagram, read: Callable) -> tuple[tuple, np.ndarray]:
+    """(labels, tensor): ``dense_map(d)`` with each leaf read through
+    ``read``, one axis per base input, in label order, then the root's.  A
+    label read twice in one diagram gets one axis per reading, in order."""
+    n = len(d.leaves)
+    shape = [dim(two_j) for _, two_j in d.leaves] + [dim(d.two_J)]
+    operands: list = [_dense(d).reshape(shape), list(range(n + 1))]
+    axes: dict[tuple, int] = {}
+    for position, leaf in enumerate(d.leaves):
+        labels, factor = read(leaf)
+        ids = []
+        for label in labels:
+            key = (label, sum(1 for seen, _ in axes if seen == label))
+            axes[key] = position if factor is None else n + 1 + len(axes)
+            ids.append(axes[key])
+        if factor is not None:
+            operands += [factor, ids + [position]]
+    order = sorted(axes)
+    return tuple(order), np.einsum(*operands, [axes[key] for key in order] + [n])
+
+
+# dense maps of the diagrams recoupled or checked so far, read-only
+_dense_maps: dict[FusionDiagram, np.ndarray] = {}
+
+
+def _dense(d: FusionDiagram) -> np.ndarray:
+    """``dense_map(d)``, memoized for the process (``recouple`` and the
+    checks read the same maps, and layers share diagrams)."""
+    matrix = _dense_maps.get(d)
+    if matrix is None:
+        matrix = dense_map(d)
+        matrix.setflags(write=False)
+        matrix = _dense_maps.setdefault(d, matrix)
+    return matrix
 
 
 def diagram_to_json(d: FusionDiagram) -> str:

@@ -41,6 +41,14 @@ one of three groups by its tree:
 * everything else (the gated term, the dense schedule's multi-stage chains
   and their three-leaf first stages): per edge, then summed.
 
+The interaction layer's lowering then rewrites its targets through spin-0
+legs, since a CG vertex with a spin-0 leg is c times the identity: the
+gate is a spin-0 edge leaf that multiplies the gated term's summed-over
+products, (Y_a ⊗ g∘h_b)_l = ±((h_b ⊗ Y_a)_l ⊗ g)_l, and the constant
+spin-0 harmonic Y^0_0 leaves every target that reads it and goes into U.
+So the gated term's per-edge products are the fusion term's T, and each
+(neighbor, harmonic, k) product runs once per edge and layer.
+
 So each edge's contribution is summed over the neighborhood as early as
 the tree allows, and the center is gathered to the edges only for a target
 of the last group that reads it.  The taped executor records each distinct
@@ -60,12 +68,13 @@ import numpy as np
 from . import autodiff as ad
 from .blocks import FusionBlockConfig, MixingMatrix, apply as block_apply
 from .cg import cg_tensor
-from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb, recouple
+from .diagrams import FuseNode, FusionDiagram, LeafNode, check_lowering, left_comb, recouple
 from .errors import EmptySchedule
 from .features import EdgeFeature
 from .geometry import Neighborhood, PointCloud
+from .harmonics import sph_values
 from .irreps import Activation
-from .spins import admissible
+from .spins import admissible, dim
 
 __all__ = [
     "SpinSchedule",
@@ -245,11 +254,18 @@ class RecoupledCollection:
 
     ``mixing`` is kron(U, I_tau), U's rows in ``center + atom + edge`` order:
     it maps the targets' concatenated outputs onto the diagrams', diagram by
-    diagram.  It is ``None`` where it would be the identity: when the
-    targets are the diagrams, in order (the self, pair and gated terms,
-    and a dense block's chains), or stand for them one to one with weight 1.
-    ``weights`` are the weight-table keys that mix the diagrams'
-    concatenated outputs to tau channels, applied in order.
+    diagram.  When U is diagonal (the targets stand for the diagrams one to
+    one), ``mixing`` is its diagonal, each entry repeated tau times: one
+    factor per row of the first weight.  It is ``None`` where it would be
+    the identity: when the targets are the diagrams, in order (the self and
+    pair terms and a dense block's chains), or stand for them one to one
+    with weight 1.  ``weights`` are the weight-table keys that mix the
+    diagrams' concatenated outputs to tau channels, applied in order.
+
+    ``gate`` is the slot of a spin-0 per-edge leaf g (an interaction layer's
+    gate) when every target is (t ⊗ g)_J, t an ``edge`` target, and
+    otherwise ``None``.  CG(J, 0, J) is exactly the identity, so the
+    executor multiplies the edge targets' concatenated outputs by g once.
     """
 
     diagrams: tuple[FusionDiagram, ...]
@@ -258,6 +274,13 @@ class RecoupledCollection:
     edge: tuple[FusionDiagram, ...]
     mixing: np.ndarray | None
     weights: tuple[str, ...]
+    gate: int | None
+
+
+def _gated(t: FusionDiagram, gate: int) -> FusionDiagram:
+    """(t ⊗ g)_J with g the spin-0 leaf of slot ``gate``."""
+    tree = FuseNode(t.tree, LeafNode(gate), t.two_J)
+    return FusionDiagram(t.leaves + ((gate, 0),), tree, t.two_J)
 
 
 def _target_group(target: FusionDiagram) -> int:
@@ -271,19 +294,38 @@ def _target_group(target: FusionDiagram) -> int:
     return 2
 
 
-def recoupled_collection(diagrams, tau: int, weights: tuple[str, ...]) -> RecoupledCollection:
-    """Lower one collection: ``diagrams.recouple``, its targets grouped."""
+def recoupled_collection(
+    diagrams, tau: int, weights: tuple[str, ...], rewrite=None
+) -> RecoupledCollection:
+    """Lower one collection: ``diagrams.recouple``, then a layer's exact
+    ``rewrite`` of the targets, ``(diagrams, targets, U) -> (targets, U,
+    gate)``, checked against the collection's dense maps (the interaction
+    layer's is ``_drop_spin0_legs``: the gate as a spin-0 slot, Y^0_0
+    folded into U), then the targets grouped (``RecoupledCollection``)."""
     targets, U = recouple(diagrams)
+    gate = None
+    if rewrite is not None:
+        targets, U, gate = rewrite(diagrams, targets, U)
     groups: tuple[list, list, list] = ([], [], [])
     for row, target in enumerate(targets):
         groups[_target_group(target)].append(row)
+    if gate is not None and len(groups[2]) != len(targets):
+        raise ValueError("a gated collection's targets must all run per edge")
     order = [row for group in groups for row in group]
-    same = U.shape[0] == U.shape[1] and np.array_equal(U[order], np.eye(len(order)))
+    U = U[order]
+    square = U.shape[0] == U.shape[1]
+    if square and np.array_equal(U, np.eye(len(U))):
+        mixing = None
+    elif square and np.array_equal(U, np.diag(np.diag(U))):
+        mixing = np.repeat(np.diag(U), tau)
+    else:
+        mixing = np.kron(U, np.eye(tau))
     return RecoupledCollection(
         tuple(diagrams),
         *(tuple(targets[row] for row in group) for group in groups),
-        None if same else np.kron(U[order], np.eye(tau)),
+        mixing,
         weights,
+        gate,
     )
 
 
@@ -324,9 +366,11 @@ def taped_collections(
     memo per row count, so each distinct subtree is recorded once per
     layer: the center-only targets and the atom stages at N rows, next to
     each distinct T summed over ``src``; the per-edge subtrees at E rows.
-    The center is gathered to the edges only when an edge target reads it.
-    A collection's mixing, ``mixing`` and then its weights, is composed in
-    weight space, so its concatenated targets are mixed by one product.
+    The center is gathered to the edges only when an edge target reads it,
+    and a gate is tiled once per layer to each width that a gated
+    collection's concatenated targets have.  A collection's mixing,
+    ``mixing`` and then its weights, is composed in weight space, so its
+    concatenated targets are mixed by one product.
     """
     center = leaves[0]
     n_atoms = center[0].shape[0]
@@ -336,6 +380,7 @@ def taped_collections(
         edge_leaves[0] = {two_j: ad.gather(tape, node, src) for two_j, node in center.items()}
     atom_memo: dict[tuple, ad.Node] = {}
     edge_memo: dict[tuple, ad.Node] = {}
+    tiled_gates: dict[tuple[int, int], ad.Node] = {}
     out: dict[int, ad.Node] = {}
     for two_J, group in wanted.items():
         for c in group:
@@ -350,11 +395,21 @@ def taped_collections(
                 )
                 chunks.append(product)
             if c.edge:
-                per_edge = taped_diagrams(tape, c.edge, edge_leaves, edge_memo)
-                chunks.append(ad.index_add(tape, ad.concat(tape, per_edge, axis=2), src, n_atoms))
+                per_edge = ad.concat(
+                    tape, taped_diagrams(tape, c.edge, edge_leaves, edge_memo), axis=2
+                )
+                if c.gate is not None:
+                    gate = edge_leaves[c.gate][0]
+                    copies = len(c.edge)
+                    if (c.gate, copies) not in tiled_gates:
+                        tiled_gates[c.gate, copies] = ad.concat(tape, [gate] * copies, axis=2)
+                    per_edge = ad.mul(tape, per_edge, tiled_gates[c.gate, copies])
+                chunks.append(ad.index_add(tape, per_edge, src, n_atoms))
             first, *rest = c.weights
             mixing = weights[first]
-            if c.mixing is not None:
+            if c.mixing is not None and c.mixing.ndim == 1:  # diagonal U: scale the rows
+                mixing = ad.scale(tape, mixing, c.mixing[:, None])
+            elif c.mixing is not None:
                 mixing = ad.channel_mix(tape, tape.constant(c.mixing), mixing)
             for key in rest:
                 mixing = ad.channel_mix(tape, mixing, weights[key])
@@ -409,18 +464,24 @@ class LayerParams:
 class InteractionParams(LayerParams):
     """Tables of one interaction layer.
 
-    Slots: 0 = center (N rows), 1 = neighbor, 2 = edge harmonic, 3 = gated
-    neighbor (E rows each).  ``diagrams[two_l][term]`` is the
-    fusion-diagram collection of one term at output spin 2l; the terms
-    present at a spin appear in the fixed order self (slot 0), pair (0, 0),
-    gated (2, 3), fusion (0, 1, 2), and none is empty.  Weights: ``gate/*``
-    (``invariant_gate``); ``vertex/{2l}/{term}`` mixes a term's
-    concatenated diagram outputs to tau channels, except in the fused kind's
-    fusion term, whose ``fusion_mix/{2l}`` does that and whose vertex block
-    is square.  ``recoupled[two_l]`` lowers the terms in table order: self
-    and pair center-only, gated per edge, fusion recoupled to (center ⊗
-    (neighbor ⊗ harmonic)_k')_l.  The mixed terms are summed in that order,
-    so zeroing the fusion mixing reproduces the gated layer bit for bit.
+    Slots of the tables: 0 = center (N rows), 1 = neighbor, 2 = edge
+    harmonic, 3 = gated neighbor (E rows each); the lowered targets read
+    the gate, slot 4 (spin 0, E rows), in place of slot 3.
+    ``diagrams[two_l][term]`` is the fusion-diagram collection of one term
+    at output spin 2l; the terms present at a spin appear in the fixed
+    order self (slot 0), pair (0, 0), gated (2, 3), fusion (0, 1, 2), and
+    none is empty.  Weights: ``gate/*`` (``invariant_gate``);
+    ``vertex/{2l}/{term}`` mixes a term's concatenated diagram outputs to
+    tau channels, except in the fused kind's fusion term, whose
+    ``fusion_mix/{2l}`` does that and whose vertex block is square.
+    ``recoupled[two_l]`` lowers the terms in table order (see
+    ``_drop_spin0_legs``): self and pair center-only; gated per edge, as
+    (neighbor ⊗ harmonic)_l, or the neighbor alone where the harmonic is
+    Y^0_0, times the gate; fusion as (center ⊗ T)_l with T = (neighbor ⊗
+    harmonic)_k', or the neighbor.  Both terms' products share one memo,
+    so each (neighbor, harmonic, k) product is recorded once per layer.
+    The mixed terms are summed in table order, so zeroing the fusion
+    mixing reproduces the gated layer bit for bit.
     """
 
 
@@ -460,6 +521,85 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
     return {term: diagrams for term, diagrams in terms.items() if diagrams}
 
 
+# The interaction layer's per-edge slots.  Its tables read slots 0-3, as
+# the eager oracle binds them; their lowered targets read the gate, slot 4,
+# in place of the gated neighbor, as the taped layer binds them.
+_NEIGHBOR, _HARMONIC, _GATED, _GATE = 1, 2, 3, 4
+# Y^0_0, the value of every spin-0 edge harmonic
+_Y00 = float(sph_values(np.array([0.0, 0.0, 1.0]), 0)[0].real)
+
+
+def _read_interaction_leaf(leaf: tuple[int, int]):
+    """A table leaf over the lowered targets' inputs (see ``check_lowering``):
+    the gated neighbor is the neighbor times the gate, the spin-0 harmonic
+    is the constant Y^0_0, and any other leaf is an input itself."""
+    slot, two_j = leaf
+    if slot == _GATED:
+        return ((_NEIGHBOR, two_j), (_GATE, 0)), np.eye(dim(two_j))[:, None, :]
+    if leaf == (_HARMONIC, 0):
+        return (), np.array([_Y00])
+    return (leaf,), None
+
+
+def _drop_spin0_legs(diagrams, targets, U: np.ndarray):
+    """The interaction layer's rewrite of its recoupled targets (see
+    ``recoupled_collection``) through spin-0 CG vertices, each c times the
+    identity, so (x ⊗ s)_j = c·s·x (c = 1 in this CG table):
+
+    * the gate: a target that reads the gated neighbor g∘h_b reads h_b
+      and is multiplied by the gate g, (Y_a ⊗ g∘h_b)_l = ((Y_a ⊗ h_b)_l ⊗
+      g)_l; a collection of such targets (the gated term) returns the
+      gate's slot;
+    * exchange: a two-leaf subtree lists its lower slot first, (Y_a ⊗
+      h_b)_l = (−1)^(ja+jb−l) (h_b ⊗ Y_a)_l, so the gated term's products
+      are the fusion term's T = (h_b ⊗ Y_a)_k';
+    * Y^0_0: the spin-0 harmonic is a constant, so a target that reads it
+      loses that leaf and carries the constant in U.
+
+    Targets that coincide merge their U rows.  ``check_lowering`` verifies
+    the result against the tables' dense maps to 1e-12.
+    """
+    rows: dict[FusionDiagram, np.ndarray] = {}
+    gated = set()
+    for target, row in zip(targets, U):
+        tree, leaves, _, weight = _rewrite_legs(target.tree, iter(target.leaves))
+        new = FusionDiagram(leaves, tree, target.two_J)
+        rows[new] = rows.get(new, 0.0) + weight * row
+        gated.add(any(slot == _GATED for slot, _ in target.leaves))
+    if len(gated) > 1:
+        raise ValueError("either every target of a collection reads the gated neighbor or none")
+    gate = _GATE if True in gated else None
+    targets, U = tuple(rows), np.array(list(rows.values()))
+    lowered = targets if gate is None else tuple(_gated(t, gate) for t in targets)
+    check_lowering(diagrams, lowered, U, _read_interaction_leaf)
+    return targets, U, gate
+
+
+def _rewrite_legs(node, leaf_iter):
+    """(tree, leaves, 2j, weight) of one subtree rewritten as
+    ``_drop_spin0_legs`` says; the tree is None for the constant leaf."""
+    if isinstance(node, LeafNode):
+        slot, two_j = next(leaf_iter)
+        if (slot, two_j) == (_HARMONIC, 0):
+            return None, (), 0, _Y00
+        slot = _NEIGHBOR if slot == _GATED else slot
+        return LeafNode(slot), ((slot, two_j),), two_j, 1.0
+    left, left_leaves, two_a, left_weight = _rewrite_legs(node.left, leaf_iter)
+    right, right_leaves, two_b, right_weight = _rewrite_legs(node.right, leaf_iter)
+    weight = left_weight * right_weight
+    if left is None or right is None:
+        # a spin-0 leg: the CG block is c times the identity
+        weight *= cg_tensor(two_a, two_b, node.two_k).coeffs[0, 0, 0]
+        if left is None:
+            return right, right_leaves, two_b, weight
+        return left, left_leaves, two_a, weight
+    if isinstance(left, LeafNode) and isinstance(right, LeafNode) and left.slot > right.slot:
+        # exchange: (a ⊗ b)_k = (-1)^(ja + jb - k) (b ⊗ a)_k
+        left, right, left_leaves, right_leaves = right, left, right_leaves, left_leaves
+        weight *= -1.0 if (two_a + two_b - node.two_k) // 2 % 2 else 1.0
+    return FuseNode(left, right, node.two_k), left_leaves + right_leaves, node.two_k, weight
+
+
 def init_interaction_layer(
     input_spins,
     j_max: int,
@@ -490,7 +630,7 @@ def init_interaction_layer(
             keys = (f"vertex/{two_l}/{term}",)
             if term == "fusion":
                 keys = (f"fusion_mix/{two_l}",) + keys
-            lowered.append(recoupled_collection(diagrams, tau, keys))
+            lowered.append(recoupled_collection(diagrams, tau, keys, _drop_spin0_legs))
         params.recoupled[two_l] = tuple(lowered)
     return params
 
@@ -556,10 +696,8 @@ def taped_interaction_layer(
     gate = taped_gate(tape, acts, src, dst, basis, weights)
     gate_col = ad.reshape(tape, gate, (len(src), 1, params.tau))
     neighbor = {two_j: ad.gather(tape, node, dst) for two_j, node in acts.items()}
-    gated = {two_j: ad.mul(tape, node, gate_col) for two_j, node in neighbor.items()}
-    return taped_collections(
-        tape, params.recoupled, [acts, neighbor, harmonics, gated], src, weights, output_spins
-    )
+    slots = [acts, neighbor, harmonics, {}, {0: gate_col}]  # no target reads the gated neighbor
+    return taped_collections(tape, params.recoupled, slots, src, weights, output_spins)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,46 @@ class TestKernelOracles:
                 scale = np.max(np.abs(want), initial=0.0)
                 assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale, sub
 
+    @pytest.mark.parametrize(
+        "triple, sub",
+        [
+            ((0, 2, 2), "abc,eat,ebt->ect"),  # forward 0 ⊗ 1 -> 1
+            ((4, 0, 4), "abc,eat,eb->ect"),  # forward 2 ⊗ 0 -> 2, channel-less spin 0
+            ((0, 4, 4), "abc,eat,ect->eb"),  # a VJP: summed channel letter
+            ((2, 0, 2), "abc,ebt,ect->eat"),  # a VJP into the spin-1 operand
+            ((0, 0, 0), "abc,eat,ebt->ect"),  # 0 ⊗ 0 -> 0
+            ((0, 0, 0), "abc,ebt,ect->ea"),  # all dimension 1, channel letter summed
+        ],
+        ids=str,
+    )
+    def test_einsum3_broadcast_plan(self, triple, sub):
+        coeffs = cg_tensor(*triple).coeffs
+        assert ad._sparse_plan(coeffs, sub).func is ad._contract_broadcast
+        dims = dict(zip("abc", coeffs.shape))
+        rng = np.random.default_rng(7)
+        for n_edges in (0, 1, 37):
+            _, x_sub, y_sub = sub.split("->")[0].split(",")
+            x, y = _operand(x_sub, dims, n_edges, rng), _operand(y_sub, dims, n_edges, rng)
+            got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+            want = np.einsum(sub, coeffs, x, y)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            scale = np.max(np.abs(want), initial=0.0)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("sub", ["abc,eat,ebt->ect", "abc,ebt,ect->eat"])
+    def test_spin_zero_output_keeps_the_nonzero_plan(self, sub):
+        # 1 ⊗ 1 -> 0, and the VJP of 0 ⊗ 1 -> 1 into its spin-0 operand: no
+        # operand has dimension 1, so there is nothing to broadcast
+        coeffs = cg_tensor(2, 2, 0).coeffs if sub.endswith("ect") else cg_tensor(0, 2, 2).coeffs
+        assert ad._sparse_plan(coeffs, sub).func is ad._contract_nonzeros
+        dims = dict(zip("abc", coeffs.shape))
+        rng = np.random.default_rng(8)
+        _, x_sub, y_sub = sub.split("->")[0].split(",")
+        x, y = _operand(x_sub, dims, 37, rng), _operand(y_sub, dims, 37, rng)
+        got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+        want = np.einsum(sub, coeffs, x, y)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_einsum3_dense_complex_tensor(self):
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(3, 2)) + 0j, rng.normal(size=(3, 2)) * 1j

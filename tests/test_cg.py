@@ -167,3 +167,21 @@ class TestEquivariance:
             dc = wigner_D(Spin(two_jc), g).matrix
             residual = matrix.conj().T @ np.kron(da, db) @ matrix - dc
             assert np.max(np.abs(residual)) < 1e-13
+
+
+class TestSpinZeroAndExchange:
+    """The identities the interaction layer's lowering rests on."""
+
+    @pytest.mark.parametrize("two_ja,two_jb,two_jc", list(_admissible_triples(4)))
+    def test_exchange_symmetry(self, two_ja, two_jb, two_jc):
+        # C^(jb, ja, jc)[mb, ma, mc] = (-1)^(ja + jb - jc) C^(ja, jb, jc)[ma, mb, mc]
+        sign = -1.0 if (two_ja + two_jb - two_jc) // 2 % 2 else 1.0
+        swapped = cg_tensor(two_jb, two_ja, two_jc).coeffs.transpose(1, 0, 2)
+        assert np.array_equal(swapped, sign * cg_tensor(two_ja, two_jb, two_jc).coeffs)
+
+    @pytest.mark.parametrize("two_j", range(9))
+    def test_spin_zero_leg_is_exactly_the_identity(self, two_j):
+        # the taped layer multiplies by its spin-0 gate without a CG product
+        identity = np.eye(dim(two_j))
+        assert np.array_equal(cg_tensor(two_j, 0, two_j).coeffs[:, 0, :], identity)
+        assert np.array_equal(cg_tensor(0, two_j, two_j).coeffs[0], identity)

@@ -21,6 +21,11 @@ class TestValues:
         for x in (Z, np.array([1.0, -2.0, 0.5]), np.array([-3.0, 0.0, 0.0])):
             assert sph_values(x, 0)[0] == pytest.approx(expected, abs=1e-15)
 
+    def test_monopole_is_one_over_two_root_pi_everywhere(self):
+        # the interaction layer folds this constant into its mixing
+        directions = np.random.default_rng(12).normal(size=(50, 3))
+        assert np.all(sph_values(directions, 0) == 1.0 / (2.0 * math.sqrt(math.pi)))
+
     def test_j1_at_north_pole(self):
         # Ascending m = (-1, 0, +1); only m = 0 survives on the z axis.
         values = sph_values(Z, 2)

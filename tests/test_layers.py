@@ -7,7 +7,7 @@ from spinfusion import autodiff as ad
 from spinfusion import layers
 from spinfusion.blocks import AggregationKind, FusionBlockConfig, apply, identity_mixing
 from spinfusion.diagrams import FuseNode, FusionDiagram, LeafNode, contract, left_comb, validate
-from spinfusion.errors import EmptySchedule
+from spinfusion.errors import EmptySchedule, RecouplingError
 from spinfusion.features import taped_distances, taped_edge_harmonics, taped_radial_basis
 from spinfusion.geometry import PointCloud, build_neighborhood, edge_index
 from spinfusion.irreps import Activation
@@ -241,6 +241,15 @@ class TestLayerEquivariance:
         assert worst <= 1e-12
 
 
+def _subtree_key(node, leaf_iter):
+    """The taped executor's memo key of a subtree: its (slot, 2j) leaf, or
+    (left key, right key, 2k)."""
+    if isinstance(node, LeafNode):
+        return next(leaf_iter)
+    left = _subtree_key(node.left, leaf_iter)
+    return (left, _subtree_key(node.right, leaf_iter), node.two_k)
+
+
 def _random_leaves(spins_per_slot, n, tau, seed, channel_less=()):
     """Per-slot {two_j: array}; channel-less slots are (n, 2j+1) like harmonics."""
     rng = np.random.default_rng(seed)
@@ -461,6 +470,7 @@ class TestRecoupledTape:
         src, dst = edge_index(build_neighborhood(PointCloud(positions, species), config.cutoff))
         assert len(src) not in (0, 9)
         gathers, products = [], []
+        self.operands = []
         gather, einsum3 = ad.gather, ad.einsum3
 
         def recording_gather(tape, x, indices):
@@ -471,6 +481,7 @@ class TestRecoupledTape:
         def recording_einsum3(tape, tensor, x, y, subscript):
             node = einsum3(tape, tensor, x, y, subscript)
             products.append((np.ndim(tensor), node.shape[0]))
+            self.operands.append((x, y, node.shape))
             return node
 
         monkeypatch.setattr(ad, "gather", recording_gather)
@@ -488,13 +499,32 @@ class TestRecoupledTape:
         assert all(np.array_equal(idx, dst) for idx in activation_gathers)
         assert not any(np.array_equal(idx, src) for idx in activation_gathers)
 
-    def test_edge_row_products(self, monkeypatch):
-        # gated term 2 + 2 per-edge products; the fusion term's per-edge
-        # subtrees (neighbor ⊗ harmonic)_k': 2 in layer 0, 5 in layer 1 (it
-        # was (center ⊗ neighbor)_k, then ⊗ harmonic, per edge: 3 + 10)
-        src, _, _, products = self._forward_calls(monkeypatch)
+    def _edge_row_products(self, monkeypatch, kind):
+        """The per-edge products of a 2-layer model's forward: each must
+        read a neighbor and a spin-1 harmonic, once per layer."""
+        src, _, _, products = self._forward_calls(monkeypatch, kind=kind)
         edge_rows = [rows for ndim, rows in products if ndim == 3 and rows == len(src)]
-        assert len(edge_rows) == 11
+        pairs = set()
+        for x, y, shape in self.operands:
+            if shape[0] == len(src):
+                assert len(x.shape) == 3 and y.shape == (len(src), 3)  # neighbor ⊗ Y1
+                pairs.add((x.id, y.id, shape[1]))
+        assert len(pairs) == len(edge_rows)
+        return len(edge_rows)
+
+    def test_edge_row_products(self, monkeypatch):
+        # each (neighbor ⊗ harmonic)_k with a spin-1 harmonic, once per
+        # layer: (h0 ⊗ Y1)_1 in layer 0; (h0 ⊗ Y1)_1, (h1 ⊗ Y1)_0 and (h1 ⊗
+        # Y1)_1 in layer 1.  The gated term shares the fusion term's T,
+        # Y^0_0 is folded into the mixing and the gate multiplies the summed
+        # outputs, so no product reads a spin-0 harmonic or a gated
+        # neighbor (it was 2 + 2 gated products and 2 + 5 of T, 11)
+        assert self._edge_row_products(monkeypatch, "fused") == 4
+
+    def test_gated_edge_row_products(self, monkeypatch):
+        # (h0 ⊗ Y1)_1 in layer 0 and (h1 ⊗ Y1)_0 in layer 1, which reads
+        # spin 0 only (it was 2 + 2)
+        assert self._edge_row_products(monkeypatch, "gated") == 2
 
     def test_dense_chains_keep_their_first_stages_per_edge(self, monkeypatch):
         # the last layer's block at J = 0 holds five three-leaf diagrams that
@@ -554,13 +584,57 @@ class TestLowering:
                         assert (c.center, c.atom, c.edge) == (c.diagrams, (), ())
                         assert c.mixing is None
                 gated = lowered["gated"]
-                assert (gated.center, gated.atom, gated.edge) == ((), (), gated.diagrams)
-                assert gated.mixing is None
+                # one per-edge target per diagram, times the gate (slot 4)
+                assert (gated.center, gated.atom) == ((), ())
+                assert len(gated.edge) == len(gated.diagrams) and gated.gate == 4
                 fusion = lowered["fusion"]
                 assert fusion.atom and not fusion.center and not fusion.edge
+                assert fusion.gate is None
                 for t in fusion.atom:
                     assert t.tree.left == LeafNode(0)
-                    assert [slot for slot, _ in t.leaves] == [0, 1, 2]
+                    # T = (neighbor ⊗ harmonic)_k', or the neighbor alone
+                    # where the harmonic was the constant Y^0_0
+                    assert [slot for slot, _ in t.leaves] in ([0, 1, 2], [0, 1])
+                for t in gated.edge + fusion.atom:  # no gated neighbor, no Y^0_0
+                    assert all(slot != 3 and (slot, two_j) != (2, 0) for slot, two_j in t.leaves)
+
+    @pytest.mark.parametrize("j_max", [1, 2])
+    def test_gated_products_are_the_fusion_terms_T(self, j_max):
+        # the gated term's per-edge products key the same memo entries as
+        # the fusion term's T at the same output spin, so they run once
+        model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=j_max, seed=2))
+        shared = 0
+        for layer in model.layers:
+            for two_l, table in layer.diagrams.items():
+                lowered = dict(zip(table, layer.recoupled[two_l]))
+                gated = {_subtree_key(t.tree, iter(t.leaves)) for t in lowered["gated"].edge}
+                fusion_T = {
+                    _subtree_key(t.tree.right, iter(t.leaves[1:])) for t in lowered["fusion"].atom
+                }
+                products = {key for key in gated if len(key) == 3}  # not a bare neighbor
+                assert products <= fusion_T
+                shared += len(products)
+        assert shared
+
+    @pytest.mark.parametrize("factor", [1 + 1e-9, -1.0], ids=["off_by_1e-9", "sign"])
+    def test_build_time_check_catches_a_perturbed_rewrite(self, monkeypatch, factor):
+        # one U entry, that of the first gated diagram at spin 1, off: the
+        # lowering's check against the tables' dense maps rejects the layer
+        rewrite = layers._rewrite_legs
+        gated_tree = FuseNode(LeafNode(2), LeafNode(3), 2)
+        perturbed_once = []
+
+        def perturbed(node, leaf_iter):
+            tree, leaves, two_j, weight = rewrite(node, leaf_iter)
+            if node == gated_tree and not perturbed_once:
+                perturbed_once.append(node)
+                weight *= factor
+            return tree, leaves, two_j, weight
+
+        init_interaction_layer((0, 2), 1, 3, 4, 8, True, 2, "L")  # as built, it passes
+        monkeypatch.setattr(layers, "_rewrite_legs", perturbed)
+        with pytest.raises(RecouplingError):
+            init_interaction_layer((0, 2), 1, 3, 4, 8, True, 2, "L")
 
     def test_dense_chains_and_first_stages_stay_per_edge(self):
         schedule = SpinSchedule("dense", (0, 2))
