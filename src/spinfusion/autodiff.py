@@ -19,18 +19,23 @@ has to find one.  Under glibc the freed memory stays in the process for
 the next tape (``_keep_freed_memory``), so each step does not fault its
 pages in afresh.
 
-Complex data follows the conjugate (Wirtinger) cotangent convention: the
-adjoint of a complex node is w = dL/dRe + i dL/dIm.  Linear maps pull
-cotangents back through the conjugated matrix, bilinear products conjugate
-the other factor, and real parameters receive Re(x^H w), so real-parameter
-gradients come out real.
+Complex data follows the holomorphic cotangent convention (JAX's): the
+adjoint of a complex node is w = dL/dRe - i dL/dIm.  A holomorphic
+primitive's VJP multiplies by its derivative as it is: linear maps pull
+cotangents back through the matrix itself, and a bilinear product through
+the other factor, with no conjugation and no ``conj`` node.  The
+non-holomorphic primitives keep a rule each: ``conj`` maps w to conj(w),
+``real`` to complex_cast(w), ``complex_cast`` to real(w) and ``imag`` to
+-i w.  A real node keeps only the real part of a contribution, and Re w is
+the same under either convention, so real adjoints (forces, parameter
+gradients) are those of the conjugate convention, bit for bit.
 
 The two kernels the models spend their time in are sparse.  ``einsum3``
 contracts a CG tensor over its nonzero entries only (m_c = m_a + m_b
 leaves most entries zero), with a plan built once per tensor and subscript;
 a spin-0 factor, whose CG block is c times the identity, is one broadcast
-multiply instead (the broadcast plan).  Its VJPs reuse a real tensor rather
-than a conjugated copy, so they hit the same plans.  ``index_add`` sums
+multiply instead (the broadcast plan).  Its VJPs contract the forward
+tensor itself, so they hit the same plans.  ``index_add`` sums
 sorted segments, with the sort computed once per index array.
 ``channel_mix`` and its cotangents are BLAS matrix products (``matmul``).
 ``backward`` walks parent links back from the seed and visits only its
@@ -176,8 +181,8 @@ def mul(tape: Tape, x: Node, y: Node) -> Node:
     return tape._emit(
         value,
         (
-            (x, lambda tape, w: reduce_to_shape(tape, mul(tape, w, conj(tape, y)), x.shape)),
-            (y, lambda tape, w: reduce_to_shape(tape, mul(tape, w, conj(tape, x)), y.shape)),
+            (x, lambda tape, w: reduce_to_shape(tape, mul(tape, w, y), x.shape)),
+            (y, lambda tape, w: reduce_to_shape(tape, mul(tape, w, x), y.shape)),
         ),
     )
 
@@ -187,14 +192,12 @@ def div(tape: Tape, x: Node, y: Node) -> Node:
     x, y = _as_node(tape, x), _as_node(tape, y)
 
     def vjp_x(tape, w):
-        return reduce_to_shape(tape, div(tape, w, conj(tape, y)), x.shape)
+        return reduce_to_shape(tape, div(tape, w, y), x.shape)
 
     def vjp_y(tape, w):
         # d(x/y)/dy = -x/y^2 = -(x/y)/y
         ratio = div(tape, div(tape, x, y), y)
-        return reduce_to_shape(
-            tape, scale(tape, mul(tape, w, conj(tape, ratio)), -1.0), y.shape
-        )
+        return reduce_to_shape(tape, scale(tape, mul(tape, w, ratio), -1.0), y.shape)
 
     return tape._emit(x.value / y.value, ((x, vjp_x), (y, vjp_y)))
 
@@ -202,7 +205,7 @@ def div(tape: Tape, x: Node, y: Node) -> Node:
 @_primitive("scale")
 def scale(tape: Tape, x: Node, factor) -> Node:
     x = _as_node(tape, x)
-    return tape._emit(x.value * factor, ((x, lambda tape, w: scale(tape, w, np.conj(factor))),))
+    return tape._emit(x.value * factor, ((x, lambda tape, w: scale(tape, w, factor)),))
 
 
 @_primitive("conj")
@@ -223,7 +226,7 @@ def real(tape: Tape, x: Node) -> Node:
 def imag(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
     return tape._emit(
-        np.imag(x.value), ((x, lambda tape, w: scale(tape, complex_cast(tape, w), 1j)),)
+        np.imag(x.value), ((x, lambda tape, w: scale(tape, complex_cast(tape, w), -1j)),)
     )
 
 
@@ -236,24 +239,21 @@ def complex_cast(tape: Tape, x: Node) -> Node:
 @_primitive("exp")
 def exp(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
-    return tape._emit(
-        np.exp(x.value), ((x, lambda tape, w: mul(tape, w, conj(tape, exp(tape, x)))),)
-    )
+    return tape._emit(np.exp(x.value), ((x, lambda tape, w: mul(tape, w, exp(tape, x))),))
 
 
 @_primitive("sqrt")
 def sqrt(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
     return tape._emit(
-        np.sqrt(x.value),
-        ((x, lambda tape, w: div(tape, w, conj(tape, scale(tape, sqrt(tape, x), 2.0)))),),
+        np.sqrt(x.value), ((x, lambda tape, w: div(tape, w, scale(tape, sqrt(tape, x), 2.0))),)
     )
 
 
 @_primitive("sin")
 def sin(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
-    return tape._emit(np.sin(x.value), ((x, lambda tape, w: mul(tape, w, conj(tape, cos(tape, x)))),))
+    return tape._emit(np.sin(x.value), ((x, lambda tape, w: mul(tape, w, cos(tape, x))),))
 
 
 @_primitive("cos")
@@ -261,7 +261,7 @@ def cos(tape: Tape, x: Node) -> Node:
     x = _as_node(tape, x)
     return tape._emit(
         np.cos(x.value),
-        ((x, lambda tape, w: scale(tape, mul(tape, w, conj(tape, sin(tape, x))), -1.0)),),
+        ((x, lambda tape, w: scale(tape, mul(tape, w, sin(tape, x)), -1.0)),),
     )
 
 
@@ -452,12 +452,6 @@ def _split_subscript(subscript: str) -> tuple[str, str, str, str]:
     return parts[0], parts[1], parts[2], out
 
 
-def _adjoint_tensor(tensor: np.ndarray) -> np.ndarray:
-    """The conjugate a VJP contracts with; a real tensor is its own, so it is
-    reused (and keeps its cached plans) instead of copied."""
-    return np.conj(tensor) if np.iscomplexobj(tensor) else tensor
-
-
 def _scaled_identity(block: np.ndarray):
     """c when ``block`` is c times the identity matrix, else None."""
     n = len(block)
@@ -583,8 +577,7 @@ def einsum2(tape: Tape, tensor: np.ndarray, x: Node, subscript: str) -> Node:
     t_sub, x_sub, _, out_sub = _split_subscript(subscript)
     value = np.einsum(subscript, tensor, x.value)
     back = f"{t_sub},{out_sub}->{x_sub}"
-    t_adj = _adjoint_tensor(tensor)
-    return tape._emit(value, ((x, lambda tape, w: einsum2(tape, t_adj, w, back)),))
+    return tape._emit(value, ((x, lambda tape, w: einsum2(tape, tensor, w, back)),))
 
 
 @_primitive("einsum3")
@@ -598,9 +591,8 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     dimension 1 and the tensor is c times the identity between the other
     two indices (a spin-0 factor: 0 ⊗ j -> j, j ⊗ 0 -> j, 0 ⊗ 0 -> 0),
     else a contraction over its nonzero entries only; any other form runs
-    ``np.einsum``.  The cotangent of one factor contracts the conjugate
-    tensor (the tensor itself when real) with the conjugate of the other
-    factor.
+    ``np.einsum``.  The cotangent of one factor contracts the same tensor
+    with the other factor, as it is.
     """
     x, y = _as_node(tape, x), _as_node(tape, y)
     t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
@@ -616,12 +608,11 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
         value = plan(x.value, y.value)
     back_x = f"{t_sub},{y_sub},{out_sub}->{x_sub}"
     back_y = f"{t_sub},{x_sub},{out_sub}->{y_sub}"
-    t_adj = _adjoint_tensor(tensor)
     return tape._emit(
         value,
         (
-            (x, lambda tape, w: einsum3(tape, t_adj, conj(tape, y), w, back_x)),
-            (y, lambda tape, w: einsum3(tape, t_adj, conj(tape, x), w, back_y)),
+            (x, lambda tape, w: einsum3(tape, tensor, y, w, back_x)),
+            (y, lambda tape, w: einsum3(tape, tensor, x, w, back_y)),
         ),
     )
 
@@ -631,22 +622,22 @@ def matmul(tape: Tape, a: Node, b: Node, trans_a: bool = False, trans_b: bool = 
     """op(a) @ op(b) for matrices, op the transpose when its flag is set.
 
     One BLAS call forward and per cotangent.  The cotangent of op(a) is
-    w @ op(b)^H and that of op(b) is op(a)^H @ w; each is again a
-    ``matmul`` of the other factor's conjugate, so products of products
-    stay differentiable.
+    w @ op(b)^T and that of op(b) is op(a)^T @ w; each is again a
+    ``matmul`` of the other factor, so products of products stay
+    differentiable.
     """
     a, b = _as_node(tape, a), _as_node(tape, b)
     value = (a.value.T if trans_a else a.value) @ (b.value.T if trans_b else b.value)
 
     def vjp_a(tape, w):
         if trans_a:
-            return matmul(tape, conj(tape, b), w, trans_b, True)
-        return matmul(tape, w, conj(tape, b), False, not trans_b)
+            return matmul(tape, b, w, trans_b, True)
+        return matmul(tape, w, b, False, not trans_b)
 
     def vjp_b(tape, w):
         if trans_b:
-            return matmul(tape, w, conj(tape, a), True, trans_a)
-        return matmul(tape, conj(tape, a), w, not trans_a, False)
+            return matmul(tape, w, a, True, trans_a)
+        return matmul(tape, a, w, not trans_a, False)
 
     return tape._emit(value, ((a, vjp_a), (b, vjp_b)))
 
@@ -655,7 +646,7 @@ def matmul(tape: Tape, a: Node, b: Node, trans_a: bool = False, trans_b: bool = 
 def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
     """x @ W on the trailing channel axis; W is a real parameter matrix.
 
-    The weight cotangent is Re(x^H w) accumulated over all leading axes, so
+    The weight cotangent is Re(x^T w) accumulated over all leading axes, so
     real parameters receive real gradients from complex data.  Both
     cotangents are ``matmul`` products over the flattened leading axes.
     """
@@ -674,7 +665,7 @@ def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
     def vjp_w(tape, w):
         x_flat = reshape(tape, x, (rows, x.shape[-1]))
         w_flat = reshape(tape, w, (rows, weights.shape[-1]))
-        return real(tape, matmul(tape, conj(tape, x_flat), w_flat, True, False))
+        return real(tape, matmul(tape, x_flat, w_flat, True, False))
 
     return tape._emit(value, ((x, vjp_x), (weights, vjp_w)))
 
@@ -683,8 +674,8 @@ def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
 def spherical(tape: Tape, x: Node, two_j: int) -> Node:
     """Spherical-harmonic values of row vectors x (..., 3) at integer spin.
 
-    The cotangent uses the analytic position Jacobian, captured at forward
-    time; only first derivatives of the harmonics are ever required because
+    The cotangent contracts the analytic position Jacobian, captured at
+    forward time, as it is; only first derivatives of the harmonics are ever required because
     positions are data, not trained parameters.  Y^0_0 is a constant, so at
     spin 0 the result is a constant node with no cotangent.
     """
@@ -694,10 +685,10 @@ def spherical(tape: Tape, x: Node, two_j: int) -> Node:
     value = sph_values(x.value, two_j)
     if two_j == 0:
         return tape.constant(value)
-    jac_conj = np.conj(sph_jacobian(x.value, two_j))  # (..., 2j+1, 3)
+    jac = sph_jacobian(x.value, two_j)  # (..., 2j+1, 3)
 
     def vjp(tape, w):
-        return real(tape, einsum2(tape, jac_conj, w, "...mk,...m->...k"))
+        return real(tape, einsum2(tape, jac, w, "...mk,...m->...k"))
 
     return tape._emit(value, ((x, vjp),))
 
@@ -711,11 +702,12 @@ def backward(tape: Tape, seed: Node, wrt: Optional[list[Node]] = None) -> dict[i
     """Reverse accumulation from a real scalar seed.
 
     Returns a map from node id to the adjoint *node* (its ``.value`` is the
-    gradient array).  Adjoint arithmetic is recorded on the tape, so adjoints
-    can feed later losses.  Only the seed's ancestors are visited, so the
-    cost follows the seed's graph, not the tape's length.  When ``wrt`` is
-    given, propagation is further pruned to nodes that depend on one of
-    those.
+    gradient array; for a complex node, the holomorphic cotangent
+    dL/dRe - i dL/dIm).  Adjoint arithmetic is recorded on the tape, so
+    adjoints can feed later losses.  Only the seed's ancestors are visited,
+    so the cost follows the seed's graph, not the tape's length.  When
+    ``wrt`` is given, propagation is further pruned to nodes that depend on
+    one of those.
     """
     value = np.asarray(seed.value)
     if value.ndim != 0 or np.iscomplexobj(value):

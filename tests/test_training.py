@@ -340,3 +340,23 @@ def test_each_step_records_one_tape(monkeypatch):
     steps = ["tape", "parameters"] * 2
     evaluation = ["energy_and_forces", "tape", "parameters"] * len(data)
     assert events == steps + evaluation
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_conj_in_a_force_call_or_a_step(kind, monkeypatch):
+    # under the holomorphic cotangent convention every VJP of the model
+    # path multiplies by its derivative as it is, so neither the force
+    # backward nor the parameter backward of the force loss conjugates
+    calls = []
+    conj = ad.conj
+
+    def counting_conj(tape, x):
+        calls.append(x.shape)
+        return conj(tape, x)
+
+    monkeypatch.setattr(ad, "conj", counting_conj)
+    model = Model(ModelConfig(kind=kind, n_layers=2, tau=3, j_max=1, radial_channels=4, hidden=8))
+    data = generate_dataset(2, 5, "morse", seed=2)
+    model.energy_and_forces(data[0].positions, data[0].species)
+    _batch_loss_and_gradients(model, data, LossConfig())
+    assert calls == []
