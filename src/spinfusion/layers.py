@@ -164,16 +164,19 @@ def taped_gate(
     tape: ad.Tape,
     acts: dict[int, ad.Node],
     src: np.ndarray,
-    dst: np.ndarray,
+    neighbor0: ad.Node,
     basis: ad.Node,
     weights: dict[str, ad.Node],
 ) -> ad.Node:
-    """Vectorized gate over all edges -> (E, tau) real node."""
+    """Vectorized gate over all edges -> (E, tau) real node.
+
+    ``neighbor0`` is the neighbor's spin-0 rows, (E, tau), which the layer
+    has already gathered at ``dst``; the center's are gathered at ``src``.
+    """
     n_atoms, _, tau = acts[0].shape
-    flat0 = ad.reshape(tape, acts[0], (n_atoms, tau))
+    center0 = ad.gather(tape, ad.reshape(tape, acts[0], (n_atoms, tau)), src)
     rows = []
-    for idx in (src, dst):
-        part = ad.gather(tape, flat0, idx)
+    for part in (center0, neighbor0):
         rows.append(ad.real(tape, part))
         rows.append(ad.imag(tape, part))
     rows.append(basis)
@@ -693,9 +696,10 @@ def taped_interaction_layer(
     through ``taped_collections`` at the spins in ``output_spins``.
     """
     weights = params.weight_nodes(param_nodes, name)
-    gate = taped_gate(tape, acts, src, dst, basis, weights)
-    gate_col = ad.reshape(tape, gate, (len(src), 1, params.tau))
     neighbor = {two_j: ad.gather(tape, node, dst) for two_j, node in acts.items()}
+    neighbor0 = ad.reshape(tape, neighbor[0], (len(dst), params.tau))
+    gate = taped_gate(tape, acts, src, neighbor0, basis, weights)
+    gate_col = ad.reshape(tape, gate, (len(src), 1, params.tau))
     slots = [acts, neighbor, harmonics, {}, {0: gate_col}]  # no target reads the gated neighbor
     return taped_collections(tape, params.recoupled, slots, src, weights, output_spins)
 

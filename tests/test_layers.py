@@ -499,6 +499,33 @@ class TestRecoupledTape:
         assert all(np.array_equal(idx, dst) for idx in activation_gathers)
         assert not any(np.array_equal(idx, src) for idx in activation_gathers)
 
+    def test_gate_reads_the_gathered_neighbor(self, monkeypatch):
+        # a fused force call on the 9-atom cloud records 18 gathers: the
+        # positions at src and dst, the embedding, per layer the neighbor
+        # slot at dst and the gate's center rows at src, then the VJPs of
+        # the sums over neighbors and of the readout.  The gate reads its
+        # neighbor rows from the spin-0 neighbor slot, so no spin-0 row is
+        # gathered at dst twice (it was 20, with one more per layer)
+        model = Model(ModelConfig(kind="fused", n_layers=2, tau=6, j_max=1, seed=2))
+        rng = np.random.default_rng(9)
+        positions = rng.normal(size=(9, 3)) * 1.3
+        species = rng.integers(0, 2, size=9)
+        pc = PointCloud(positions, species)
+        src, _ = edge_index(build_neighborhood(pc, model.config.cutoff))
+        gathers = []
+        gather = ad.gather
+
+        def recording_gather(tape, x, indices):
+            gathers.append((x.shape, np.asarray(indices)))
+            return gather(tape, x, indices)
+
+        monkeypatch.setattr(ad, "gather", recording_gather)
+        model.energy_and_forces(positions, species)
+        assert len(gathers) == 18
+        gate_rows = [idx for shape, idx in gathers if shape == (9, 6)]
+        assert len(gate_rows) == 2  # one per layer
+        assert all(np.array_equal(idx, src) for idx in gate_rows)
+
     def _edge_row_products(self, monkeypatch, kind):
         """The per-edge products of a 2-layer model's forward: each must
         read a neighbor and a spin-1 harmonic, once per layer."""
