@@ -2,12 +2,16 @@
 
 A :class:`Tape` records every operation of one forward evaluation as a
 :class:`Node`.  ``backward`` seeds a real scalar node and accumulates
-vector-Jacobian products in strictly decreasing node-id order.  The adjoint
-arithmetic is itself recorded on the same tape, so an adjoint (for example a
-force, the negative position gradient of an energy) is an ordinary node and
-can appear in a later loss whose own backward pass then reaches the
-parameters.  This works because every VJP closure is composed of registered
-primitives only.
+vector-Jacobian products in strictly decreasing node-id order, recording
+the adjoint arithmetic on the tape it is given.  On a recording tape (the
+forward's own), an adjoint (for example a force, the negative position
+gradient of an energy) is then an ordinary node and can appear in a later
+loss whose own backward pass reaches the parameters.  This works because
+every VJP closure is composed of registered primitives only.  A last
+backward pass, whose adjoints are only read as values, runs on a
+graph-free tape (``Tape(graph=False)``) instead: the same VJPs compute the
+same values, but no parent link or node list keeps an intermediate adjoint
+alive once nothing reads it.
 
 A VJP is called as ``vjp(tape, w)``: ``backward`` hands it the tape to
 record on, so no closure captures the tape, and none captures the node it
@@ -104,12 +108,22 @@ _keep_freed_memory()
 
 
 class Tape:
-    """Ordered node list for one forward (plus backward) evaluation."""
+    """Ordered node list for one forward (plus backward) evaluation.
 
-    def __init__(self) -> None:
+    With ``graph=False`` the tape records no graph: each node it emits holds
+    its value only, with no parent links, id -1 and no entry in ``nodes``,
+    so it is freed as soon as nothing reads it.  Such nodes cannot be
+    differentiated; this tape serves a backward pass whose adjoints are read
+    as values and never fed to a later loss.
+    """
+
+    def __init__(self, graph: bool = True) -> None:
         self.nodes: list[Node] = []
+        self.graph = graph
 
     def _emit(self, value, parents) -> Node:
+        if not self.graph:
+            return Node(value, (), -1)
         node = Node(value, tuple(parents), len(self.nodes))
         self.nodes.append(node)
         return node
@@ -703,11 +717,17 @@ def backward(tape: Tape, seed: Node, wrt: Optional[list[Node]] = None) -> dict[i
 
     Returns a map from node id to the adjoint *node* (its ``.value`` is the
     gradient array; for a complex node, the holomorphic cotangent
-    dL/dRe - i dL/dIm).  Adjoint arithmetic is recorded on the tape, so
-    adjoints can feed later losses.  Only the seed's ancestors are visited,
-    so the cost follows the seed's graph, not the tape's length.  When
-    ``wrt`` is given, propagation is further pruned to nodes that depend on
-    one of those.
+    dL/dRe - i dL/dIm).  Adjoint arithmetic is recorded on ``tape``: on a
+    recording tape the adjoints can feed later losses; on a graph-free one
+    they are values only.  Only the seed's ancestors are visited, so the
+    cost follows the seed's graph, not the tape's length.
+
+    When ``wrt`` is given, propagation is pruned to nodes that depend on one
+    of those, and the map holds exactly their ids, zeros for any the seed
+    does not depend on.  Every other adjoint is dropped as soon as its
+    node's VJPs have run (all consumers of a node come after it, so its
+    adjoint is final by then), so no more of them is alive at once than the
+    pass needs.
     """
     value = np.asarray(seed.value)
     if value.ndim != 0 or np.iscomplexobj(value):
@@ -729,16 +749,20 @@ def backward(tape: Tape, seed: Node, wrt: Optional[list[Node]] = None) -> dict[i
 
     needed: Optional[set[int]] = None
     if wrt is not None:
-        needed = {n.id for n in wrt}
+        kept = {n.id for n in wrt}
+        needed = set(kept)
         for node in order:
             if any(p.id in needed for p, _ in node.parents):
                 needed.add(node.id)
-        if seed.id not in needed:
-            return {n.id: tape.constant(np.zeros_like(np.asarray(n.value))) for n in wrt}
+    adjoints: dict[int, Node] = {}
+    if needed is None or seed.id in needed:
+        adjoints[seed.id] = tape.constant(np.ones_like(value))
 
-    adjoints: dict[int, Node] = {seed.id: tape.constant(np.ones_like(value))}
     for node in reversed(order):
-        w = adjoints.get(node.id)
+        if needed is None or node.id in kept:
+            w = adjoints.get(node.id)
+        else:
+            w = adjoints.pop(node.id, None)
         if w is None:
             continue
         for parent, vjp in node.parents:
@@ -755,7 +779,13 @@ def backward(tape: Tape, seed: Node, wrt: Optional[list[Node]] = None) -> dict[i
             adjoints[parent.id] = (
                 contribution if previous is None else add(tape, previous, contribution)
             )
-    return adjoints
+    if wrt is None:
+        return adjoints
+    return {
+        n.id: adjoints[n.id] if n.id in adjoints
+        else tape.constant(np.zeros_like(np.asarray(n.value)))
+        for n in wrt
+    }
 
 
 @dataclass

@@ -187,11 +187,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
             param_nodes = model.parameter_nodes(tape)
             loss = _taped_batch_loss(tape, model, param_nodes, [sample], loss_config)
             node = param_nodes[name]
-            grads = ad.backward(tape, loss, wrt=[node])
-            gradient = (
-                np.real(grads[node.id].value) if node.id in grads else np.zeros_like(values)
-            )
-            return float(np.real(loss.value)), np.broadcast_to(gradient, values.shape)
+            grads = ad.backward(ad.Tape(graph=False), loss, wrt=[node])
+            return float(np.real(loss.value)), np.real(grads[node.id].value)
 
         return f
 

@@ -306,14 +306,23 @@ class Model:
     def energy_and_forces(
         self, positions: np.ndarray, species: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        """Energy and exact forces (negative position gradient)."""
+        """Energy and exact forces (negative position gradient).
+
+        The forward is recorded on a tape; the force backward, whose result
+        is only read, runs on a graph-free tape, so each intermediate
+        adjoint is freed as soon as the pass has used it.  The forces are
+        those of ``taped_energies_and_forces``, bit for bit.
+        """
         species = np.asarray(species, dtype=int)
         tape = ad.Tape()
         pos_node = tape.variable(np.asarray(positions, dtype=float))
-        energies, forces = self.taped_energies_and_forces(
+        energies = self.taped_forward(
             tape, pos_node, species, [species.size], self.parameter_nodes(tape)
         )
-        return float(energies.value[0]), forces.value
+        grads = ad.backward(
+            ad.Tape(graph=False), ad.sum_all(tape, energies), wrt=[pos_node]
+        )
+        return float(energies.value[0]), -grads[pos_node.id].value
 
     def plain_energy(self, positions: np.ndarray, species: np.ndarray) -> float:
         """Reference energy through the per-atom layer implementations."""

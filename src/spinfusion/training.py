@@ -115,8 +115,12 @@ def _batch_loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """One training step's loss and parameter gradients, as plain values.
 
-    The step's tape is local, so it is freed when this returns: nothing
-    holds a node of it.
+    The forward and the force backward are recorded on the step's tape,
+    because the force loss differentiates the forces.  The parameter
+    backward, whose gradients are only read, runs on a graph-free tape, so
+    each intermediate adjoint is freed as soon as the pass has used it.
+    Both tapes are local, so they are freed when this returns: nothing
+    holds a node of them.
     """
     tape = ad.Tape()
     param_nodes = model.parameter_nodes(tape)
@@ -124,11 +128,8 @@ def _batch_loss_and_gradients(
     value = float(np.real(loss.value))
     if not np.isfinite(value):
         raise NonFiniteLoss(f"batch loss is {value}")
-    grads = ad.backward(tape, loss, wrt=list(param_nodes.values()))
-    return value, {
-        name: np.real(grads[node.id].value) if node.id in grads else 0.0
-        for name, node in param_nodes.items()
-    }
+    grads = ad.backward(ad.Tape(graph=False), loss, wrt=list(param_nodes.values()))
+    return value, {name: np.real(grads[node.id].value) for name, node in param_nodes.items()}
 
 
 def _run_hash(model: Model, loss_config: LossConfig, adam: AdamConfig,
@@ -196,7 +197,7 @@ def train(
             bias2 = 1.0 - adam.beta2**step
             parameters = model.parameters()
             for name in names:
-                gradient = np.broadcast_to(gradients[name], parameters[name].shape)
+                gradient = gradients[name]
                 first_moment[name] = (
                     adam.beta1 * first_moment[name] + (1.0 - adam.beta1) * gradient
                 )

@@ -718,6 +718,76 @@ class TestMatmul:
         assert tensors == []  # no einsum3, let alone a 0-d one
 
 
+def _second_order_chain(tape, x, w):
+    """A force-like adjoint (the x-gradient of an energy through
+    channel_mix, real/imag and the div/exp/sqrt/tanh chain, recorded on
+    ``tape``) turned into a loss, as training does."""
+    mixed = ad.channel_mix(tape, ad.complex_cast(tape, x), w)
+    scalar = ad.add(
+        tape,
+        ad.sum_all(tape, ad.mul(tape, ad.real(tape, mixed), ad.imag(tape, ad.exp(tape, mixed)))),
+        _div_exp_sqrt_tanh(tape, x),
+    )
+    force = ad.backward(tape, scalar, wrt=[x])[x.id]
+    return ad.sum_all(tape, ad.mul(tape, force, force))
+
+
+class TestGraphFreeTape:
+    """``Tape(graph=False)`` computes values and keeps no graph."""
+
+    def test_lists_no_node_and_links_no_parent(self):
+        tape = ad.Tape(graph=False)
+        x = tape.variable(np.array([0.5, -1.5]))
+        y = ad.sum_all(tape, ad.mul(tape, ad.sin(tape, x), x))
+        assert tape.nodes == []
+        assert x.parents == () and y.parents == ()
+        assert y.value == pytest.approx(float(np.sum(np.sin(x.value) * x.value)))
+
+    def test_backward_on_it_records_nothing(self):
+        tape = ad.Tape()
+        x = tape.variable(REAL_MAT * 0.4)
+        w = tape.variable(WEIGHTS.copy())
+        loss = _second_order_chain(tape, x, w)
+        recorded = len(tape.nodes)
+        free = ad.Tape(graph=False)
+        grads = ad.backward(free, loss, wrt=[x, w])
+        assert len(tape.nodes) == recorded
+        assert free.nodes == []
+        assert all(node.parents == () for node in grads.values())
+
+    def test_adjoints_equal_a_recording_backward_bit_for_bit(self):
+        def gradients(graph):
+            tape = ad.Tape()
+            x = tape.variable(REAL_MAT * 0.4)
+            w = tape.variable(WEIGHTS.copy())
+            loss = _second_order_chain(tape, x, w)
+            grads = ad.backward(tape if graph else ad.Tape(graph=False), loss, wrt=[x, w])
+            return [grads[x.id].value, grads[w.id].value]
+
+        for recorded, free in zip(gradients(True), gradients(False)):
+            assert np.array_equal(recorded, free)
+
+    @pytest.mark.parametrize("graph", [True, False])
+    def test_backward_with_wrt_returns_exactly_those_ids(self, graph):
+        tape = ad.Tape()
+        x = tape.variable(np.array([0.3, -0.7]))
+        unused = tape.variable(np.ones((2, 2)))
+        square = ad.mul(tape, x, x)
+        seed = ad.sum_all(tape, ad.sin(tape, square))
+        grads = ad.backward(tape if graph else ad.Tape(graph=False), seed, wrt=[square, x, unused])
+        assert list(grads) == [square.id, x.id, unused.id]
+        assert np.array_equal(grads[unused.id].value, np.zeros((2, 2)))
+        assert np.allclose(grads[square.id].value, np.cos(square.value), atol=0, rtol=1e-15)
+        assert np.allclose(
+            grads[x.id].value, 2 * x.value * np.cos(square.value), atol=0, rtol=1e-15
+        )
+        # a seed that depends on none of them
+        other = ad.sum_all(tape, unused)
+        grads = ad.backward(tape if graph else ad.Tape(graph=False), other, wrt=[x])
+        assert list(grads) == [x.id]
+        assert np.array_equal(grads[x.id].value, np.zeros(2))
+
+
 class TestGradcheckHarness:
     def test_linear_function_is_exact(self):
         coefficients = PROBE_VEC.copy()

@@ -192,6 +192,60 @@ def test_taped_forward_records_only_ancestors_of_the_energy(kind, overrides):
     assert dead == []
 
 
+def _recorded_forces(model, positions, species):
+    """Forces of ``taped_energies_and_forces``, whose backward is recorded."""
+    tape = ad.Tape()
+    _, forces = model.taped_energies_and_forces(
+        tape, tape.variable(positions), species, [len(species)], model.parameter_nodes(tape)
+    )
+    return forces.value
+
+
+def _lattice_cloud(shape, spacing, seed):
+    """Atoms on a jittered cubic lattice: a large cloud with no close pair."""
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"), -1).reshape(-1, 3)
+    positions = spacing * (grid + rng.uniform(-0.15, 0.15, size=grid.shape))
+    return positions, rng.integers(0, 2, size=len(grid))
+
+
+class TestGraphFreeForceBackward:
+    """``energy_and_forces`` runs its force backward on a graph-free tape."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [("gated", {}), ("fused", {}), ("three_body", {}), ("three_body", {"schedule_mode": "dense"})],
+        ids=["gated", "fused", "three_body_sparse", "three_body_dense"],
+    )
+    def test_forces_equal_the_recording_backward(self, kind, overrides, n_layers):
+        model = Model(_small_config(kind, n_layers=n_layers, **overrides))
+        positions, species = _cloud(7, seed=n_layers)
+        _, forces = model.energy_and_forces(positions, species)
+        assert np.array_equal(forces, _recorded_forces(model, positions, species))
+
+    def test_force_call_peaks_lower_than_the_recording_path(self):
+        # 80 atoms, about 1k edges, two fused layers: the graph-free force
+        # backward keeps only the adjoints it still needs
+        import tracemalloc
+
+        model = Model(ModelConfig(kind="fused", n_layers=2, tau=6, j_max=1, seed=81))
+        positions, species = _lattice_cloud((5, 4, 4), 1.9, seed=81)
+
+        def peak(call):
+            call()  # warm: CG tensors and contraction plans are cached
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        free = peak(lambda: model.energy_and_forces(positions, species))
+        recorded = peak(lambda: _recorded_forces(model, positions, species))
+        assert free <= 0.7 * recorded
+
+
 class TestParameters:
     def test_set_parameters_round_trip(self):
         model = Model(_small_config("fused"))

@@ -13,6 +13,7 @@ from spinfusion.training import (
     AdamConfig,
     LossConfig,
     _batch_loss_and_gradients,
+    _taped_batch_loss,
     evaluate,
     sample_loss,
     train,
@@ -313,16 +314,18 @@ def test_tapes_are_freed_by_reference_counting(kind):
 
 
 def test_each_step_records_one_tape(monkeypatch):
-    # one training step builds one tape and one set of parameter leaves, in
-    # that order, and evaluate goes through energy_and_forces per sample
+    # one training step builds one recording tape, one set of parameter
+    # leaves and one graph-free tape for its parameter backward, in that
+    # order, and evaluate goes through energy_and_forces per sample, whose
+    # force backward runs on a graph-free tape too
     events = []
     tape_init = ad.Tape.__init__
     parameter_nodes = Model.parameter_nodes
     energy_and_forces = Model.energy_and_forces
 
-    def counting_tape_init(tape):
-        events.append("tape")
-        tape_init(tape)
+    def counting_tape_init(tape, *args, **kwargs):
+        tape_init(tape, *args, **kwargs)
+        events.append("tape" if tape.graph else "graph-free tape")
 
     def counting_parameter_nodes(model, tape):
         events.append("parameters")
@@ -337,8 +340,8 @@ def test_each_step_records_one_tape(monkeypatch):
     monkeypatch.setattr(Model, "energy_and_forces", counting_energy_and_forces)
     data = generate_dataset(4, 4, "morse", seed=2)
     train(_tiny_model(), data, 1, batch_size=2, seed=0)
-    steps = ["tape", "parameters"] * 2
-    evaluation = ["energy_and_forces", "tape", "parameters"] * len(data)
+    steps = ["tape", "parameters", "graph-free tape"] * 2
+    evaluation = ["energy_and_forces", "tape", "parameters", "graph-free tape"] * len(data)
     assert events == steps + evaluation
 
 
@@ -360,3 +363,26 @@ def test_no_conj_in_a_force_call_or_a_step(kind, monkeypatch):
     model.energy_and_forces(data[0].positions, data[0].species)
     _batch_loss_and_gradients(model, data, LossConfig())
     assert calls == []
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "extra", BATCH_KINDS, ids=["gated", "fused", "three_body_sparse", "three_body_dense"]
+)
+def test_graph_free_parameter_backward_equals_a_recording_one(extra, n_layers):
+    # the step's parameter backward runs on a graph-free tape; the same VJPs
+    # on the same values give the gradients of a recording backward exactly
+    model = Model(
+        ModelConfig(n_layers=n_layers, tau=3, j_max=1, radial_channels=4, hidden=8, seed=4,
+                    **extra)
+    )
+    batch = _mixed_batch()
+    loss, gradients = _batch_loss_and_gradients(model, batch, LossConfig())
+    tape = ad.Tape()
+    param_nodes = model.parameter_nodes(tape)
+    recorded_loss = _taped_batch_loss(tape, model, param_nodes, batch, LossConfig())
+    recorded = ad.backward(tape, recorded_loss, wrt=list(param_nodes.values()))
+    assert loss == float(np.real(recorded_loss.value))
+    assert list(gradients) == list(param_nodes)
+    for name, node in param_nodes.items():
+        assert np.array_equal(gradients[name], np.real(recorded[node.id].value)), name
