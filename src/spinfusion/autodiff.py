@@ -660,13 +660,18 @@ def matmul(tape: Tape, a: Node, b: Node, trans_a: bool = False, trans_b: bool = 
 def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
     """x @ W on the trailing channel axis; W is a real parameter matrix.
 
-    The weight cotangent is Re(x^T w) accumulated over all leading axes, so
-    real parameters receive real gradients from complex data.  Both
-    cotangents are ``matmul`` products over the flattened leading axes.
+    The product and both cotangents run over the flattened leading axes, one
+    2-D matrix product each (a stacked product would be one small product per
+    leading index).  The weight cotangent is Re(x^T w) accumulated over all
+    leading axes, so real parameters receive real gradients from complex
+    data.
     """
     x, weights = _as_node(tape, x), _as_node(tape, weights)
-    value = x.value @ weights.value
     rows = int(np.prod(x.shape[:-1], dtype=int))
+    value = np.reshape(
+        np.reshape(x.value, (rows, x.shape[-1])) @ weights.value,
+        x.shape[:-1] + weights.shape[-1:],
+    )
 
     def vjp_x(tape, w):
         # Contract with the weights *node*, not its current value: the data
