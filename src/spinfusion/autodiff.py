@@ -41,9 +41,10 @@ a spin-0 factor, whose CG block is c times the identity, is one broadcast
 multiply instead (the broadcast plan).  Its VJPs contract the forward
 tensor itself, so they hit the same plans.  ``index_add`` sums
 sorted segments, with the sort computed once per index array.
-``channel_mix`` and its cotangents are BLAS matrix products (``matmul``).
-``backward`` walks parent links back from the seed and visits only its
-ancestors.
+``channel_mix`` and its cotangents are one BLAS matrix product each over
+the flattened leading axes (``matmul``).  ``backward`` walks parent links
+back from the seed and visits only its ancestors; given ``wrt``, it drops
+every other adjoint once its node's VJPs have run.
 """
 
 from __future__ import annotations

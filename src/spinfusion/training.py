@@ -8,9 +8,10 @@ with forces computed by reverse-mode differentiation of the energy on the
 same tape, so the force term is itself differentiable with respect to the
 parameters (a second reverse pass over the recorded adjoint arithmetic).
 A batch's loss is the sum of its samples' losses, recorded as one
-disjoint-union graph: one forward, one force backward and one parameter
-backward per step, on a tape that is freed when the step returns.  Epochs
-shuffle with a run-seeded generator.
+disjoint-union graph: one forward and one force backward per step, on a
+tape that is freed when the step returns, then one parameter backward on a
+graph-free tape, whose gradients are read as values.  Epochs shuffle with a
+run-seeded generator.
 """
 
 from __future__ import annotations
