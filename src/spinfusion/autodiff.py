@@ -7,11 +7,14 @@ the adjoint arithmetic on the tape it is given.  On a recording tape (the
 forward's own), an adjoint (for example a force, the negative position
 gradient of an energy) is then an ordinary node and can appear in a later
 loss whose own backward pass reaches the parameters.  This works because
-every VJP closure is composed of registered primitives only.  A last
-backward pass, whose adjoints are only read as values, runs on a
-graph-free tape (``Tape(graph=False)``) instead: the same VJPs compute the
-same values, but no parent link or node list keeps an intermediate adjoint
-alive once nothing reads it.
+every VJP closure is composed of registered primitives only, with no
+exception: no primitive holds a derivative as a constant array (the
+spherical harmonics, too, are a chain of primitives; see
+``features.taped_edge_harmonics``).  So derivatives of every order are
+exact, position Hessians included.  A last backward pass, whose adjoints
+are only read as values, runs on a graph-free tape (``Tape(graph=False)``)
+instead: the same VJPs compute the same values, but no parent link or node
+list keeps an intermediate adjoint alive once nothing reads it.
 
 A VJP is called as ``vjp(tape, w)``: ``backward`` hands it the tape to
 record on, so no closure captures the tape, and none captures the node it
@@ -27,12 +30,12 @@ Complex data follows the holomorphic cotangent convention (JAX's): the
 adjoint of a complex node is w = dL/dRe - i dL/dIm.  A holomorphic
 primitive's VJP multiplies by its derivative as it is: linear maps pull
 cotangents back through the matrix itself, and a bilinear product through
-the other factor, with no conjugation and no ``conj`` node.  The
-non-holomorphic primitives keep a rule each: ``conj`` maps w to conj(w),
-``real`` to complex_cast(w), ``complex_cast`` to real(w) and ``imag`` to
--i w.  A real node keeps only the real part of a contribution, and Re w is
-the same under either convention, so real adjoints (forces, parameter
-gradients) are those of the conjugate convention, bit for bit.
+the other factor, with no conjugation.  The non-holomorphic primitives
+keep a rule each: ``real`` maps w to complex_cast(w), ``complex_cast`` to
+real(w) and ``imag`` to -i w.  A real node keeps only the real part of a
+contribution, and Re w is the same under either convention, so real
+adjoints (forces, parameter gradients) are those of the conjugate
+convention, bit for bit.
 
 The two kernels the models spend their time in are sparse.  ``einsum3``
 contracts a CG tensor over its nonzero entries only (m_c = m_a + m_b
@@ -221,14 +224,6 @@ def div(tape: Tape, x: Node, y: Node) -> Node:
 def scale(tape: Tape, x: Node, factor) -> Node:
     x = _as_node(tape, x)
     return tape._emit(x.value * factor, ((x, lambda tape, w: scale(tape, w, factor)),))
-
-
-@_primitive("conj")
-def conj(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
-    if not np.iscomplexobj(x.value):
-        return x  # real data is its own conjugate; no copy, no node
-    return tape._emit(np.conj(x.value), ((x, lambda tape, w: conj(tape, w)),))
 
 
 @_primitive("real")
@@ -461,10 +456,8 @@ def index_add(tape: Tape, x: Node, indices, n_rows: int) -> Node:
 
 def _split_subscript(subscript: str) -> tuple[str, str, str, str]:
     lhs, out = subscript.split("->")
-    parts = lhs.split(",")
-    if len(parts) == 2:
-        return parts[0], parts[1], "", out
-    return parts[0], parts[1], parts[2], out
+    t_sub, x_sub, y_sub = lhs.split(",")
+    return t_sub, x_sub, y_sub, out
 
 
 def _scaled_identity(block: np.ndarray):
@@ -494,6 +487,7 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     if (
         "." in subscript
         or len(t_sub) != 3
+        or tensor.ndim != 3
         or any(len(set(term)) != len(term) for term in (t_sub,) + terms)
     ):
         return None
@@ -585,42 +579,29 @@ def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out.reshape((len(coeffs),) + inner).transpose(out_axes)
 
 
-@_primitive("einsum2")
-def einsum2(tape: Tape, tensor: np.ndarray, x: Node, subscript: str) -> Node:
-    """Linear contraction with a constant tensor: einsum(subscript, T, x)."""
-    x = _as_node(tape, x)
-    t_sub, x_sub, _, out_sub = _split_subscript(subscript)
-    value = np.einsum(subscript, tensor, x.value)
-    back = f"{t_sub},{out_sub}->{x_sub}"
-    return tape._emit(value, ((x, lambda tape, w: einsum2(tape, tensor, w, back)),))
-
-
 @_primitive("einsum3")
 def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) -> Node:
     """Bilinear contraction with a constant tensor: einsum(subscript, T, x, y).
 
-    Used for channel-wise CG products.  A three-index tensor whose indices
-    fall one to each operand and one to the output (every CG product and
-    each of its VJPs) runs a plan built once per tensor and subscript
+    Used for channel-wise CG products.  The tensor has three indices, one
+    to each operand and one to the output (every CG product and each of its
+    VJPs); the contraction runs a plan built once per tensor and subscript
     (``_sparse_plan``): one broadcast multiply when an operand has
     dimension 1 and the tensor is c times the identity between the other
     two indices (a spin-0 factor: 0 ⊗ j -> j, j ⊗ 0 -> j, 0 ⊗ 0 -> 0),
-    else a contraction over its nonzero entries only; any other form runs
-    ``np.einsum``.  The cotangent of one factor contracts the same tensor
-    with the other factor, as it is.
+    else a contraction over its nonzero entries only.  Any other form
+    raises ValueError.  The cotangent of one factor contracts the same
+    tensor with the other factor, as it is.
     """
     x, y = _as_node(tape, x), _as_node(tape, y)
     t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
     tensor = np.asarray(tensor)
-    plan = (
-        _cached(tensor, subscript, lambda t: _sparse_plan(t, subscript))
-        if tensor.ndim == 3
-        else None
-    )
+    plan = _cached(tensor, subscript, lambda t: _sparse_plan(t, subscript))
     if plan is None:
-        value = np.einsum(subscript, tensor, x.value, y.value)
-    else:
-        value = plan(x.value, y.value)
+        raise ValueError(
+            f"einsum3: unsupported subscript {subscript!r} for a tensor of shape {tensor.shape}"
+        )
+    value = plan(x.value, y.value)
     back_x = f"{t_sub},{y_sub},{out_sub}->{x_sub}"
     back_y = f"{t_sub},{x_sub},{out_sub}->{y_sub}"
     return tape._emit(
@@ -688,29 +669,6 @@ def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
         return real(tape, matmul(tape, x_flat, w_flat, True, False))
 
     return tape._emit(value, ((x, vjp_x), (weights, vjp_w)))
-
-
-@_primitive("spherical")
-def spherical(tape: Tape, x: Node, two_j: int) -> Node:
-    """Spherical-harmonic values of row vectors x (..., 3) at integer spin.
-
-    The cotangent contracts the analytic position Jacobian, captured at
-    forward time, as it is; only first derivatives of the harmonics are ever required because
-    positions are data, not trained parameters.  Y^0_0 is a constant, so at
-    spin 0 the result is a constant node with no cotangent.
-    """
-    from .harmonics import sph_jacobian, sph_values
-
-    x = _as_node(tape, x)
-    value = sph_values(x.value, two_j)
-    if two_j == 0:
-        return tape.constant(value)
-    jac = sph_jacobian(x.value, two_j)  # (..., 2j+1, 3)
-
-    def vjp(tape, w):
-        return real(tape, einsum2(tape, jac, w, "...mk,...m->...k"))
-
-    return tape._emit(value, ((x, vjp),))
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,26 @@ radial basis.
 The radial basis uses Gaussian bumps with centers evenly spaced on
 (0, cutoff], width equal to the spacing, multiplied by the cosine envelope
 0.5 * (1 + cos(pi * d / cutoff)) which vanishes exactly at the cutoff.
+
+On the tape the harmonics are a fusion chain of Y^1: Y^1 is a fixed linear
+map of the unit displacement, and each higher spin is a constant times the
+CG product (Y^1 ⊗ Y^(j-1))_j, so Y^j is a left comb of j copies of Y^1.
+Every step is an ordinary primitive, so derivatives of every order in the
+positions are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import autodiff as ad
+from .cg import cg_tensor
 from .errors import ZeroVector
 from .geometry import Neighborhood, PointCloud, edge_index
+from .harmonics import sph_values
 from .irreps import Activation
 
 __all__ = [
@@ -26,6 +35,11 @@ __all__ = [
     "taped_radial_basis",
     "taped_edge_harmonics",
 ]
+
+_MIN_LENGTH = 1e-12  # shorter edges have no direction (coincident atoms)
+_POLE = np.array([0.0, 0.0, 1.0])
+_Y00 = sph_values(_POLE, 0)[0]  # the same in every direction
+_Y1_MATRIX = sph_values(np.eye(3), 2)  # Y^1(u) = u @ M: row k is Y^1 of axis k
 
 
 @dataclass(frozen=True)
@@ -67,12 +81,19 @@ def radial_basis(distances: np.ndarray, cutoff: float, n_channels: int) -> np.nd
 
 
 def taped_distances(tape: ad.Tape, displacements: ad.Node) -> ad.Node:
-    """|x| along the last axis of an (E, 3) node -> (E,) node."""
+    """|x| along the last axis of an (E, 3) node -> (E,) node.
+
+    Raises ZeroVector on a zero-length edge (coincident atoms), whose
+    direction, and the harmonics of it, do not exist.
+    """
     n_rows = displacements.shape[0]
     squares = ad.reduce_to_shape(
         tape, ad.mul(tape, displacements, displacements), (n_rows, 1)
     )
-    return ad.sqrt(tape, ad.reshape(tape, squares, (n_rows,)))
+    distances = ad.sqrt(tape, ad.reshape(tape, squares, (n_rows,)))
+    if np.any(distances.value < _MIN_LENGTH):
+        raise ZeroVector("coincident atoms give zero-length edges")
+    return distances
 
 
 def taped_radial_basis(
@@ -94,13 +115,39 @@ def taped_radial_basis(
     return ad.mul(tape, gauss, envelope)
 
 
+@cache
+def _chain_tensor(two_j: int) -> np.ndarray:
+    """c_j CG(1, j-1, j), with Y^j = c_j (Y^1 ⊗ Y^(j-1))_j.
+
+    c_j is read off at the pole, where only m = 0 is nonzero.  The array is
+    built once per spin: ``einsum3`` caches its plans per array object.
+    """
+    coeffs = cg_tensor(2, two_j - 2, two_j).coeffs
+    product = np.einsum("abc,a,b->c", coeffs, sph_values(_POLE, 2), sph_values(_POLE, two_j - 2))
+    m0 = two_j // 2
+    return coeffs * (sph_values(_POLE, two_j)[m0] / product[m0]).real
+
+
 def taped_edge_harmonics(
-    tape: ad.Tape, displacements: ad.Node, j_max: int
+    tape: ad.Tape, displacements: ad.Node, distances: ad.Node, j_max: int
 ) -> dict[int, ad.Node]:
-    """Spin -> (E, 2j+1) spherical-harmonic nodes for integer j <= j_max."""
-    return {
-        2 * j: ad.spherical(tape, displacements, 2 * j) for j in range(j_max + 1)
-    }
+    """Spin -> (E, 2j+1) spherical-harmonic nodes for integer j <= j_max.
+
+    ``distances`` are the (E,) edge lengths of ``taped_distances``.  Y^0 is
+    a constant node; Y^1 is the unit displacement times ``_Y1_MATRIX`` and
+    every higher spin one ``einsum3`` of Y^1 with the spin below it.
+    """
+    n_rows = displacements.shape[0]
+    harmonics = {0: tape.constant(np.full((n_rows, 1), _Y00))}
+    if j_max == 0:
+        return harmonics
+    unit = ad.div(tape, displacements, ad.reshape(tape, distances, (n_rows, 1)))
+    harmonics[2] = ad.matmul(tape, unit, _Y1_MATRIX)
+    for two_j in range(4, 2 * j_max + 1, 2):
+        harmonics[two_j] = ad.einsum3(
+            tape, _chain_tensor(two_j), harmonics[2], harmonics[two_j - 2], "abc,ea,eb->ec"
+        )
+    return harmonics
 
 
 def edge_features(
@@ -113,12 +160,9 @@ def edge_features(
         return features
     displacements = pc.positions[dst] - pc.positions[src]
     lengths = np.sqrt(np.sum(displacements**2, axis=-1))
-    if np.any(lengths < 1e-12):
+    if np.any(lengths < _MIN_LENGTH):
         raise ZeroVector("coincident atoms give zero-length edges")
     basis = radial_basis(lengths, nbr.cutoff, radial_channels)
-
-    from .harmonics import sph_values
-
     harmonic_values = {
         2 * j: sph_values(displacements, 2 * j) for j in range(j_max + 1)
     }

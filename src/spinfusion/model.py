@@ -248,7 +248,7 @@ class Model:
         )
         dists = taped_distances(tape, disp)
         basis = taped_radial_basis(tape, dists, cfg.cutoff, cfg.radial_channels)
-        harmonics = taped_edge_harmonics(tape, disp, cfg.j_max)
+        harmonics = taped_edge_harmonics(tape, disp, dists, cfg.j_max)
 
         embedded = ad.gather(tape, param_nodes["embed"], species)
         acts: dict[int, ad.Node] = {

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from spinfusion import autodiff as ad
 from spinfusion.errors import ZeroVector
+from spinfusion.features import taped_distances, taped_edge_harmonics
 from spinfusion.harmonics import sph_jacobian, sph_values, spherical_harmonics
 from spinfusion.irreps import IrrepVector
 from spinfusion.rotations import haar_rotation, rotation_matrix
@@ -145,3 +147,62 @@ class TestJacobian:
         assert jac.shape == (4, 5, 3)
         for row, x in zip(jac, xs):
             assert np.allclose(row, sph_jacobian(x, 4), atol=1e-14)
+
+
+def _taped(x, j_max):
+    """(tape, displacement node, taped harmonics) of the rows of ``x``."""
+    tape = ad.Tape()
+    disp = tape.variable(np.asarray(x, dtype=float))
+    return tape, disp, taped_edge_harmonics(tape, disp, taped_distances(tape, disp), j_max)
+
+
+def _probe_loss(tape, harmonics, probe):
+    """Re sum(probe * Y): a real scalar of the harmonics."""
+    return ad.sum_all(tape, ad.real(tape, ad.mul(tape, harmonics, tape.constant(probe))))
+
+
+# the coordinate axes, both poles among them, at assorted lengths
+AXES = np.vstack([np.eye(3), -np.eye(3)]) * np.array([[0.3], [1.0], [2.5], [0.7], [1.9], [4.0]])
+
+
+class TestTapedChain:
+    """The taped harmonics, a fusion chain of Y^1, against the NumPy values."""
+
+    @pytest.mark.parametrize("two_j", [0, 2, 4, 6, 8])
+    def test_matches_sph_values(self, two_j):
+        rng = np.random.default_rng(two_j)
+        directions = rng.normal(size=(64, 3)) * rng.uniform(0.2, 3.0, size=(64, 1))
+        x = np.vstack([directions, AXES, [[1e-7, -2e-7, 1.3]]])
+        _, _, harmonics = _taped(x, two_j // 2)
+        assert sorted(harmonics) == list(range(0, two_j + 1, 2))
+        assert np.max(np.abs(harmonics[two_j].value - sph_values(x, two_j))) <= 1e-14
+
+    @pytest.mark.parametrize("two_j", [2, 4, 6])
+    def test_gradient_is_the_analytic_jacobian(self, two_j):
+        rng = np.random.default_rng(two_j + 1)
+        x = np.vstack([rng.normal(size=(4, 3)), AXES])
+        probe = rng.normal(size=(len(x), two_j + 1)) + 1j * rng.normal(size=(len(x), two_j + 1))
+        tape, disp, harmonics = _taped(x, two_j // 2)
+        loss = _probe_loss(tape, harmonics[two_j], probe)
+        grad = ad.backward(tape, loss, wrt=[disp])[disp.id].value
+        want = np.real(np.einsum("em,emk->ek", probe, sph_jacobian(x, two_j)))
+        assert np.max(np.abs(grad - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("two_j", [2, 4, 6])
+    def test_second_derivatives_match_central_differences(self, two_j):
+        # the gradient is recorded, so its own gradient is the Hessian of
+        # the loss times a direction
+        rng = np.random.default_rng(two_j + 2)
+        x = np.vstack([rng.normal(size=(3, 3)), [[1e-3, -2e-3, 1.3]]])
+        probe = rng.normal(size=(len(x), two_j + 1)) + 1j * rng.normal(size=(len(x), two_j + 1))
+        direction = rng.normal(size=x.shape)
+
+        def directional_gradient(values):
+            tape, disp, harmonics = _taped(values, two_j // 2)
+            grad = ad.backward(tape, _probe_loss(tape, harmonics[two_j], probe), wrt=[disp])
+            along = ad.sum_all(tape, ad.mul(tape, grad[disp.id], tape.constant(direction)))
+            return float(along.value), ad.backward(tape, along, wrt=[disp])[disp.id].value
+
+        report = ad.gradcheck(directional_gradient, x)
+        assert report.passed, f"max rel error {report.max_rel_error} at {report.worst_index}"
+        assert np.max(np.abs(report.analytic)) > 1e-3

@@ -377,10 +377,9 @@ def test_taped_layer_records_no_dead_nodes(extra):
     tape = ad.Tape()
     positions = tape.constant(pc.positions)
     disp = ad.sub(tape, ad.gather(tape, positions, dst), ad.gather(tape, positions, src))
-    harmonics = taped_edge_harmonics(tape, disp, config.j_max)
-    basis = taped_radial_basis(
-        tape, taped_distances(tape, disp), config.cutoff, config.radial_channels
-    )
+    dists = taped_distances(tape, disp)
+    harmonics = taped_edge_harmonics(tape, disp, dists, config.j_max)
+    basis = taped_radial_basis(tape, dists, config.cutoff, config.radial_channels)
     acts = {
         two_j: tape.constant(rng.normal(size=(6, two_j + 1, 3)) + 0j)
         for two_j in model.layer_input_spins[1]

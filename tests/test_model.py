@@ -246,6 +246,72 @@ class TestGraphFreeForceBackward:
         assert free <= 0.7 * recorded
 
 
+def _hessian_products(model, positions, species, directions):
+    """Forces F and the products H u for each u in ``directions``, H the
+    position Hessian of the energy, through ``taped_energies_and_forces``:
+    the force backward is recorded, so H u = -d(F . u)/dx is one more."""
+    tape = ad.Tape()
+    pos = tape.variable(positions)
+    _, forces = model.taped_energies_and_forces(
+        tape, pos, species, [len(species)], model.parameter_nodes(tape)
+    )
+    products = []
+    for u in directions:
+        along = ad.sum_all(tape, ad.mul(tape, forces, tape.constant(u)))
+        products.append(-ad.backward(ad.Tape(graph=False), along, wrt=[pos])[pos.id].value)
+    return forces.value, np.array(products)
+
+
+HESSIAN_CASES = [
+    (kind, j_max, n_layers) for kind in KINDS for j_max in (1, 2) for n_layers in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "kind, j_max, n_layers", HESSIAN_CASES, ids=[f"{k}-j{j}-L{n}" for k, j, n in HESSIAN_CASES]
+)
+class TestPositionHessian:
+    """Second position derivatives of the energy: every harmonic's own
+    second derivatives reach them (at one layer the j >= 1 harmonics never
+    reach the energy, so the two-layer cases are the ones that see them)."""
+
+    def _setup(self, kind, j_max, n_layers):
+        model = Model(_small_config(kind, j_max=j_max, n_layers=n_layers))
+        positions, species = _cloud(5, seed=31 + j_max + n_layers)
+        return model, positions, species
+
+    def test_product_matches_force_differences(self, kind, j_max, n_layers):
+        model, positions, species = self._setup(kind, j_max, n_layers)
+        u = np.random.default_rng(32).normal(size=positions.shape)
+        _, (product,) = _hessian_products(model, positions, species, [u])
+        step = 1e-5
+        _, up = model.energy_and_forces(positions + step * u, species)
+        _, down = model.energy_and_forces(positions - step * u, species)
+        numeric = -(up - down) / (2 * step)
+        assert np.max(np.abs(product - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+
+    def test_hessian_is_symmetric_and_annihilates_translations(self, kind, j_max, n_layers):
+        model, positions, species = self._setup(kind, j_max, n_layers)
+        units = np.eye(positions.size).reshape(positions.size, *positions.shape)
+        _, rows = _hessian_products(model, positions, species, units)
+        hessian = rows.reshape(positions.size, positions.size)
+        scale = np.max(np.abs(hessian))
+        assert np.max(np.abs(hessian - hessian.T)) <= 1e-10 * scale
+        translations = np.tile(np.eye(3), (1, len(positions)))  # (3, 3N)
+        assert np.max(np.abs(hessian @ translations.T)) <= 1e-10 * scale
+
+    def test_rotation_generator_identity(self, kind, j_max, n_layers):
+        # F(R x) = R F(x) for every rotation R; differentiating along a
+        # generator Omega gives H (Omega x) = -Omega F
+        model, positions, species = self._setup(kind, j_max, n_layers)
+        a = np.random.default_rng(33).normal(size=(3, 3))
+        omega = a - a.T
+        forces, (product,) = _hessian_products(
+            model, positions, species, [positions @ omega.T]
+        )
+        assert np.max(np.abs(product + forces @ omega.T)) <= 1e-10 * np.max(np.abs(forces))
+
+
 class TestParameters:
     def test_set_parameters_round_trip(self):
         model = Model(_small_config("fused"))
