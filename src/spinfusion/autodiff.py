@@ -7,10 +7,8 @@ the adjoint arithmetic on the tape it is given.  On a recording tape (the
 forward's own), an adjoint (for example a force, the negative position
 gradient of an energy) is then an ordinary node and can appear in a later
 loss whose own backward pass reaches the parameters.  This works because
-every VJP closure is composed of registered primitives only, with no
-exception: no primitive holds a derivative as a constant array (the
-spherical harmonics, too, are a chain of primitives; see
-``features.taped_edge_harmonics``).  So derivatives of every order are
+every VJP closure is composed of registered primitives only, and none
+holds a derivative as a constant array, so derivatives of every order are
 exact, position Hessians included.  A last backward pass, whose adjoints
 are only read as values, runs on a graph-free tape (``Tape(graph=False)``)
 instead: the same VJPs compute the same values, but no parent link or node
@@ -487,7 +485,6 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     if (
         "." in subscript
         or len(t_sub) != 3
-        or tensor.ndim != 3
         or any(len(set(term)) != len(term) for term in (t_sub,) + terms)
     ):
         return None
@@ -598,9 +595,7 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     tensor = np.asarray(tensor)
     plan = _cached(tensor, subscript, lambda t: _sparse_plan(t, subscript))
     if plan is None:
-        raise ValueError(
-            f"einsum3: unsupported subscript {subscript!r} for a tensor of shape {tensor.shape}"
-        )
+        raise ValueError(f"einsum3: unsupported subscript {subscript!r}")
     value = plan(x.value, y.value)
     back_x = f"{t_sub},{y_sub},{out_sub}->{x_sub}"
     back_y = f"{t_sub},{x_sub},{out_sub}->{y_sub}"

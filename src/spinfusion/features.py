@@ -4,12 +4,6 @@ radial basis.
 The radial basis uses Gaussian bumps with centers evenly spaced on
 (0, cutoff], width equal to the spacing, multiplied by the cosine envelope
 0.5 * (1 + cos(pi * d / cutoff)) which vanishes exactly at the cutoff.
-
-On the tape the harmonics are a fusion chain of Y^1: Y^1 is a fixed linear
-map of the unit displacement, and each higher spin is a constant times the
-CG product (Y^1 ⊗ Y^(j-1))_j, so Y^j is a left comb of j copies of Y^1.
-Every step is an ordinary primitive, so derivatives of every order in the
-positions are exact.
 """
 
 from __future__ import annotations
@@ -81,11 +75,8 @@ def radial_basis(distances: np.ndarray, cutoff: float, n_channels: int) -> np.nd
 
 
 def taped_distances(tape: ad.Tape, displacements: ad.Node) -> ad.Node:
-    """|x| along the last axis of an (E, 3) node -> (E,) node.
-
-    Raises ZeroVector on a zero-length edge (coincident atoms), whose
-    direction, and the harmonics of it, do not exist.
-    """
+    """|x| along the last axis of an (E, 3) node -> (E,) node; ZeroVector on
+    a zero length (coincident atoms), which has no direction."""
     n_rows = displacements.shape[0]
     squares = ad.reduce_to_shape(
         tape, ad.mul(tape, displacements, displacements), (n_rows, 1)
@@ -117,15 +108,15 @@ def taped_radial_basis(
 
 @cache
 def _chain_tensor(two_j: int) -> np.ndarray:
-    """c_j CG(1, j-1, j), with Y^j = c_j (Y^1 ⊗ Y^(j-1))_j.
-
-    c_j is read off at the pole, where only m = 0 is nonzero.  The array is
-    built once per spin: ``einsum3`` caches its plans per array object.
-    """
+    """c_j CG(1, j-1, j), with Y^j = c_j (Y^1 ⊗ Y^(j-1))_j; c_j is read off
+    at the pole, where only m = 0 is nonzero.  Built once per spin, because
+    ``einsum3`` caches its plans per array object."""
     coeffs = cg_tensor(2, two_j - 2, two_j).coeffs
     product = np.einsum("abc,a,b->c", coeffs, sph_values(_POLE, 2), sph_values(_POLE, two_j - 2))
     m0 = two_j // 2
-    return coeffs * (sph_values(_POLE, two_j)[m0] / product[m0]).real
+    tensor = coeffs * (sph_values(_POLE, two_j)[m0] / product[m0]).real
+    tensor.setflags(write=False)
+    return tensor
 
 
 def taped_edge_harmonics(
@@ -133,9 +124,10 @@ def taped_edge_harmonics(
 ) -> dict[int, ad.Node]:
     """Spin -> (E, 2j+1) spherical-harmonic nodes for integer j <= j_max.
 
-    ``distances`` are the (E,) edge lengths of ``taped_distances``.  Y^0 is
-    a constant node; Y^1 is the unit displacement times ``_Y1_MATRIX`` and
-    every higher spin one ``einsum3`` of Y^1 with the spin below it.
+    A fusion chain of Y^1, recorded with ordinary primitives so that every
+    order of position derivative is exact: Y^0 is a constant, Y^1 the unit
+    displacement (``distances`` from ``taped_distances``) times a fixed
+    matrix, and each higher spin one ``einsum3`` of Y^1 with the spin below.
     """
     n_rows = displacements.shape[0]
     harmonics = {0: tape.constant(np.full((n_rows, 1), _Y00))}

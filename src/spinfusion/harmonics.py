@@ -1,13 +1,9 @@
 """Complex spherical harmonics with analytic position Jacobians.
 
-These are the NumPy values: the eager path (``features.edge_features``)
-evaluates them, and they are the oracle the tests hold the taped harmonics
-to.  The taped model path does not call them per edge; it records the
-harmonics as a fusion chain of Y^1 (``features.taped_edge_harmonics``),
-whose derivatives of every order come from the tape.  ``sph_jacobian`` is
-the analytic first derivative, checked against central differences; it has
-no caller in the model, and stays because the benchmark's tracer
-(``perfbench/spans.py``) times it by name.
+``sph_values`` serves the eager path and is the oracle for the taped
+harmonics, which ``features.taped_edge_harmonics`` records as a fusion chain
+of Y^1.  ``sph_jacobian`` has no caller in the model; it stays because the
+benchmark's tracer (``perfbench/spans.py``) times it by name.
 
 Y^j_m uses the Condon-Shortley phase and L2 normalization, components
 ordered m = -j .. +j.  Under the package's rotation convention they satisfy

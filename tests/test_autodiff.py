@@ -191,7 +191,8 @@ class TestComplexCotangent:
         def build(tape, z):
             c = tape.constant(CPLX_COEFFS)
             head = ad.mul(tape, ad.exp(tape, ad.scale(tape, z, 0.5j)), ad.sin(tape, z))
-            tail = ad.div(tape, ad.cos(tape, _conjugate(tape, z)), ad.sqrt(tape, ad.add(tape, z, 3.0)))
+            root = ad.sqrt(tape, ad.add(tape, z, 3.0))
+            tail = ad.div(tape, ad.cos(tape, _conjugate(tape, z)), root)
             mixed = ad.mul(tape, ad.add(tape, head, tail), c)
             lifted = ad.complex_cast(tape, ad.imag(tape, mixed))
             return ad.sum_all(tape, ad.real(tape, ad.mul(tape, lifted, ad.add(tape, mixed, z))))
