@@ -2,8 +2,9 @@
 
 A :class:`Tape` records every operation of one forward evaluation as a
 :class:`Node`.  ``backward`` seeds a real scalar node and accumulates
-vector-Jacobian products in strictly decreasing node-id order, recording
-the adjoint arithmetic on the tape it is given.  On a recording tape (the
+vector-Jacobian products in strictly decreasing node-id order, back to the
+nodes listed in its ``wrt``, recording the adjoint arithmetic on the tape
+it is given.  On a recording tape (the
 forward's own), an adjoint (for example a force, the negative position
 gradient of an energy) is then an ordinary node and can appear in a later
 loss whose own backward pass reaches the parameters.  This works because
@@ -44,8 +45,8 @@ tensor itself, so they hit the same plans.  ``index_add`` sums
 sorted segments, with the sort computed once per index array.
 ``channel_mix`` and its cotangents are one BLAS matrix product each over
 the flattened leading axes (``matmul``).  ``backward`` walks parent links
-back from the seed and visits only its ancestors; given ``wrt``, it drops
-every other adjoint once its node's VJPs have run.
+back from the seed, visits only the ancestors that depend on a node in its
+``wrt`` list, and drops every other adjoint once its node's VJPs have run.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -132,9 +133,9 @@ class Tape:
 
     def constant(self, value) -> Node:
         """Leaf for a value not differentiated against (frozen weights,
-        references).  The tape does not tell it from a variable: ``backward``
-        gives it an adjoint, as it does every ancestor of the seed, unless
-        ``wrt`` prunes it."""
+        references).  The tape does not tell it from a variable: like any
+        leaf, it gets an adjoint from ``backward`` only when it is listed in
+        ``wrt``."""
         return self._emit(np.asarray(value), ())
 
     def variable(self, value) -> Node:
@@ -671,22 +672,19 @@ def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def backward(tape: Tape, seed: Node, wrt: Optional[list[Node]] = None) -> dict[int, Node]:
-    """Reverse accumulation from a real scalar seed.
+def backward(tape: Tape, seed: Node, wrt: list[Node]) -> dict[int, Node]:
+    """Reverse accumulation from a real scalar seed to the nodes in ``wrt``.
 
-    Returns a map from node id to the adjoint *node* (its ``.value`` is the
-    gradient array; for a complex node, the holomorphic cotangent
-    dL/dRe - i dL/dIm).  Adjoint arithmetic is recorded on ``tape``: on a
-    recording tape the adjoints can feed later losses; on a graph-free one
-    they are values only.  Only the seed's ancestors are visited, so the
-    cost follows the seed's graph, not the tape's length.
-
-    When ``wrt`` is given, propagation is pruned to nodes that depend on one
-    of those, and the map holds exactly their ids, zeros for any the seed
-    does not depend on.  Every other adjoint is dropped as soon as its
-    node's VJPs have run (all consumers of a node come after it, so its
-    adjoint is final by then), so no more of them is alive at once than the
-    pass needs.
+    Returns a map from each ``wrt`` node's id to its adjoint *node* (its
+    ``.value`` is the gradient array; for a complex node, the holomorphic
+    cotangent dL/dRe - i dL/dIm), zeros for a node the seed does not depend
+    on.  Adjoint arithmetic is recorded on ``tape``: on a recording tape the
+    adjoints can feed later losses; on a graph-free one they are values
+    only.  Only the seed's ancestors that depend on a ``wrt`` node are
+    visited, so the cost follows the seed's graph, not the tape's length.
+    Every other adjoint is dropped as soon as its node's VJPs have run (all
+    consumers of a node come after it, so its adjoint is final by then), so
+    no more of them is alive at once than the pass needs.
     """
     value = np.asarray(seed.value)
     if value.ndim != 0 or np.iscomplexobj(value):
@@ -706,26 +704,21 @@ def backward(tape: Tape, seed: Node, wrt: Optional[list[Node]] = None) -> dict[i
                 stack.append(parent)
     order = [ancestors[i] for i in sorted(ancestors)]
 
-    needed: Optional[set[int]] = None
-    if wrt is not None:
-        kept = {n.id for n in wrt}
-        needed = set(kept)
-        for node in order:
-            if any(p.id in needed for p, _ in node.parents):
-                needed.add(node.id)
+    kept = {n.id for n in wrt}
+    needed = set(kept)
+    for node in order:
+        if any(p.id in needed for p, _ in node.parents):
+            needed.add(node.id)
     adjoints: dict[int, Node] = {}
-    if needed is None or seed.id in needed:
+    if seed.id in needed:
         adjoints[seed.id] = tape.constant(np.ones_like(value))
 
     for node in reversed(order):
-        if needed is None or node.id in kept:
-            w = adjoints.get(node.id)
-        else:
-            w = adjoints.pop(node.id, None)
+        w = adjoints.get(node.id) if node.id in kept else adjoints.pop(node.id, None)
         if w is None:
             continue
         for parent, vjp in node.parents:
-            if needed is not None and parent.id not in needed:
+            if parent.id not in needed:
                 continue
             contribution = vjp(tape, w)
             # The cotangent of a real-valued node is d(loss)/d(node), a real
@@ -738,8 +731,6 @@ def backward(tape: Tape, seed: Node, wrt: Optional[list[Node]] = None) -> dict[i
             adjoints[parent.id] = (
                 contribution if previous is None else add(tape, previous, contribution)
             )
-    if wrt is None:
-        return adjoints
     return {
         n.id: adjoints[n.id] if n.id in adjoints
         else tape.constant(np.zeros_like(np.asarray(n.value)))

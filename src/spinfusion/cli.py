@@ -6,6 +6,11 @@ training, and evaluation.  Exit codes: 0 success, 1 domain failure (invalid
 diagram, residual above tolerance, bad input file), 2 usage error (unknown
 flag, missing argument; argparse prints the synopsis to stderr).
 
+``gradcheck`` runs the training step's own loss paths
+(``training._batch_loss_and_gradients`` once for the analytic gradients,
+``training.batch_loss`` at every central-difference point), so it checks
+the gradients that ``train`` steps on.
+
 All real numbers in CSV output are printed with 17 significant digits so
 values round-trip exactly through text.
 """
@@ -32,7 +37,8 @@ from .spins import format_spin, parse_spin, twice_m_range
 from .training import (
     AdamConfig,
     LossConfig,
-    _taped_batch_loss,
+    _batch_loss_and_gradients,
+    batch_loss,
     evaluate as run_evaluate,
     train as run_train,
 )
@@ -179,16 +185,13 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         1, args.n_atoms, "morse", seed=args.seed, n_species=config.n_species
     )[0]
     loss_config = LossConfig()
+    _, gradients = _batch_loss_and_gradients(model, [sample], loss_config)
 
     def loss_for(name: str):
+        # ad.gradcheck reads the gradient at the unperturbed point only
         def f(values: np.ndarray):
             model.parameters()[name][...] = values
-            tape = ad.Tape()
-            param_nodes = model.parameter_nodes(tape)
-            loss = _taped_batch_loss(tape, model, param_nodes, [sample], loss_config)
-            node = param_nodes[name]
-            grads = ad.backward(ad.Tape(graph=False), loss, wrt=[node])
-            return float(np.real(loss.value)), np.real(grads[node.id].value)
+            return batch_loss(model, [sample], loss_config), gradients[name]
 
         return f
 

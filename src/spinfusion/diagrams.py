@@ -36,7 +36,6 @@ __all__ = [
     "contract",
     "dense_map",
     "recouple",
-    "check_recoupling",
     "check_lowering",
     "diagram_to_json",
     "diagram_from_json",
@@ -161,46 +160,27 @@ def validate(d: FusionDiagram) -> list[str]:
     return violations
 
 
-def _shape_tree(n_leaves: int, tree_shape) -> TreeNode:
-    if isinstance(tree_shape, (LeafNode, FuseNode)):
-        return tree_shape
-    if tree_shape == "left-comb":
-        node: TreeNode = LeafNode(0)
-        for i in range(1, n_leaves):
-            node = FuseNode(node, LeafNode(i), -1)
-        return node
-    raise ValueError(f"unknown tree shape {tree_shape!r}")
-
-
 def enumerate_internal(
-    leaf_spins: list[int] | tuple[int, ...],
-    root: int,
-    tree_shape="left-comb",
+    leaf_spins: list[int] | tuple[int, ...], root: int
 ) -> list[tuple[int, ...]]:
-    """All admissible internal-spin assignments, lexicographic in 2k.
+    """All admissible internal-spin assignments of the left comb, lexicographic
+    in 2k.
 
     Leaf spins are given per slot; the assignment tuples list internal-edge
-    spins in post-order (for the left-comb shape: fuse-by-fuse, left to
-    right).  The empty tuple is the unique assignment for two-leaf shapes.
+    spins fuse-by-fuse, left to right.  The empty tuple is the unique
+    assignment for two leaves.
     """
-    shape = _shape_tree(len(leaf_spins), tree_shape)
-
-    def options(node: TreeNode, is_root: bool) -> list[tuple[int, tuple[int, ...]]]:
-        if isinstance(node, LeafNode):
-            return [(leaf_spins[node.slot], ())]
-        combos: list[tuple[int, tuple[int, ...]]] = []
-        for left_spin, left_asgn in options(node.left, False):
-            for right_spin, right_asgn in options(node.right, False):
-                for two_c in allowed_couplings(left_spin, right_spin):
-                    if is_root:
-                        if two_c == root:
-                            combos.append((two_c, left_asgn + right_asgn))
-                    else:
-                        combos.append((two_c, left_asgn + right_asgn + (two_c,)))
-        return combos
-
-    assignments = {asgn for _, asgn in options(shape, True)}
-    return sorted(assignments)
+    # (spin fused so far, internal spins so far), one fuse at a time
+    partial = [(leaf_spins[0], ())]
+    last = len(leaf_spins) - 1
+    for i in range(1, len(leaf_spins)):
+        partial = [
+            (two_c, assignment if i == last else assignment + (two_c,))
+            for two_a, assignment in partial
+            for two_c in allowed_couplings(two_a, leaf_spins[i])
+            if i < last or two_c == root
+        ]
+    return sorted({assignment for _, assignment in partial})
 
 
 def _resolve_leaf(entry, two_j: int, slot: int) -> np.ndarray:
@@ -316,7 +296,7 @@ def recouple(diagrams) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
     between diagrams with the same leaves: each dense map has orthonormal
     columns, and by Schur's lemma the overlap of two of them is a multiple
     of the identity (a 6j symbol times dimension factors), so no closed-form
-    6j code is needed.  ``check_recoupling`` verifies the result.
+    6j code is needed.  ``check_lowering`` verifies the result.
     """
     diagrams = tuple(diagrams)
     inner: set[tuple] = set()
@@ -358,13 +338,6 @@ def recouple(diagrams) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
     return targets, overlaps.real.copy()
 
 
-def check_recoupling(diagrams, targets, U: np.ndarray) -> None:
-    """Raise ``RecouplingError`` unless U is real and maps the targets'
-    dense maps onto the diagrams' (see ``recouple``) to within 1e-12, with
-    no weight between diagrams of different leaves."""
-    check_lowering(diagrams, targets, U)
-
-
 def _as_input(leaf: tuple[int, int]) -> tuple[tuple, None]:
     """A leaf that is a base input itself (see ``check_lowering``)."""
     return (leaf,), None
@@ -382,8 +355,8 @@ def check_lowering(diagrams, targets, U: np.ndarray, read: Callable = _as_input)
     components (a constant leaf has no label; a product of two inputs has
     two), or ``((leaf,), None)`` for a leaf that is a base input itself,
     as every target's leaf is.  So targets may drop, add or reorder leaves,
-    as long as their maps agree.  With the default, every leaf is an input
-    (``check_recoupling``).
+    as long as their maps agree.  With the default, every leaf is an input,
+    as ``recouple`` needs.
     """
     diagrams, targets, U = tuple(diagrams), tuple(targets), np.asarray(U)
     if U.shape != (len(targets), len(diagrams)):

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .cg import cg_tensor
 from .errors import ZeroVector
 from .geometry import Neighborhood, PointCloud, edge_index
-from .harmonics import sph_values
+from .harmonics import _MIN_LENGTH, sph_values
 from .irreps import Activation
 
 __all__ = [
@@ -30,9 +30,8 @@ __all__ = [
     "taped_edge_harmonics",
 ]
 
-_MIN_LENGTH = 1e-12  # shorter edges have no direction (coincident atoms)
 _POLE = np.array([0.0, 0.0, 1.0])
-_Y00 = sph_values(_POLE, 0)[0]  # the same in every direction
+_Y00 = float(sph_values(_POLE, 0)[0].real)  # Y^0_0, the same in every direction
 _Y1_MATRIX = sph_values(np.eye(3), 2)  # Y^1(u) = u @ M: row k is Y^1 of axis k
 
 
@@ -130,7 +129,7 @@ def taped_edge_harmonics(
     matrix, and each higher spin one ``einsum3`` of Y^1 with the spin below.
     """
     n_rows = displacements.shape[0]
-    harmonics = {0: tape.constant(np.full((n_rows, 1), _Y00))}
+    harmonics = {0: tape.constant(np.full((n_rows, 1), _Y00, dtype=complex))}
     if j_max == 0:
         return harmonics
     unit = ad.div(tape, displacements, ad.reshape(tape, distances, (n_rows, 1)))

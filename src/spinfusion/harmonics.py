@@ -31,7 +31,7 @@ from .spins import Spin, dim
 
 __all__ = ["spherical_harmonics", "sph_values", "sph_jacobian"]
 
-_NORM_EPS = 1e-12
+_MIN_LENGTH = 1e-12  # shorter vectors have no direction (coincident atoms)
 
 
 def _legendre_derivative_table(l_max: int, t: np.ndarray) -> list[list[np.ndarray]]:
@@ -54,7 +54,7 @@ def _legendre_derivative_table(l_max: int, t: np.ndarray) -> list[list[np.ndarra
 
 def _unit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(x, axis=-1)
-    if np.any(norms < _NORM_EPS):
+    if np.any(norms < _MIN_LENGTH):
         raise ZeroVector("cannot take the direction of a (near-)zero 3-vector")
     return x / norms[..., None], norms
 

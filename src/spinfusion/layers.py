@@ -70,9 +70,8 @@ from .blocks import FusionBlockConfig, MixingMatrix, apply as block_apply
 from .cg import cg_tensor
 from .diagrams import FuseNode, FusionDiagram, LeafNode, check_lowering, left_comb, recouple
 from .errors import EmptySchedule
-from .features import EdgeFeature
+from .features import _Y00, EdgeFeature
 from .geometry import Neighborhood, PointCloud
-from .harmonics import sph_values
 from .irreps import Activation
 from .spins import admissible, dim
 
@@ -528,8 +527,6 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
 # the eager oracle binds them; their lowered targets read the gate, slot 4,
 # in place of the gated neighbor, as the taped layer binds them.
 _NEIGHBOR, _HARMONIC, _GATED, _GATE = 1, 2, 3, 4
-# Y^0_0, the value of every spin-0 edge harmonic
-_Y00 = float(sph_values(np.array([0.0, 0.0, 1.0]), 0)[0].real)
 
 
 def _read_interaction_leaf(leaf: tuple[int, int]):

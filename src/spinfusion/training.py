@@ -10,8 +10,10 @@ parameters (a second reverse pass over the recorded adjoint arithmetic).
 A batch's loss is the sum of its samples' losses, recorded as one
 disjoint-union graph: one forward and one force backward per step, on a
 tape that is freed when the step returns, then one parameter backward on a
-graph-free tape, whose gradients are read as values.  Epochs shuffle with a
-run-seeded generator.
+graph-free tape, whose gradients are read as values.  ``batch_loss`` is the
+same recorded loss without the backward: the validation loss runs it over
+chunks of the batch size, and ``spinfusion gradcheck`` takes its central
+differences from it.  Epochs shuffle with a run-seeded generator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .data import Sample
 from .errors import NonFiniteLoss
 from .model import Model
 
-__all__ = ["LossConfig", "AdamConfig", "RunRecord", "sample_loss", "train", "evaluate"]
+__all__ = ["LossConfig", "AdamConfig", "RunRecord", "batch_loss", "train", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,13 @@ def _taped_batch_loss(
     )
 
 
-def sample_loss(model: Model, sample: Sample, loss_config: LossConfig) -> float:
-    """Loss value for one sample with the model's current parameters."""
+def batch_loss(model: Model, samples: list[Sample], loss_config: LossConfig) -> float:
+    """Summed loss of ``samples`` with the model's current parameters, from
+    one recording tape (a training step's loss, without its backward)."""
     tape = ad.Tape()
     param_nodes = model.parameter_nodes(tape)
-    node = _taped_batch_loss(tape, model, param_nodes, [sample], loss_config)
-    return float(np.real(node.value))
+    loss = _taped_batch_loss(tape, model, param_nodes, samples, loss_config)
+    return float(np.real(loss.value))
 
 
 def _batch_loss_and_gradients(
@@ -163,8 +166,9 @@ def train(
 ) -> RunRecord:
     """Adam on the summed batch loss; deterministic for a fixed seed.
 
-    Per-epoch curve values are mean per-sample losses.  Without a held-out
-    set the validation column mirrors the training loss.
+    Per-epoch curve values are mean per-sample losses; the validation loss
+    is recorded in batches of ``batch_size``, one tape each.  Without a
+    held-out set the validation column mirrors the training loss.
     """
     if not train_samples:
         raise ValueError("training needs at least one sample")
@@ -191,8 +195,8 @@ def train(
         epoch_loss = 0.0
         for batch_start in range(0, len(order), batch_size):
             batch = [train_samples[i] for i in order[batch_start : batch_start + batch_size]]
-            batch_loss, gradients = _batch_loss_and_gradients(model, batch, loss_config)
-            epoch_loss += batch_loss
+            step_loss, gradients = _batch_loss_and_gradients(model, batch, loss_config)
+            epoch_loss += step_loss
             step += 1
             bias1 = 1.0 - adam.beta1**step
             bias2 = 1.0 - adam.beta2**step
@@ -212,7 +216,8 @@ def train(
         record.train_losses.append(epoch_loss / len(train_samples))
         if val_samples:
             val_loss = sum(
-                sample_loss(model, s, loss_config) for s in val_samples
+                batch_loss(model, val_samples[i : i + batch_size], loss_config)
+                for i in range(0, len(val_samples), batch_size)
             ) / len(val_samples)
             record.val_losses.append(val_loss)
         else:

@@ -52,7 +52,13 @@ class TestTapeBasics:
         tape = ad.Tape()
         x = tape.variable(np.array([1.0, 2.0]))
         with pytest.raises(NonScalarSeed):
-            ad.backward(tape, x)
+            ad.backward(tape, x, wrt=[x])
+
+    def test_wrt_is_required(self):
+        tape = ad.Tape()
+        x = tape.variable(np.array(2.0))
+        with pytest.raises(TypeError):
+            ad.backward(tape, ad.mul(tape, x, x))
 
     def test_linearity_of_adjoints(self):
         tape = ad.Tape()

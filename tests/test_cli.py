@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from spinfusion import autodiff as ad
 from spinfusion.blocks import (
     AggregationKind,
     FusionBlockConfig,
@@ -175,6 +176,22 @@ class TestGradcheck:
         assert captured.out == ""  # no header-only table
         assert captured.err.startswith("error: gradcheck step must be finite and > 0")
         assert captured.err.count("\n") == 1
+
+    def test_one_parameter_backward_per_run(self, tmp_path, monkeypatch):
+        # the analytic gradients come from one training-step backward; the
+        # central differences only record losses
+        graph_free = []
+        tape_init = ad.Tape.__init__
+
+        def counting_tape_init(tape, *args, **kwargs):
+            tape_init(tape, *args, **kwargs)
+            if not tape.graph:
+                graph_free.append(tape)
+
+        monkeypatch.setattr(ad.Tape, "__init__", counting_tape_init)
+        config = _write_model_config(tmp_path)
+        assert main(["gradcheck", "--config", config, "--n-atoms", "3"]) == 0
+        assert len(graph_free) == 1
 
     def test_reports_per_group_rows(self, tmp_path, capsys):
         config = _write_model_config(tmp_path)

@@ -8,7 +8,7 @@ from spinfusion.diagrams import (
     FuseNode,
     FusionDiagram,
     LeafNode,
-    check_recoupling,
+    check_lowering,
     contract,
     dense_map,
     diagram_from_json,
@@ -261,16 +261,16 @@ class TestRecouple:
     def test_corrupted_map_raises(self):
         family = _left_family((2, 2, 2), 2) + _left_family((0, 2, 2), 2)
         targets, U = recouple(family)
-        check_recoupling(family, targets, U)  # the real map passes
+        check_lowering(family, targets, U)  # the real map passes
         nudged = U.copy()
         nudged[0, 0] += 1e-9
         stray = U.copy()
         stray[-1, 0] = 1e-9  # weight on a target of other leaves
         for corrupt in (nudged, U + 1e-9j, stray, U[:-1]):
             with pytest.raises(RecouplingError):
-                check_recoupling(family, targets, corrupt)
+                check_lowering(family, targets, corrupt)
         with pytest.raises(RecouplingError):
-            check_recoupling(family, targets[::-1], U)
+            check_lowering(family, targets[::-1], U)
 
 
 class TestContract:

@@ -14,8 +14,8 @@ from spinfusion.training import (
     LossConfig,
     _batch_loss_and_gradients,
     _taped_batch_loss,
+    batch_loss,
     evaluate,
-    sample_loss,
     train,
 )
 
@@ -51,7 +51,7 @@ class TestLossSemantics:
     def test_perfect_predictions_give_zero(self):
         model = _tiny_model()
         sample = _self_labelled(model, POSITIONS, SPECIES)
-        assert sample_loss(model, sample, LossConfig()) == pytest.approx(0.0, abs=1e-20)
+        assert batch_loss(model, [sample], LossConfig()) == pytest.approx(0.0, abs=1e-20)
 
     def test_unit_energy_error_gives_unit_loss(self):
         model = _tiny_model()
@@ -62,7 +62,7 @@ class TestLossSemantics:
             energy=sample.energy + 1.0,
             forces=sample.forces,
         )
-        assert sample_loss(model, shifted, LossConfig()) == pytest.approx(1.0, rel=1e-12)
+        assert batch_loss(model, [shifted], LossConfig()) == pytest.approx(1.0, rel=1e-12)
 
     def test_uniform_force_error_scales_with_weight(self):
         model = _tiny_model()
@@ -76,7 +76,7 @@ class TestLossSemantics:
         )
         # mean squared force error is offset^2 on every coordinate
         expected = 1000.0 * offset**2
-        assert sample_loss(model, wrong_forces, LossConfig()) == pytest.approx(
+        assert batch_loss(model, [wrong_forces], LossConfig()) == pytest.approx(
             expected, rel=1e-10
         )
 
@@ -90,7 +90,7 @@ class TestLossSemantics:
             forces=sample.forces,
         )
         config = LossConfig(energy_weight=0.5, force_weight=0.0)
-        assert sample_loss(model, shifted, config) == pytest.approx(2.0, rel=1e-12)
+        assert batch_loss(model, [shifted], config) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestTrainLoop:
@@ -145,6 +145,18 @@ class TestTrainLoop:
         )
         assert len(record.val_losses) == 2
         assert record.val_losses != record.train_losses
+
+    @pytest.mark.parametrize("batch_size", [2, 3])
+    def test_validation_is_the_mean_per_sample_loss(self, batch_size):
+        # five held-out samples of two atom counts: the last batch is short
+        val = generate_dataset(3, 4, "morse", seed=5) + generate_dataset(2, 3, "morse", seed=6)
+        model = _tiny_model()
+        record = train(
+            model, generate_dataset(4, 4, "morse", seed=2), 1, batch_size=batch_size, seed=0,
+            val_samples=val,
+        )
+        expected = np.mean([batch_loss(model, [s], LossConfig()) for s in val])
+        assert record.val_losses[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_non_finite_labels_raise(self):
         data = generate_dataset(2, 4, "morse", seed=2)
@@ -285,7 +297,7 @@ class TestBatchedTape:
 
         loss_config = LossConfig()
         loss, gradients = _batch_loss_and_gradients(model, batch, loss_config)
-        expected = sum(sample_loss(model, sample, loss_config) for sample in batch)
+        expected = sum(batch_loss(model, [sample], loss_config) for sample in batch)
         assert loss == pytest.approx(expected, rel=1e-12, abs=0.0)
         singles = [_batch_loss_and_gradients(model, [s], loss_config)[1] for s in batch]
         for name, gradient in gradients.items():
@@ -343,6 +355,15 @@ def test_each_step_records_one_tape(monkeypatch):
     steps = ["tape", "parameters", "graph-free tape"] * 2
     evaluation = ["energy_and_forces", "tape", "parameters", "graph-free tape"] * len(data)
     assert events == steps + evaluation
+
+    # validation records one tape per batch (3 held-out samples at batch 2:
+    # two tapes), with no backward, before evaluate runs on the held-out set
+    events.clear()
+    val = generate_dataset(3, 4, "morse", seed=5)
+    train(_tiny_model(), data, 1, batch_size=2, seed=0, val_samples=val)
+    validation = ["tape", "parameters"] * 2
+    evaluation = ["energy_and_forces", "tape", "parameters", "graph-free tape"] * len(val)
+    assert events == steps + validation + evaluation
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
