@@ -640,9 +640,9 @@ def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
 
     The product and both cotangents run over the flattened leading axes, one
     2-D matrix product each (a stacked product would be one small product per
-    leading index).  The weight cotangent is Re(x^T w) accumulated over all
-    leading axes, so real parameters receive real gradients from complex
-    data.
+    leading index).  The weight cotangent is x^T w accumulated over all
+    leading axes; from complex data it is complex, and ``backward`` keeps
+    its real part, so real parameters receive real gradients.
     """
     x, weights = _as_node(tape, x), _as_node(tape, weights)
     rows = int(np.prod(x.shape[:-1], dtype=int))
@@ -662,7 +662,7 @@ def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
     def vjp_w(tape, w):
         x_flat = reshape(tape, x, (rows, x.shape[-1]))
         w_flat = reshape(tape, w, (rows, weights.shape[-1]))
-        return real(tape, matmul(tape, x_flat, w_flat, True, False))
+        return matmul(tape, x_flat, w_flat, True, False)
 
     return tape._emit(value, ((x, vjp_x), (weights, vjp_w)))
 
@@ -749,38 +749,43 @@ class GradCheckReport:
     numeric: np.ndarray = field(repr=False, default=None)
 
 
+# differences at most this large pass outright: finite-difference noise near
+# exact zeros would otherwise dominate the relative error
+_GRADCHECK_FLOOR = 1e-9
+
+
 def gradcheck(
-    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    f: Callable[[np.ndarray], float],
     point: np.ndarray,
+    analytic: np.ndarray,
     step: float = 1e-5,
     tolerance: float = 1e-6,
-    abs_floor: float = 1e-9,
 ) -> GradCheckReport:
-    """Compare f's reported gradient to central differences, per coordinate.
+    """Compare an ``analytic`` gradient of f at ``point`` to central
+    differences of f, per coordinate.
 
-    ``f`` maps a real array to (real scalar value, gradient array of the same
-    shape).  The relative error uses an absolute floor so exact zeros agree.
-    ``step`` must be finite and > 0.
+    ``f`` maps a real array of the point's shape to a real scalar.  The
+    relative error uses an absolute floor so exact zeros agree.  ``step``
+    must be finite and > 0.
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"gradcheck step must be finite and > 0, got {step}")
     point = np.asarray(point, dtype=float)
-    _, analytic = f(point)
     analytic = np.asarray(analytic, dtype=float)
+    if analytic.shape != point.shape:
+        raise ValueError(f"analytic gradient has shape {analytic.shape}, point {point.shape}")
     numeric = np.zeros_like(point)
     flat = point.reshape(-1)
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] = flat[i] + step
-        up, _ = f(bumped.reshape(point.shape))
+        up = f(bumped.reshape(point.shape))
         bumped[i] = flat[i] - step
-        down, _ = f(bumped.reshape(point.shape))
+        down = f(bumped.reshape(point.shape))
         numeric.reshape(-1)[i] = (up - down) / (2.0 * step)
     err = np.abs(analytic - numeric)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), abs_floor)
-    # Differences below the absolute floor pass outright (finite-difference
-    # noise near exact zeros would otherwise dominate the ratio).
-    rel = np.where(err <= abs_floor, 0.0, err / denom)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _GRADCHECK_FLOOR)
+    rel = np.where(err <= _GRADCHECK_FLOOR, 0.0, err / denom)
     worst = int(np.argmax(rel))
     worst_index = np.unravel_index(worst, point.shape)
     max_rel = float(rel.reshape(-1)[worst])

@@ -16,13 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InadmissibleTriple
-from .spins import Spin, admissible, dim
+from .spins import Spin, _two, admissible, dim
 
 __all__ = ["CGTensor", "cg_coefficient", "cg_tensor"]
-
-
-def _two(value: Spin | int) -> int:
-    return value.twice_j if isinstance(value, Spin) else int(value)
 
 
 def _two_m(value) -> int:

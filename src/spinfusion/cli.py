@@ -140,18 +140,7 @@ def _cmd_block_check(args: argparse.Namespace) -> int:
         ]
         out = block_apply(block, input_sets)
         rotation = haar_rotation(rng)
-        rotated_sets = [
-            [
-                Activation(
-                    {
-                        two_j: wigner_D(two_j, rotation).matrix @ act.part(two_j)
-                        for two_j in act.spins
-                    }
-                )
-                for act in entry
-            ]
-            for entry in input_sets
-        ]
+        rotated_sets = [[act.rotate(rotation) for act in entry] for entry in input_sets]
         out_rotated = block_apply(block, rotated_sets)
         expected = wigner_D(block.two_J, rotation).matrix @ out.data
         equivariance = max(equivariance, float(np.abs(out_rotated.data - expected).max()))
@@ -188,10 +177,9 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     _, gradients = _batch_loss_and_gradients(model, [sample], loss_config)
 
     def loss_for(name: str):
-        # ad.gradcheck reads the gradient at the unperturbed point only
-        def f(values: np.ndarray):
+        def f(values: np.ndarray) -> float:
             model.parameters()[name][...] = values
-            return batch_loss(model, [sample], loss_config), gradients[name]
+            return batch_loss(model, [sample], loss_config)
 
         return f
 
@@ -200,7 +188,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     for name, array in model.parameters().items():
         baseline = array.copy()
         report = ad.gradcheck(
-            loss_for(name), baseline, step=args.step, tolerance=args.tolerance
+            loss_for(name), baseline, gradients[name], step=args.step, tolerance=args.tolerance
         )
         model.parameters()[name][...] = baseline
         all_passed &= report.passed

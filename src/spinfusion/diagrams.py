@@ -11,13 +11,20 @@ says which input the leaf consumes; the same slot may feed several leaves
 (e.g. staged three-body couplings that reuse the same neighbor features), and
 repeated slots may carry different spins when the input is a multi-spin
 Activation.
+
+A collection of diagrams may be lowered to other diagrams (targets) and a
+real matrix U that maps the targets' outputs onto the collection's:
+``recouple`` does it by F-moves, and ``check_lowering`` checks any
+lowering against the diagrams' dense maps.  A leaf may be a constant, such
+as a spin-0 harmonic, whose components the check is given; a lowering may
+fold it into U.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -338,27 +345,20 @@ def recouple(diagrams) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
     return targets, overlaps.real.copy()
 
 
-def _as_input(leaf: tuple[int, int]) -> tuple[tuple, None]:
-    """A leaf that is a base input itself (see ``check_lowering``)."""
-    return (leaf,), None
-
-
-def check_lowering(diagrams, targets, U: np.ndarray, read: Callable = _as_input) -> None:
+def check_lowering(diagrams, targets, U: np.ndarray, constants=None) -> None:
     """Raise ``RecouplingError`` unless U is real and ``sum_t U[t, d] *
     map(t) == map(d)`` to within 1e-12 for every diagram d, where map is
-    the dense map over a layer's base inputs, and U gives no weight to a
+    the dense map over the collection's inputs, and U gives no weight to a
     target of other inputs.
 
-    ``read(leaf)`` gives a diagram's (slot, 2j) leaf as ``(labels,
-    factor)``: the base inputs it is a multilinear function of and the
-    tensor of that function, one axis per label and then the leaf's
-    components (a constant leaf has no label; a product of two inputs has
-    two), or ``((leaf,), None)`` for a leaf that is a base input itself,
-    as every target's leaf is.  So targets may drop, add or reorder leaves,
-    as long as their maps agree.  With the default, every leaf is an input,
-    as ``recouple`` needs.
+    ``constants`` maps each (slot, 2j) leaf that is a constant to its
+    components (the interaction layer's Y^0_0).  A diagram's map is
+    contracted with them, so its inputs are its other leaves, and targets
+    may drop or reorder leaves as long as their maps agree.  Without it
+    every leaf is an input, as ``recouple`` needs.
     """
     diagrams, targets, U = tuple(diagrams), tuple(targets), np.asarray(U)
+    constants = constants or {}
     if U.shape != (len(targets), len(diagrams)):
         raise RecouplingError(
             f"U has shape {U.shape}; {len(targets)} targets and {len(diagrams)} diagrams need "
@@ -372,13 +372,13 @@ def check_lowering(diagrams, targets, U: np.ndarray, read: Callable = _as_input)
         weights = [(row, w.real) for row, w in enumerate(U[:, column]) if w != 0]
         if [(targets[row], w) for row, w in weights] == [(d, 1)]:
             continue  # its own target, exactly
-        labels, want = _base_map(d, read)
+        inputs, want = _base_map(d, constants)
         got, stray = np.zeros_like(want), 0.0
         for row, w in weights:
             if row not in lowered:
-                lowered[row] = _base_map(targets[row], _as_input)
-            t_labels, t_map = lowered[row]
-            if t_labels == labels and t_map.shape == want.shape:
+                lowered[row] = _base_map(targets[row], constants)
+            t_inputs, t_map = lowered[row]
+            if t_inputs == inputs and t_map.shape == want.shape:
                 got = got + w * t_map
             else:
                 stray = max(stray, abs(w))
@@ -392,25 +392,24 @@ def check_lowering(diagrams, targets, U: np.ndarray, read: Callable = _as_input)
             )
 
 
-def _base_map(d: FusionDiagram, read: Callable) -> tuple[tuple, np.ndarray]:
-    """(labels, tensor): ``dense_map(d)`` with each leaf read through
-    ``read``, one axis per base input, in label order, then the root's.  A
-    label read twice in one diagram gets one axis per reading, in order."""
+def _base_map(d: FusionDiagram, constants) -> tuple[tuple, np.ndarray]:
+    """(inputs, tensor): ``dense_map(d)`` contracted with the components of
+    its ``constants`` leaves, one axis per other leaf, ordered by (leaf,
+    position in the tree), then the root's."""
     n = len(d.leaves)
     shape = [dim(two_j) for _, two_j in d.leaves] + [dim(d.two_J)]
     operands: list = [_dense(d).reshape(shape), list(range(n + 1))]
-    axes: dict[tuple, int] = {}
+    inputs = []
     for position, leaf in enumerate(d.leaves):
-        labels, factor = read(leaf)
-        ids = []
-        for label in labels:
-            key = (label, sum(1 for seen, _ in axes if seen == label))
-            axes[key] = position if factor is None else n + 1 + len(axes)
-            ids.append(axes[key])
-        if factor is not None:
-            operands += [factor, ids + [position]]
-    order = sorted(axes)
-    return tuple(order), np.einsum(*operands, [axes[key] for key in order] + [n])
+        if leaf in constants:
+            operands += [constants[leaf], [position]]
+        else:
+            inputs.append((leaf, position))
+    inputs.sort()
+    return (
+        tuple(leaf for leaf, _ in inputs),
+        np.einsum(*operands, [position for _, position in inputs] + [n]),
+    )
 
 
 # dense maps of the diagrams recoupled or checked so far, read-only

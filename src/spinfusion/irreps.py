@@ -7,13 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChannelMismatch, SpinMismatch
-from .spins import Spin, dim
+from .spins import Spin, _two, dim
 
 __all__ = ["IrrepVector", "Activation"]
-
-
-def _two(value: Spin | int) -> int:
-    return value.twice_j if isinstance(value, Spin) else int(value)
 
 
 @dataclass(frozen=True)

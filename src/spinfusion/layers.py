@@ -25,10 +25,11 @@ collections lowered for the taped executor, and one weight table,
 at init.  A model lists the weight tables under the layer's name; that is
 all it knows of them.  Every collection reads one slot table per layer:
 slot 0 is the center atom (N rows), the other slots are per edge (E rows).
+Both executors bind the same table.
 
 Both executors run the same collections and weight keys.  The per-atom one
 (``interaction_layer``, ``three_body_forward``), the eager oracle, binds
-one slot mapping per atom and runs each collection as built through
+the slots once per atom and runs each collection as built through
 ``blocks.apply``.  The taped one (``taped_collections``), vectorized over
 atoms and edges, runs each collection as lowered at init: ``recouple``
 F-moves each three-leaf diagram ((center ⊗ a)_k ⊗ b)_J into (center ⊗
@@ -42,9 +43,9 @@ one of three groups by its tree:
   and their three-leaf first stages): per edge, then summed.
 
 The interaction layer's lowering then rewrites its targets through spin-0
-legs, since a CG vertex with a spin-0 leg is c times the identity: the
-gate is a spin-0 edge leaf that multiplies the gated term's summed-over
-products, (Y_a ⊗ g∘h_b)_l = ±((h_b ⊗ Y_a)_l ⊗ g)_l, and the constant
+legs, since a CG vertex with a spin-0 leg is c times the identity.  The
+gate is an ordinary spin-0 leaf of the tables, (Y_a ⊗ (h_b ⊗ g)_b)_l, and
+the rewrite moves it to the root, ±((h_b ⊗ Y_a)_l ⊗ g)_l; the constant
 spin-0 harmonic Y^0_0 leaves every target that reads it and goes into U.
 So the gated term's per-edge products are the fusion term's T, and each
 (neighbor, harmonic, k) product runs once per edge and layer.
@@ -73,7 +74,7 @@ from .errors import EmptySchedule
 from .features import _Y00, EdgeFeature
 from .geometry import Neighborhood, PointCloud
 from .irreps import Activation
-from .spins import admissible, dim
+from .spins import admissible
 
 __all__ = [
     "SpinSchedule",
@@ -263,11 +264,6 @@ class RecoupledCollection:
     pair terms and a dense block's chains), or stand for them one to one
     with weight 1.  ``weights`` are the weight-table keys that mix the
     diagrams' concatenated outputs to tau channels, applied in order.
-
-    ``gate`` is the slot of a spin-0 per-edge leaf g (an interaction layer's
-    gate) when every target is (t ⊗ g)_J, t an ``edge`` target, and
-    otherwise ``None``.  CG(J, 0, J) is exactly the identity, so the
-    executor multiplies the edge targets' concatenated outputs by g once.
     """
 
     diagrams: tuple[FusionDiagram, ...]
@@ -276,13 +272,6 @@ class RecoupledCollection:
     edge: tuple[FusionDiagram, ...]
     mixing: np.ndarray | None
     weights: tuple[str, ...]
-    gate: int | None
-
-
-def _gated(t: FusionDiagram, gate: int) -> FusionDiagram:
-    """(t ⊗ g)_J with g the spin-0 leaf of slot ``gate``."""
-    tree = FuseNode(t.tree, LeafNode(gate), t.two_J)
-    return FusionDiagram(t.leaves + ((gate, 0),), tree, t.two_J)
 
 
 def _target_group(target: FusionDiagram) -> int:
@@ -300,19 +289,16 @@ def recoupled_collection(
     diagrams, tau: int, weights: tuple[str, ...], rewrite=None
 ) -> RecoupledCollection:
     """Lower one collection: ``diagrams.recouple``, then a layer's exact
-    ``rewrite`` of the targets, ``(diagrams, targets, U) -> (targets, U,
-    gate)``, checked against the collection's dense maps (the interaction
-    layer's is ``_drop_spin0_legs``: the gate as a spin-0 slot, Y^0_0
-    folded into U), then the targets grouped (``RecoupledCollection``)."""
+    ``rewrite`` of the targets, ``(diagrams, targets, U) -> (targets, U)``,
+    checked against the collection's dense maps (the interaction layer's is
+    ``_drop_spin0_legs``: the gate re-attached at the root, Y^0_0 folded
+    into U), then the targets grouped (``RecoupledCollection``)."""
     targets, U = recouple(diagrams)
-    gate = None
     if rewrite is not None:
-        targets, U, gate = rewrite(diagrams, targets, U)
+        targets, U = rewrite(diagrams, targets, U)
     groups: tuple[list, list, list] = ([], [], [])
     for row, target in enumerate(targets):
         groups[_target_group(target)].append(row)
-    if gate is not None and len(groups[2]) != len(targets):
-        raise ValueError("a gated collection's targets must all run per edge")
     order = [row for group in groups for row in group]
     U = U[order]
     square = U.shape[0] == U.shape[1]
@@ -327,7 +313,6 @@ def recoupled_collection(
         *(tuple(targets[row] for row in group) for group in groups),
         mixing,
         weights,
-        gate,
     )
 
 
@@ -363,14 +348,13 @@ def taped_collections(
     """Taped executor: per output spin in ``output_spins``, the sum of the
     collections, each lowered (see ``RecoupledCollection``) and mixed.
 
-    ``leaves[slot][two_j]`` are the layer's slots: slot 0 the center atom
-    (N rows), the others per edge (E rows), ``src`` each edge's atom.  One
-    memo per row count, so each distinct subtree is recorded once per
-    layer: the center-only targets and the atom stages at N rows, next to
-    each distinct T summed over ``src``; the per-edge subtrees at E rows.
-    The center is gathered to the edges only when an edge target reads it,
-    and a gate is tiled once per layer to each width that a gated
-    collection's concatenated targets have.  A collection's mixing,
+    ``leaves[slot][two_j]`` are the layer's slots, the same table that the
+    eager executor binds: slot 0 the center atom (N rows), the others per
+    edge (E rows), ``src`` each edge's atom.  One memo per row count, so
+    each distinct subtree is recorded once per layer: the center-only
+    targets and the atom stages at N rows, next to each distinct T summed
+    over ``src``; the per-edge subtrees at E rows.  The center is gathered
+    to the edges only when an edge target reads it.  A collection's mixing,
     ``mixing`` and then its weights, is composed in weight space, so its
     concatenated targets are mixed by one product.
     """
@@ -382,7 +366,6 @@ def taped_collections(
         edge_leaves[0] = {two_j: ad.gather(tape, node, src) for two_j, node in center.items()}
     atom_memo: dict[tuple, ad.Node] = {}
     edge_memo: dict[tuple, ad.Node] = {}
-    tiled_gates: dict[tuple[int, int], ad.Node] = {}
     out: dict[int, ad.Node] = {}
     for two_J, group in wanted.items():
         for c in group:
@@ -400,12 +383,6 @@ def taped_collections(
                 per_edge = ad.concat(
                     tape, taped_diagrams(tape, c.edge, edge_leaves, edge_memo), axis=2
                 )
-                if c.gate is not None:
-                    gate = edge_leaves[c.gate][0]
-                    copies = len(c.edge)
-                    if (c.gate, copies) not in tiled_gates:
-                        tiled_gates[c.gate, copies] = ad.concat(tape, [gate] * copies, axis=2)
-                    per_edge = ad.mul(tape, per_edge, tiled_gates[c.gate, copies])
                 chunks.append(ad.index_add(tape, per_edge, src, n_atoms))
             first, *rest = c.weights
             mixing = weights[first]
@@ -466,20 +443,19 @@ class LayerParams:
 class InteractionParams(LayerParams):
     """Tables of one interaction layer.
 
-    Slots of the tables: 0 = center (N rows), 1 = neighbor, 2 = edge
-    harmonic, 3 = gated neighbor (E rows each); the lowered targets read
-    the gate, slot 4 (spin 0, E rows), in place of slot 3.
+    Slots of the tables and of their lowered targets: 0 = center (N rows),
+    1 = neighbor, 2 = edge harmonic, 3 = gate (spin 0 only; E rows each).
     ``diagrams[two_l][term]`` is the fusion-diagram collection of one term
     at output spin 2l; the terms present at a spin appear in the fixed
-    order self (slot 0), pair (0, 0), gated (2, 3), fusion (0, 1, 2), and
-    none is empty.  Weights: ``gate/*`` (``invariant_gate``);
+    order self (slot 0), pair (0, 0), gated (2, (1, 3)), fusion (0, 1, 2),
+    and none is empty.  Weights: ``gate/*`` (``invariant_gate``);
     ``vertex/{2l}/{term}`` mixes a term's concatenated diagram outputs to
     tau channels, except in the fused kind's fusion term, whose
     ``fusion_mix/{2l}`` does that and whose vertex block is square.
     ``recoupled[two_l]`` lowers the terms in table order (see
     ``_drop_spin0_legs``): self and pair center-only; gated per edge, as
-    (neighbor ⊗ harmonic)_l, or the neighbor alone where the harmonic is
-    Y^0_0, times the gate; fusion as (center ⊗ T)_l with T = (neighbor ⊗
+    ((neighbor ⊗ harmonic)_l ⊗ gate)_l, or (neighbor ⊗ gate)_l where the
+    harmonic is Y^0_0; fusion as (center ⊗ T)_l with T = (neighbor ⊗
     harmonic)_k', or the neighbor.  Both terms' products share one memo,
     so each (neighbor, harmonic, k) product is recorded once per layer.
     The mixed terms are summed in table order, so zeroing the fusion
@@ -490,18 +466,17 @@ class InteractionParams(LayerParams):
 def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
     """The non-empty terms' diagram collections at one output spin.
 
-    Two-leaf terms list their (2ja, 2jb) leaf pairs lexicographically; the
-    fusion term couples (center, neighbor) through k, then (k, edge
-    harmonic) into the output spin, lexicographic in (2ji, 2jj, 2k, 2jy).
+    The pair and gated terms list their (2ja, 2jb) spins lexicographically:
+    the pair term couples two center parts, the gated one a harmonic Y_a
+    with the gated neighbor (h_b ⊗ g)_b, g the spin-0 gate.  The fusion
+    term couples (center, neighbor) through k, then (k, edge harmonic) into
+    the output spin, lexicographic in (2ji, 2jj, 2k, 2jy).
     """
 
-    def pairs(spins_a, spins_b, slots):
-        return tuple(
-            left_comb([two_ja, two_jb], [], two_l, slots=slots)
-            for two_ja in spins_a
-            for two_jb in spins_b
-            if admissible(two_ja, two_jb, two_l)
-        )
+    def gated(two_ja, two_jb):
+        neighbor = FuseNode(LeafNode(_NEIGHBOR), LeafNode(_GATE), two_jb)
+        tree = FuseNode(LeafNode(_HARMONIC), neighbor, two_l)
+        return FusionDiagram(((_HARMONIC, two_ja), (_NEIGHBOR, two_jb), (_GATE, 0)), tree, two_l)
 
     terms = {
         "self": (
@@ -509,8 +484,18 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
             if two_l in input_spins
             else ()
         ),
-        "pair": pairs(input_spins, input_spins, [0, 0]),
-        "gated": pairs(edge_spins, input_spins, [2, 3]),
+        "pair": tuple(
+            left_comb([two_ja, two_jb], [], two_l, slots=[0, 0])
+            for two_ja in input_spins
+            for two_jb in input_spins
+            if admissible(two_ja, two_jb, two_l)
+        ),
+        "gated": tuple(
+            gated(two_ja, two_jb)
+            for two_ja in edge_spins
+            for two_jb in input_spins
+            if admissible(two_ja, two_jb, two_l)
+        ),
         "fusion": tuple(
             left_comb([two_ji, two_jj, two_jy], [two_k], two_l, slots=[0, 1, 2])
             for two_ji in input_spins
@@ -523,22 +508,11 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
     return {term: diagrams for term, diagrams in terms.items() if diagrams}
 
 
-# The interaction layer's per-edge slots.  Its tables read slots 0-3, as
-# the eager oracle binds them; their lowered targets read the gate, slot 4,
-# in place of the gated neighbor, as the taped layer binds them.
-_NEIGHBOR, _HARMONIC, _GATED, _GATE = 1, 2, 3, 4
-
-
-def _read_interaction_leaf(leaf: tuple[int, int]):
-    """A table leaf over the lowered targets' inputs (see ``check_lowering``):
-    the gated neighbor is the neighbor times the gate, the spin-0 harmonic
-    is the constant Y^0_0, and any other leaf is an input itself."""
-    slot, two_j = leaf
-    if slot == _GATED:
-        return ((_NEIGHBOR, two_j), (_GATE, 0)), np.eye(dim(two_j))[:, None, :]
-    if leaf == (_HARMONIC, 0):
-        return (), np.array([_Y00])
-    return (leaf,), None
+# The interaction layer's per-edge slots, as both executors bind them, and
+# the weight of each spin-0 leg that its lowering drops: the constant Y^0_0
+# goes into U, the gate is re-attached at the root.
+_NEIGHBOR, _HARMONIC, _GATE = 1, 2, 3
+_SPIN0_LEGS = {(_HARMONIC, 0): _Y00, (_GATE, 0): 1.0}
 
 
 def _drop_spin0_legs(diagrams, targets, U: np.ndarray):
@@ -546,10 +520,9 @@ def _drop_spin0_legs(diagrams, targets, U: np.ndarray):
     ``recoupled_collection``) through spin-0 CG vertices, each c times the
     identity, so (x ⊗ s)_j = c·s·x (c = 1 in this CG table):
 
-    * the gate: a target that reads the gated neighbor g∘h_b reads h_b
-      and is multiplied by the gate g, (Y_a ⊗ g∘h_b)_l = ((Y_a ⊗ h_b)_l ⊗
-      g)_l; a collection of such targets (the gated term) returns the
-      gate's slot;
+    * the gate: a target that reads the gate g has it re-attached at the
+      root, (Y_a ⊗ (h_b ⊗ g)_b)_l = ((Y_a ⊗ h_b)_l ⊗ g)_l, so the gated
+      products are g times the ungated ones;
     * exchange: a two-leaf subtree lists its lower slot first, (Y_a ⊗
       h_b)_l = (−1)^(ja+jb−l) (h_b ⊗ Y_a)_l, so the gated term's products
       are the fusion term's T = (h_b ⊗ Y_a)_k';
@@ -560,30 +533,27 @@ def _drop_spin0_legs(diagrams, targets, U: np.ndarray):
     the result against the tables' dense maps to 1e-12.
     """
     rows: dict[FusionDiagram, np.ndarray] = {}
-    gated = set()
     for target, row in zip(targets, U):
         tree, leaves, _, weight = _rewrite_legs(target.tree, iter(target.leaves))
+        if (_GATE, 0) in target.leaves:
+            # c = 1 at both ends, so the weight stays
+            tree, leaves = FuseNode(tree, LeafNode(_GATE), target.two_J), leaves + ((_GATE, 0),)
         new = FusionDiagram(leaves, tree, target.two_J)
         rows[new] = rows.get(new, 0.0) + weight * row
-        gated.add(any(slot == _GATED for slot, _ in target.leaves))
-    if len(gated) > 1:
-        raise ValueError("either every target of a collection reads the gated neighbor or none")
-    gate = _GATE if True in gated else None
     targets, U = tuple(rows), np.array(list(rows.values()))
-    lowered = targets if gate is None else tuple(_gated(t, gate) for t in targets)
-    check_lowering(diagrams, lowered, U, _read_interaction_leaf)
-    return targets, U, gate
+    check_lowering(diagrams, targets, U, {(_HARMONIC, 0): np.array([_Y00])})
+    return targets, U
 
 
 def _rewrite_legs(node, leaf_iter):
     """(tree, leaves, 2j, weight) of one subtree rewritten as
-    ``_drop_spin0_legs`` says; the tree is None for the constant leaf."""
+    ``_drop_spin0_legs`` says, without its spin-0 legs; the tree is None
+    for a spin-0 leg itself."""
     if isinstance(node, LeafNode):
-        slot, two_j = next(leaf_iter)
-        if (slot, two_j) == (_HARMONIC, 0):
-            return None, (), 0, _Y00
-        slot = _NEIGHBOR if slot == _GATED else slot
-        return LeafNode(slot), ((slot, two_j),), two_j, 1.0
+        leaf = next(leaf_iter)
+        if leaf in _SPIN0_LEGS:
+            return None, (), 0, _SPIN0_LEGS[leaf]
+        return LeafNode(leaf[0]), (leaf,), leaf[1], 1.0
     left, left_leaves, two_a, left_weight = _rewrite_legs(node.left, leaf_iter)
     right, right_leaves, two_b, right_weight = _rewrite_legs(node.right, leaf_iter)
     weight = left_weight * right_weight
@@ -659,17 +629,12 @@ def interaction_layer(
     for o in range(pc.n_atoms):
         center = acts[o]
         neighbors = nbr.neighbors(o)
-        gated = []
-        for i in neighbors:
-            gate = invariant_gate(center, acts[i], feats[(o, i)], params.weights)
-            gated.append(
-                Activation({two_j: acts[i].part(two_j) * gate[None, :] for two_j in acts[i].spins})
-            )
+        gates = [invariant_gate(center, acts[i], feats[(o, i)], params.weights) for i in neighbors]
         inputs = [
             center,
             [acts[i] for i in neighbors],
             [_broadcast_harmonics(feats[(o, i)], params.tau) for i in neighbors],
-            gated,
+            [Activation({0: gate[None]}) for gate in gates],
         ]
         out.append(apply_collections(params.recoupled, inputs, params.weights))
     return out
@@ -697,7 +662,7 @@ def taped_interaction_layer(
     neighbor0 = ad.reshape(tape, neighbor[0], (len(dst), params.tau))
     gate = taped_gate(tape, acts, src, neighbor0, basis, weights)
     gate_col = ad.reshape(tape, gate, (len(src), 1, params.tau))
-    slots = [acts, neighbor, harmonics, {}, {0: gate_col}]  # no target reads the gated neighbor
+    slots = [acts, neighbor, harmonics, {0: gate_col}]
     return taped_collections(tape, params.recoupled, slots, src, weights, output_spins)
 
 

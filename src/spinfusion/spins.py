@@ -57,9 +57,10 @@ class MagneticIndex:
         if not isinstance(self.twice_m, int):
             raise TypeError(f"twice_m must be int, got {type(self.twice_m).__name__}")
 
-    def valid_for(self, spin: Spin | int) -> bool:
-        two_j = spin.twice_j if isinstance(spin, Spin) else spin
-        return abs(self.twice_m) <= two_j and (self.twice_m - two_j) % 2 == 0
+
+def _two(value: Spin | int) -> int:
+    """2j of a ``Spin`` or of a twice-spin integer."""
+    return value.twice_j if isinstance(value, Spin) else int(value)
 
 
 def dim(two_j: int) -> int:

@@ -12,13 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rotations import Rotation
-from .spins import Spin, dim
+from .spins import Spin, _two, dim
 
 __all__ = ["WignerD", "wigner_small_d", "wigner_D"]
-
-
-def _two(value: Spin | int) -> int:
-    return value.twice_j if isinstance(value, Spin) else int(value)
 
 
 def wigner_small_d(j: Spin | int, beta: float) -> np.ndarray:

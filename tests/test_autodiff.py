@@ -27,7 +27,11 @@ def _conjugate(tape, z):
 
 
 def _check(f, point, tolerance=1e-6):
-    report = ad.gradcheck(f, np.asarray(point, dtype=float), tolerance=tolerance)
+    """Gradcheck ``f``, which returns (value, gradient): its gradient at
+    ``point`` against central differences of its value."""
+    point = np.asarray(point, dtype=float)
+    _, analytic = f(point)
+    report = ad.gradcheck(lambda values: f(values)[0], point, analytic, tolerance=tolerance)
     assert report.passed, (
         f"max rel error {report.max_rel_error} at {report.worst_index}"
     )
@@ -94,10 +98,10 @@ class TestTapeBasics:
     def test_gradcheck_flags_corrupted_vjp(self):
         point = np.array([0.5, -1.5])
 
-        def wrong(values):
-            return float(np.sum(values**2)), 3.0 * values  # should be 2x
+        def f(values):
+            return float(np.sum(values**2))
 
-        report = ad.gradcheck(wrong, point)
+        report = ad.gradcheck(f, point, 3.0 * point)  # should be 2x
         assert not report.passed
 
 
@@ -731,6 +735,26 @@ class TestMatmul:
         assert np.max(np.abs(mixed_second(weights.copy())[1])) > 1e-6
         assert tensors == []  # no einsum3, let alone a 0-d one
 
+    def test_weight_cotangent_on_real_data_records_no_real_node(self, monkeypatch):
+        # backward keeps the real part of a complex contribution to a real
+        # parent, so the weight cotangent projects nothing itself: on real
+        # data (the gate, the readout, composed mixings) no real node
+        calls = []
+        real = ad.real
+
+        def recording_real(tape, x):
+            calls.append(x.shape)
+            return real(tape, x)
+
+        monkeypatch.setattr(ad, "real", recording_real)
+        tape = ad.Tape()
+        x, w = tape.variable(REAL_MAT.copy()), tape.variable(WEIGHTS.copy())
+        probe = tape.constant(PROBE_MAT[:, :2])
+        loss = ad.sum_all(tape, ad.mul(tape, ad.channel_mix(tape, x, w), probe))
+        grads = ad.backward(tape, loss, wrt=[w])
+        assert calls == []
+        assert np.max(np.abs(grads[w.id].value - REAL_MAT.T @ PROBE_MAT[:, :2])) <= 1e-13
+
 
 def _second_order_chain(tape, x, w):
     """A force-like adjoint (the x-gradient of an energy through
@@ -807,28 +831,33 @@ class TestGradcheckHarness:
         coefficients = PROBE_VEC.copy()
 
         def f(values):
-            return float(values @ coefficients), coefficients
+            return float(values @ coefficients)
 
-        report = ad.gradcheck(f, REAL_VEC.copy())
+        report = ad.gradcheck(f, REAL_VEC.copy(), coefficients)
         assert report.passed
         assert report.max_rel_error < 1e-10
 
     def test_report_locates_worst_coordinate(self):
         coefficients = np.ones(4)
+        grad = coefficients.copy()
+        grad[2] += 1.0  # corrupt one coordinate
 
         def f(values):
-            grad = coefficients.copy()
-            grad[2] += 1.0  # corrupt one coordinate
-            return float(values @ coefficients), grad
+            return float(values @ coefficients)
 
-        report = ad.gradcheck(f, np.zeros(4))
+        report = ad.gradcheck(f, np.zeros(4), grad)
         assert not report.passed
         assert report.worst_index == (2,)
 
     @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan")])
     def test_step_must_be_finite_and_positive(self, step):
         def f(values):
-            return float(values.sum()), np.ones_like(values)
+            return float(values.sum())
 
         with pytest.raises(ValueError, match="step"):
-            ad.gradcheck(f, np.zeros(3), step=step)
+            ad.gradcheck(f, np.zeros(3), np.ones(3), step=step)
+
+    def test_analytic_gradient_must_have_the_point_shape(self):
+        # a gradient of another shape would broadcast into a wrong report
+        with pytest.raises(ValueError, match="shape"):
+            ad.gradcheck(lambda values: float(values.sum()), np.zeros(3), np.ones(1))

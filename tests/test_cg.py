@@ -181,7 +181,7 @@ class TestSpinZeroAndExchange:
 
     @pytest.mark.parametrize("two_j", range(9))
     def test_spin_zero_leg_is_exactly_the_identity(self, two_j):
-        # the taped layer multiplies by its spin-0 gate without a CG product
+        # so the gate product, (x ⊗ g)_j with g spin 0, is one broadcast multiply
         identity = np.eye(dim(two_j))
         assert np.array_equal(cg_tensor(two_j, 0, two_j).coeffs[:, 0, :], identity)
         assert np.array_equal(cg_tensor(0, two_j, two_j).coeffs[0], identity)

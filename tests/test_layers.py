@@ -526,25 +526,27 @@ class TestRecoupledTape:
         assert all(np.array_equal(idx, src) for idx in gate_rows)
 
     def _edge_row_products(self, monkeypatch, kind):
-        """The per-edge products of a 2-layer model's forward: each must
-        read a neighbor and a spin-1 harmonic, once per layer."""
-        src, _, _, products = self._forward_calls(monkeypatch, kind=kind)
-        edge_rows = [rows for ndim, rows in products if ndim == 3 and rows == len(src)]
-        pairs = set()
+        """The per-edge products of a 2-layer model's forward with a
+        harmonic factor: each must read a neighbor and a spin-1 harmonic,
+        once per layer.  Every other per-edge product is one by the gate."""
+        src, _, _, _ = self._forward_calls(monkeypatch, kind=kind)
+        pairs = []
         for x, y, shape in self.operands:
-            if shape[0] == len(src):
-                assert len(x.shape) == 3 and y.shape == (len(src), 3)  # neighbor ⊗ Y1
-                pairs.add((x.id, y.id, shape[1]))
-        assert len(pairs) == len(edge_rows)
-        return len(edge_rows)
+            if shape[0] != len(src):
+                continue
+            assert len(x.shape) == 3
+            if y.shape != (len(src), 1, 6):  # not the spin-0 gate
+                assert y.shape == (len(src), 3)  # neighbor ⊗ Y1
+                pairs.append((x.id, y.id, shape[1]))
+        assert len(set(pairs)) == len(pairs)
+        return len(pairs)
 
     def test_edge_row_products(self, monkeypatch):
         # each (neighbor ⊗ harmonic)_k with a spin-1 harmonic, once per
         # layer: (h0 ⊗ Y1)_1 in layer 0; (h0 ⊗ Y1)_1, (h1 ⊗ Y1)_0 and (h1 ⊗
-        # Y1)_1 in layer 1.  The gated term shares the fusion term's T,
-        # Y^0_0 is folded into the mixing and the gate multiplies the summed
-        # outputs, so no product reads a spin-0 harmonic or a gated
-        # neighbor (it was 2 + 2 gated products and 2 + 5 of T, 11)
+        # Y1)_1 in layer 1.  The gated term shares the fusion term's T and
+        # Y^0_0 is folded into the mixing, so no product reads a spin-0
+        # harmonic (it was 2 + 2 gated products and 2 + 5 of T, 11)
         assert self._edge_row_products(monkeypatch, "fused") == 4
 
     def test_gated_edge_row_products(self, monkeypatch):
@@ -610,30 +612,68 @@ class TestLowering:
                         assert (c.center, c.atom, c.edge) == (c.diagrams, (), ())
                         assert c.mixing is None
                 gated = lowered["gated"]
-                # one per-edge target per diagram, times the gate (slot 4)
+                # one per-edge target per diagram, times the gate (slot 3) at
+                # the root
                 assert (gated.center, gated.atom) == ((), ())
-                assert len(gated.edge) == len(gated.diagrams) and gated.gate == 4
+                assert len(gated.edge) == len(gated.diagrams)
+                assert not hasattr(gated, "gate")
+                for t in gated.edge:
+                    assert t.leaves[-1] == (3, 0) and t.tree.right == LeafNode(3)
+                    assert [slot for slot, _ in t.leaves].count(3) == 1
                 fusion = lowered["fusion"]
                 assert fusion.atom and not fusion.center and not fusion.edge
-                assert fusion.gate is None
                 for t in fusion.atom:
                     assert t.tree.left == LeafNode(0)
                     # T = (neighbor ⊗ harmonic)_k', or the neighbor alone
                     # where the harmonic was the constant Y^0_0
                     assert [slot for slot, _ in t.leaves] in ([0, 1, 2], [0, 1])
-                for t in gated.edge + fusion.atom:  # no gated neighbor, no Y^0_0
-                    assert all(slot != 3 and (slot, two_j) != (2, 0) for slot, two_j in t.leaves)
+                for t in gated.edge + fusion.atom:  # no Y^0_0
+                    assert (2, 0) not in t.leaves
+
+    def test_both_executors_bind_one_slot_table(self, monkeypatch):
+        # slots 0 center, 1 neighbor, 2 harmonic, 3 gate: every table leaf
+        # and every lowered target reads them, the gate as the spin-0 leaf
+        # (3, 0), and the eager and taped layers bind the same four
+        model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=2, seed=2))
+        for layer in model.layers:
+            for group in layer.recoupled.values():
+                for c in group:
+                    for d in c.diagrams + c.center + c.atom + c.edge:
+                        assert set(d.slots) <= {0, 1, 2, 3}
+                        assert all(two_j == 0 for slot, two_j in d.leaves if slot == 3)
+        bound = []
+        apply, taped = layers.apply_collections, layers.taped_collections
+
+        def eager(collections, inputs, weights):
+            bound.append(("eager", len(inputs), {tuple(a.spins) for a in inputs[3]}))
+            return apply(collections, inputs, weights)
+
+        def recorded(tape, collections, leaves, *rest):
+            bound.append(("taped", len(leaves), {tuple(leaves[3])}))
+            return taped(tape, collections, leaves, *rest)
+
+        monkeypatch.setattr(layers, "apply_collections", eager)
+        monkeypatch.setattr(layers, "taped_collections", recorded)
+        pc = _cloud(5, seed=3)
+        model.energy_and_forces(pc.positions, pc.species)
+        model.plain_energy(pc.positions, pc.species)
+        assert {executor for executor, _, _ in bound} == {"eager", "taped"}
+        assert all(slots == 4 and gate_spins <= {(0,)} for _, slots, gate_spins in bound)
+        assert any(gate_spins for _, _, gate_spins in bound)
 
     @pytest.mark.parametrize("j_max", [1, 2])
     def test_gated_products_are_the_fusion_terms_T(self, j_max):
-        # the gated term's per-edge products key the same memo entries as
-        # the fusion term's T at the same output spin, so they run once
+        # the gated term's per-edge products, the gate's left factor, key
+        # the same memo entries as the fusion term's T at the same output
+        # spin, so they run once
         model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=j_max, seed=2))
         shared = 0
         for layer in model.layers:
             for two_l, table in layer.diagrams.items():
                 lowered = dict(zip(table, layer.recoupled[two_l]))
-                gated = {_subtree_key(t.tree, iter(t.leaves)) for t in lowered["gated"].edge}
+                gated = {
+                    _subtree_key(t.tree.left, iter(t.leaves[:-1])) for t in lowered["gated"].edge
+                }
                 fusion_T = {
                     _subtree_key(t.tree.right, iter(t.leaves[1:])) for t in lowered["fusion"].atom
                 }
@@ -647,7 +687,7 @@ class TestLowering:
         # one U entry, that of the first gated diagram at spin 1, off: the
         # lowering's check against the tables' dense maps rejects the layer
         rewrite = layers._rewrite_legs
-        gated_tree = FuseNode(LeafNode(2), LeafNode(3), 2)
+        gated_tree = FuseNode(LeafNode(2), FuseNode(LeafNode(1), LeafNode(3), 2), 2)
         perturbed_once = []
 
         def perturbed(node, leaf_iter):
