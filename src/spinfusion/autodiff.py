@@ -43,8 +43,9 @@ a spin-0 factor, whose CG block is c times the identity, is one broadcast
 multiply instead (the broadcast plan).  Its VJPs contract the forward
 tensor itself, so they hit the same plans.  ``index_add`` sums
 sorted segments, with the sort computed once per index array.
-``channel_mix`` and its cotangents are one BLAS matrix product each over
-the flattened leading axes (``matmul``).  ``backward`` walks parent links
+``channel_mix`` is the one matrix product, with transpose flags: it and
+its cotangents are one BLAS call each over the flattened leading axes, with
+no reshape node.  ``backward`` walks parent links
 back from the seed, visits only the ancestors that depend on a node in its
 ``wrt`` list, and drops every other adjoint once its node's VJPs have run.
 """
@@ -609,60 +610,47 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     )
 
 
-@_primitive("matmul")
-def matmul(tape: Tape, a: Node, b: Node, trans_a: bool = False, trans_b: bool = False) -> Node:
-    """op(a) @ op(b) for matrices, op the transpose when its flag is set.
-
-    One BLAS call forward and per cotangent.  The cotangent of op(a) is
-    w @ op(b)^T and that of op(b) is op(a)^T @ w; each is again a
-    ``matmul`` of the other factor, so products of products stay
-    differentiable.
-    """
-    a, b = _as_node(tape, a), _as_node(tape, b)
-    value = (a.value.T if trans_a else a.value) @ (b.value.T if trans_b else b.value)
-
-    def vjp_a(tape, w):
-        if trans_a:
-            return matmul(tape, b, w, trans_b, True)
-        return matmul(tape, w, b, False, not trans_b)
-
-    def vjp_b(tape, w):
-        if trans_b:
-            return matmul(tape, w, a, True, trans_a)
-        return matmul(tape, a, w, not trans_a, False)
-
-    return tape._emit(value, ((a, vjp_a), (b, vjp_b)))
+def _matrix(a: np.ndarray) -> np.ndarray:
+    """``a`` read as a matrix: its flattened leading axes by its last axis."""
+    return a if a.ndim <= 2 else a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
 
 
 @_primitive("channel_mix")
-def channel_mix(tape: Tape, x: Node, weights: Node) -> Node:
-    """x @ W on the trailing channel axis; W is a real parameter matrix.
+def channel_mix(
+    tape: Tape, x: Node, weights: Node, trans_x: bool = False, trans_w: bool = False
+) -> Node:
+    """op(x) @ op(W), op the transpose when its flag is set: the channel
+    mixing x @ W on the trailing axis, and the products of its cotangents.
 
-    The product and both cotangents run over the flattened leading axes, one
-    2-D matrix product each (a stacked product would be one small product per
-    leading index).  The weight cotangent is x^T w accumulated over all
-    leading axes; from complex data it is complex, and ``backward`` keeps
-    its real part, so real parameters receive real gradients.
+    An operand with more than two axes is read as the matrix of its
+    flattened leading axes by its trailing axis, so the product is one BLAS
+    call (a stacked product would be one small product per leading index);
+    the result keeps x's leading axes unless ``trans_x`` is set.  The
+    cotangent of op(x) is w @ op(W)^T and that of op(W) is op(x)^T @ w, each
+    again one ``channel_mix`` of the other factor; from (F, F) they are the
+    (F, T) and (T, F) products, a set that their own VJPs keep.  A weight
+    cotangent from complex data is complex, and ``backward`` keeps its real
+    part, so real parameters receive real gradients.
     """
     x, weights = _as_node(tape, x), _as_node(tape, weights)
-    rows = int(np.prod(x.shape[:-1], dtype=int))
-    value = np.reshape(
-        np.reshape(x.value, (rows, x.shape[-1])) @ weights.value,
-        x.shape[:-1] + weights.shape[-1:],
-    )
+    a, b = _matrix(x.value), _matrix(weights.value)
+    value = (a.T if trans_x else a) @ (b.T if trans_w else b)
+    if not trans_x:
+        value = value.reshape(x.shape[:-1] + value.shape[-1:])
 
+    # Each cotangent contracts with the other factor's *node*, not its
+    # current value: the data cotangent must stay differentiable with
+    # respect to the weights so that losses built from gradients (e.g.
+    # force errors) see the mixed second-derivative term.
     def vjp_x(tape, w):
-        # Contract with the weights *node*, not its current value: the data
-        # cotangent must stay differentiable with respect to the weights so
-        # that losses built from gradients (e.g. force errors) see the mixed
-        # second-derivative term.
-        w_flat = reshape(tape, w, (rows, weights.shape[-1]))
-        return reshape(tape, matmul(tape, w_flat, weights, False, True), x.shape)
+        if trans_x:
+            return channel_mix(tape, weights, w, trans_w, True)
+        return channel_mix(tape, w, weights, False, not trans_w)
 
     def vjp_w(tape, w):
-        x_flat = reshape(tape, x, (rows, x.shape[-1]))
-        w_flat = reshape(tape, w, (rows, weights.shape[-1]))
-        return matmul(tape, x_flat, w_flat, True, False)
+        if trans_w:
+            return channel_mix(tape, w, x, True, trans_x)
+        return channel_mix(tape, x, w, not trans_x, False)
 
     return tape._emit(value, ((x, vjp_x), (weights, vjp_w)))
 

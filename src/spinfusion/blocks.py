@@ -195,6 +195,9 @@ def block_from_json(text: str) -> FusionBlockConfig:
     payload = json.loads(text)
     diagrams = tuple(diagram_from_json(json.dumps(d)) for d in payload["diagrams"])
     mix = payload["mixing"]
+    for key in ("rows", "cols"):
+        if int(mix[key]) < 1:
+            raise ValueError(f"mixing {key} must be at least 1, got {mix[key]!r}")
     if mix["init"] == "identity":
         if mix["rows"] != mix["cols"]:
             raise ValueError("identity mixing must be square")

@@ -133,7 +133,7 @@ def taped_edge_harmonics(
     if j_max == 0:
         return harmonics
     unit = ad.div(tape, displacements, ad.reshape(tape, distances, (n_rows, 1)))
-    harmonics[2] = ad.matmul(tape, unit, _Y1_MATRIX)
+    harmonics[2] = ad.channel_mix(tape, unit, _Y1_MATRIX)
     for two_j in range(4, 2 * j_max + 1, 2):
         harmonics[two_j] = ad.einsum3(
             tape, _chain_tensor(two_j), harmonics[2], harmonics[two_j - 2], "abc,ea,eb->ec"

@@ -60,10 +60,6 @@ class PointCloud:
     def n_atoms(self) -> int:
         return self.positions.shape[0]
 
-    def displacement(self, o: int, i: int) -> np.ndarray:
-        """x_oi = positions[i] - positions[o] (antisymmetric in o, i)."""
-        return self.positions[i] - self.positions[o]
-
 
 @dataclass(frozen=True, eq=False)
 class Neighborhood:

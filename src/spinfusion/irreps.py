@@ -86,9 +86,6 @@ class Activation:
     def items(self):
         return self._parts.items()
 
-    def vector(self, two_j: int) -> IrrepVector:
-        return IrrepVector(Spin(_two(two_j)), self._parts[_two(two_j)])
-
     def rotate(self, g) -> "Activation":
         """Rotate every part by its Wigner matrix."""
         from .wigner import wigner_D

@@ -168,19 +168,20 @@ def taped_gate(
     basis: ad.Node,
     weights: dict[str, ad.Node],
 ) -> ad.Node:
-    """Vectorized gate over all edges -> (E, tau) real node.
+    """Vectorized gate over all edges -> (E, 1, tau) real node, the
+    interaction layer's spin-0 gate leaf.
 
-    ``neighbor0`` is the neighbor's spin-0 rows, (E, tau), which the layer
-    has already gathered at ``dst``; the center's are gathered at ``src``.
+    ``neighbor0`` is the neighbor's spin-0 part, (E, 1, tau), which the
+    layer has already gathered at ``dst``; the center's (N, 1, tau) part is
+    gathered at ``src``, and the (E, R) basis joins them as (E, 1, R).
     """
-    n_atoms, _, tau = acts[0].shape
-    center0 = ad.gather(tape, ad.reshape(tape, acts[0], (n_atoms, tau)), src)
+    center0 = ad.gather(tape, acts[0], src)
     rows = []
     for part in (center0, neighbor0):
         rows.append(ad.real(tape, part))
         rows.append(ad.imag(tape, part))
-    rows.append(basis)
-    x = ad.concat(tape, rows, axis=1)
+    rows.append(ad.reshape(tape, basis, (len(src), 1, basis.shape[1])))
+    x = ad.concat(tape, rows, axis=2)
     hidden = ad.tanh(
         tape,
         ad.add(tape, ad.channel_mix(tape, x, weights["gate/w_hidden"]), weights["gate/b_hidden"]),
@@ -659,10 +660,8 @@ def taped_interaction_layer(
     """
     weights = params.weight_nodes(param_nodes, name)
     neighbor = {two_j: ad.gather(tape, node, dst) for two_j, node in acts.items()}
-    neighbor0 = ad.reshape(tape, neighbor[0], (len(dst), params.tau))
-    gate = taped_gate(tape, acts, src, neighbor0, basis, weights)
-    gate_col = ad.reshape(tape, gate, (len(src), 1, params.tau))
-    slots = [acts, neighbor, harmonics, {0: gate_col}]
+    gate = taped_gate(tape, acts, src, neighbor[0], basis, weights)
+    slots = [acts, neighbor, harmonics, {0: gate}]
     return taped_collections(tape, params.recoupled, slots, src, weights, output_spins)
 
 
@@ -671,42 +670,28 @@ def taped_interaction_layer(
 # ---------------------------------------------------------------------------
 
 
-def _stage_options(input_spins, edge_spins, carried: int, two_k: int, two_J: int, first: bool):
-    """Admissible leaf spins for one coupling stage, lexicographic.
-
-    Stage structure: (carried, edge)->k then (k, neighbor)->J.  The first
-    stage carries a center-activation spin (enumerated); later stages carry
-    the output spin J.
-    """
-    options = []
-    centers = sorted(input_spins) if first else [carried]
-    for two_jo in centers:
-        for two_je in sorted(edge_spins):
-            if not admissible(two_jo, two_je, two_k):
-                continue
-            for two_ji in sorted(input_spins):
-                if admissible(two_k, two_ji, two_J):
-                    options.append((two_jo, two_je, two_ji))
-    return options
-
-
 def three_body_paths(input_spins, edge_spins, two_J: int, ks: tuple[int, ...]):
-    """All admissible leaf-spin paths for one coupling tuple, in order.
+    """All admissible leaf-spin paths for one coupling tuple, in
+    lexicographic order.
 
-    A path lists one (center/carried, edge, neighbor) spin triple per stage;
-    stages after the first carry the output spin J.
+    A path lists one (carried, edge, neighbor) spin triple per stage, the
+    stage coupling (carried ⊗ edge)_k, then (k ⊗ neighbor)_J.  The first
+    stage carries a center-activation spin, every later one the output spin
+    J.
     """
-    paths: list[tuple[tuple[int, int, int], ...]] = [()]
-    for t, two_k in enumerate(ks):
-        extended = []
-        for path in paths:
-            options = _stage_options(
-                input_spins, edge_spins, two_J, two_k, two_J, first=(t == 0)
-            )
-            for option in options:
-                extended.append(path + (option,))
-        paths = extended
-    return paths
+    input_spins, edge_spins = sorted(input_spins), sorted(edge_spins)
+    stages = [
+        [
+            (two_jo, two_je, two_ji)
+            for two_jo in (input_spins if t == 0 else [two_J])
+            for two_je in edge_spins
+            if admissible(two_jo, two_je, two_k)
+            for two_ji in input_spins
+            if admissible(two_k, two_ji, two_J)
+        ]
+        for t, two_k in enumerate(ks)
+    ]
+    return list(itertools.product(*stages))
 
 
 def _path_diagram(two_J: int, ks: tuple[int, ...], path) -> FusionDiagram:

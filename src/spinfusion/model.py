@@ -270,9 +270,8 @@ class Model:
                 wanted[s],
             )
 
-        scalar = ad.reshape(tape, acts[0], (n_atoms, cfg.tau))
         invariants = ad.concat(
-            tape, [ad.real(tape, scalar), ad.imag(tape, scalar)], axis=1
+            tape, [ad.real(tape, acts[0]), ad.imag(tape, acts[0])], axis=2
         )
         per_atom = ad.add(
             tape,

@@ -39,10 +39,6 @@ class Spin:
         """Dimension of the irrep, 2j + 1."""
         return self.twice_j + 1
 
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.twice_j, 2)
-
     def __str__(self) -> str:
         return format_spin(self.twice_j)
 

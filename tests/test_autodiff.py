@@ -673,23 +673,75 @@ def _complex_parts(tape, x, shapes):
     return parts
 
 
+def _np_product(a, b, trans_a, trans_b):
+    """op(a) @ op(b) in NumPy, an operand of more than two axes read as the
+    matrix of its flattened leading axes; the result keeps a's leading axes
+    unless a is transposed."""
+    mat_a, mat_b = (v.reshape(-1, v.shape[-1]) for v in (a, b))
+    out = (mat_a.T if trans_a else mat_a) @ (mat_b.T if trans_b else mat_b)
+    return out if trans_a else out.reshape(a.shape[:-1] + out.shape[-1:])
+
+
+_PRODUCTS = [
+    ((4, 3), (3, 2), False, False),
+    ((4, 3), (2, 3), False, True),
+    ((3, 4), (3, 2), True, False),
+    ((3, 4), (2, 3), True, True),
+    # 3-D operands, in the flag pairs that channel_mix's VJPs produce
+    ((2, 4, 3), (3, 2), False, False),
+    ((2, 4, 3), (2, 3), False, True),
+    ((2, 4, 3), (2, 4, 2), True, False),
+]
+
+
 class TestMatmul:
-    @pytest.mark.parametrize("trans_a", [False, True])
-    @pytest.mark.parametrize("trans_b", [False, True])
-    def test_value_and_gradients(self, trans_a, trans_b):
+    @pytest.mark.parametrize(
+        "shape_a, shape_b, trans_a, trans_b",
+        _PRODUCTS,
+        ids=[f"{ta}-{tb}" + ("-3d" if len(sa) > 2 else "") for sa, _, ta, tb in _PRODUCTS],
+    )
+    def test_value_and_gradients(self, shape_a, shape_b, trans_a, trans_b):
         rng = np.random.default_rng(7)
-        shape_a = (3, 4) if trans_a else (4, 3)
-        shape_b = (2, 3) if trans_b else (3, 2)
-        probe = rng.normal(size=(4, 2))
+        out_shape = _np_product(np.zeros(shape_a), np.zeros(shape_b), trans_a, trans_b).shape
+        probe = rng.normal(size=out_shape)
 
         def build(tape, x):
             a, b = _complex_parts(tape, x, [shape_a, shape_b])
-            product = ad.matmul(tape, a, b, trans_a, trans_b)
-            expected = (a.value.T if trans_a else a.value) @ (b.value.T if trans_b else b.value)
+            product = ad.channel_mix(tape, a, b, trans_a, trans_b)
+            expected = _np_product(a.value, b.value, trans_a, trans_b)
+            assert product.shape == expected.shape
             assert np.max(np.abs(product.value - expected)) <= 1e-13
             return _real_loss(tape, product, probe)
 
-        _check(_scalar_case(build), rng.normal(size=2 * (12 + 6)))
+        _check(_scalar_case(build), rng.normal(size=2 * (np.prod(shape_a) + np.prod(shape_b))))
+
+    def test_cotangents_record_only_channel_mix(self, monkeypatch):
+        # each cotangent of a product over 3-D data is one channel_mix of the
+        # other factor's node, with no reshape, and so are the cotangents of
+        # those, the (F, T) and (T, F) products: two orders, six nodes
+        assert "matmul" not in ad.PRIMITIVES
+        names = []
+        for name, primitive in ad.PRIMITIVES.items():
+
+            def recording(*args, _name=name, _primitive=primitive, **kwargs):
+                names.append(_name)
+                return _primitive(*args, **kwargs)
+
+            monkeypatch.setattr(ad, name, recording)
+        rng = np.random.default_rng(11)
+        tape = ad.Tape()
+        x, w = tape.variable(rng.normal(size=(5, 3, 4))), tape.variable(rng.normal(size=(4, 2)))
+        frontier = [ad.channel_mix(tape, x, w)]
+        names.clear()
+        for _ in range(2):
+            products = []
+            for node in frontier:
+                cotangent = tape.constant(rng.normal(size=node.shape))
+                for parent, vjp in node.parents:
+                    products.append(vjp(tape, cotangent))
+                    assert products[-1].shape == parent.shape
+            frontier = products
+        assert names == ["channel_mix"] * 6
 
     def test_channel_mix_on_complex_data(self, monkeypatch):
         # value and both cotangents against NumPy, the mixed second

@@ -137,6 +137,30 @@ class TestBlockCheck:
         assert captured.out == ""
         assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
 
+    @pytest.mark.parametrize(
+        "mixing, field",
+        [
+            ({"rows": 0}, "rows"),
+            ({"rows": -4}, "rows"),
+            ({"cols": 0}, "cols"),
+            ({"init": "identity", "rows": 0, "cols": 0}, "rows"),
+        ],
+        ids=["zero_rows", "negative_rows", "zero_cols", "identity_zero_rows"],
+    )
+    def test_non_positive_mixing_shape_is_one_error_line(self, tmp_path, capsys, mixing, field):
+        diagrams = (left_comb([2, 2], [], 2, slots=[0, 1]),)
+        config = FusionBlockConfig(diagrams, AggregationKind.SUM, uniform_mixing(2, 2, seed=4))
+        payload = json.loads(block_to_json(config))
+        payload["mixing"].update(mixing)
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(payload))
+        assert main(["block", "check", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: mixing {field} must be at least 1, got {mixing[field]}\n"
+        )
+
 
 class TestModelDescribe:
     def test_lists_groups_and_total(self, tmp_path, capsys):

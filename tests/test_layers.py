@@ -474,7 +474,7 @@ class TestRecoupledTape:
 
         def recording_gather(tape, x, indices):
             node = gather(tape, x, indices)
-            gathers.append((len(x.shape), np.asarray(indices)))
+            gathers.append((x.shape, np.asarray(indices)))
             return node
 
         def recording_einsum3(tape, tensor, x, y, subscript):
@@ -492,11 +492,17 @@ class TestRecoupledTape:
         return src, dst, gathers, products
 
     def test_center_is_never_gathered_to_the_edges(self, monkeypatch):
+        # the one activation gathered at src is the gate's (N, 1, tau)
+        # spin-0 input, once per interaction layer; no center part with
+        # 2j+1 > 1 goes to the edges
         src, dst, gathers, _ = self._forward_calls(monkeypatch)
-        activation_gathers = [idx for ndim, idx in gathers if ndim == 3]
-        assert activation_gathers  # the neighbors still are
-        assert all(np.array_equal(idx, dst) for idx in activation_gathers)
-        assert not any(np.array_equal(idx, src) for idx in activation_gathers)
+        activation_gathers = [(shape, idx) for shape, idx in gathers if len(shape) == 3]
+        assert any(shape[1] > 1 for shape, _ in activation_gathers)  # the neighbors still are
+        at_src = [shape for shape, idx in activation_gathers if np.array_equal(idx, src)]
+        assert at_src == [(9, 1, 6)] * 2
+        assert all(
+            np.array_equal(idx, dst) for shape, idx in activation_gathers if shape != (9, 1, 6)
+        )
 
     def test_gate_reads_the_gathered_neighbor(self, monkeypatch):
         # a fused force call on the 9-atom cloud records 18 gathers: the
@@ -504,26 +510,31 @@ class TestRecoupledTape:
         # slot at dst and the gate's center rows at src, then the VJPs of
         # the sums over neighbors and of the readout.  The gate reads its
         # neighbor rows from the spin-0 neighbor slot, so no spin-0 row is
-        # gathered at dst twice (it was 20, with one more per layer)
+        # gathered at dst twice (it was 20, with one more per layer).  The
+        # forward's (9, 1, 6) gathers are the spin-0 parts, which keep
+        # their layout: per layer, the neighbor slot's at dst, then the
+        # gate's center rows at src
         model = Model(ModelConfig(kind="fused", n_layers=2, tau=6, j_max=1, seed=2))
         rng = np.random.default_rng(9)
         positions = rng.normal(size=(9, 3)) * 1.3
         species = rng.integers(0, 2, size=9)
         pc = PointCloud(positions, species)
-        src, _ = edge_index(build_neighborhood(pc, model.config.cutoff))
+        src, dst = edge_index(build_neighborhood(pc, model.config.cutoff))
         gathers = []
         gather = ad.gather
 
         def recording_gather(tape, x, indices):
-            gathers.append((x.shape, np.asarray(indices)))
+            gathers.append((tape.graph, x.shape, np.asarray(indices)))
             return gather(tape, x, indices)
 
         monkeypatch.setattr(ad, "gather", recording_gather)
         model.energy_and_forces(positions, species)
         assert len(gathers) == 18
-        gate_rows = [idx for shape, idx in gathers if shape == (9, 6)]
-        assert len(gate_rows) == 2  # one per layer
-        assert all(np.array_equal(idx, src) for idx in gate_rows)
+        # the force backward runs on a graph-free tape
+        spin0 = [idx for graph, shape, idx in gathers if graph and shape == (9, 1, 6)]
+        assert len(spin0) == 4
+        assert all(np.array_equal(idx, dst) for idx in spin0[0::2])
+        assert all(np.array_equal(idx, src) for idx in spin0[1::2])
 
     def _edge_row_products(self, monkeypatch, kind):
         """The per-edge products of a 2-layer model's forward with a
@@ -566,6 +577,29 @@ class TestRecoupledTape:
         rows = [rows for ndim, rows in products if ndim == 3]
         assert rows.count(len(src)) == 22
         assert rows.count(9) == 2
+
+    @pytest.mark.parametrize("kind, count", [("fused", 13), ("three_body", 19)])
+    def test_force_call_reshapes(self, monkeypatch, kind, count):
+        # spin-0 parts keep their (rows, 1, tau) layout through the gate and
+        # the readout, and no channel_mix cotangent reshapes, so a 2-layer
+        # force call on the 9-atom cloud reshapes only the edge features,
+        # the embedding, the energies and, per layer, the gate's basis
+        # (fused) or the edge embedding's inputs (three_body), plus the
+        # VJPs of those that depend on the positions (it was 45 and 37)
+        model = Model(ModelConfig(kind=kind, n_layers=2, tau=6, j_max=1, seed=2))
+        rng = np.random.default_rng(9)
+        positions = rng.normal(size=(9, 3)) * 1.3
+        species = rng.integers(0, 2, size=9)
+        calls = []
+        reshape = ad.reshape
+
+        def recording_reshape(tape, x, shape):
+            calls.append(tuple(shape))
+            return reshape(tape, x, shape)
+
+        monkeypatch.setattr(ad, "reshape", recording_reshape)
+        model.energy_and_forces(positions, species)
+        assert len(calls) == count
 
     @pytest.mark.parametrize(
         "extra", TAPED_KINDS, ids=["gated", "fused", "three_body_sparse", "three_body_dense"]
