@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagrams import FusionDiagram, contract, diagram_from_json, diagram_to_json
-from .errors import ChannelMismatch, EmptyDiagramSet, SpinMismatch
+from .errors import ChannelMismatch, EmptyDiagramSet, SpinMismatch, check_json
 from .irreps import Activation, IrrepVector
 from .spins import Spin, dim
 
@@ -192,9 +192,11 @@ def block_to_json(cfg: FusionBlockConfig) -> str:
 
 
 def block_from_json(text: str) -> FusionBlockConfig:
-    payload = json.loads(text)
-    diagrams = tuple(diagram_from_json(json.dumps(d)) for d in payload["diagrams"])
-    mix = payload["mixing"]
+    payload = check_json(json.loads(text), dict, "a block")
+    diagrams = tuple(
+        diagram_from_json(json.dumps(d)) for d in check_json(payload["diagrams"], list, "diagrams")
+    )
+    mix = check_json(payload["mixing"], dict, "mixing")
     for key in ("rows", "cols"):
         if int(mix[key]) < 1:
             raise ValueError(f"mixing {key} must be at least 1, got {mix[key]!r}")

@@ -28,7 +28,7 @@ from .blocks import apply as block_apply, block_from_json
 from .cg import cg_tensor
 from .data import generate_dataset, load_jsonl, save_jsonl
 from .diagrams import diagram_from_json, enumerate_internal, validate
-from .errors import SpinFusionError
+from .errors import SpinFusionError, check_json
 from .irreps import Activation
 from .model import Model, ModelConfig
 from .potentials import POTENTIAL_KINDS
@@ -226,7 +226,7 @@ def _save_model(model: Model, path: str) -> None:
 
 def _load_model(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        payload = check_json(json.load(handle), dict, f"{path}: a model file")
     model = Model(ModelConfig.from_json(json.dumps(payload["config"])))
     stored, expected = payload["parameters"], model.parameters()
     missing = [name for name in expected if name not in stored]

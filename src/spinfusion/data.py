@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RejectionFailure, ShapeMismatch
+from .errors import RejectionFailure, ShapeMismatch, check_json
 from .potentials import potential_energy_forces
 
 __all__ = ["Sample", "generate_dataset", "save_jsonl", "load_jsonl"]
@@ -148,6 +148,7 @@ def load_jsonl(path: str) -> list[Sample]:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
                 raise ValueError(f"{path}:{line_number}: invalid JSON ({error})") from None
+            check_json(record, dict, f"{path}:{line_number}: a record")
             sample = Sample(
                 np.asarray(record["positions"], dtype=float),
                 np.asarray(record["species"], dtype=int),

@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .cg import cg_tensor
-from .errors import ChannelMismatch, RecouplingError, SpinMismatch
+from .errors import ChannelMismatch, RecouplingError, SpinMismatch, check_json
 from .irreps import Activation, IrrepVector
 from .spins import Spin, admissible, allowed_couplings, dim
 
@@ -445,14 +445,18 @@ def diagram_to_json(d: FusionDiagram) -> str:
 
 def diagram_from_json(text: str) -> FusionDiagram:
     """Parse the JSON schema; the root node's two_k may be omitted."""
-    payload = json.loads(text)
+    payload = check_json(json.loads(text), dict, "a diagram")
     two_J = int(payload["two_J"])
 
     def parse(node, is_root: bool) -> TreeNode:
-        if "slot" in node and "left" not in node:
+        if "slot" in check_json(node, dict, "a tree node") and "left" not in node:
             return LeafNode(int(node["slot"]))
         two_k = int(node.get("two_k", two_J)) if is_root else int(node["two_k"])
         return FuseNode(parse(node["left"], False), parse(node["right"], False), two_k)
 
-    leaves = tuple((int(leaf["slot"]), int(leaf["two_j"])) for leaf in payload["leaves"])
+    def parse_leaf(leaf) -> tuple[int, int]:
+        leaf = check_json(leaf, dict, "a leaf")
+        return int(leaf["slot"]), int(leaf["two_j"])
+
+    leaves = tuple(map(parse_leaf, check_json(payload["leaves"], list, "leaves")))
     return FusionDiagram(leaves, parse(payload["tree"], True), two_J)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON shape check of
+its file readers."""
+
+import json
 
 
 class SpinFusionError(Exception):
@@ -47,3 +50,12 @@ class NonFiniteLoss(SpinFusionError):
 
 class RecouplingError(SpinFusionError):
     """A recoupling matrix does not reproduce the diagrams it re-associates."""
+
+
+def check_json(value, expected: type, what: str):
+    """``value`` if it parsed from JSON as ``expected`` (dict: an object,
+    list: an array), else ValueError naming ``what``."""
+    if not isinstance(value, expected):
+        kind = "object" if expected is dict else "array"
+        raise ValueError(f"{what} must be a JSON {kind}, got {json.dumps(value)[:40]}")
+    return value

@@ -1,5 +1,5 @@
-"""Edge features: spherical harmonics of displacements scaled by a smooth
-radial basis.
+"""Edge features: spherical harmonics of displacements and a smooth radial
+basis of their lengths.
 
 The radial basis uses Gaussian bumps with centers evenly spaced on
 (0, cutoff], width equal to the spacing, multiplied by the cosine envelope
@@ -37,15 +37,13 @@ _Y1_MATRIX = sph_values(np.eye(3), 2)  # Y^1(u) = u @ M: row k is Y^1 of axis k
 
 @dataclass(frozen=True)
 class EdgeFeature:
-    """Per-edge equivariant feature bundle.
+    """One edge's layer-independent inputs, which each layer weights itself.
 
-    ``activation``: spins 0..j_max with radial channels, part[m, c] =
-    Y^j_m(unit displacement) * basis_c(distance).
-    ``harmonics``: the bare single-channel spherical harmonics.
+    ``harmonics``: the single-channel spherical harmonics of the unit
+    displacement, part[m, 0] = Y^j_m, spins 0..j_max.
     ``basis``: the radial basis row (with envelope).
     """
 
-    activation: Activation
     harmonics: Activation
     basis: np.ndarray
 
@@ -74,13 +72,13 @@ def radial_basis(distances: np.ndarray, cutoff: float, n_channels: int) -> np.nd
 
 
 def taped_distances(tape: ad.Tape, displacements: ad.Node) -> ad.Node:
-    """|x| along the last axis of an (E, 3) node -> (E,) node; ZeroVector on
-    a zero length (coincident atoms), which has no direction."""
-    n_rows = displacements.shape[0]
+    """|x| along the last axis of an (E, 3) node -> (E, 1) node, the column
+    that ``taped_edge_harmonics`` divides by; ZeroVector on a zero length
+    (coincident atoms), which has no direction."""
     squares = ad.reduce_to_shape(
-        tape, ad.mul(tape, displacements, displacements), (n_rows, 1)
+        tape, ad.mul(tape, displacements, displacements), (displacements.shape[0], 1)
     )
-    distances = ad.sqrt(tape, ad.reshape(tape, squares, (n_rows,)))
+    distances = ad.sqrt(tape, squares)
     if np.any(distances.value < _MIN_LENGTH):
         raise ZeroVector("coincident atoms give zero-length edges")
     return distances
@@ -89,10 +87,11 @@ def taped_distances(tape: ad.Tape, displacements: ad.Node) -> ad.Node:
 def taped_radial_basis(
     tape: ad.Tape, distances: ad.Node, cutoff: float, n_channels: int
 ) -> ad.Node:
-    """(E,) distances -> (E, n_channels) basis values, differentiably."""
+    """(E, 1) distances -> (E, 1, n_channels) basis values, differentiably:
+    the spin-0 layout that the gate concatenates and the three-body edge
+    embedding mixes."""
     centers, width = radial_centers(cutoff, n_channels)
-    n_rows = distances.shape[0]
-    column = ad.reshape(tape, distances, (n_rows, 1))
+    column = ad.reshape(tape, distances, (distances.shape[0], 1, 1))
     offset = ad.sub(tape, column, tape.constant(centers))
     gauss = ad.exp(
         tape, ad.scale(tape, ad.mul(tape, offset, offset), -1.0 / (2.0 * width**2))
@@ -125,14 +124,13 @@ def taped_edge_harmonics(
 
     A fusion chain of Y^1, recorded with ordinary primitives so that every
     order of position derivative is exact: Y^0 is a constant, Y^1 the unit
-    displacement (``distances`` from ``taped_distances``) times a fixed
+    displacement (divided by the (E, 1) ``taped_distances``) times a fixed
     matrix, and each higher spin one ``einsum3`` of Y^1 with the spin below.
     """
-    n_rows = displacements.shape[0]
-    harmonics = {0: tape.constant(np.full((n_rows, 1), _Y00, dtype=complex))}
+    harmonics = {0: tape.constant(np.full((displacements.shape[0], 1), _Y00, dtype=complex))}
     if j_max == 0:
         return harmonics
-    unit = ad.div(tape, displacements, ad.reshape(tape, distances, (n_rows, 1)))
+    unit = ad.div(tape, displacements, distances)
     harmonics[2] = ad.channel_mix(tape, unit, _Y1_MATRIX)
     for two_j in range(4, 2 * j_max + 1, 2):
         harmonics[two_j] = ad.einsum3(
@@ -158,15 +156,10 @@ def edge_features(
         2 * j: sph_values(displacements, 2 * j) for j in range(j_max + 1)
     }
     for e, (o, i) in enumerate(zip(src, dst)):
-        parts = {}
-        bare = {}
-        for two_j, values in harmonic_values.items():
-            column = values[e][:, None]
-            parts[two_j] = column * basis[e][None, :]
-            bare[two_j] = column
         features[(int(o), int(i))] = EdgeFeature(
-            activation=Activation(parts),
-            harmonics=Activation(bare),
+            harmonics=Activation(
+                {two_j: values[e][:, None] for two_j, values in harmonic_values.items()}
+            ),
             basis=basis[e].copy(),
         )
     return features

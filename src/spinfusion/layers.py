@@ -173,15 +173,14 @@ def taped_gate(
 
     ``neighbor0`` is the neighbor's spin-0 part, (E, 1, tau), which the
     layer has already gathered at ``dst``; the center's (N, 1, tau) part is
-    gathered at ``src``, and the (E, R) basis joins them as (E, 1, R).
+    gathered at ``src``, and the (E, 1, R) basis joins them as it is.
     """
     center0 = ad.gather(tape, acts[0], src)
     rows = []
     for part in (center0, neighbor0):
         rows.append(ad.real(tape, part))
         rows.append(ad.imag(tape, part))
-    rows.append(ad.reshape(tape, basis, (len(src), 1, basis.shape[1])))
-    x = ad.concat(tape, rows, axis=2)
+    x = ad.concat(tape, rows + [basis], axis=2)
     hidden = ad.tanh(
         tape,
         ad.add(tape, ad.channel_mix(tape, x, weights["gate/w_hidden"]), weights["gate/b_hidden"]),
@@ -710,9 +709,10 @@ class ThreeBodyParams(LayerParams):
     """Tables of one three-body update layer.
 
     ``diagrams[two_J]`` is the fusion block's diagram collection (slots: 0 =
-    center, 1 = embedded edge, 2 = neighbor), non-empty.  Weights:
-    ``edge_embed/{2j}`` maps radial channels to feature channels per edge
-    spin; ``mixing/{2J}`` is the block's trainable final mixing over the
+    center, 1 = embedded edge (Y^j ⊗ R_j)_j per edge spin j, 2 = neighbor),
+    non-empty.  Weights: ``edge_embed/{2j}`` maps the radial basis to R_j,
+    the spin-0 radial leaf with tau channels (``embed_edge``);
+    ``mixing/{2J}`` is the block's trainable final mixing over the
     concatenated diagram axis.  ``recoupled[two_J]`` holds the block
     lowered: every three-leaf diagram becomes (center ⊗ (edge ⊗
     neighbor)_k')_J, except in a dense block, whose multi-stage chains and
@@ -749,11 +749,12 @@ def init_three_body_layer(
 
 
 def embed_edge(edge: EdgeFeature, params: ThreeBodyParams) -> Activation:
-    """Radial-channel edge feature mapped to tau feature channels per spin."""
+    """The embedded edge, slot 1: per spin j, Y^j times the spin-0 radial
+    weight R_j = basis @ ``edge_embed/{2j}``, one per feature channel."""
     return Activation(
         {
-            two_j: edge.activation.part(two_j) @ params.weights[f"edge_embed/{two_j}"]
-            for two_j in edge.activation.spins
+            two_j: edge.harmonics.part(two_j) * (edge.basis @ params.weights[f"edge_embed/{two_j}"])
+            for two_j in edge.harmonics.spins
         }
     )
 
@@ -796,19 +797,22 @@ def taped_three_body_layer(
 ) -> dict[int, ad.Node]:
     """Vectorized three-body update; mirrors three_body_forward.
 
-    Records the embedded edge features and the layer's slots, then runs its
-    blocks through ``taped_collections`` at the spins in ``output_spins``.
+    Records slot 1 per edge spin as (Y^j ⊗ R_j)_j, the (E, 2j+1) harmonic
+    times its (E, 1, tau) spin-0 radial leaf R_j (one broadcast multiply),
+    then runs the blocks through ``taped_collections`` at ``output_spins``.
     """
-    n_edges = len(src)
     weights = params.weight_nodes(param_nodes, name)
-    basis_rows = ad.reshape(tape, basis, (n_edges, 1, basis.shape[1]))
-
-    edge_feats: dict[int, ad.Node] = {}
-    for two_j, harm in harmonics.items():
-        harm = ad.reshape(tape, harm, (n_edges, two_j + 1, 1))
-        scaled = ad.mul(tape, harm, basis_rows)
-        edge_feats[two_j] = ad.channel_mix(tape, scaled, weights[f"edge_embed/{two_j}"])
+    edge = {
+        two_j: ad.einsum3(
+            tape,
+            cg_tensor(two_j, 0, two_j).coeffs,
+            harm,
+            ad.channel_mix(tape, basis, weights[f"edge_embed/{two_j}"]),
+            "abc,ea,ebt->ect",
+        )
+        for two_j, harm in harmonics.items()
+    }
     neighbor = {two_j: ad.gather(tape, node, dst) for two_j, node in acts.items()}
     return taped_collections(
-        tape, params.recoupled, [acts, edge_feats, neighbor], src, weights, output_spins
+        tape, params.recoupled, [acts, edge, neighbor], src, weights, output_spins
     )

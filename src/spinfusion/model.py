@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, check_json
 from .features import (
     edge_features,
     taped_distances,
@@ -100,13 +100,15 @@ class ModelConfig:
 
     @staticmethod
     def from_json(text: str) -> "ModelConfig":
-        payload = json.loads(text)
+        payload = check_json(json.loads(text), dict, "a model config")
         known = {f for f in ModelConfig.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "internal_spins" in payload:
-            payload["internal_spins"] = tuple(payload["internal_spins"])
+            payload["internal_spins"] = tuple(
+                check_json(payload["internal_spins"], list, "internal_spins")
+            )
         return ModelConfig(**payload)
 
 

@@ -369,6 +369,51 @@ class TestModelFile:
         assert "parameter readout/w has non-finite entries" in err
 
 
+# (file name, content, the command reading it, the field its one error line names)
+MALFORMED_FILES = [
+    ("config.json", '"gated"', ["model", "describe", "--config"], "a model config"),
+    ("config.json", "[]", ["model", "describe", "--config"], "a model config"),
+    ("config.json", '{"internal_spins": 1}', ["model", "describe", "--config"], "internal_spins"),
+    ("config.json", '{"internal_spins": null}', ["model", "describe", "--config"],
+     "internal_spins"),
+    ("model.json", "[1]", ["evaluate", "--data", "data.jsonl", "--model"], "a model file"),
+    ("diagram.json", "[]", ["diagram", "validate", "--file"], "a diagram"),
+    ("diagram.json", '{"two_J": 0, "leaves": 5, "tree": {"slot": 0}}',
+     ["diagram", "validate", "--file"], "leaves"),
+    ("diagram.json", '{"two_J": 0, "leaves": [5], "tree": {"slot": 0}}',
+     ["diagram", "validate", "--file"], "a leaf"),
+    ("diagram.json", '{"two_J": 0, "leaves": [{"slot": 0, "two_j": 0}], "tree": 5}',
+     ["diagram", "validate", "--file"], "a tree node"),
+    ("block.json", "[]", ["block", "check", "--config"], "a block"),
+    ("block.json", '{"diagrams": 3}', ["block", "check", "--config"], "diagrams"),
+    ("block.json", '{"diagrams": [], "mixing": 3}', ["block", "check", "--config"], "mixing"),
+    ("data.jsonl", "[]\n", ["train", "--config", "config.json", "--epochs", "1",
+                            "--out-curve", "curve.csv", "--data"], "data.jsonl:1: a record"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, content, command, field",
+    MALFORMED_FILES,
+    ids=["config_string", "config_list", "spins_number", "spins_null", "model_list",
+         "diagram_list", "leaves_number", "leaf_number", "tree_number", "block_list",
+         "diagrams_number", "mixing_number", "jsonl_list"],
+)
+def test_malformed_json_file_is_one_error_line(
+    tmp_path, capsys, monkeypatch, name, content, command, field
+):
+    monkeypatch.chdir(tmp_path)
+    _write_model_config(tmp_path)
+    main(["gen-data", "--out", "data.jsonl", "--n-samples", "2", "--n-atoms", "3"])
+    (tmp_path / name).write_text(content)
+    capsys.readouterr()
+    assert main(command + [name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and f"{field} must be a JSON" in line
+
+
 class TestArgumentErrors:
     def test_unknown_flag_is_exit_2(self, capsys):
         assert main(["cg-table", "--ja", "1", "--jb", "1", "--jc", "1", "--frob", "1"]) == 2

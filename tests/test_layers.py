@@ -1,5 +1,7 @@
 """Message-passing layers: gated/fused two-body and three-body updates."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -403,6 +405,48 @@ def test_taped_layer_records_no_dead_nodes(extra):
     assert len(live) == len(tape.nodes) - start
 
 
+def _call_key(arg):
+    """A primitive argument as the duplicate-work test compares it: a node
+    by identity, an array by value, anything else as it is."""
+    if isinstance(arg, ad.Node):
+        return ("node", arg.id)
+    if isinstance(arg, np.ndarray):
+        return ("array", arg.shape, arg.dtype.str, arg.tobytes())
+    if isinstance(arg, (list, tuple)):
+        return tuple(_call_key(a) for a in arg)
+    return arg
+
+
+@pytest.mark.parametrize("j_max", [1, 2])
+@pytest.mark.parametrize(
+    "extra", TAPED_KINDS, ids=["gated", "fused", "three_body_sparse", "three_body_dense"]
+)
+def test_forward_repeats_no_work(monkeypatch, extra, j_max):
+    # a 3-layer forward records no primitive twice with the same input
+    # nodes and equal other arguments: the layer-independent edge inputs
+    # are built once per forward, not once per layer
+    model = Model(ModelConfig(n_layers=3, tau=3, j_max=j_max, radial_channels=4, hidden=8,
+                              seed=1, **extra))
+    pc = _cloud(9, seed=5)
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(tape, *args, **kwargs):
+            calls.append((name, _call_key(args), _call_key(tuple(sorted(kwargs.items())))))
+            return fn(tape, *args, **kwargs)
+
+        return wrapped
+
+    for name, fn in ad.PRIMITIVES.items():
+        monkeypatch.setattr(ad, name, recording(name, fn))
+    tape = ad.Tape()
+    model.taped_forward(
+        tape, tape.variable(pc.positions), pc.species, [9], model.parameter_nodes(tape)
+    )
+    repeated = [call[0] for call, count in Counter(calls).items() if count > 1]
+    assert len(calls) > 50 and not repeated
+
+
 class TestPlainTapedAgreement:
     @pytest.mark.parametrize("kind", ["gated", "fused", "three_body"])
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -570,22 +614,28 @@ class TestRecoupledTape:
         # are first stages of its five chains, so they stay per edge, where
         # the chains record them anyway: layer 0's two singles are recoupled
         # (2 per-edge products, where they were 4) and layer 1 records the
-        # chains' 20, none more
+        # chains' 20, none more.  The edge embedding's (E, 2j+1) x (E, 1,
+        # tau) products, whose x is a channel-less harmonic, are not the
+        # block's, so they are not counted
         src, _, _, products = self._forward_calls(
             monkeypatch, kind="three_body", schedule_mode="dense", internal_spins=(0, 1)
         )
-        rows = [rows for ndim, rows in products if ndim == 3]
+        rows = [
+            rows
+            for (ndim, rows), (x, _, _) in zip(products, self.operands)
+            if ndim == 3 and len(x.shape) == 3
+        ]
         assert rows.count(len(src)) == 22
         assert rows.count(9) == 2
 
-    @pytest.mark.parametrize("kind, count", [("fused", 13), ("three_body", 19)])
+    @pytest.mark.parametrize("kind, count", [("fused", 5), ("three_body", 5)])
     def test_force_call_reshapes(self, monkeypatch, kind, count):
-        # spin-0 parts keep their (rows, 1, tau) layout through the gate and
-        # the readout, and no channel_mix cotangent reshapes, so a 2-layer
-        # force call on the 9-atom cloud reshapes only the edge features,
-        # the embedding, the energies and, per layer, the gate's basis
-        # (fused) or the edge embedding's inputs (three_body), plus the
-        # VJPs of those that depend on the positions (it was 45 and 37)
+        # every edge input is built once per forward in the shape its
+        # consumers read, spin-0 parts keep their (rows, 1, tau) layout and
+        # no channel_mix cotangent reshapes, so a 2-layer force call on the
+        # 9-atom cloud reshapes only the radial basis column and the
+        # energies, each with its VJP in the force backward, and the
+        # embedding (it was 13 and 19, and 45 and 37 before that)
         model = Model(ModelConfig(kind=kind, n_layers=2, tau=6, j_max=1, seed=2))
         rng = np.random.default_rng(9)
         positions = rng.normal(size=(9, 3)) * 1.3
