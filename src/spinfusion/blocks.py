@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagrams import FusionDiagram, contract, diagram_from_json, diagram_to_json
-from .errors import ChannelMismatch, EmptyDiagramSet, SpinMismatch, check_json
+from .errors import ChannelMismatch, EmptyDiagramSet, SpinMismatch, check_json, check_json_number
 from .irreps import Activation, IrrepVector
 from .spins import Spin, dim
 
@@ -197,16 +197,20 @@ def block_from_json(text: str) -> FusionBlockConfig:
         diagram_from_json(json.dumps(d)) for d in check_json(payload["diagrams"], list, "diagrams")
     )
     mix = check_json(payload["mixing"], dict, "mixing")
+
+    def integer_field(key: str) -> int:
+        return check_json_number(mix[key], f"mixing {key}", integer=True)
+
     for key in ("rows", "cols"):
-        if int(mix[key]) < 1:
+        if integer_field(key) < 1:
             raise ValueError(f"mixing {key} must be at least 1, got {mix[key]!r}")
     if mix["init"] == "identity":
         if mix["rows"] != mix["cols"]:
             raise ValueError("identity mixing must be square")
-        mixing = identity_mixing(int(mix["rows"]))
+        mixing = identity_mixing(mix["rows"])
     elif mix["init"] == "uniform":
         mixing = uniform_mixing(
-            int(mix["rows"]), int(mix["cols"]), int(mix["seed"]),
+            mix["rows"], mix["cols"], integer_field("seed"),
             trainable=bool(mix.get("trainable", True)),
         )
     else:

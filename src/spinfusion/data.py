@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RejectionFailure, ShapeMismatch, check_json
+from .errors import RejectionFailure, ShapeMismatch, check_json, check_json_number
 from .potentials import potential_energy_forces
 
 __all__ = ["Sample", "generate_dataset", "save_jsonl", "load_jsonl"]
@@ -148,11 +148,15 @@ def load_jsonl(path: str) -> list[Sample]:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
                 raise ValueError(f"{path}:{line_number}: invalid JSON ({error})") from None
-            check_json(record, dict, f"{path}:{line_number}: a record")
+            where = f"{path}:{line_number}"
+            check_json(record, dict, f"{where}: a record")
+            species = check_json(record["species"], list, f"{where}: species")
+            for i, label in enumerate(species):
+                check_json_number(label, f"{where}: species[{i}]", integer=True)
             sample = Sample(
                 np.asarray(record["positions"], dtype=float),
-                np.asarray(record["species"], dtype=int),
-                float(record["energy"]),
+                np.asarray(species, dtype=int),
+                check_json_number(record["energy"], f"{where}: energy"),
                 np.asarray(record["forces"], dtype=float),
             )
             for name in ("positions", "energy", "forces"):

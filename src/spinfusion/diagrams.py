@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .cg import cg_tensor
-from .errors import ChannelMismatch, RecouplingError, SpinMismatch, check_json
+from .errors import ChannelMismatch, RecouplingError, SpinMismatch, check_json, check_json_number
 from .irreps import Activation, IrrepVector
 from .spins import Spin, admissible, allowed_couplings, dim
 
@@ -446,17 +446,20 @@ def diagram_to_json(d: FusionDiagram) -> str:
 def diagram_from_json(text: str) -> FusionDiagram:
     """Parse the JSON schema; the root node's two_k may be omitted."""
     payload = check_json(json.loads(text), dict, "a diagram")
-    two_J = int(payload["two_J"])
+    two_J = check_json_number(payload["two_J"], "two_J", integer=True)
+
+    def integer_field(node, key: str) -> int:
+        return check_json_number(node[key], key, integer=True)
 
     def parse(node, is_root: bool) -> TreeNode:
         if "slot" in check_json(node, dict, "a tree node") and "left" not in node:
-            return LeafNode(int(node["slot"]))
-        two_k = int(node.get("two_k", two_J)) if is_root else int(node["two_k"])
+            return LeafNode(integer_field(node, "slot"))
+        two_k = two_J if is_root and "two_k" not in node else integer_field(node, "two_k")
         return FuseNode(parse(node["left"], False), parse(node["right"], False), two_k)
 
     def parse_leaf(leaf) -> tuple[int, int]:
         leaf = check_json(leaf, dict, "a leaf")
-        return int(leaf["slot"]), int(leaf["two_j"])
+        return integer_field(leaf, "slot"), integer_field(leaf, "two_j")
 
     leaves = tuple(map(parse_leaf, check_json(payload["leaves"], list, "leaves")))
     return FusionDiagram(leaves, parse(payload["tree"], True), two_J)

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the JSON shape check of
-its file readers."""
+"""Exception types shared across the package, and the JSON shape and
+number checks of its file readers."""
 
 import json
+import numbers
 
 
 class SpinFusionError(Exception):
@@ -58,4 +59,16 @@ def check_json(value, expected: type, what: str):
     if not isinstance(value, expected):
         kind = "object" if expected is dict else "array"
         raise ValueError(f"{what} must be a JSON {kind}, got {json.dumps(value)[:40]}")
+    return value
+
+
+def check_json_number(value, what: str, integer: bool = False):
+    """``value`` if it parsed from JSON as a number, else ValueError naming
+    ``what``.  An integer field (``integer``) takes a JSON integer only, a
+    real one an integer or a float; neither takes a bool, string or null."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "integer" if integer else "number"
+        shown = json.dumps(value, default=repr)[:40]
+        raise ValueError(f"{what} must be a JSON {expected}, got {shown}")
     return value

@@ -3,12 +3,12 @@
 Two layer families:
 
 * the interaction layer — per-atom update combining a self term, a
-  channel-wise CG self-product (``pair``), a gated two-body message sum
-  (``gated``), and (in the "fused" kind) a three-leaf fusion-block term per
-  output spin.  Every term is a fusion-diagram collection (the self term a
-  one-leaf diagram); the term groups are mixed by per-spin vertex matrices
-  (one weight block per term, summed in fixed order so that zeroing the
-  fusion mixing reproduces the gated layer bit for bit).
+  channel-wise CG self-product (``pair``) and a gated two-body message sum
+  (``gated``); the "fused" kind adds one fusion block of three-leaf
+  diagrams per output spin.  Every term is a fusion-diagram collection (the
+  self term a one-leaf diagram) mixed to tau channels by its own weight,
+  and the mixed terms are summed in fixed order, so zeroing the fusion
+  blocks' mixings reproduces the gated layer bit for bit.
 
 * the three-body update — for every output spin J, a fusion block whose
   three slots are (center activation, edge feature, neighbor activation) is
@@ -18,16 +18,16 @@ Two layer families:
   no reshaping layer is needed), followed by one trainable mixing over the
   concatenated channel axis.
 
-Each layer is a ``LayerParams``: a diagram table keyed by output spin, its
-collections lowered for the taped executor, and one weight table,
-``weights``, keyed by the parameter's name within the layer
-(``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``, ...), all built once
-at init.  A model lists the weight tables under the layer's name; that is
-all it knows of them.  Every collection reads one slot table per layer:
-slot 0 is the center atom (N rows), the other slots are per edge (E rows).
-Both executors bind the same table.
+Each layer is a ``LayerParams``: one table of diagram collections keyed by
+output spin, each lowered for the taped executor and naming the one weight
+that mixes it, and one weight table, ``weights``, keyed by the parameter's
+name within the layer (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``,
+...), all built once at init.  A model lists the weight tables under the
+layer's name; that is all it knows of them.  Every collection reads one
+slot table per layer: slot 0 is the center atom (N rows), the other slots
+are per edge (E rows).  Both executors bind the same table.
 
-Both executors run the same collections and weight keys.  The per-atom one
+Both executors run the same collections and weights.  The per-atom one
 (``interaction_layer``, ``three_body_forward``), the eager oracle, binds
 the slots once per atom and runs each collection as built through
 ``blocks.apply``.  The taped one (``taped_collections``), vectorized over
@@ -259,11 +259,11 @@ class RecoupledCollection:
     it maps the targets' concatenated outputs onto the diagrams', diagram by
     diagram.  When U is diagonal (the targets stand for the diagrams one to
     one), ``mixing`` is its diagonal, each entry repeated tau times: one
-    factor per row of the first weight.  It is ``None`` where it would be
-    the identity: when the targets are the diagrams, in order (the self and
+    factor per row of the weight.  It is ``None`` where it would be the
+    identity: when the targets are the diagrams, in order (the self and
     pair terms and a dense block's chains), or stand for them one to one
-    with weight 1.  ``weights`` are the weight-table keys that mix the
-    diagrams' concatenated outputs to tau channels, applied in order.
+    with weight 1.  ``weight`` is the weight-table key of the one matrix
+    that mixes the diagrams' concatenated outputs to tau channels.
     """
 
     diagrams: tuple[FusionDiagram, ...]
@@ -271,7 +271,7 @@ class RecoupledCollection:
     atom: tuple[FusionDiagram, ...]
     edge: tuple[FusionDiagram, ...]
     mixing: np.ndarray | None
-    weights: tuple[str, ...]
+    weight: str
 
 
 def _target_group(target: FusionDiagram) -> int:
@@ -285,9 +285,7 @@ def _target_group(target: FusionDiagram) -> int:
     return 2
 
 
-def recoupled_collection(
-    diagrams, tau: int, weights: tuple[str, ...], rewrite=None
-) -> RecoupledCollection:
+def recoupled_collection(diagrams, tau: int, weight: str, rewrite=None) -> RecoupledCollection:
     """Lower one collection: ``diagrams.recouple``, then a layer's exact
     ``rewrite`` of the targets, ``(diagrams, targets, U) -> (targets, U)``,
     checked against the collection's dense maps (the interaction layer's is
@@ -312,7 +310,7 @@ def recoupled_collection(
         tuple(diagrams),
         *(tuple(targets[row] for row in group) for group in groups),
         mixing,
-        weights,
+        weight,
     )
 
 
@@ -322,17 +320,14 @@ def apply_collections(
     weights: dict[str, np.ndarray],
 ) -> Activation:
     """Eager executor: per output spin, the sum of the collections, each run
-    as built through ``blocks.apply`` with its first weight as the block's
-    mixing and the rest applied after.  ``inputs`` binds the layer's slots
-    for one atom (see ``blocks.apply``)."""
+    as built through ``blocks.apply`` with its weight as the block's
+    mixing.  ``inputs`` binds the layer's slots for one atom (see
+    ``blocks.apply``)."""
     parts: dict[int, np.ndarray] = {}
     for two_J, group in collections.items():
         for c in group:
-            first, *rest = c.weights
-            mixing = MixingMatrix(weights[first])
-            value = block_apply(FusionBlockConfig(c.diagrams, mixing=mixing), inputs).data
-            for key in rest:
-                value = value @ weights[key]
+            block = FusionBlockConfig(c.diagrams, mixing=MixingMatrix(weights[c.weight]))
+            value = block_apply(block, inputs).data
             parts[two_J] = value if two_J not in parts else parts[two_J] + value
     return Activation(parts)
 
@@ -354,8 +349,8 @@ def taped_collections(
     each distinct subtree is recorded once per layer: the center-only
     targets and the atom stages at N rows, next to each distinct T summed
     over ``src``; the per-edge subtrees at E rows.  The center is gathered
-    to the edges only when an edge target reads it.  A collection's mixing,
-    ``mixing`` and then its weights, is composed in weight space, so its
+    to the edges only when an edge target reads it.  A collection's
+    ``mixing`` is composed with its weight in weight space, so its
     concatenated targets are mixed by one product.
     """
     center = leaves[0]
@@ -384,14 +379,11 @@ def taped_collections(
                     tape, taped_diagrams(tape, c.edge, edge_leaves, edge_memo), axis=2
                 )
                 chunks.append(ad.index_add(tape, per_edge, src, n_atoms))
-            first, *rest = c.weights
-            mixing = weights[first]
+            mixing = weights[c.weight]
             if c.mixing is not None and c.mixing.ndim == 1:  # diagonal U: scale the rows
                 mixing = ad.scale(tape, mixing, c.mixing[:, None])
             elif c.mixing is not None:
                 mixing = ad.channel_mix(tape, tape.constant(c.mixing), mixing)
-            for key in rest:
-                mixing = ad.channel_mix(tape, mixing, weights[key])
             value = ad.channel_mix(tape, ad.concat(tape, chunks, axis=2), mixing)
             out[two_J] = value if two_J not in out else ad.add(tape, out[two_J], value)
     return out
@@ -404,27 +396,25 @@ def taped_collections(
 
 @dataclass
 class LayerParams:
-    """One layer's diagram table, lowered collections and weight table, all
-    built at init.
+    """One layer's diagram table and weight table, both built at init.
 
-    ``diagrams`` is keyed by output spin; ``recoupled[two_J]`` holds that
-    spin's collections, lowered (``RecoupledCollection``), in the order
-    their mixed outputs are summed.  ``weights`` maps each parameter's name
-    within the layer (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``,
-    ...) to its array, in checkpoint order; a model lists it under
-    ``{layer name}/{key}``, which is also the name the array was seeded
-    under.  The eager oracle reads the arrays, the taped layer their nodes
-    (``weight_nodes``).
+    ``recoupled[two_J]`` holds the collections at output spin 2J, each with
+    its lowering and its weight key (``RecoupledCollection``), in the order
+    their mixed outputs are summed; its keys are the layer's output spins.
+    ``weights`` maps each parameter's name within the layer
+    (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``, ...) to its array,
+    in checkpoint order; a model lists it under ``{layer name}/{key}``,
+    which is also the name the array was seeded under.  The eager oracle
+    reads the arrays, the taped layer their nodes (``weight_nodes``).
     """
 
     tau: int
-    diagrams: dict = field(default_factory=dict)
     recoupled: dict[int, tuple[RecoupledCollection, ...]] = field(default_factory=dict)
     weights: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def output_spins(self) -> tuple[int, ...]:
-        return tuple(sorted(self.diagrams))
+        return tuple(sorted(self.recoupled))
 
     def add_seeded(self, key: str, shape: tuple[int, int], seed: int, name: str) -> None:
         """Add weight ``key`` of the layer called ``name``, ``seeded_uniform``."""
@@ -445,21 +435,20 @@ class InteractionParams(LayerParams):
 
     Slots of the tables and of their lowered targets: 0 = center (N rows),
     1 = neighbor, 2 = edge harmonic, 3 = gate (spin 0 only; E rows each).
-    ``diagrams[two_l][term]`` is the fusion-diagram collection of one term
-    at output spin 2l; the terms present at a spin appear in the fixed
-    order self (slot 0), pair (0, 0), gated (2, (1, 3)), fusion (0, 1, 2),
-    and none is empty.  Weights: ``gate/*`` (``invariant_gate``);
-    ``vertex/{2l}/{term}`` mixes a term's concatenated diagram outputs to
-    tau channels, except in the fused kind's fusion term, whose
-    ``fusion_mix/{2l}`` does that and whose vertex block is square.
-    ``recoupled[two_l]`` lowers the terms in table order (see
+    ``recoupled[two_l]`` holds one collection per term at output spin 2l,
+    in the fixed order self (slot 0), pair (0, 0), gated (2, (1, 3)) and,
+    in the fused kind, the fusion block (0, 1, 2); none is empty.  The fused
+    layer is the gated layer plus one fusion block per output spin.
+    Weights: ``gate/*`` (``invariant_gate``); ``vertex/{2l}/{term}`` mixes
+    a term's concatenated diagram outputs to tau channels, and the fusion
+    block's ``fusion_mix/{2l}`` mixes its own.  The terms are lowered (see
     ``_drop_spin0_legs``): self and pair center-only; gated per edge, as
     ((neighbor ⊗ harmonic)_l ⊗ gate)_l, or (neighbor ⊗ gate)_l where the
     harmonic is Y^0_0; fusion as (center ⊗ T)_l with T = (neighbor ⊗
     harmonic)_k', or the neighbor.  Both terms' products share one memo,
     so each (neighbor, harmonic, k) product is recorded once per layer.
-    The mixed terms are summed in table order, so zeroing the fusion
-    mixing reproduces the gated layer bit for bit.
+    The mixed terms are summed in table order, so zeroing ``fusion_mix``
+    reproduces the gated layer bit for bit.
     """
 
 
@@ -588,19 +577,11 @@ def init_interaction_layer(
     params.add_seeded("gate/w_out", (hidden, tau), seed, name)
     params.weights["gate/b_out"] = np.zeros(tau)
     for two_l in edge_spins:
-        table = params.diagrams[two_l] = _term_diagrams(input_spins, edge_spins, two_l, fused)
-        for term, diagrams in table.items():
-            rows = (1 if term == "fusion" else len(diagrams)) * tau
-            params.add_seeded(f"vertex/{two_l}/{term}", (rows, tau), seed, name)
-    for two_l, table in params.diagrams.items():
-        if "fusion" in table:
-            params.add_seeded(f"fusion_mix/{two_l}", (len(table["fusion"]) * tau, tau), seed, name)
         lowered = []
-        for term, diagrams in table.items():
-            keys = (f"vertex/{two_l}/{term}",)
-            if term == "fusion":
-                keys = (f"fusion_mix/{two_l}",) + keys
-            lowered.append(recoupled_collection(diagrams, tau, keys, _drop_spin0_legs))
+        for term, diagrams in _term_diagrams(input_spins, edge_spins, two_l, fused).items():
+            key = f"fusion_mix/{two_l}" if term == "fusion" else f"vertex/{two_l}/{term}"
+            params.add_seeded(key, (len(diagrams) * tau, tau), seed, name)
+            lowered.append(recoupled_collection(diagrams, tau, key, _drop_spin0_legs))
         params.recoupled[two_l] = tuple(lowered)
     return params
 
@@ -708,15 +689,15 @@ def _path_diagram(two_J: int, ks: tuple[int, ...], path) -> FusionDiagram:
 class ThreeBodyParams(LayerParams):
     """Tables of one three-body update layer.
 
-    ``diagrams[two_J]`` is the fusion block's diagram collection (slots: 0 =
-    center, 1 = embedded edge (Y^j ⊗ R_j)_j per edge spin j, 2 = neighbor),
-    non-empty.  Weights: ``edge_embed/{2j}`` maps the radial basis to R_j,
-    the spin-0 radial leaf with tau channels (``embed_edge``);
-    ``mixing/{2J}`` is the block's trainable final mixing over the
-    concatenated diagram axis.  ``recoupled[two_J]`` holds the block
-    lowered: every three-leaf diagram becomes (center ⊗ (edge ⊗
-    neighbor)_k')_J, except in a dense block, whose multi-stage chains and
-    their three-leaf first stages stay per edge.
+    ``recoupled[two_J]`` holds one collection, the fusion block at output
+    spin 2J (slots: 0 = center, 1 = embedded edge (Y^j ⊗ R_j)_j per edge
+    spin j, 2 = neighbor), non-empty.  Weights: ``edge_embed/{2j}`` maps
+    the radial basis to R_j, the spin-0 radial leaf with tau channels
+    (``embed_edge``); ``mixing/{2J}`` is the block's trainable final mixing
+    over the concatenated diagram axis.  The block is lowered so that every
+    three-leaf diagram becomes (center ⊗ (edge ⊗ neighbor)_k')_J, except in
+    a dense block, whose multi-stage chains and their three-leaf first
+    stages stay per edge.
     """
 
 
@@ -742,9 +723,8 @@ def init_three_body_layer(
         )
         if not diagrams:
             continue
-        params.diagrams[two_J] = diagrams
         params.add_seeded(f"mixing/{two_J}", (len(diagrams) * tau, tau), seed, name)
-        params.recoupled[two_J] = (recoupled_collection(diagrams, tau, (f"mixing/{two_J}",)),)
+        params.recoupled[two_J] = (recoupled_collection(diagrams, tau, f"mixing/{two_J}"),)
     return params
 
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeMismatch, check_json
+from .errors import ShapeMismatch, check_json, check_json_number
 from .features import (
     edge_features,
     taped_distances,
@@ -59,10 +58,6 @@ _INTEGER_FIELDS = {
 }
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; JSON round-trippable."""
@@ -83,15 +78,16 @@ class ModelConfig:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name, least in _INTEGER_FIELDS.items():
-            value = getattr(self, name)
-            if not _is_integer(value) or value < least:
+            value = check_json_number(getattr(self, name), name, integer=True)
+            if value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        cutoff = self.cutoff
-        if not isinstance(cutoff, numbers.Real) or not (math.isfinite(cutoff) and cutoff > 0):
+        cutoff = check_json_number(self.cutoff, "cutoff")
+        if not (math.isfinite(cutoff) and cutoff > 0):
             raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
         if self.schedule_mode not in ("sparse", "dense"):
             raise ValueError(f"schedule_mode must be sparse or dense, got {self.schedule_mode!r}")
-        if not all(_is_integer(j) and j >= 0 for j in self.internal_spins):
+        spins = [check_json_number(j, "internal_spins", integer=True) for j in self.internal_spins]
+        if min(spins, default=0) < 0:
             raise ValueError(f"internal_spins must be integers >= 0, got {list(self.internal_spins)}")
         object.__setattr__(self, "internal_spins", tuple(int(j) for j in self.internal_spins))
 
@@ -369,7 +365,8 @@ class Model:
             extra = ""
             if cfg.kind == "three_body":
                 n_diagrams = {
-                    str(Spin(two_J)): len(diagrams) for two_J, diagrams in layer.diagrams.items()
+                    str(Spin(two_J)): len(block.diagrams)
+                    for two_J, (block,) in layer.recoupled.items()
                 }
                 extra = f"  diagrams per output spin: {n_diagrams}"
             lines.append(

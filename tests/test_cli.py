@@ -369,6 +369,28 @@ class TestModelFile:
         assert "parameter readout/w has non-finite entries" in err
 
 
+def _diagram_text(two_J=0, slot=0):
+    return json.dumps({"two_J": two_J, "leaves": [{"slot": slot, "two_j": 0}],
+                       "tree": {"slot": 0}})
+
+
+def _block_text(**mixing):
+    mixing = {"rows": 1, "cols": 1, "init": "uniform", "seed": 0, **mixing}
+    return json.dumps({"diagrams": [json.loads(_diagram_text())], "mixing": mixing})
+
+
+def _record_text(**fields):
+    zeros = [[0.0, 0.0, 0.0]] * 3
+    record = {"positions": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+              "species": [0, 1, 0], "energy": 1.0, "forces": zeros, **fields}
+    return json.dumps(record) + "\n"
+
+
+_DIAGRAM = ["diagram", "validate", "--file"]
+_BLOCK = ["block", "check", "--config"]
+_TRAIN = ["train", "--config", "config.json", "--epochs", "1", "--out-curve", "curve.csv",
+          "--data"]
+
 # (file name, content, the command reading it, the field its one error line names)
 MALFORMED_FILES = [
     ("config.json", '"gated"', ["model", "describe", "--config"], "a model config"),
@@ -387,8 +409,27 @@ MALFORMED_FILES = [
     ("block.json", "[]", ["block", "check", "--config"], "a block"),
     ("block.json", '{"diagrams": 3}', ["block", "check", "--config"], "diagrams"),
     ("block.json", '{"diagrams": [], "mixing": 3}', ["block", "check", "--config"], "mixing"),
-    ("data.jsonl", "[]\n", ["train", "--config", "config.json", "--epochs", "1",
-                            "--out-curve", "curve.csv", "--data"], "data.jsonl:1: a record"),
+    ("data.jsonl", "[]\n", _TRAIN, "data.jsonl:1: a record"),
+    # numbers of the wrong JSON type: neither a traceback nor a silent coercion
+    ("diagram.json", _diagram_text(two_J=None), _DIAGRAM, "two_J"),
+    ("diagram.json", _diagram_text(two_J=[2]), _DIAGRAM, "two_J"),
+    ("diagram.json", _diagram_text(two_J=2.7), _DIAGRAM, "two_J"),
+    ("diagram.json", _diagram_text(two_J="2"), _DIAGRAM, "two_J"),
+    ("diagram.json", _diagram_text(slot=None), _DIAGRAM, "slot"),
+    ("diagram.json", _diagram_text(slot="0"), _DIAGRAM, "slot"),
+    ("block.json", _block_text(rows=None), _BLOCK, "mixing rows"),
+    ("block.json", _block_text(rows=3.9), _BLOCK, "mixing rows"),
+    ("block.json", _block_text(rows=True), _BLOCK, "mixing rows"),
+    ("block.json", _block_text(cols="3"), _BLOCK, "mixing cols"),
+    ("block.json", _block_text(seed=None), _BLOCK, "mixing seed"),
+    ("block.json", _block_text(seed=4.5), _BLOCK, "mixing seed"),
+    ("data.jsonl", _record_text(energy=None), _TRAIN, "data.jsonl:1: energy"),
+    ("data.jsonl", _record_text(energy=[1.0]), _TRAIN, "data.jsonl:1: energy"),
+    ("data.jsonl", _record_text(energy="1.5"), _TRAIN, "data.jsonl:1: energy"),
+    ("data.jsonl", _record_text(energy=True), _TRAIN, "data.jsonl:1: energy"),
+    ("data.jsonl", _record_text(species=[0.7, 1, 0]), _TRAIN, "data.jsonl:1: species[0]"),
+    ("data.jsonl", _record_text(species=[True, 1, 0]), _TRAIN, "data.jsonl:1: species[0]"),
+    ("config.json", '{"cutoff": true}', ["model", "describe", "--config"], "cutoff"),
 ]
 
 
@@ -397,7 +438,10 @@ MALFORMED_FILES = [
     MALFORMED_FILES,
     ids=["config_string", "config_list", "spins_number", "spins_null", "model_list",
          "diagram_list", "leaves_number", "leaf_number", "tree_number", "block_list",
-         "diagrams_number", "mixing_number", "jsonl_list"],
+         "diagrams_number", "mixing_number", "jsonl_list", "two_J_null", "two_J_list",
+         "two_J_float", "two_J_string", "slot_null", "slot_string", "rows_null", "rows_float",
+         "rows_bool", "cols_string", "seed_null", "seed_float", "energy_null", "energy_list",
+         "energy_string", "energy_bool", "species_float", "species_bool", "cutoff_bool"],
 )
 def test_malformed_json_file_is_one_error_line(
     tmp_path, capsys, monkeypatch, name, content, command, field

@@ -109,31 +109,70 @@ class TestThreeBodyPaths:
         assert three_body_paths((0,), (0,), 2, (0, 2)) == []
 
 
+_TERMS = ("self", "pair", "gated", "fusion")
+
+
+def _terms(layer, two_l):
+    """An interaction layer's collections at output spin 2l, in table order,
+    keyed by the term that each one's weight key names."""
+    names = {f"vertex/{two_l}/{term}": term for term in _TERMS[:3]}
+    names[f"fusion_mix/{two_l}"] = "fusion"
+    return {names[c.weight]: c for c in layer.recoupled[two_l]}
+
+
 class TestInteractionTable:
     @pytest.mark.parametrize("fused", [False, True], ids=["gated", "fused"])
     @pytest.mark.parametrize("input_spins", [(0,), (0, 2)], ids=["in0", "in01"])
     def test_table_shapes(self, fused, input_spins):
         tau = 3
         params = init_interaction_layer(input_spins, 1, tau, 4, 8, fused, 2, "L")
-        assert set(params.diagrams) == {0, 2}
-        for two_l, table in params.diagrams.items():
-            terms = [t for t in ("self", "pair", "gated", "fusion") if t in table]
+        assert set(params.recoupled) == {0, 2}
+        for two_l, group in params.recoupled.items():
+            table = _terms(params, two_l)
+            terms = [t for t in _TERMS if t in table]
+            assert len(table) == len(group)  # one weight key per collection
             assert list(table) == terms  # fixed order, no extra terms
             vertex = [key for key in params.weights if key.startswith(f"vertex/{two_l}/")]
-            assert vertex == [f"vertex/{two_l}/{term}" for term in terms]
+            assert vertex == [f"vertex/{two_l}/{term}" for term in terms if term != "fusion"]
             assert ("self" in table) == (two_l in input_spins)
-            for term, diagrams in table.items():
-                assert diagrams  # no empty term
-                for d in diagrams:
+            assert ("fusion" in table) == fused
+            for c in group:
+                assert c.diagrams  # no empty term
+                for d in c.diagrams:
                     assert validate(d) == []
                     assert d.two_J == two_l
-                rows = tau if term == "fusion" else len(diagrams) * tau
-                assert params.weights[f"vertex/{two_l}/{term}"].shape == (rows, tau)
-            if fused:
-                assert params.weights[f"fusion_mix/{two_l}"].shape == (
-                    len(table["fusion"]) * tau, tau
-                )
+                # every term, the fusion block included, mixes straight to tau
+                assert params.weights[c.weight].shape == (len(c.diagrams) * tau, tau)
         assert any(key.startswith("fusion_mix/") for key in params.weights) == fused
+
+    @pytest.mark.parametrize("j_max", [1, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_fused_layer_is_the_gated_layer_plus_its_fusion_blocks(self, n_layers, j_max):
+        tau = 3
+        models = {
+            kind: Model(ModelConfig(kind=kind, n_layers=n_layers, tau=tau, j_max=j_max,
+                                    radial_channels=4, hidden=8, seed=2))
+            for kind in ("gated", "fused")
+        }
+        gated, fused = (models[kind].parameters() for kind in ("gated", "fused"))
+        extra = [name for name in fused if name not in gated]
+        assert set(gated) <= set(fused)
+        assert extra and all(name.split("/")[1] == "fusion_mix" for name in extra)
+        for name, arr in gated.items():
+            assert np.array_equal(fused[name], arr), name
+        for s, (plain, layer) in enumerate(zip(*(models[k].layers for k in ("gated", "fused")))):
+            assert list(layer.recoupled) == list(plain.recoupled)
+            for two_l, group in layer.recoupled.items():
+                *rest, block = group
+                assert [(c.diagrams, c.weight) for c in rest] == [
+                    (c.diagrams, c.weight) for c in plain.recoupled[two_l]
+                ]
+                assert block.weight == f"fusion_mix/{two_l}"
+                assert fused[f"layer{s}/{block.weight}"].shape == (len(block.diagrams) * tau, tau)
+            # each collection reads its own weight, a key of the layer's table
+            keys = [c.weight for group in layer.recoupled.values() for c in group]
+            assert set(keys) <= set(layer.weights)
+            assert len(keys) == len(set(keys))
 
     def test_layer_calls_build_no_diagram(self, monkeypatch):
         # the fused kind at two layers runs every term at every spin
@@ -314,12 +353,12 @@ class TestTapedDiagrams:
         n, tau = 5, 3
         if kind == "fused":
             params = init_interaction_layer((0, 2), 1, tau, 4, 8, True, 2, "L")
-            collections = [params.diagrams[two_l]["fusion"] for two_l in params.recoupled]
+            collections = [_terms(params, two_l)["fusion"].diagrams for two_l in params.recoupled]
             channel_less = (2,)  # slots: center, neighbor, edge harmonic
         else:
             schedule = SpinSchedule("dense", (0, 2, 4))
             params = init_three_body_layer((0, 2), 1, tau, 4, schedule, 2, "L")
-            collections = list(params.diagrams.values())
+            collections = [c.diagrams for group in params.recoupled.values() for c in group]
             channel_less = ()  # slots: center, embedded edge, neighbor
         leaves = _random_leaves([(0, 2)] * 3, n, tau, seed=2, channel_less=channel_less)
         tape = ad.Tape()
@@ -679,17 +718,14 @@ class TestLowering:
 
     def test_target_groups_of_the_fused_table(self):
         model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=1, seed=2))
-        for layer in model.layers:
-            assert set(layer.recoupled) == set(layer.diagrams)
-            for two_l, table in layer.diagrams.items():
-                lowered = dict(zip(table, layer.recoupled[two_l]))
+        for layer, input_spins in zip(model.layers, model.layer_input_spins):
+            for two_l in layer.recoupled:
+                table = layers._term_diagrams(input_spins, (0, 2), two_l, True)
+                lowered = _terms(layer, two_l)
                 assert len(lowered) == len(layer.recoupled[two_l])
+                assert list(lowered) == list(table)
                 for term, c in lowered.items():
                     assert c.diagrams == table[term]
-                    keys = (f"vertex/{two_l}/{term}",)
-                    if term == "fusion":
-                        keys = (f"fusion_mix/{two_l}",) + keys
-                    assert c.weights == keys
                 for term in ("self", "pair"):
                     if term in lowered:
                         c = lowered[term]
@@ -753,8 +789,8 @@ class TestLowering:
         model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=j_max, seed=2))
         shared = 0
         for layer in model.layers:
-            for two_l, table in layer.diagrams.items():
-                lowered = dict(zip(table, layer.recoupled[two_l]))
+            for two_l in layer.recoupled:
+                lowered = _terms(layer, two_l)
                 gated = {
                     _subtree_key(t.tree.left, iter(t.leaves[:-1])) for t in lowered["gated"].edge
                 }
@@ -790,7 +826,7 @@ class TestLowering:
         schedule = SpinSchedule("dense", (0, 2))
         params = init_three_body_layer((0, 2), 1, 3, 4, schedule, 2, "L")
         for two_J, (block,) in params.recoupled.items():
-            assert block.weights == (f"mixing/{two_J}",)
+            assert block.weight == f"mixing/{two_J}"
             chains = [d for d in block.diagrams if len(d.leaves) > 3]
             assert chains
             assert set(chains) <= set(block.edge)

@@ -406,14 +406,12 @@ CHECKPOINT_TABLES = {
     ],
     "fused": [
         *_layer_entries(0, [*_GATE, ("vertex/0/self", (2, 2)), ("vertex/0/pair", (2, 2)),
-                            ("vertex/0/gated", (2, 2)), ("vertex/0/fusion", (2, 2)),
-                            ("vertex/2/gated", (2, 2)), ("vertex/2/fusion", (2, 2)),
-                            ("fusion_mix/0", (2, 2)), ("fusion_mix/2", (2, 2))]),
+                            ("vertex/0/gated", (2, 2)), ("fusion_mix/0", (2, 2)),
+                            ("vertex/2/gated", (2, 2)), ("fusion_mix/2", (2, 2))]),
         *_layer_entries(1, [*_GATE, ("vertex/0/self", (2, 2)), ("vertex/0/pair", (4, 2)),
-                            ("vertex/0/gated", (4, 2)), ("vertex/0/fusion", (2, 2)),
+                            ("vertex/0/gated", (4, 2)), ("fusion_mix/0", (10, 2)),
                             ("vertex/2/self", (2, 2)), ("vertex/2/pair", (6, 2)),
-                            ("vertex/2/gated", (6, 2)), ("vertex/2/fusion", (2, 2)),
-                            ("fusion_mix/0", (10, 2)), ("fusion_mix/2", (18, 2))]),
+                            ("vertex/2/gated", (6, 2)), ("fusion_mix/2", (18, 2))]),
     ],
     "sparse": [
         *_layer_entries(0, [("edge_embed/0", (3, 2)), ("edge_embed/2", (3, 2)),
