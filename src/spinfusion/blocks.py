@@ -2,12 +2,13 @@
 index-aligned input multisets, concatenate per-diagram outputs along a new
 channel axis, and mix with a learned real matrix.
 
-All diagrams in a block share the same root spin and the same slot set, so
-their outputs concatenate.  A slot may be given either a single input or a
-list of inputs to aggregate over; every listed slot must have the same
-length, and aggregation sums over the index-aligned tuples in ascending
-order (a deterministic symmetric reduction, so reordering the tuples moves
-the result only by floating-point reassociation).
+All diagrams in a block share the same root spin, so their outputs
+concatenate; each reads its own slots, and the block reads their union.  A
+slot may be given either a single input or a list of inputs to aggregate
+over; every listed slot must have the same length, and aggregation sums
+each diagram over the index-aligned tuples in ascending order (a
+deterministic symmetric reduction, so reordering the tuples moves the
+result only by floating-point reassociation).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class MixingMatrix:
     """
 
     weights: np.ndarray
-    trainable: bool = True
     init: str = "uniform"
     seed: int = 0
 
@@ -61,17 +61,17 @@ class MixingMatrix:
             raise ValueError(f"mixing weights must be a matrix, got shape {self.weights.shape}")
 
 
-def uniform_mixing(rows: int, cols: int, seed: int, trainable: bool = True) -> MixingMatrix:
+def uniform_mixing(rows: int, cols: int, seed: int) -> MixingMatrix:
     """Entries i.i.d. uniform in [-s, s] with s = rows**-0.5 (variance-preserving)."""
     scale = rows ** -0.5
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-scale, scale, size=(rows, cols))
-    return MixingMatrix(weights, trainable=trainable, init="uniform", seed=seed)
+    return MixingMatrix(weights, init="uniform", seed=seed)
 
 
 def identity_mixing(n: int) -> MixingMatrix:
-    """Fixed identity mixing (not trainable): concatenation passes through."""
-    return MixingMatrix(np.eye(n), trainable=False, init="identity", seed=0)
+    """Identity mixing: concatenation passes through."""
+    return MixingMatrix(np.eye(n), init="identity", seed=0)
 
 
 @dataclass
@@ -89,9 +89,6 @@ class FusionBlockConfig:
         roots = {d.two_J for d in self.diagrams}
         if len(roots) != 1:
             raise ValueError(f"diagrams disagree on root spin: {sorted(roots)}")
-        slot_sets = {d.slots for d in self.diagrams}
-        if len(slot_sets) != 1:
-            raise ValueError(f"diagrams disagree on slot set: {sorted(slot_sets)}")
         if self.mixing is None:
             raise ValueError("a fusion block needs a mixing matrix")
 
@@ -101,7 +98,8 @@ class FusionBlockConfig:
 
     @property
     def slots(self) -> tuple[int, ...]:
-        return self.diagrams[0].slots
+        """Every slot a diagram reads, ascending."""
+        return tuple(sorted({slot for d in self.diagrams for slot in d.slots}))
 
 
 def output_channel_count(cfg: FusionBlockConfig) -> int:
@@ -176,7 +174,7 @@ def apply(cfg: FusionBlockConfig, input_sets) -> IrrepVector:
 
 def block_to_json(cfg: FusionBlockConfig) -> str:
     """Serialize diagrams, aggregation kind, and the mixing recipe (shape,
-    init kind, seed, trainable flag) — weights re-initialize on load."""
+    init kind, seed) — weights re-initialize on load."""
     payload = {
         "diagrams": [json.loads(diagram_to_json(d)) for d in cfg.diagrams],
         "aggregation": cfg.aggregation.value,
@@ -185,7 +183,6 @@ def block_to_json(cfg: FusionBlockConfig) -> str:
             "cols": int(cfg.mixing.weights.shape[1]),
             "init": cfg.mixing.init,
             "seed": int(cfg.mixing.seed),
-            "trainable": bool(cfg.mixing.trainable),
         },
     }
     return json.dumps(payload, indent=2)
@@ -197,6 +194,9 @@ def block_from_json(text: str) -> FusionBlockConfig:
         diagram_from_json(json.dumps(d)) for d in check_json(payload["diagrams"], list, "diagrams")
     )
     mix = check_json(payload["mixing"], dict, "mixing")
+    unknown = set(mix) - {"rows", "cols", "init", "seed"}
+    if unknown:
+        raise ValueError(f"unknown mixing keys: {sorted(unknown)}")
 
     def integer_field(key: str) -> int:
         return check_json_number(mix[key], f"mixing {key}", integer=True)
@@ -209,10 +209,7 @@ def block_from_json(text: str) -> FusionBlockConfig:
             raise ValueError("identity mixing must be square")
         mixing = identity_mixing(mix["rows"])
     elif mix["init"] == "uniform":
-        mixing = uniform_mixing(
-            mix["rows"], mix["cols"], integer_field("seed"),
-            trainable=bool(mix.get("trainable", True)),
-        )
+        mixing = uniform_mixing(mix["rows"], mix["cols"], integer_field("seed"))
     else:
         raise ValueError(f"unknown mixing init {mix['init']!r}")
     return FusionBlockConfig(

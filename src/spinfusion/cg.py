@@ -21,11 +21,6 @@ from .spins import Spin, _two, admissible, dim
 __all__ = ["CGTensor", "cg_coefficient", "cg_tensor"]
 
 
-def _two_m(value) -> int:
-    twice = getattr(value, "twice_m", None)
-    return int(value) if twice is None else twice
-
-
 def _fact(twice: int) -> int:
     """(twice/2)! for an even non-negative twice-integer."""
     assert twice >= 0 and twice % 2 == 0
@@ -35,12 +30,12 @@ def _fact(twice: int) -> int:
 def cg_coefficient(ja, ma, jb, mb, jc, mc) -> float:
     """<ja ma; jb mb | jc mc> with the Condon-Shortley phase.
 
-    Spins and magnetic indices may be ``Spin``/``MagneticIndex`` instances or
-    plain twice-integers (2j, 2m).  Returns 0.0 for selection-rule-violating
+    Spins may be ``Spin`` instances or twice-integers (2j); magnetic
+    indices are twice-integers (2m).  Returns 0.0 for selection-rule-violating
     or inadmissible triples rather than raising.
     """
     two_ja, two_jb, two_jc = _two(ja), _two(jb), _two(jc)
-    two_ma, two_mb, two_mc = _two_m(ma), _two_m(mb), _two_m(mc)
+    two_ma, two_mb, two_mc = int(ma), int(mb), int(mc)
     for two_j, two_m in ((two_ja, two_ma), (two_jb, two_mb), (two_jc, two_mc)):
         if abs(two_m) > two_j or (two_m - two_j) % 2 != 0:
             return 0.0

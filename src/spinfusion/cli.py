@@ -18,6 +18,7 @@ values round-trip exactly through text.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -135,18 +136,20 @@ def _cmd_block_check(args: argparse.Namespace) -> int:
     permutation = 0.0
     for trial in range(args.trials):
         groups = [[_slot_inputs(block, rng) for _ in range(group_size)] for _ in slots]
-        input_sets = [
-            [groups[i][g][slot] for g in range(group_size)] for i, slot in enumerate(slots)
-        ]
+        input_sets = {
+            slot: [groups[i][g][slot] for g in range(group_size)] for i, slot in enumerate(slots)
+        }
         out = block_apply(block, input_sets)
         rotation = haar_rotation(rng)
-        rotated_sets = [[act.rotate(rotation) for act in entry] for entry in input_sets]
+        rotated_sets = {
+            slot: [act.rotate(rotation) for act in entry] for slot, entry in input_sets.items()
+        }
         out_rotated = block_apply(block, rotated_sets)
         expected = wigner_D(block.two_J, rotation).matrix @ out.data
         equivariance = max(equivariance, float(np.abs(out_rotated.data - expected).max()))
 
         order = rng.permutation(group_size)
-        permuted_sets = [[entry[g] for g in order] for entry in input_sets]
+        permuted_sets = {slot: [entry[g] for g in order] for slot, entry in input_sets.items()}
         out_permuted = block_apply(block, permuted_sets)
         permutation = max(permutation, float(np.abs(out_permuted.data - out.data).max()))
     print("check,max_residual")
@@ -158,9 +161,7 @@ def _cmd_block_check(args: argparse.Namespace) -> int:
 def _cmd_model_describe(args: argparse.Namespace) -> int:
     config = ModelConfig.from_json(_read_text(args.config))
     if args.seed is not None:
-        config = ModelConfig.from_json(
-            json.dumps({**json.loads(config.to_json()), "seed": args.seed})
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     print(Model(config).describe())
     return 0
 

@@ -137,6 +137,17 @@ def save_jsonl(samples: list[Sample], path: str) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
+def _json_rows(value, what: str) -> np.ndarray:
+    """``value`` as a float array if it parsed from JSON as an array of
+    arrays of three numbers, else ValueError naming ``what``."""
+    for i, row in enumerate(check_json(value, list, what)):
+        if len(check_json(row, list, f"{what}[{i}]")) != 3:
+            raise ValueError(f"{what}[{i}] must hold 3 numbers, got {len(row)}")
+        for k, entry in enumerate(row):
+            check_json_number(entry, f"{what}[{i}][{k}]")
+    return np.asarray(value, dtype=float)
+
+
 def load_jsonl(path: str) -> list[Sample]:
     samples: list[Sample] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -154,10 +165,10 @@ def load_jsonl(path: str) -> list[Sample]:
             for i, label in enumerate(species):
                 check_json_number(label, f"{where}: species[{i}]", integer=True)
             sample = Sample(
-                np.asarray(record["positions"], dtype=float),
+                _json_rows(record["positions"], f"{where}: positions"),
                 np.asarray(species, dtype=int),
                 check_json_number(record["energy"], f"{where}: energy"),
-                np.asarray(record["forces"], dtype=float),
+                _json_rows(record["forces"], f"{where}: forces"),
             )
             for name in ("positions", "energy", "forces"):
                 if not np.all(np.isfinite(getattr(sample, name))):

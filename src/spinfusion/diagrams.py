@@ -14,10 +14,10 @@ Activation.
 
 A collection of diagrams may be lowered to other diagrams (targets) and a
 real matrix U that maps the targets' outputs onto the collection's:
-``recouple`` does it by F-moves, and ``check_lowering`` checks any
-lowering against the diagrams' dense maps.  A leaf may be a constant, such
-as a spin-0 harmonic, whose components the check is given; a lowering may
-fold it into U.
+``recouple`` does it by F-moves, and ``check_lowering`` checks the
+lowering against the diagrams' dense maps.  Every leaf is an input: a
+constant factor of a diagram belongs to the weight that mixes it, not to
+a leaf.
 """
 
 from __future__ import annotations
@@ -345,20 +345,12 @@ def recouple(diagrams) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
     return targets, overlaps.real.copy()
 
 
-def check_lowering(diagrams, targets, U: np.ndarray, constants=None) -> None:
+def check_lowering(diagrams, targets, U: np.ndarray) -> None:
     """Raise ``RecouplingError`` unless U is real and ``sum_t U[t, d] *
-    map(t) == map(d)`` to within 1e-12 for every diagram d, where map is
-    the dense map over the collection's inputs, and U gives no weight to a
-    target of other inputs.
-
-    ``constants`` maps each (slot, 2j) leaf that is a constant to its
-    components (the interaction layer's Y^0_0).  A diagram's map is
-    contracted with them, so its inputs are its other leaves, and targets
-    may drop or reorder leaves as long as their maps agree.  Without it
-    every leaf is an input, as ``recouple`` needs.
-    """
+    dense_map(t) == dense_map(d)`` to within 1e-12 for every diagram d,
+    where t runs over the targets with d's leaves and root spin, and U
+    gives no weight to any other target."""
     diagrams, targets, U = tuple(diagrams), tuple(targets), np.asarray(U)
-    constants = constants or {}
     if U.shape != (len(targets), len(diagrams)):
         raise RecouplingError(
             f"U has shape {U.shape}; {len(targets)} targets and {len(diagrams)} diagrams need "
@@ -367,19 +359,14 @@ def check_lowering(diagrams, targets, U: np.ndarray, constants=None) -> None:
     imaginary = float(np.max(np.abs(U.imag), initial=0.0))
     if imaginary > _RECOUPLING_TOLERANCE:
         raise RecouplingError(f"U has an imaginary part of {imaginary:.3g}")
-    lowered: dict[int, tuple] = {}
     for column, d in enumerate(diagrams):
-        weights = [(row, w.real) for row, w in enumerate(U[:, column]) if w != 0]
-        if [(targets[row], w) for row, w in weights] == [(d, 1)]:
+        weights = [(targets[row], w.real) for row, w in enumerate(U[:, column]) if w != 0]
+        if weights == [(d, 1)]:
             continue  # its own target, exactly
-        inputs, want = _base_map(d, constants)
-        got, stray = np.zeros_like(want), 0.0
-        for row, w in weights:
-            if row not in lowered:
-                lowered[row] = _base_map(targets[row], constants)
-            t_inputs, t_map = lowered[row]
-            if t_inputs == inputs and t_map.shape == want.shape:
-                got = got + w * t_map
+        want, got, stray = _dense(d), 0.0, 0.0
+        for t, w in weights:
+            if (t.leaves, t.two_J) == (d.leaves, d.two_J):
+                got = got + w * _dense(t)
             else:
                 stray = max(stray, abs(w))
         if stray > _RECOUPLING_TOLERANCE:
@@ -390,26 +377,6 @@ def check_lowering(diagrams, targets, U: np.ndarray, constants=None) -> None:
                 f"targets reproduce diagram {column} only to {error:.3g} "
                 f"(tolerance {_RECOUPLING_TOLERANCE:g})"
             )
-
-
-def _base_map(d: FusionDiagram, constants) -> tuple[tuple, np.ndarray]:
-    """(inputs, tensor): ``dense_map(d)`` contracted with the components of
-    its ``constants`` leaves, one axis per other leaf, ordered by (leaf,
-    position in the tree), then the root's."""
-    n = len(d.leaves)
-    shape = [dim(two_j) for _, two_j in d.leaves] + [dim(d.two_J)]
-    operands: list = [_dense(d).reshape(shape), list(range(n + 1))]
-    inputs = []
-    for position, leaf in enumerate(d.leaves):
-        if leaf in constants:
-            operands += [constants[leaf], [position]]
-        else:
-            inputs.append((leaf, position))
-    inputs.sort()
-    return (
-        tuple(leaf for leaf, _ in inputs),
-        np.einsum(*operands, [position for _, position in inputs] + [n]),
-    )
 
 
 # dense maps of the diagrams recoupled or checked so far, read-only

@@ -42,13 +42,12 @@ one of three groups by its tree:
 * everything else (the gated term, the dense schedule's multi-stage chains
   and their three-leaf first stages): per edge, then summed.
 
-The interaction layer's lowering then rewrites its targets through spin-0
-legs, since a CG vertex with a spin-0 leg is c times the identity.  The
-gate is an ordinary spin-0 leaf of the tables, (Y_a ⊗ (h_b ⊗ g)_b)_l, and
-the rewrite moves it to the root, ±((h_b ⊗ Y_a)_l ⊗ g)_l; the constant
-spin-0 harmonic Y^0_0 leaves every target that reads it and goes into U.
-So the gated term's per-edge products are the fusion term's T, and each
-(neighbor, harmonic, k) product runs once per edge and layer.
+The interaction layer's tables are built in the form they run, so
+``recouple`` is its only lowering: the gate is the root's left leaf of
+each gated diagram, (g ⊗ (h_b ⊗ Y_a)_l)_l, whose (neighbor ⊗ harmonic)
+pair is the fusion term's T, and no diagram reads the constant Y^0_0
+harmonic.  Each (neighbor, harmonic, k) product runs once per edge and
+layer.
 
 So each edge's contribution is summed over the neighborhood as early as
 the tree allows, and the center is gathered to the edges only for a target
@@ -69,9 +68,9 @@ import numpy as np
 from . import autodiff as ad
 from .blocks import FusionBlockConfig, MixingMatrix, apply as block_apply
 from .cg import cg_tensor
-from .diagrams import FuseNode, FusionDiagram, LeafNode, check_lowering, left_comb, recouple
+from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb, recouple
 from .errors import EmptySchedule
-from .features import _Y00, EdgeFeature
+from .features import EdgeFeature
 from .geometry import Neighborhood, PointCloud
 from .irreps import Activation
 from .spins import admissible
@@ -257,13 +256,10 @@ class RecoupledCollection:
 
     ``mixing`` is kron(U, I_tau), U's rows in ``center + atom + edge`` order:
     it maps the targets' concatenated outputs onto the diagrams', diagram by
-    diagram.  When U is diagonal (the targets stand for the diagrams one to
-    one), ``mixing`` is its diagonal, each entry repeated tau times: one
-    factor per row of the weight.  It is ``None`` where it would be the
-    identity: when the targets are the diagrams, in order (the self and
-    pair terms and a dense block's chains), or stand for them one to one
-    with weight 1.  ``weight`` is the weight-table key of the one matrix
-    that mixes the diagrams' concatenated outputs to tau channels.
+    diagram.  It is ``None`` where it would be the identity, when the
+    targets are the diagrams, in order (the self, pair and gated terms and
+    a dense block's chains).  ``weight`` is the weight-table key of the one
+    matrix that mixes the diagrams' concatenated outputs to tau channels.
     """
 
     diagrams: tuple[FusionDiagram, ...]
@@ -285,27 +281,16 @@ def _target_group(target: FusionDiagram) -> int:
     return 2
 
 
-def recoupled_collection(diagrams, tau: int, weight: str, rewrite=None) -> RecoupledCollection:
-    """Lower one collection: ``diagrams.recouple``, then a layer's exact
-    ``rewrite`` of the targets, ``(diagrams, targets, U) -> (targets, U)``,
-    checked against the collection's dense maps (the interaction layer's is
-    ``_drop_spin0_legs``: the gate re-attached at the root, Y^0_0 folded
-    into U), then the targets grouped (``RecoupledCollection``)."""
+def recoupled_collection(diagrams, tau: int, weight: str) -> RecoupledCollection:
+    """Lower one collection: ``diagrams.recouple``, then the targets grouped
+    (``RecoupledCollection``)."""
     targets, U = recouple(diagrams)
-    if rewrite is not None:
-        targets, U = rewrite(diagrams, targets, U)
     groups: tuple[list, list, list] = ([], [], [])
     for row, target in enumerate(targets):
         groups[_target_group(target)].append(row)
     order = [row for group in groups for row in group]
     U = U[order]
-    square = U.shape[0] == U.shape[1]
-    if square and np.array_equal(U, np.eye(len(U))):
-        mixing = None
-    elif square and np.array_equal(U, np.diag(np.diag(U))):
-        mixing = np.repeat(np.diag(U), tau)
-    else:
-        mixing = np.kron(U, np.eye(tau))
+    mixing = None if np.array_equal(U, np.eye(len(U))) else np.kron(U, np.eye(tau))
     return RecoupledCollection(
         tuple(diagrams),
         *(tuple(targets[row] for row in group) for group in groups),
@@ -380,9 +365,7 @@ def taped_collections(
                 )
                 chunks.append(ad.index_add(tape, per_edge, src, n_atoms))
             mixing = weights[c.weight]
-            if c.mixing is not None and c.mixing.ndim == 1:  # diagonal U: scale the rows
-                mixing = ad.scale(tape, mixing, c.mixing[:, None])
-            elif c.mixing is not None:
+            if c.mixing is not None:
                 mixing = ad.channel_mix(tape, tape.constant(c.mixing), mixing)
             value = ad.channel_mix(tape, ad.concat(tape, chunks, axis=2), mixing)
             out[two_J] = value if two_J not in out else ad.add(tape, out[two_J], value)
@@ -436,36 +419,52 @@ class InteractionParams(LayerParams):
     Slots of the tables and of their lowered targets: 0 = center (N rows),
     1 = neighbor, 2 = edge harmonic, 3 = gate (spin 0 only; E rows each).
     ``recoupled[two_l]`` holds one collection per term at output spin 2l,
-    in the fixed order self (slot 0), pair (0, 0), gated (2, (1, 3)) and,
-    in the fused kind, the fusion block (0, 1, 2); none is empty.  The fused
-    layer is the gated layer plus one fusion block per output spin.
+    in the fixed order self (slot 0), pair (0, 0), gated (3, (1, 2)) and,
+    in the fused kind, the fusion block ((0, 1), 2); none is empty.  The
+    fused layer is the gated layer plus one fusion block per output spin.
     Weights: ``gate/*`` (``invariant_gate``); ``vertex/{2l}/{term}`` mixes
     a term's concatenated diagram outputs to tau channels, and the fusion
-    block's ``fusion_mix/{2l}`` mixes its own.  The terms are lowered (see
-    ``_drop_spin0_legs``): self and pair center-only; gated per edge, as
-    ((neighbor ⊗ harmonic)_l ⊗ gate)_l, or (neighbor ⊗ gate)_l where the
-    harmonic is Y^0_0; fusion as (center ⊗ T)_l with T = (neighbor ⊗
-    harmonic)_k', or the neighbor.  Both terms' products share one memo,
-    so each (neighbor, harmonic, k) product is recorded once per layer.
-    The mixed terms are summed in table order, so zeroing ``fusion_mix``
-    reproduces the gated layer bit for bit.
+    block's ``fusion_mix/{2l}`` mixes its own.  No diagram reads the
+    constant Y^0_0 harmonic: its factor, like the sign of a leaf exchange,
+    is part of the weight rows of the diagram that would read it.  The
+    terms are lowered by ``recouple``: self and pair center-only; gated
+    per edge, as built, (gate ⊗ (neighbor ⊗ harmonic)_l)_l or (gate ⊗
+    neighbor)_l; fusion as (center ⊗ T)_l with T = (neighbor ⊗
+    harmonic)_k', or (center ⊗ neighbor)_l as built.  Both terms'
+    products share one memo, so each (neighbor, harmonic, k) product is
+    recorded once per layer.  The mixed terms are summed in table order,
+    so zeroing ``fusion_mix`` reproduces the gated layer bit for bit.
     """
+
+
+# The interaction layer's per-edge slots, as both executors bind them.
+_NEIGHBOR, _HARMONIC, _GATE = 1, 2, 3
 
 
 def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
     """The non-empty terms' diagram collections at one output spin.
 
     The pair and gated terms list their (2ja, 2jb) spins lexicographically:
-    the pair term couples two center parts, the gated one a harmonic Y_a
-    with the gated neighbor (h_b ⊗ g)_b, g the spin-0 gate.  The fusion
+    the pair term couples two center parts, the gated one the spin-0 gate g
+    with the neighbor-harmonic pair, (g ⊗ (h_b ⊗ Y_a)_l)_l.  The fusion
     term couples (center, neighbor) through k, then (k, edge harmonic) into
-    the output spin, lexicographic in (2ji, 2jj, 2k, 2jy).
+    the output spin, lexicographic in (2ji, 2jj, 2k, 2jy).  No diagram has
+    a Y^0_0 leaf, a constant: where a = 0 or y = 0 the diagram is the
+    two-leaf (g ⊗ h_b)_l or (h_i ⊗ h_j)_l.
     """
 
     def gated(two_ja, two_jb):
-        neighbor = FuseNode(LeafNode(_NEIGHBOR), LeafNode(_GATE), two_jb)
-        tree = FuseNode(LeafNode(_HARMONIC), neighbor, two_l)
-        return FusionDiagram(((_HARMONIC, two_ja), (_NEIGHBOR, two_jb), (_GATE, 0)), tree, two_l)
+        if two_ja == 0:
+            return left_comb([0, two_jb], [], two_l, slots=[_GATE, _NEIGHBOR])
+        pair = FuseNode(LeafNode(_NEIGHBOR), LeafNode(_HARMONIC), two_l)
+        leaves = ((_GATE, 0), (_NEIGHBOR, two_jb), (_HARMONIC, two_ja))
+        return FusionDiagram(leaves, FuseNode(LeafNode(_GATE), pair, two_l), two_l)
+
+    def fusion(two_ji, two_jj, two_k, two_jy):
+        if two_jy == 0:  # then k = l
+            return left_comb([two_ji, two_jj], [], two_l, slots=[0, _NEIGHBOR])
+        spins = [two_ji, two_jj, two_jy]
+        return left_comb(spins, [two_k], two_l, slots=[0, _NEIGHBOR, _HARMONIC])
 
     terms = {
         "self": (
@@ -486,7 +485,7 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
             if admissible(two_ja, two_jb, two_l)
         ),
         "fusion": tuple(
-            left_comb([two_ji, two_jj, two_jy], [two_k], two_l, slots=[0, 1, 2])
+            fusion(two_ji, two_jj, two_k, two_jy)
             for two_ji in input_spins
             for two_jj in input_spins
             for two_k in range(abs(two_ji - two_jj), two_ji + two_jj + 2, 2)
@@ -495,68 +494,6 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
         ),
     }
     return {term: diagrams for term, diagrams in terms.items() if diagrams}
-
-
-# The interaction layer's per-edge slots, as both executors bind them, and
-# the weight of each spin-0 leg that its lowering drops: the constant Y^0_0
-# goes into U, the gate is re-attached at the root.
-_NEIGHBOR, _HARMONIC, _GATE = 1, 2, 3
-_SPIN0_LEGS = {(_HARMONIC, 0): _Y00, (_GATE, 0): 1.0}
-
-
-def _drop_spin0_legs(diagrams, targets, U: np.ndarray):
-    """The interaction layer's rewrite of its recoupled targets (see
-    ``recoupled_collection``) through spin-0 CG vertices, each c times the
-    identity, so (x ⊗ s)_j = c·s·x (c = 1 in this CG table):
-
-    * the gate: a target that reads the gate g has it re-attached at the
-      root, (Y_a ⊗ (h_b ⊗ g)_b)_l = ((Y_a ⊗ h_b)_l ⊗ g)_l, so the gated
-      products are g times the ungated ones;
-    * exchange: a two-leaf subtree lists its lower slot first, (Y_a ⊗
-      h_b)_l = (−1)^(ja+jb−l) (h_b ⊗ Y_a)_l, so the gated term's products
-      are the fusion term's T = (h_b ⊗ Y_a)_k';
-    * Y^0_0: the spin-0 harmonic is a constant, so a target that reads it
-      loses that leaf and carries the constant in U.
-
-    Targets that coincide merge their U rows.  ``check_lowering`` verifies
-    the result against the tables' dense maps to 1e-12.
-    """
-    rows: dict[FusionDiagram, np.ndarray] = {}
-    for target, row in zip(targets, U):
-        tree, leaves, _, weight = _rewrite_legs(target.tree, iter(target.leaves))
-        if (_GATE, 0) in target.leaves:
-            # c = 1 at both ends, so the weight stays
-            tree, leaves = FuseNode(tree, LeafNode(_GATE), target.two_J), leaves + ((_GATE, 0),)
-        new = FusionDiagram(leaves, tree, target.two_J)
-        rows[new] = rows.get(new, 0.0) + weight * row
-    targets, U = tuple(rows), np.array(list(rows.values()))
-    check_lowering(diagrams, targets, U, {(_HARMONIC, 0): np.array([_Y00])})
-    return targets, U
-
-
-def _rewrite_legs(node, leaf_iter):
-    """(tree, leaves, 2j, weight) of one subtree rewritten as
-    ``_drop_spin0_legs`` says, without its spin-0 legs; the tree is None
-    for a spin-0 leg itself."""
-    if isinstance(node, LeafNode):
-        leaf = next(leaf_iter)
-        if leaf in _SPIN0_LEGS:
-            return None, (), 0, _SPIN0_LEGS[leaf]
-        return LeafNode(leaf[0]), (leaf,), leaf[1], 1.0
-    left, left_leaves, two_a, left_weight = _rewrite_legs(node.left, leaf_iter)
-    right, right_leaves, two_b, right_weight = _rewrite_legs(node.right, leaf_iter)
-    weight = left_weight * right_weight
-    if left is None or right is None:
-        # a spin-0 leg: the CG block is c times the identity
-        weight *= cg_tensor(two_a, two_b, node.two_k).coeffs[0, 0, 0]
-        if left is None:
-            return right, right_leaves, two_b, weight
-        return left, left_leaves, two_a, weight
-    if isinstance(left, LeafNode) and isinstance(right, LeafNode) and left.slot > right.slot:
-        # exchange: (a ⊗ b)_k = (-1)^(ja + jb - k) (b ⊗ a)_k
-        left, right, left_leaves, right_leaves = right, left, right_leaves, left_leaves
-        weight *= -1.0 if (two_a + two_b - node.two_k) // 2 % 2 else 1.0
-    return FuseNode(left, right, node.two_k), left_leaves + right_leaves, node.two_k, weight
 
 
 def init_interaction_layer(
@@ -581,7 +518,7 @@ def init_interaction_layer(
         for term, diagrams in _term_diagrams(input_spins, edge_spins, two_l, fused).items():
             key = f"fusion_mix/{two_l}" if term == "fusion" else f"vertex/{two_l}/{term}"
             params.add_seeded(key, (len(diagrams) * tau, tau), seed, name)
-            lowered.append(recoupled_collection(diagrams, tau, key, _drop_spin0_legs))
+            lowered.append(recoupled_collection(diagrams, tau, key))
         params.recoupled[two_l] = tuple(lowered)
     return params
 

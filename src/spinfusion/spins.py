@@ -12,7 +12,6 @@ from fractions import Fraction
 
 __all__ = [
     "Spin",
-    "MagneticIndex",
     "dim",
     "twice_m_range",
     "admissible",
@@ -41,17 +40,6 @@ class Spin:
 
     def __str__(self) -> str:
         return format_spin(self.twice_j)
-
-
-@dataclass(frozen=True, order=True)
-class MagneticIndex:
-    """A magnetic quantum number m within a spin-j irrep, stored as 2m."""
-
-    twice_m: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.twice_m, int):
-            raise TypeError(f"twice_m must be int, got {type(self.twice_m).__name__}")
 
 
 def _two(value: Spin | int) -> int:

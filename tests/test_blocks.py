@@ -29,16 +29,28 @@ def _vec(two_j, channels, rng):
     )
 
 
-def _three_slot_config(channels=2, trainable=True):
+def _three_slot_config(channels=2, identity=False):
     diagrams = tuple(
         left_comb([2, 2, 2], [k], 2, slots=[0, 1, 2]) for k in (0, 2, 4)
     )
     mixing = (
-        uniform_mixing(3 * channels, channels, seed=11)
-        if trainable
-        else identity_mixing(3 * channels)
+        identity_mixing(3 * channels)
+        if identity
+        else uniform_mixing(3 * channels, channels, seed=11)
     )
     return FusionBlockConfig(diagrams, AggregationKind.SUM, mixing)
+
+
+def _two_and_three_leaf_config(channels=2):
+    """A two-leaf diagram over slots (0, 1) next to three-leaf ones over
+    (0, 1, 2), as in a fusion block whose edge spin-0 leaf is dropped."""
+    diagrams = (
+        left_comb([2, 2], [], 2, slots=[0, 1]),
+        *(left_comb([2, 2, 4], [k], 2, slots=[0, 1, 2]) for k in (2, 4)),
+    )
+    return FusionBlockConfig(
+        diagrams, AggregationKind.SUM, uniform_mixing(3 * channels, channels, seed=12)
+    )
 
 
 class TestConfig:
@@ -54,21 +66,26 @@ class TestConfig:
                 identity_mixing(2),
             )
 
+    def test_slots_are_the_union_of_the_diagrams_slots(self):
+        cfg = _two_and_three_leaf_config()
+        assert [d.slots for d in cfg.diagrams] == [(0, 1), (0, 1, 2), (0, 1, 2)]
+        assert cfg.slots == (0, 1, 2)
+
     def test_output_channel_count_is_pre_mixing_width(self):
         # |diagrams| x input channels, i.e. the mixing row count.
         cfg = _three_slot_config(channels=2)
         assert output_channel_count(cfg) == 6
-        identity_cfg = _three_slot_config(channels=2, trainable=False)
+        identity_cfg = _three_slot_config(channels=2, identity=True)
         assert output_channel_count(identity_cfg) == 6
 
     def test_uniform_mixing_scale(self):
         m = uniform_mixing(16, 4, seed=3)
-        assert m.trainable
+        assert (m.init, m.seed, m.weights.shape) == ("uniform", 3, (16, 4))
         assert np.max(np.abs(m.weights)) <= 16 ** -0.5 + 1e-12
 
-    def test_identity_mixing_not_trainable(self):
+    def test_identity_mixing_is_the_identity(self):
         m = identity_mixing(4)
-        assert not m.trainable
+        assert m.init == "identity"
         assert np.array_equal(m.weights, np.eye(4))
 
 
@@ -84,7 +101,7 @@ class TestApply:
 
     def test_concatenation_orders_diagrams(self):
         rng = np.random.default_rng(1)
-        cfg = _three_slot_config(channels=2, trainable=False)
+        cfg = _three_slot_config(channels=2, identity=True)
         inputs = [_vec(2, 2, rng) for _ in range(3)]
         out = apply(cfg, inputs)
         for i, d in enumerate(cfg.diagrams):
@@ -93,8 +110,8 @@ class TestApply:
 
     def test_mixing_applies_to_concatenated_channels(self):
         rng = np.random.default_rng(2)
-        cfg = _three_slot_config(channels=2, trainable=True)
-        unmixed = _three_slot_config(channels=2, trainable=False)
+        cfg = _three_slot_config(channels=2)
+        unmixed = _three_slot_config(channels=2, identity=True)
         inputs = [_vec(2, 2, rng) for _ in range(3)]
         mixed = apply(cfg, inputs)
         raw = apply(unmixed, inputs)
@@ -158,6 +175,50 @@ class TestApply:
         assert np.max(np.abs(out.data[:, 2:] - second.data)) < 1e-13
 
 
+class TestTwoAndThreeLeafBlock:
+    """A block whose diagrams read different slot sets: each diagram is
+    summed over the index-aligned tuples of the slots it reads."""
+
+    def _inputs(self, rng, n=4):
+        return [_vec(2, 2, rng), [_vec(2, 2, rng) for _ in range(n)],
+                [_vec(4, 2, rng) for _ in range(n)]]
+
+    def test_equals_the_per_diagram_contract_sums_after_mixing(self):
+        rng = np.random.default_rng(10)
+        cfg = _two_and_three_leaf_config()
+        center, neighbors, edges = self._inputs(rng)
+        sums = [
+            sum(contract(d, [center, n, e]).data for n, e in zip(neighbors, edges))
+            for d in cfg.diagrams
+        ]
+        expected = np.concatenate(sums, axis=1) @ cfg.mixing.weights
+        out = apply(cfg, [center, neighbors, edges])
+        assert np.max(np.abs(out.data - expected)) < 1e-13
+
+    def test_rotation_and_permutation_residuals(self):
+        # the residuals and tolerance of the acceptance suite's block check
+        rng = np.random.default_rng(11)
+        cfg = _two_and_three_leaf_config()
+        inputs = self._inputs(rng)
+        base = apply(cfg, inputs)
+        scale = max(float(np.max(np.abs(base.data))), 1e-12)
+
+        def rotate(v, g):
+            return v.rotate(wigner_D(v.spin, g).matrix)
+
+        for seed in range(10):
+            g = haar_rotation(seed)
+            center, neighbors, edges = inputs
+            rotated = [rotate(center, g), [rotate(v, g) for v in neighbors],
+                       [rotate(v, g) for v in edges]]
+            expected = wigner_D(base.spin, g).matrix @ base.data
+            residual = np.max(np.abs(apply(cfg, rotated).data - expected)) / scale
+            assert residual <= 1e-12
+        perm = [2, 0, 3, 1]
+        permuted = [inputs[0], *([slot[i] for i in perm] for slot in inputs[1:])]
+        assert np.max(np.abs(apply(cfg, permuted).data - base.data)) <= 1e-12
+
+
 class TestEquivariance:
     def test_rotation_commutes_with_apply(self):
         rng = np.random.default_rng(7)
@@ -192,10 +253,10 @@ class TestJson:
         assert restored.aggregation == cfg.aggregation
         assert restored.diagrams == cfg.diagrams
         assert np.allclose(restored.mixing.weights, cfg.mixing.weights)
-        assert restored.mixing.trainable == cfg.mixing.trainable
+        assert (restored.mixing.init, restored.mixing.seed) == ("uniform", 11)
 
     def test_identity_round_trip(self):
-        cfg = _three_slot_config(channels=2, trainable=False)
+        cfg = _three_slot_config(channels=2, identity=True)
         restored = block_from_json(block_to_json(cfg))
         assert np.array_equal(restored.mixing.weights, np.eye(6))
 

@@ -15,7 +15,7 @@ from spinfusion.blocks import (
     uniform_mixing,
 )
 from spinfusion.cli import main
-from spinfusion.diagrams import diagram_to_json, left_comb
+from spinfusion.diagrams import FuseNode, FusionDiagram, LeafNode, diagram_to_json, left_comb
 from spinfusion.model import Model, ModelConfig
 
 
@@ -162,6 +162,37 @@ class TestBlockCheck:
         )
 
 
+    def test_unknown_mixing_key_is_one_error_line(self, tmp_path, capsys):
+        # a mixing has no "trainable" flag: "false" must not read as true
+        path = tmp_path / "block.json"
+        path.write_text(_block_text(trainable="false", scale=2))
+        assert main(["block", "check", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown mixing keys: ['scale', 'trainable']\n"
+
+    @pytest.mark.parametrize(
+        "diagrams",
+        [
+            (left_comb([2, 2], [], 2, slots=[0, 1]), left_comb([2, 2, 2], [2], 2, slots=[0, 1, 2])),
+            # the gated shape: slots (3, 1) and (3, (1, 2)), none of them slot 0
+            (
+                left_comb([0, 2], [], 2, slots=[3, 1]),
+                FusionDiagram(((3, 0), (1, 2), (2, 2)),
+                              FuseNode(LeafNode(3), FuseNode(LeafNode(1), LeafNode(2), 2), 2), 2),
+            ),
+        ],
+        ids=["fusion_shape", "gated_shape"],
+    )
+    def test_two_and_three_leaf_block_passes(self, tmp_path, capsys, diagrams):
+        config = FusionBlockConfig(diagrams, AggregationKind.SUM, uniform_mixing(4, 2, seed=4))
+        path = tmp_path / "block.json"
+        path.write_text(block_to_json(config))
+        assert main(["block", "check", "--config", str(path), "--trials", "3"]) == 0
+        residuals = {r[0]: float(r[1]) for r in _rows(capsys.readouterr().out)[1:]}
+        assert max(residuals.values()) <= 1e-12
+
+
 class TestModelDescribe:
     def test_lists_groups_and_total(self, tmp_path, capsys):
         config = _write_model_config(tmp_path, kind="three_body")
@@ -175,6 +206,17 @@ class TestModelDescribe:
         path.write_text('{"kind": "gated", "bogus": 1}')
         assert main(["model", "describe", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_seed_override(self, tmp_path, capsys):
+        config = _write_model_config(tmp_path, seed=3)
+        assert main(["model", "describe", "--config", config, "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "seed: 7" in out and "seed: 3" not in out
+        # the override is validated like the file's fields
+        assert main(["model", "describe", "--config", config, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed must be an integer >= 0")
+        assert captured.err.count("\n") == 1
 
     def test_invalid_config_value_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -430,6 +472,12 @@ MALFORMED_FILES = [
     ("data.jsonl", _record_text(species=[0.7, 1, 0]), _TRAIN, "data.jsonl:1: species[0]"),
     ("data.jsonl", _record_text(species=[True, 1, 0]), _TRAIN, "data.jsonl:1: species[0]"),
     ("config.json", '{"cutoff": true}', ["model", "describe", "--config"], "cutoff"),
+    ("data.jsonl", _record_text(positions=None), _TRAIN, "data.jsonl:1: positions"),
+    ("data.jsonl", _record_text(positions=[["0", 0.0, 0.0]] * 3), _TRAIN,
+     "data.jsonl:1: positions[0][0]"),
+    ("data.jsonl", _record_text(forces=[0.0, 0.0, 0.0]), _TRAIN, "data.jsonl:1: forces[0]"),
+    ("data.jsonl", _record_text(forces=[[0.0, True, 0.0]] * 3), _TRAIN,
+     "data.jsonl:1: forces[0][1]"),
 ]
 
 
@@ -441,7 +489,8 @@ MALFORMED_FILES = [
          "diagrams_number", "mixing_number", "jsonl_list", "two_J_null", "two_J_list",
          "two_J_float", "two_J_string", "slot_null", "slot_string", "rows_null", "rows_float",
          "rows_bool", "cols_string", "seed_null", "seed_float", "energy_null", "energy_list",
-         "energy_string", "energy_bool", "species_float", "species_bool", "cutoff_bool"],
+         "energy_string", "energy_bool", "species_float", "species_bool", "cutoff_bool",
+         "positions_null", "positions_string", "forces_flat", "forces_bool"],
 )
 def test_malformed_json_file_is_one_error_line(
     tmp_path, capsys, monkeypatch, name, content, command, field

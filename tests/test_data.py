@@ -172,3 +172,19 @@ class TestJsonl:
         path.write_text(json.dumps(record()) + "\n" + json.dumps(broken) + "\n")
         with pytest.raises(ValueError, match=rf"bad\.jsonl:2: non-finite {field}"):
             load_jsonl(str(path))
+
+    @pytest.mark.parametrize("field", ["positions", "forces"])
+    def test_rows_of_three_json_numbers_only(self, tmp_path, field):
+        # a string or bool entry is not read as a number, and a short row
+        # names its record
+        good = {"positions": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "species": [0, 1],
+                "energy": -0.5, "forces": [[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]]}
+        path = tmp_path / "bad.jsonl"
+        for bad, message in (("0", r"\[1\]\[0\] must be a JSON number"),
+                             (True, r"\[1\]\[0\] must be a JSON number"),
+                             (None, r"\[1\] must hold 3 numbers, got 2")):
+            broken = json.loads(json.dumps(good))
+            broken[field][1] = [bad, 0.0, 0.0] if bad is not None else [1.0, 0.0]
+            path.write_text(json.dumps(good) + "\n" + json.dumps(broken) + "\n")
+            with pytest.raises(ValueError, match=rf"bad\.jsonl:2: {field}{message}"):
+                load_jsonl(str(path))

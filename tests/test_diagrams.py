@@ -272,17 +272,17 @@ class TestRecouple:
         with pytest.raises(RecouplingError):
             check_lowering(family, targets[::-1], U)
 
-    def test_wrong_constant_raises(self):
-        # (x_1 ⊗ c)_1 with c a constant spin-0 leaf is c·CG(1, 0, 1) times
-        # x_1, the one-leaf target; a wrong constant, or none, is caught
-        d = left_comb([2, 0], [], 2)
-        target = FusionDiagram(((0, 2),), LeafNode(0), 2)
-        c = 0.3
-        U = np.array([[c * cg_tensor(2, 0, 2).coeffs[0, 0, 0]]])
-        check_lowering([d], [target], U, {(1, 0): np.array([c])})
-        for constants in ({(1, 0): np.array([c * (1 + 1e-9)])}, {(1, 0): np.array([-c])}, None):
-            with pytest.raises(RecouplingError):
-                check_lowering([d], [target], U, constants)
+    def test_a_target_counts_only_with_the_diagrams_leaves(self):
+        # (x ⊗ y)_k = (-1)^(jx + jy - k) (y ⊗ x)_k, but the exchanged
+        # diagram lists its leaves in another order, so even with the right
+        # sign it is a target of other inputs; the diagram itself passes
+        d = left_comb([2, 4], [], 4, slots=[0, 1])
+        exchanged = FusionDiagram(
+            ((1, 4), (0, 2)), FuseNode(LeafNode(1), LeafNode(0), 4), 4
+        )
+        check_lowering([d], [d], np.eye(1))
+        with pytest.raises(RecouplingError, match="other inputs"):
+            check_lowering([d], [exchanged], np.array([[-1.0]]))
 
 
 class TestContract:

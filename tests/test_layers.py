@@ -9,7 +9,7 @@ from spinfusion import autodiff as ad
 from spinfusion import layers
 from spinfusion.blocks import AggregationKind, FusionBlockConfig, apply, identity_mixing
 from spinfusion.diagrams import FuseNode, FusionDiagram, LeafNode, contract, left_comb, validate
-from spinfusion.errors import EmptySchedule, RecouplingError
+from spinfusion.errors import EmptySchedule
 from spinfusion.features import taped_distances, taped_edge_harmonics, taped_radial_basis
 from spinfusion.geometry import PointCloud, build_neighborhood, edge_index
 from spinfusion.irreps import Activation
@@ -621,17 +621,19 @@ class TestRecoupledTape:
 
     def _edge_row_products(self, monkeypatch, kind):
         """The per-edge products of a 2-layer model's forward with a
-        harmonic factor: each must read a neighbor and a spin-1 harmonic,
-        once per layer.  Every other per-edge product is one by the gate."""
+        harmonic operand: each must read a neighbor and a spin-1 harmonic,
+        once per layer.  Every other per-edge product is one by the gate,
+        its left factor."""
         src, _, _, _ = self._forward_calls(monkeypatch, kind=kind)
         pairs = []
         for x, y, shape in self.operands:
             if shape[0] != len(src):
                 continue
-            assert len(x.shape) == 3
-            if y.shape != (len(src), 1, 6):  # not the spin-0 gate
-                assert y.shape == (len(src), 3)  # neighbor ⊗ Y1
+            if len(y.shape) == 2:  # a channel-less harmonic
+                assert len(x.shape) == 3 and y.shape == (len(src), 3)  # neighbor ⊗ Y1
                 pairs.append((x.id, y.id, shape[1]))
+            else:
+                assert x.shape == (len(src), 1, 6)  # the spin-0 gate
         assert len(set(pairs)) == len(pairs)
         return len(pairs)
 
@@ -639,7 +641,7 @@ class TestRecoupledTape:
         # each (neighbor ⊗ harmonic)_k with a spin-1 harmonic, once per
         # layer: (h0 ⊗ Y1)_1 in layer 0; (h0 ⊗ Y1)_1, (h1 ⊗ Y1)_0 and (h1 ⊗
         # Y1)_1 in layer 1.  The gated term shares the fusion term's T and
-        # Y^0_0 is folded into the mixing, so no product reads a spin-0
+        # no diagram has a Y^0_0 leaf, so no product reads a spin-0
         # harmonic (it was 2 + 2 gated products and 2 + 5 of T, 11)
         assert self._edge_row_products(monkeypatch, "fused") == 4
 
@@ -732,23 +734,22 @@ class TestLowering:
                         assert (c.center, c.atom, c.edge) == (c.diagrams, (), ())
                         assert c.mixing is None
                 gated = lowered["gated"]
-                # one per-edge target per diagram, times the gate (slot 3) at
-                # the root
+                # the per-edge targets are the gated diagrams as built, each
+                # the gate (slot 3), the root's left leaf, times the rest
                 assert (gated.center, gated.atom) == ((), ())
-                assert len(gated.edge) == len(gated.diagrams)
-                assert not hasattr(gated, "gate")
+                assert gated.edge == gated.diagrams and gated.mixing is None
                 for t in gated.edge:
-                    assert t.leaves[-1] == (3, 0) and t.tree.right == LeafNode(3)
+                    assert t.leaves[0] == (3, 0) and t.tree.left == LeafNode(3)
                     assert [slot for slot, _ in t.leaves].count(3) == 1
                 fusion = lowered["fusion"]
                 assert fusion.atom and not fusion.center and not fusion.edge
                 for t in fusion.atom:
                     assert t.tree.left == LeafNode(0)
                     # T = (neighbor ⊗ harmonic)_k', or the neighbor alone
-                    # where the harmonic was the constant Y^0_0
+                    # where the harmonic spin is 0
                     assert [slot for slot, _ in t.leaves] in ([0, 1, 2], [0, 1])
-                for t in gated.edge + fusion.atom:  # no Y^0_0
-                    assert (2, 0) not in t.leaves
+                for d in gated.diagrams + gated.edge + fusion.diagrams + fusion.atom:
+                    assert (2, 0) not in d.leaves  # no Y^0_0
 
     def test_both_executors_bind_one_slot_table(self, monkeypatch):
         # slots 0 center, 1 neighbor, 2 harmonic, 3 gate: every table leaf
@@ -783,7 +784,7 @@ class TestLowering:
 
     @pytest.mark.parametrize("j_max", [1, 2])
     def test_gated_products_are_the_fusion_terms_T(self, j_max):
-        # the gated term's per-edge products, the gate's left factor, key
+        # the gated term's per-edge products, the gate's right factor, key
         # the same memo entries as the fusion term's T at the same output
         # spin, so they run once
         model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=j_max, seed=2))
@@ -792,7 +793,7 @@ class TestLowering:
             for two_l in layer.recoupled:
                 lowered = _terms(layer, two_l)
                 gated = {
-                    _subtree_key(t.tree.left, iter(t.leaves[:-1])) for t in lowered["gated"].edge
+                    _subtree_key(t.tree.right, iter(t.leaves[1:])) for t in lowered["gated"].edge
                 }
                 fusion_T = {
                     _subtree_key(t.tree.right, iter(t.leaves[1:])) for t in lowered["fusion"].atom
@@ -802,25 +803,22 @@ class TestLowering:
                 shared += len(products)
         assert shared
 
-    @pytest.mark.parametrize("factor", [1 + 1e-9, -1.0], ids=["off_by_1e-9", "sign"])
-    def test_build_time_check_catches_a_perturbed_rewrite(self, monkeypatch, factor):
-        # one U entry, that of the first gated diagram at spin 1, off: the
-        # lowering's check against the tables' dense maps rejects the layer
-        rewrite = layers._rewrite_legs
-        gated_tree = FuseNode(LeafNode(2), FuseNode(LeafNode(1), LeafNode(3), 2), 2)
-        perturbed_once = []
-
-        def perturbed(node, leaf_iter):
-            tree, leaves, two_j, weight = rewrite(node, leaf_iter)
-            if node == gated_tree and not perturbed_once:
-                perturbed_once.append(node)
-                weight *= factor
-            return tree, leaves, two_j, weight
-
-        init_interaction_layer((0, 2), 1, 3, 4, 8, True, 2, "L")  # as built, it passes
-        monkeypatch.setattr(layers, "_rewrite_legs", perturbed)
-        with pytest.raises(RecouplingError):
-            init_interaction_layer((0, 2), 1, 3, 4, 8, True, 2, "L")
+    @pytest.mark.parametrize("j_max", [1, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_tables_are_built_in_the_form_they_run(self, n_layers, j_max):
+        # no interaction diagram reads the constant Y^0_0 harmonic, and
+        # every collection's mixing is kron(U, I_tau) or None, never a
+        # per-row scale
+        for kind in ("gated", "fused", "three_body"):
+            config = ModelConfig(kind=kind, n_layers=n_layers, tau=2, j_max=j_max,
+                                 radial_channels=3, hidden=4, seed=2)
+            for layer in Model(config).layers:
+                for group in layer.recoupled.values():
+                    for c in group:
+                        assert c.mixing is None or c.mixing.ndim == 2
+                        if kind != "three_body":
+                            for d in c.diagrams + c.center + c.atom + c.edge:
+                                assert (2, 0) not in d.leaves
 
     def test_dense_chains_and_first_stages_stay_per_edge(self):
         schedule = SpinSchedule("dense", (0, 2))
