@@ -46,8 +46,9 @@ The interaction layer's tables are built in the form they run, so
 ``recouple`` is its only lowering: the gate is the root's left leaf of
 each gated diagram, (g ⊗ (h_b ⊗ Y_a)_l)_l, whose (neighbor ⊗ harmonic)
 pair is the fusion term's T, and no diagram reads the constant Y^0_0
-harmonic.  Each (neighbor, harmonic, k) product runs once per edge and
-layer.
+harmonic; that constant and the exchange sign are the diagrams' fixed
+path weights.  Each (neighbor, harmonic, k) product runs once per edge
+and layer.
 
 So each edge's contribution is summed over the neighborhood as early as
 the tree allows, and the center is gathered to the edges only for a target
@@ -70,7 +71,7 @@ from .blocks import FusionBlockConfig, MixingMatrix, apply as block_apply
 from .cg import cg_tensor
 from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb, recouple
 from .errors import EmptySchedule
-from .features import EdgeFeature
+from .features import _Y00, EdgeFeature
 from .geometry import Neighborhood, PointCloud
 from .irreps import Activation
 from .spins import admissible
@@ -254,12 +255,16 @@ class RecoupledCollection:
       and is summed over each atom's edges, then coupled with the center;
     * ``edge``: every other target; it runs per edge and is then summed.
 
-    ``mixing`` is kron(U, I_tau), U's rows in ``center + atom + edge`` order:
-    it maps the targets' concatenated outputs onto the diagrams', diagram by
-    diagram.  It is ``None`` where it would be the identity, when the
-    targets are the diagrams, in order (the self, pair and gated terms and
-    a dense block's chains).  ``weight`` is the weight-table key of the one
-    matrix that mixes the diagrams' concatenated outputs to tau channels.
+    ``weight`` is the weight-table key of the one matrix that mixes the
+    diagrams' concatenated outputs to tau channels.  ``path_weights``
+    scales its rows: each diagram's fixed path weight, repeated over its
+    tau rows, as a column (the interaction layer's, see
+    ``_term_diagrams``); ``None`` where every path weight is 1.  ``mixing``
+    is kron(U diag(path weights), I_tau), U's rows in ``center + atom +
+    edge`` order: it maps the targets' concatenated outputs onto the
+    diagrams', diagram by diagram, path weights included.  It is ``None``
+    where U is the identity, when the targets are the diagrams, in order
+    (the self, pair and gated terms and a dense block's chains).
     """
 
     diagrams: tuple[FusionDiagram, ...]
@@ -268,6 +273,7 @@ class RecoupledCollection:
     edge: tuple[FusionDiagram, ...]
     mixing: np.ndarray | None
     weight: str
+    path_weights: np.ndarray | None
 
 
 def _target_group(target: FusionDiagram) -> int:
@@ -281,21 +287,31 @@ def _target_group(target: FusionDiagram) -> int:
     return 2
 
 
-def recoupled_collection(diagrams, tau: int, weight: str) -> RecoupledCollection:
+def recoupled_collection(
+    diagrams, tau: int, weight: str, path_weights=None
+) -> RecoupledCollection:
     """Lower one collection: ``diagrams.recouple``, then the targets grouped
-    (``RecoupledCollection``)."""
+    (``RecoupledCollection``); ``path_weights``, one per diagram, default
+    to 1."""
     targets, U = recouple(diagrams)
     groups: tuple[list, list, list] = ([], [], [])
     for row, target in enumerate(targets):
         groups[_target_group(target)].append(row)
     order = [row for group in groups for row in group]
     U = U[order]
+    if path_weights is None or set(path_weights) == {1.0}:
+        path_weights = None
+    elif not np.array_equal(U, np.eye(len(U))):
+        U = U * np.array(path_weights)
     mixing = None if np.array_equal(U, np.eye(len(U))) else np.kron(U, np.eye(tau))
+    if path_weights is not None:
+        path_weights = np.repeat(path_weights, tau)[:, None]
     return RecoupledCollection(
         tuple(diagrams),
         *(tuple(targets[row] for row in group) for group in groups),
         mixing,
         weight,
+        path_weights,
     )
 
 
@@ -305,13 +321,16 @@ def apply_collections(
     weights: dict[str, np.ndarray],
 ) -> Activation:
     """Eager executor: per output spin, the sum of the collections, each run
-    as built through ``blocks.apply`` with its weight as the block's
-    mixing.  ``inputs`` binds the layer's slots for one atom (see
+    as built through ``blocks.apply`` with its path-weighted weight as the
+    block's mixing.  ``inputs`` binds the layer's slots for one atom (see
     ``blocks.apply``)."""
     parts: dict[int, np.ndarray] = {}
     for two_J, group in collections.items():
         for c in group:
-            block = FusionBlockConfig(c.diagrams, mixing=MixingMatrix(weights[c.weight]))
+            weight = weights[c.weight]
+            if c.path_weights is not None:
+                weight = c.path_weights * weight
+            block = FusionBlockConfig(c.diagrams, mixing=MixingMatrix(weight))
             value = block_apply(block, inputs).data
             parts[two_J] = value if two_J not in parts else parts[two_J] + value
     return Activation(parts)
@@ -335,8 +354,8 @@ def taped_collections(
     targets and the atom stages at N rows, next to each distinct T summed
     over ``src``; the per-edge subtrees at E rows.  The center is gathered
     to the edges only when an edge target reads it.  A collection's
-    ``mixing`` is composed with its weight in weight space, so its
-    concatenated targets are mixed by one product.
+    ``mixing``, or else its ``path_weights``, is composed with its weight
+    in weight space, so its concatenated targets are mixed by one product.
     """
     center = leaves[0]
     n_atoms = center[0].shape[0]
@@ -365,8 +384,10 @@ def taped_collections(
                 )
                 chunks.append(ad.index_add(tape, per_edge, src, n_atoms))
             mixing = weights[c.weight]
-            if c.mixing is not None:
+            if c.mixing is not None:  # path weights included
                 mixing = ad.channel_mix(tape, tape.constant(c.mixing), mixing)
+            elif c.path_weights is not None:
+                mixing = ad.scale(tape, mixing, c.path_weights)
             value = ad.channel_mix(tape, ad.concat(tape, chunks, axis=2), mixing)
             out[two_J] = value if two_J not in out else ad.add(tape, out[two_J], value)
     return out
@@ -426,7 +447,7 @@ class InteractionParams(LayerParams):
     a term's concatenated diagram outputs to tau channels, and the fusion
     block's ``fusion_mix/{2l}`` mixes its own.  No diagram reads the
     constant Y^0_0 harmonic: its factor, like the sign of a leaf exchange,
-    is part of the weight rows of the diagram that would read it.  The
+    is the fixed path weight of the diagram that would read it.  The
     terms are lowered by ``recouple``: self and pair center-only; gated
     per edge, as built, (gate ⊗ (neighbor ⊗ harmonic)_l)_l or (gate ⊗
     neighbor)_l; fusion as (center ⊗ T)_l with T = (neighbor ⊗
@@ -451,29 +472,37 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
     the output spin, lexicographic in (2ji, 2jj, 2k, 2jy).  No diagram has
     a Y^0_0 leaf, a constant: where a = 0 or y = 0 the diagram is the
     two-leaf (g ⊗ h_b)_l or (h_i ⊗ h_j)_l.
+
+    Each term is (diagrams, path weights): a diagram's path weight is the
+    fixed factor that makes it the harmonic-first diagram it stands for,
+    (Y_a ⊗ (h_b ⊗ g)_b)_l or ((h_i ⊗ h_j)_k ⊗ Y_y)_l.  That is Y^0_0 where
+    a = 0 or y = 0 (a spin-0 CG vertex is the identity), the exchange sign
+    (-1)^(ja+jb-l) of (Y_a ⊗ h_b)_l = ± (h_b ⊗ Y_a)_l for the other gated
+    diagrams, and 1 for the rest.
     """
 
     def gated(two_ja, two_jb):
         if two_ja == 0:
-            return left_comb([0, two_jb], [], two_l, slots=[_GATE, _NEIGHBOR])
+            return left_comb([0, two_jb], [], two_l, slots=[_GATE, _NEIGHBOR]), _Y00
         pair = FuseNode(LeafNode(_NEIGHBOR), LeafNode(_HARMONIC), two_l)
         leaves = ((_GATE, 0), (_NEIGHBOR, two_jb), (_HARMONIC, two_ja))
-        return FusionDiagram(leaves, FuseNode(LeafNode(_GATE), pair, two_l), two_l)
+        sign = -1.0 if (two_ja + two_jb - two_l) // 2 % 2 else 1.0
+        return FusionDiagram(leaves, FuseNode(LeafNode(_GATE), pair, two_l), two_l), sign
 
     def fusion(two_ji, two_jj, two_k, two_jy):
         if two_jy == 0:  # then k = l
-            return left_comb([two_ji, two_jj], [], two_l, slots=[0, _NEIGHBOR])
+            return left_comb([two_ji, two_jj], [], two_l, slots=[0, _NEIGHBOR]), _Y00
         spins = [two_ji, two_jj, two_jy]
-        return left_comb(spins, [two_k], two_l, slots=[0, _NEIGHBOR, _HARMONIC])
+        return left_comb(spins, [two_k], two_l, slots=[0, _NEIGHBOR, _HARMONIC]), 1.0
 
     terms = {
         "self": (
-            (FusionDiagram(((0, two_l),), LeafNode(0), two_l),)
+            ((FusionDiagram(((0, two_l),), LeafNode(0), two_l), 1.0),)
             if two_l in input_spins
             else ()
         ),
         "pair": tuple(
-            left_comb([two_ja, two_jb], [], two_l, slots=[0, 0])
+            (left_comb([two_ja, two_jb], [], two_l, slots=[0, 0]), 1.0)
             for two_ja in input_spins
             for two_jb in input_spins
             if admissible(two_ja, two_jb, two_l)
@@ -493,7 +522,7 @@ def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
             if fused and admissible(two_k, two_jy, two_l)
         ),
     }
-    return {term: diagrams for term, diagrams in terms.items() if diagrams}
+    return {term: tuple(zip(*paths)) for term, paths in terms.items() if paths}
 
 
 def init_interaction_layer(
@@ -515,19 +544,21 @@ def init_interaction_layer(
     params.weights["gate/b_out"] = np.zeros(tau)
     for two_l in edge_spins:
         lowered = []
-        for term, diagrams in _term_diagrams(input_spins, edge_spins, two_l, fused).items():
+        terms = _term_diagrams(input_spins, edge_spins, two_l, fused)
+        for term, (diagrams, path_weights) in terms.items():
             key = f"fusion_mix/{two_l}" if term == "fusion" else f"vertex/{two_l}/{term}"
             params.add_seeded(key, (len(diagrams) * tau, tau), seed, name)
-            lowered.append(recoupled_collection(diagrams, tau, key))
+            lowered.append(recoupled_collection(diagrams, tau, key, path_weights))
         params.recoupled[two_l] = tuple(lowered)
     return params
 
 
 def _broadcast_harmonics(edge: EdgeFeature, tau: int) -> Activation:
-    """Single-channel harmonics repeated across tau channels."""
+    """Single-channel harmonics repeated across tau channels, spin 0 (the
+    constant Y^0_0, which no diagram reads) left out."""
     return Activation(
         {two_j: np.repeat(edge.harmonics.part(two_j), tau, axis=1)
-         for two_j in edge.harmonics.spins}
+         for two_j in edge.harmonics.spins if two_j}
     )
 
 

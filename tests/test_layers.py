@@ -10,7 +10,7 @@ from spinfusion import layers
 from spinfusion.blocks import AggregationKind, FusionBlockConfig, apply, identity_mixing
 from spinfusion.diagrams import FuseNode, FusionDiagram, LeafNode, contract, left_comb, validate
 from spinfusion.errors import EmptySchedule
-from spinfusion.features import taped_distances, taped_edge_harmonics, taped_radial_basis
+from spinfusion.features import _Y00, taped_distances, taped_edge_harmonics, taped_radial_basis
 from spinfusion.geometry import PointCloud, build_neighborhood, edge_index
 from spinfusion.irreps import Activation
 from spinfusion.layers import (
@@ -727,17 +727,32 @@ class TestLowering:
                 assert len(lowered) == len(layer.recoupled[two_l])
                 assert list(lowered) == list(table)
                 for term, c in lowered.items():
-                    assert c.diagrams == table[term]
+                    diagrams, path_weights = table[term]
+                    assert c.diagrams == diagrams
+                    if c.path_weights is None:
+                        assert set(path_weights) == {1.0}
+                    else:
+                        assert np.array_equal(c.path_weights[::3, 0], path_weights)
+                        assert np.array_equal(c.path_weights, np.repeat(path_weights, 3)[:, None])
                 for term in ("self", "pair"):
                     if term in lowered:
                         c = lowered[term]
                         assert (c.center, c.atom, c.edge) == (c.diagrams, (), ())
                         assert c.mixing is None
+                    assert c.path_weights is None
                 gated = lowered["gated"]
                 # the per-edge targets are the gated diagrams as built, each
-                # the gate (slot 3), the root's left leaf, times the rest
+                # the gate (slot 3), the root's left leaf, times the rest;
+                # the path weights are Y^0_0 where the harmonic spin is 0,
+                # else the exchange sign
                 assert (gated.center, gated.atom) == ((), ())
                 assert gated.edge == gated.diagrams and gated.mixing is None
+                for d, w in zip(gated.diagrams, table["gated"][1]):
+                    if len(d.leaves) == 2:  # (g ⊗ h_b)_l
+                        assert w == _Y00
+                    else:
+                        (_, two_jb), (_, two_ja) = d.leaves[1:]
+                        assert w == (-1.0) ** ((two_ja + two_jb - two_l) // 2)
                 for t in gated.edge:
                     assert t.leaves[0] == (3, 0) and t.tree.left == LeafNode(3)
                     assert [slot for slot, _ in t.leaves].count(3) == 1
@@ -750,6 +765,41 @@ class TestLowering:
                     assert [slot for slot, _ in t.leaves] in ([0, 1, 2], [0, 1])
                 for d in gated.diagrams + gated.edge + fusion.diagrams + fusion.atom:
                     assert (2, 0) not in d.leaves  # no Y^0_0
+
+    def test_path_weights_make_the_harmonic_first_diagrams(self):
+        # each gated and fusion diagram times its path weight is the
+        # diagram it stands for, which reads the harmonic first and the
+        # constant Y^0_0 as a leaf: (Y_a ⊗ (h_b ⊗ g)_b)_l and ((h_i ⊗
+        # h_j)_k ⊗ Y_y)_l, on random inputs
+        rng = np.random.default_rng(6)
+
+        def act(spins):
+            return Activation({s: rng.normal(size=(s + 1, 2)) + 1j * rng.normal(size=(s + 1, 2))
+                               for s in spins})
+
+        harmonics = act((2, 4))
+        harmonics = Activation({0: np.full((1, 2), _Y00), **{s: harmonics.part(s) for s in (2, 4)}})
+        inputs = [act((0, 2, 4)), act((0, 2, 4)), harmonics, act((0,))]
+        seen = set()
+        for two_l in (0, 2, 4):
+            table = layers._term_diagrams((0, 2, 4), (0, 2, 4), two_l, True)
+            for term in ("gated", "fusion"):
+                for d, w in zip(*table[term]):
+                    if term == "gated":
+                        two_jb = d.leaves[1][1]
+                        two_ja = d.leaves[2][1] if len(d.leaves) == 3 else 0
+                        tree = FuseNode(
+                            LeafNode(2), FuseNode(LeafNode(1), LeafNode(3), two_jb), two_l
+                        )
+                        old = FusionDiagram(((2, two_ja), (1, two_jb), (3, 0)), tree, two_l)
+                    else:
+                        spins = [two_j for _, two_j in d.leaves] + [0] * (len(d.leaves) == 2)
+                        two_k = d.tree.left.two_k if len(d.leaves) == 3 else two_l
+                        old = left_comb(spins, [two_k], two_l, slots=[0, 1, 2])
+                    want = contract(old, inputs).data
+                    assert np.max(np.abs(w * contract(d, inputs).data - want)) < 1e-13
+                    seen.add(w)
+        assert seen == {1.0, -1.0, _Y00}
 
     def test_both_executors_bind_one_slot_table(self, monkeypatch):
         # slots 0 center, 1 neighbor, 2 harmonic, 3 gate: every table leaf
