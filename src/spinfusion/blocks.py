@@ -31,7 +31,6 @@ __all__ = [
     "identity_mixing",
     "uniform_mixing",
     "apply",
-    "output_channel_count",
     "block_to_json",
     "block_from_json",
 ]
@@ -100,11 +99,6 @@ class FusionBlockConfig:
     def slots(self) -> tuple[int, ...]:
         """Every slot a diagram reads, ascending."""
         return tuple(sorted({slot for d in self.diagrams for slot in d.slots}))
-
-
-def output_channel_count(cfg: FusionBlockConfig) -> int:
-    """Concatenated channel count before mixing: |diagrams| x input channels."""
-    return int(cfg.mixing.weights.shape[0])
 
 
 def _entry_channels(entry) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RejectionFailure, ShapeMismatch, check_json, check_json_number
+from .errors import RejectionFailure, ShapeMismatch, check_integers, check_json, check_json_number
 from .potentials import potential_energy_forces
 
 __all__ = ["Sample", "generate_dataset", "save_jsonl", "load_jsonl"]
@@ -34,7 +34,7 @@ class Sample:
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
-        species = np.asarray(self.species, dtype=int)
+        species = check_integers(self.species, "species")
         forces = np.asarray(self.forces, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ShapeMismatch(f"positions must be (n_atoms, 3), got {positions.shape}")
@@ -166,7 +166,7 @@ def load_jsonl(path: str) -> list[Sample]:
                 check_json_number(label, f"{where}: species[{i}]", integer=True)
             sample = Sample(
                 _json_rows(record["positions"], f"{where}: positions"),
-                np.asarray(species, dtype=int),
+                species,
                 check_json_number(record["energy"], f"{where}: energy"),
                 _json_rows(record["forces"], f"{where}: forces"),
             )

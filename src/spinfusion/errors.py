@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the JSON shape and
-number checks of its file readers."""
+"""Exception types shared across the package, the JSON shape and number
+checks of its file readers, and the integer check of its label arrays."""
 
 import json
 import numbers
+
+import numpy as np
 
 
 class SpinFusionError(Exception):
@@ -72,3 +74,15 @@ def check_json_number(value, what: str, integer: bool = False):
         shown = json.dumps(value, default=repr)[:40]
         raise ValueError(f"{what} must be a JSON {expected}, got {shown}")
     return value
+
+
+def check_integers(values, what: str) -> np.ndarray:
+    """``values`` as an int array if every entry is an integer (an
+    integer-valued float included), else ValueError naming ``what``: a bare
+    cast would truncate 1.9 to 1 without a word."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu" or (
+        array.dtype.kind == "f" and np.all((np.abs(array) < 2.0**63) & (array == np.trunc(array)))
+    ):
+        return array.astype(int)
+    raise ValueError(f"{what} must be integers, got {array.ravel()[:6].tolist()}")

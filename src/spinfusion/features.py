@@ -40,7 +40,8 @@ class EdgeFeature:
     """One edge's layer-independent inputs, which each layer weights itself.
 
     ``harmonics``: the single-channel spherical harmonics of the unit
-    displacement, part[m, 0] = Y^j_m, spins 0..j_max.
+    displacement, part[m, 0] = Y^j_m, spins 1..j_max (Y^0 is the constant
+    ``_Y00``, which the layers fold into fixed factors).
     ``basis``: the radial basis row (with envelope).
     """
 
@@ -120,14 +121,15 @@ def _chain_tensor(two_j: int) -> np.ndarray:
 def taped_edge_harmonics(
     tape: ad.Tape, displacements: ad.Node, distances: ad.Node, j_max: int
 ) -> dict[int, ad.Node]:
-    """Spin -> (E, 2j+1) spherical-harmonic nodes for integer j <= j_max.
+    """Spin -> (E, 2j+1) spherical-harmonic nodes for integer 1 <= j <=
+    j_max, ``{}`` at j_max 0: Y^0 is the constant ``_Y00``, not a node.
 
     A fusion chain of Y^1, recorded with ordinary primitives so that every
-    order of position derivative is exact: Y^0 is a constant, Y^1 the unit
-    displacement (divided by the (E, 1) ``taped_distances``) times a fixed
-    matrix, and each higher spin one ``einsum3`` of Y^1 with the spin below.
+    order of position derivative is exact: Y^1 is the unit displacement
+    (divided by the (E, 1) ``taped_distances``) times a fixed matrix, and
+    each higher spin one ``einsum3`` of Y^1 with the spin below.
     """
-    harmonics = {0: tape.constant(np.full((displacements.shape[0], 1), _Y00, dtype=complex))}
+    harmonics: dict[int, ad.Node] = {}
     if j_max == 0:
         return harmonics
     unit = ad.div(tape, displacements, distances)
@@ -153,7 +155,7 @@ def edge_features(
         raise ZeroVector("coincident atoms give zero-length edges")
     basis = radial_basis(lengths, nbr.cutoff, radial_channels)
     harmonic_values = {
-        2 * j: sph_values(displacements, 2 * j) for j in range(j_max + 1)
+        2 * j: sph_values(displacements, 2 * j) for j in range(1, j_max + 1)
     }
     for e, (o, i) in enumerate(zip(src, dst)):
         features[(int(o), int(i))] = EdgeFeature(

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integers
+
 __all__ = ["PointCloud", "Neighborhood", "build_neighborhood", "edge_index"]
 
 # the 27 cell offsets (dx, dy, dz) of a cell and its neighbors
@@ -42,7 +44,7 @@ class PointCloud:
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
-        species = np.asarray(self.species, dtype=int)
+        species = check_integers(self.species, "species")
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {positions.shape}")
         if positions.shape[0] < 1:

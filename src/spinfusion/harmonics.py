@@ -26,10 +26,9 @@ import math
 import numpy as np
 
 from .errors import ZeroVector
-from .irreps import IrrepVector
-from .spins import Spin, dim
+from .spins import dim
 
-__all__ = ["spherical_harmonics", "sph_values", "sph_jacobian"]
+__all__ = ["sph_values", "sph_jacobian"]
 
 _MIN_LENGTH = 1e-12  # shorter vectors have no direction (coincident atoms)
 
@@ -118,13 +117,3 @@ def sph_jacobian(x: np.ndarray, two_j: int) -> np.ndarray:
     # Chain through u = x / |x|:  du_a/dx_k = (delta_ak - u_a u_k) / |x|.
     proj = (np.eye(3) - u[..., :, None] * u[..., None, :]) / norms[..., None, None]
     return np.einsum("...ma,...ak->...mk", grad_u, proj)
-
-
-def spherical_harmonics(x, j_max: Spin | int) -> list[IrrepVector]:
-    """Unit-channel irrep vectors [Y^0, Y^1, ..., Y^{j_max}] of one 3-vector."""
-    two_j_max = j_max.twice_j if isinstance(j_max, Spin) else int(j_max)
-    x = np.asarray(x, dtype=float).reshape(3)
-    return [
-        IrrepVector(Spin(two_j), sph_values(x, two_j)[:, None])
-        for two_j in range(0, two_j_max + 1, 2)
-    ]

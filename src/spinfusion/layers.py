@@ -7,8 +7,8 @@ Two layer families:
   (``gated``); the "fused" kind adds one fusion block of three-leaf
   diagrams per output spin.  Every term is a fusion-diagram collection (the
   self term a one-leaf diagram) mixed to tau channels by its own weight,
-  and the mixed terms are summed in fixed order, so zeroing the fusion
-  blocks' mixings reproduces the gated layer bit for bit.
+  and the mixed terms are summed, so zeroing the fusion blocks' mixings
+  reproduces the gated layer.
 
 * the three-body update — for every output spin J, a fusion block whose
   three slots are (center activation, edge feature, neighbor activation) is
@@ -18,9 +18,9 @@ Two layer families:
   no reshaping layer is needed), followed by one trainable mixing over the
   concatenated channel axis.
 
-Each layer is a ``LayerParams``: one table of diagram collections keyed by
-output spin, each lowered for the taped executor and naming the one weight
-that mixes it, and one weight table, ``weights``, keyed by the parameter's
+Each layer is a ``LayerParams``: one ``SpinTable`` per output spin (its
+diagram collections, each naming the one weight that mixes it, and their
+one lowering), and one weight table, ``weights``, keyed by the parameter's
 name within the layer (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``,
 ...), all built once at init.  A model lists the weight tables under the
 layer's name; that is all it knows of them.  Every collection reads one
@@ -31,7 +31,7 @@ Both executors run the same collections and weights.  The per-atom one
 (``interaction_layer``, ``three_body_forward``), the eager oracle, binds
 the slots once per atom and runs each collection as built through
 ``blocks.apply``.  The taped one (``taped_collections``), vectorized over
-atoms and edges, runs each collection as lowered at init: ``recouple``
+atoms and edges, runs each output spin as lowered at init: ``recouple``
 F-moves each three-leaf diagram ((center ⊗ a)_k ⊗ b)_J into (center ⊗
 T)_J, T = (a ⊗ b)_k' (same span, real matrix U), and every target falls in
 one of three groups by its tree:
@@ -47,15 +47,17 @@ The interaction layer's tables are built in the form they run, so
 each gated diagram, (g ⊗ (h_b ⊗ Y_a)_l)_l, whose (neighbor ⊗ harmonic)
 pair is the fusion term's T, and no diagram reads the constant Y^0_0
 harmonic; that constant and the exchange sign are the diagrams' fixed
-path weights.  Each (neighbor, harmonic, k) product runs once per edge
-and layer.
+path weights.  Each (neighbor, harmonic, k) product runs once per edge and
+layer.
 
 So each edge's contribution is summed over the neighborhood as early as
 the tree allows, and the center is gathered to the edges only for a target
-of the last group that reads it.  The taped executor records each distinct
-subtree once per layer, and only the output spins its caller asks for, the
-spins its consumer reads (spin 0 alone in a model's last layer).  No layer
-call builds a diagram.
+of the last group that reads it.  One fixed matrix per spin, path weights
+included, maps all its targets onto all its diagrams, so the spin's
+collections are mixed by one product.  The taped executor records each
+distinct subtree once per layer, and only the output spins its caller asks
+for, the spins its consumer reads (spin 0 alone in a model's last layer).
+No layer call builds a diagram.
 """
 
 from __future__ import annotations
@@ -243,37 +245,43 @@ def _fuse(tape, left, right, two_k: int, memo) -> tuple[tuple, ad.Node]:
 
 
 @dataclass(frozen=True)
-class RecoupledCollection:
-    """One diagram collection of a layer and its lowering, built at init.
+class Collection:
+    """One diagram collection of a layer, as built: ``weight`` keys the one
+    matrix that mixes the diagrams' concatenated outputs to tau channels,
+    and ``path_weights``, one per diagram, are fixed factors of its rows
+    (see ``_term_diagrams``)."""
 
-    ``diagrams`` is the collection as built, which the eager executor runs.
-    ``diagrams.recouple`` rewrites it into targets that the taped executor
-    runs, each in one group, decided by its tree:
+    diagrams: tuple[FusionDiagram, ...]
+    weight: str
+    path_weights: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class SpinTable:
+    """One output spin of a layer: its collections, summed in order, which
+    the eager executor runs as built, and one lowering of them all.
+
+    ``diagrams.recouple`` rewrites each collection into targets that the
+    taped executor runs, each in one group, decided by its tree:
 
     * ``center``: every leaf is slot 0; contracted at N rows;
     * ``atom``: (center ⊗ T)_J with T over edge slots only; T runs per edge
       and is summed over each atom's edges, then coupled with the center;
     * ``edge``: every other target; it runs per edge and is then summed.
 
-    ``weight`` is the weight-table key of the one matrix that mixes the
-    diagrams' concatenated outputs to tau channels.  ``path_weights``
-    scales its rows: each diagram's fixed path weight, repeated over its
-    tau rows, as a column (the interaction layer's, see
-    ``_term_diagrams``); ``None`` where every path weight is 1.  ``mixing``
-    is kron(U diag(path weights), I_tau), U's rows in ``center + atom +
-    edge`` order: it maps the targets' concatenated outputs onto the
-    diagrams', diagram by diagram, path weights included.  It is ``None``
-    where U is the identity, when the targets are the diagrams, in order
-    (the self, pair and gated terms and a dense block's chains).
+    Each group lists its targets collection by collection.  ``fixed`` is
+    kron(blockdiag_c(U_c diag f_c), I_tau), f_c a collection's path
+    weights, its rows the targets in ``center + atom + edge`` order and its
+    columns the diagrams in collection order: it maps the targets'
+    concatenated outputs onto the diagrams', path weights included.  It
+    is ``None`` where it is the identity.
     """
 
-    diagrams: tuple[FusionDiagram, ...]
+    collections: tuple[Collection, ...]
     center: tuple[FusionDiagram, ...]
     atom: tuple[FusionDiagram, ...]
     edge: tuple[FusionDiagram, ...]
-    mixing: np.ndarray | None
-    weight: str
-    path_weights: np.ndarray | None
+    fixed: np.ndarray | None
 
 
 def _target_group(target: FusionDiagram) -> int:
@@ -287,50 +295,39 @@ def _target_group(target: FusionDiagram) -> int:
     return 2
 
 
-def recoupled_collection(
-    diagrams, tau: int, weight: str, path_weights=None
-) -> RecoupledCollection:
-    """Lower one collection: ``diagrams.recouple``, then the targets grouped
-    (``RecoupledCollection``); ``path_weights``, one per diagram, default
-    to 1."""
-    targets, U = recouple(diagrams)
-    groups: tuple[list, list, list] = ([], [], [])
-    for row, target in enumerate(targets):
-        groups[_target_group(target)].append(row)
-    order = [row for group in groups for row in group]
-    U = U[order]
-    if path_weights is None or set(path_weights) == {1.0}:
-        path_weights = None
-    elif not np.array_equal(U, np.eye(len(U))):
-        U = U * np.array(path_weights)
-    mixing = None if np.array_equal(U, np.eye(len(U))) else np.kron(U, np.eye(tau))
-    if path_weights is not None:
-        path_weights = np.repeat(path_weights, tau)[:, None]
-    return RecoupledCollection(
-        tuple(diagrams),
-        *(tuple(targets[row] for row in group) for group in groups),
-        mixing,
-        weight,
-        path_weights,
+def lower_spin(collections, tau: int) -> SpinTable:
+    """The ``SpinTable`` of one output spin's collections."""
+    collections = tuple(collections)
+    ends = np.cumsum([len(c.diagrams) for c in collections])
+    groups: tuple[list, list, list] = ([], [], [])  # (target, row of fixed)
+    for c, end in zip(collections, ends):
+        targets, U = recouple(c.diagrams)
+        for target, row in zip(targets, U * np.array(c.path_weights)):
+            row = np.pad(row, (end - len(row), ends[-1] - end))
+            groups[_target_group(target)].append((target, row))
+    fixed = np.array([row for group in groups for _, row in group])
+    return SpinTable(
+        collections,
+        *(tuple(target for target, _ in group) for group in groups),
+        None if np.array_equal(fixed, np.eye(ends[-1])) else np.kron(fixed, np.eye(tau)),
     )
 
 
 def apply_collections(
-    collections: dict[int, tuple[RecoupledCollection, ...]],
+    tables: dict[int, SpinTable],
     inputs: list,
     weights: dict[str, np.ndarray],
 ) -> Activation:
-    """Eager executor: per output spin, the sum of the collections, each run
-    as built through ``blocks.apply`` with its path-weighted weight as the
-    block's mixing.  ``inputs`` binds the layer's slots for one atom (see
-    ``blocks.apply``)."""
+    """Eager executor: per output spin, the sum of its collections, each
+    run as built through ``blocks.apply`` with its weight, rows scaled by
+    its path weights, as the block's mixing.  ``inputs`` binds the layer's
+    slots for one atom (see ``blocks.apply``)."""
     parts: dict[int, np.ndarray] = {}
-    for two_J, group in collections.items():
-        for c in group:
+    for two_J, table in tables.items():
+        for c in table.collections:
             weight = weights[c.weight]
-            if c.path_weights is not None:
-                weight = c.path_weights * weight
-            block = FusionBlockConfig(c.diagrams, mixing=MixingMatrix(weight))
+            rows = np.repeat(c.path_weights, len(weight) // len(c.diagrams))[:, None]
+            block = FusionBlockConfig(c.diagrams, mixing=MixingMatrix(rows * weight))
             value = block_apply(block, inputs).data
             parts[two_J] = value if two_J not in parts else parts[two_J] + value
     return Activation(parts)
@@ -338,58 +335,55 @@ def apply_collections(
 
 def taped_collections(
     tape: ad.Tape,
-    collections: dict[int, tuple[RecoupledCollection, ...]],
+    tables: dict[int, SpinTable],
     leaves: list[dict[int, ad.Node]],
     src: np.ndarray,
     weights: dict[str, ad.Node],
     output_spins: tuple[int, ...],
 ) -> dict[int, ad.Node]:
-    """Taped executor: per output spin in ``output_spins``, the sum of the
-    collections, each lowered (see ``RecoupledCollection``) and mixed.
+    """Taped executor: each output spin in ``output_spins`` as lowered (see
+    ``SpinTable``), its targets mixed by one product.
 
     ``leaves[slot][two_j]`` are the layer's slots, the same table that the
     eager executor binds: slot 0 the center atom (N rows), the others per
     edge (E rows), ``src`` each edge's atom.  One memo per row count, so
     each distinct subtree is recorded once per layer: the center-only
     targets and the atom stages at N rows, next to each distinct T summed
-    over ``src``; the per-edge subtrees at E rows.  The center is gathered
-    to the edges only when an edge target reads it.  A collection's
-    ``mixing``, or else its ``path_weights``, is composed with its weight
-    in weight space, so its concatenated targets are mixed by one product.
+    over ``src``; the per-edge subtrees at E rows, summed by one
+    ``index_add`` per spin.  The center is gathered to the edges only when
+    an edge target reads it.  The collections' weights are stacked and
+    composed with ``fixed`` in weight space, so each spin's concatenated
+    targets are mixed by one product.
     """
     center = leaves[0]
     n_atoms = center[0].shape[0]
-    wanted = {two_J: group for two_J, group in collections.items() if two_J in output_spins}
+    wanted = {two_J: table for two_J, table in tables.items() if two_J in output_spins}
     edge_leaves = [None, *leaves[1:]]
-    if any(0 in d.slots for group in wanted.values() for c in group for d in c.edge):
+    if any(0 in d.slots for table in wanted.values() for d in table.edge):
         edge_leaves[0] = {two_j: ad.gather(tape, node, src) for two_j, node in center.items()}
     atom_memo: dict[tuple, ad.Node] = {}
     edge_memo: dict[tuple, ad.Node] = {}
     out: dict[int, ad.Node] = {}
-    for two_J, group in wanted.items():
-        for c in group:
-            chunks = taped_diagrams(tape, c.center, leaves, atom_memo)
-            for d in c.atom:
-                leaf, t_leaves = d.leaves[0], iter(d.leaves[1:])
-                key, t = _emit_diagram(tape, d.tree.right, t_leaves, edge_leaves, edge_memo)
-                if key not in atom_memo:  # T's key has no slot 0, so no center key equals it
-                    atom_memo[key] = ad.index_add(tape, t, src, n_atoms)
-                _, product = _fuse(
-                    tape, (leaf, center[leaf[1]]), (key, atom_memo[key]), two_J, atom_memo
-                )
-                chunks.append(product)
-            if c.edge:
-                per_edge = ad.concat(
-                    tape, taped_diagrams(tape, c.edge, edge_leaves, edge_memo), axis=2
-                )
-                chunks.append(ad.index_add(tape, per_edge, src, n_atoms))
-            mixing = weights[c.weight]
-            if c.mixing is not None:  # path weights included
-                mixing = ad.channel_mix(tape, tape.constant(c.mixing), mixing)
-            elif c.path_weights is not None:
-                mixing = ad.scale(tape, mixing, c.path_weights)
-            value = ad.channel_mix(tape, ad.concat(tape, chunks, axis=2), mixing)
-            out[two_J] = value if two_J not in out else ad.add(tape, out[two_J], value)
+    for two_J, table in wanted.items():
+        chunks = taped_diagrams(tape, table.center, leaves, atom_memo)
+        for d in table.atom:
+            leaf, t_leaves = d.leaves[0], iter(d.leaves[1:])
+            key, t = _emit_diagram(tape, d.tree.right, t_leaves, edge_leaves, edge_memo)
+            if key not in atom_memo:  # T's key has no slot 0, so no center key equals it
+                atom_memo[key] = ad.index_add(tape, t, src, n_atoms)
+            _, product = _fuse(
+                tape, (leaf, center[leaf[1]]), (key, atom_memo[key]), two_J, atom_memo
+            )
+            chunks.append(product)
+        if table.edge:
+            per_edge = ad.concat(
+                tape, taped_diagrams(tape, table.edge, edge_leaves, edge_memo), axis=2
+            )
+            chunks.append(ad.index_add(tape, per_edge, src, n_atoms))
+        mixing = ad.concat(tape, [weights[c.weight] for c in table.collections], axis=0)
+        if table.fixed is not None:
+            mixing = ad.channel_mix(tape, tape.constant(table.fixed), mixing)
+        out[two_J] = ad.channel_mix(tape, ad.concat(tape, chunks, axis=2), mixing)
     return out
 
 
@@ -402,9 +396,10 @@ def taped_collections(
 class LayerParams:
     """One layer's diagram table and weight table, both built at init.
 
-    ``recoupled[two_J]`` holds the collections at output spin 2J, each with
-    its lowering and its weight key (``RecoupledCollection``), in the order
-    their mixed outputs are summed; its keys are the layer's output spins.
+    ``recoupled[two_J]`` is the ``SpinTable`` of output spin 2J: its
+    collections, each with its weight key, in the order their mixed outputs
+    are summed, and their one lowering; its keys are the layer's output
+    spins.
     ``weights`` maps each parameter's name within the layer
     (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``, ...) to its array,
     in checkpoint order; a model lists it under ``{layer name}/{key}``,
@@ -413,7 +408,7 @@ class LayerParams:
     """
 
     tau: int
-    recoupled: dict[int, tuple[RecoupledCollection, ...]] = field(default_factory=dict)
+    recoupled: dict[int, SpinTable] = field(default_factory=dict)
     weights: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -442,7 +437,7 @@ class InteractionParams(LayerParams):
     ``recoupled[two_l]`` holds one collection per term at output spin 2l,
     in the fixed order self (slot 0), pair (0, 0), gated (3, (1, 2)) and,
     in the fused kind, the fusion block ((0, 1), 2); none is empty.  The
-    fused layer is the gated layer plus one fusion block per output spin.
+    fused spin is the gated spin plus one fusion block.
     Weights: ``gate/*`` (``invariant_gate``); ``vertex/{2l}/{term}`` mixes
     a term's concatenated diagram outputs to tau channels, and the fusion
     block's ``fusion_mix/{2l}`` mixes its own.  No diagram reads the
@@ -453,8 +448,9 @@ class InteractionParams(LayerParams):
     neighbor)_l; fusion as (center ⊗ T)_l with T = (neighbor ⊗
     harmonic)_k', or (center ⊗ neighbor)_l as built.  Both terms'
     products share one memo, so each (neighbor, harmonic, k) product is
-    recorded once per layer.  The mixed terms are summed in table order,
-    so zeroing ``fusion_mix`` reproduces the gated layer bit for bit.
+    recorded once per layer.  Zeroing ``fusion_mix`` zeroes the fusion
+    targets' rows of the spin's one mixing, which reproduces the gated
+    layer.
     """
 
 
@@ -543,22 +539,20 @@ def init_interaction_layer(
     params.add_seeded("gate/w_out", (hidden, tau), seed, name)
     params.weights["gate/b_out"] = np.zeros(tau)
     for two_l in edge_spins:
-        lowered = []
+        collections = []
         terms = _term_diagrams(input_spins, edge_spins, two_l, fused)
         for term, (diagrams, path_weights) in terms.items():
             key = f"fusion_mix/{two_l}" if term == "fusion" else f"vertex/{two_l}/{term}"
             params.add_seeded(key, (len(diagrams) * tau, tau), seed, name)
-            lowered.append(recoupled_collection(diagrams, tau, key, path_weights))
-        params.recoupled[two_l] = tuple(lowered)
+            collections.append(Collection(diagrams, key, path_weights))
+        params.recoupled[two_l] = lower_spin(collections, tau)
     return params
 
 
 def _broadcast_harmonics(edge: EdgeFeature, tau: int) -> Activation:
-    """Single-channel harmonics repeated across tau channels, spin 0 (the
-    constant Y^0_0, which no diagram reads) left out."""
+    """Single-channel harmonics repeated across tau channels."""
     return Activation(
-        {two_j: np.repeat(edge.harmonics.part(two_j), tau, axis=1)
-         for two_j in edge.harmonics.spins if two_j}
+        {two_j: np.repeat(part, tau, axis=1) for two_j, part in edge.harmonics.items()}
     )
 
 
@@ -658,14 +652,14 @@ class ThreeBodyParams(LayerParams):
     """Tables of one three-body update layer.
 
     ``recoupled[two_J]`` holds one collection, the fusion block at output
-    spin 2J (slots: 0 = center, 1 = embedded edge (Y^j ⊗ R_j)_j per edge
-    spin j, 2 = neighbor), non-empty.  Weights: ``edge_embed/{2j}`` maps
-    the radial basis to R_j, the spin-0 radial leaf with tau channels
-    (``embed_edge``); ``mixing/{2J}`` is the block's trainable final mixing
-    over the concatenated diagram axis.  The block is lowered so that every
-    three-leaf diagram becomes (center ⊗ (edge ⊗ neighbor)_k')_J, except in
-    a dense block, whose multi-stage chains and their three-leaf first
-    stages stay per edge.
+    spin 2J, with path weights 1 (slots: 0 = center, 1 = embedded edge
+    (Y^j ⊗ R_j)_j per edge spin j, 2 = neighbor), non-empty.  Weights:
+    ``edge_embed/{2j}`` maps the radial basis to R_j, the spin-0 radial
+    leaf with tau channels (``embed_edge``); ``mixing/{2J}`` is the block's
+    trainable final mixing over the concatenated diagram axis.  The block
+    is lowered so that every three-leaf diagram becomes (center ⊗ (edge ⊗
+    neighbor)_k')_J, except in a dense block, whose multi-stage chains and
+    their three-leaf first stages stay per edge.
     """
 
 
@@ -692,17 +686,19 @@ def init_three_body_layer(
         if not diagrams:
             continue
         params.add_seeded(f"mixing/{two_J}", (len(diagrams) * tau, tau), seed, name)
-        params.recoupled[two_J] = (recoupled_collection(diagrams, tau, f"mixing/{two_J}"),)
+        block = Collection(diagrams, f"mixing/{two_J}", (1.0,) * len(diagrams))
+        params.recoupled[two_J] = lower_spin((block,), tau)
     return params
 
 
 def embed_edge(edge: EdgeFeature, params: ThreeBodyParams) -> Activation:
-    """The embedded edge, slot 1: per spin j, Y^j times the spin-0 radial
-    weight R_j = basis @ ``edge_embed/{2j}``, one per feature channel."""
+    """The embedded edge, slot 1: per spin j, Y^j (at j = 0 the constant
+    Y^0_0) times the spin-0 radial weight R_j = basis @ ``edge_embed/{2j}``,
+    one per feature channel."""
     return Activation(
         {
-            two_j: edge.harmonics.part(two_j) * (edge.basis @ params.weights[f"edge_embed/{two_j}"])
-            for two_j in edge.harmonics.spins
+            two_j: harmonic * (edge.basis @ params.weights[f"edge_embed/{two_j}"])
+            for two_j, harmonic in [(0, np.array([[_Y00]])), *edge.harmonics.items()]
         }
     )
 
@@ -747,19 +743,19 @@ def taped_three_body_layer(
 
     Records slot 1 per edge spin as (Y^j ⊗ R_j)_j, the (E, 2j+1) harmonic
     times its (E, 1, tau) spin-0 radial leaf R_j (one broadcast multiply),
-    then runs the blocks through ``taped_collections`` at ``output_spins``.
+    and at spin 0 as R_0 scaled by the constant Y^0_0, then runs the blocks
+    through ``taped_collections`` at ``output_spins``.
     """
     weights = params.weight_nodes(param_nodes, name)
-    edge = {
-        two_j: ad.einsum3(
-            tape,
-            cg_tensor(two_j, 0, two_j).coeffs,
-            harm,
-            ad.channel_mix(tape, basis, weights[f"edge_embed/{two_j}"]),
-            "abc,ea,ebt->ect",
-        )
-        for two_j, harm in harmonics.items()
+    radial = {
+        two_j: ad.channel_mix(tape, basis, weights[f"edge_embed/{two_j}"])
+        for two_j in [0, *harmonics]
     }
+    edge = {0: ad.scale(tape, radial[0], complex(_Y00))}
+    for two_j, harm in harmonics.items():
+        edge[two_j] = ad.einsum3(
+            tape, cg_tensor(two_j, 0, two_j).coeffs, harm, radial[two_j], "abc,ea,ebt->ect"
+        )
     neighbor = {two_j: ad.gather(tape, node, dst) for two_j, node in acts.items()}
     return taped_collections(
         tape, params.recoupled, [acts, edge, neighbor], src, weights, output_spins

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeMismatch, check_json, check_json_number
+from .errors import ShapeMismatch, check_integers, check_json, check_json_number
 from .features import (
     edge_features,
     taped_distances,
@@ -196,7 +196,7 @@ class Model:
 
     def _check_inputs(self, positions: np.ndarray, species: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
-        species = np.asarray(species, dtype=int)
+        species = check_integers(species, "species")
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ShapeMismatch(f"positions must be (n_atoms, 3), got {positions.shape}")
         if species.shape != (positions.shape[0],):
@@ -310,7 +310,7 @@ class Model:
         adjoint is freed as soon as the pass has used it.  The forces are
         those of ``taped_energies_and_forces``, bit for bit.
         """
-        species = np.asarray(species, dtype=int)
+        species = self._check_inputs(positions, species)
         tape = ad.Tape()
         pos_node = tape.variable(np.asarray(positions, dtype=float))
         energies = self.taped_forward(
@@ -365,8 +365,8 @@ class Model:
             extra = ""
             if cfg.kind == "three_body":
                 n_diagrams = {
-                    str(Spin(two_J)): len(block.diagrams)
-                    for two_J, (block,) in layer.recoupled.items()
+                    str(Spin(two_J)): sum(len(c.diagrams) for c in table.collections)
+                    for two_J, table in layer.recoupled.items()
                 }
                 extra = f"  diagrams per output spin: {n_diagrams}"
             lines.append(

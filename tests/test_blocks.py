@@ -10,7 +10,6 @@ from spinfusion.blocks import (
     block_from_json,
     block_to_json,
     identity_mixing,
-    output_channel_count,
     uniform_mixing,
 )
 from spinfusion.diagrams import contract, left_comb
@@ -70,13 +69,6 @@ class TestConfig:
         cfg = _two_and_three_leaf_config()
         assert [d.slots for d in cfg.diagrams] == [(0, 1), (0, 1, 2), (0, 1, 2)]
         assert cfg.slots == (0, 1, 2)
-
-    def test_output_channel_count_is_pre_mixing_width(self):
-        # |diagrams| x input channels, i.e. the mixing row count.
-        cfg = _three_slot_config(channels=2)
-        assert output_channel_count(cfg) == 6
-        identity_cfg = _three_slot_config(channels=2, identity=True)
-        assert output_channel_count(identity_cfg) == 6
 
     def test_uniform_mixing_scale(self):
         m = uniform_mixing(16, 4, seed=3)

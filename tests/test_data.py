@@ -57,6 +57,18 @@ class TestPotentials:
             potential_energy_forces(np.zeros((2, 3)), "lennard-jones")
 
 
+class TestSample:
+    def test_non_integer_species_rejected(self):
+        # a cast would truncate [0.2, 1.9] to [0, 1] without a word
+        with pytest.raises(ValueError, match="species"):
+            Sample(np.eye(2, 3), [0.2, 1.9], 0.0, np.zeros((2, 3)))
+
+    def test_integer_valued_species_are_integers(self):
+        sample = Sample(np.eye(2, 3), [0.0, 1.0], 0.0, np.zeros((2, 3)))
+        assert sample.species.dtype.kind == "i"
+        assert np.array_equal(sample.species, [0, 1])
+
+
 class TestGeneration:
     def test_shapes_and_sizes(self):
         samples = generate_dataset(8, 5, "morse", seed=1)

@@ -145,6 +145,19 @@ class TestGroups:
             build_neighborhood(pc, 3.0, np.zeros(2, int))
 
 
+class TestSpecies:
+    @pytest.mark.parametrize("bad", [[0.2, 1.9, 1.5], [0, 1, np.nan], [True, False, True]])
+    def test_non_integer_species_rejected(self, bad):
+        # a cast would truncate [0.2, 1.9, 1.5] to [0, 1, 1] without a word
+        with pytest.raises(ValueError, match="species"):
+            PointCloud(np.eye(3), bad)
+
+    def test_integer_valued_species_are_integers(self):
+        pc = PointCloud(np.eye(3), [0.0, 1.0, 1.0])
+        assert pc.species.dtype.kind == "i"
+        assert np.array_equal(pc.species, [0, 1, 1])
+
+
 class TestModelUse:
     def test_coincident_atoms_fail_the_force_call(self):
         positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

@@ -8,8 +8,7 @@ import pytest
 from spinfusion import autodiff as ad
 from spinfusion.errors import ZeroVector
 from spinfusion.features import taped_distances, taped_edge_harmonics
-from spinfusion.harmonics import sph_jacobian, sph_values, spherical_harmonics
-from spinfusion.irreps import IrrepVector
+from spinfusion.harmonics import sph_jacobian, sph_values
 from spinfusion.rotations import haar_rotation, rotation_matrix
 from spinfusion.spins import Spin
 from spinfusion.wigner import wigner_D
@@ -106,14 +105,6 @@ class TestRotation:
             assert np.max(np.abs(rotated_point - rotated_vector)) < 1e-12
 
 
-class TestSphericalHarmonicsList:
-    def test_returns_irrep_vectors_up_to_j_max(self):
-        vectors = spherical_harmonics(np.array([0.3, 0.1, 0.9]), Spin(4))
-        assert [v.spin.twice_j for v in vectors] == [0, 2, 4]
-        assert all(isinstance(v, IrrepVector) for v in vectors)
-        assert all(v.channels == 1 for v in vectors)
-
-
 class TestJacobian:
     @pytest.mark.parametrize("two_j", [2, 4, 6])
     def test_matches_central_differences(self, two_j):
@@ -174,8 +165,12 @@ class TestTapedChain:
         directions = rng.normal(size=(64, 3)) * rng.uniform(0.2, 3.0, size=(64, 1))
         x = np.vstack([directions, AXES, [[1e-7, -2e-7, 1.3]]])
         _, _, harmonics = _taped(x, two_j // 2)
-        assert sorted(harmonics) == list(range(0, two_j + 1, 2))
-        assert np.max(np.abs(harmonics[two_j].value - sph_values(x, two_j))) <= 1e-14
+        # Y^0 is a constant, not a node: spins 1..j only, none at j = 0
+        assert sorted(harmonics) == list(range(2, two_j + 1, 2))
+        if two_j == 0:
+            assert harmonics == {}
+        else:
+            assert np.max(np.abs(harmonics[two_j].value - sph_values(x, two_j))) <= 1e-14
 
     @pytest.mark.parametrize("two_j", [2, 4, 6])
     def test_gradient_is_the_analytic_jacobian(self, two_j):

@@ -8,7 +8,15 @@ import pytest
 from spinfusion import autodiff as ad
 from spinfusion import layers
 from spinfusion.blocks import AggregationKind, FusionBlockConfig, apply, identity_mixing
-from spinfusion.diagrams import FuseNode, FusionDiagram, LeafNode, contract, left_comb, validate
+from spinfusion.diagrams import (
+    FuseNode,
+    FusionDiagram,
+    LeafNode,
+    check_lowering,
+    contract,
+    left_comb,
+    validate,
+)
 from spinfusion.errors import EmptySchedule
 from spinfusion.features import _Y00, taped_distances, taped_edge_harmonics, taped_radial_basis
 from spinfusion.geometry import PointCloud, build_neighborhood, edge_index
@@ -117,7 +125,7 @@ def _terms(layer, two_l):
     keyed by the term that each one's weight key names."""
     names = {f"vertex/{two_l}/{term}": term for term in _TERMS[:3]}
     names[f"fusion_mix/{two_l}"] = "fusion"
-    return {names[c.weight]: c for c in layer.recoupled[two_l]}
+    return {names[c.weight]: c for c in layer.recoupled[two_l].collections}
 
 
 class TestInteractionTable:
@@ -127,16 +135,16 @@ class TestInteractionTable:
         tau = 3
         params = init_interaction_layer(input_spins, 1, tau, 4, 8, fused, 2, "L")
         assert set(params.recoupled) == {0, 2}
-        for two_l, group in params.recoupled.items():
+        for two_l, spin in params.recoupled.items():
             table = _terms(params, two_l)
             terms = [t for t in _TERMS if t in table]
-            assert len(table) == len(group)  # one weight key per collection
+            assert len(table) == len(spin.collections)  # one weight key per collection
             assert list(table) == terms  # fixed order, no extra terms
             vertex = [key for key in params.weights if key.startswith(f"vertex/{two_l}/")]
             assert vertex == [f"vertex/{two_l}/{term}" for term in terms if term != "fusion"]
             assert ("self" in table) == (two_l in input_spins)
             assert ("fusion" in table) == fused
-            for c in group:
+            for c in spin.collections:
                 assert c.diagrams  # no empty term
                 for d in c.diagrams:
                     assert validate(d) == []
@@ -162,15 +170,15 @@ class TestInteractionTable:
             assert np.array_equal(fused[name], arr), name
         for s, (plain, layer) in enumerate(zip(*(models[k].layers for k in ("gated", "fused")))):
             assert list(layer.recoupled) == list(plain.recoupled)
-            for two_l, group in layer.recoupled.items():
-                *rest, block = group
-                assert [(c.diagrams, c.weight) for c in rest] == [
-                    (c.diagrams, c.weight) for c in plain.recoupled[two_l]
-                ]
+            for two_l, spin in layer.recoupled.items():
+                # the fused spin's collections are the gated spin's, path
+                # weights included, plus its fusion block
+                *rest, block = spin.collections
+                assert rest == list(plain.recoupled[two_l].collections)
                 assert block.weight == f"fusion_mix/{two_l}"
                 assert fused[f"layer{s}/{block.weight}"].shape == (len(block.diagrams) * tau, tau)
             # each collection reads its own weight, a key of the layer's table
-            keys = [c.weight for group in layer.recoupled.values() for c in group]
+            keys = [c.weight for spin in layer.recoupled.values() for c in spin.collections]
             assert set(keys) <= set(layer.weights)
             assert len(keys) == len(set(keys))
 
@@ -358,7 +366,9 @@ class TestTapedDiagrams:
         else:
             schedule = SpinSchedule("dense", (0, 2, 4))
             params = init_three_body_layer((0, 2), 1, tau, 4, schedule, 2, "L")
-            collections = [c.diagrams for group in params.recoupled.values() for c in group]
+            collections = [
+                c.diagrams for spin in params.recoupled.values() for c in spin.collections
+            ]
             channel_less = ()  # slots: center, embedded edge, neighbor
         leaves = _random_leaves([(0, 2)] * 3, n, tau, seed=2, channel_less=channel_less)
         tape = ad.Tape()
@@ -715,55 +725,49 @@ class TestRecoupledTape:
 
 
 class TestLowering:
-    """Every collection is lowered at init into center-only, (center ⊗ T)_J
-    and per-edge targets, which one taped executor runs."""
+    """Every output spin is lowered at init into center-only, (center ⊗ T)_J
+    and per-edge targets and one fixed matrix, which one taped executor
+    runs."""
 
     def test_target_groups_of_the_fused_table(self):
         model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=1, seed=2))
         for layer, input_spins in zip(model.layers, model.layer_input_spins):
-            for two_l in layer.recoupled:
+            for two_l, spin in layer.recoupled.items():
                 table = layers._term_diagrams(input_spins, (0, 2), two_l, True)
                 lowered = _terms(layer, two_l)
-                assert len(lowered) == len(layer.recoupled[two_l])
+                assert len(lowered) == len(spin.collections)
                 assert list(lowered) == list(table)
                 for term, c in lowered.items():
-                    diagrams, path_weights = table[term]
-                    assert c.diagrams == diagrams
-                    if c.path_weights is None:
-                        assert set(path_weights) == {1.0}
-                    else:
-                        assert np.array_equal(c.path_weights[::3, 0], path_weights)
-                        assert np.array_equal(c.path_weights, np.repeat(path_weights, 3)[:, None])
-                for term in ("self", "pair"):
-                    if term in lowered:
-                        c = lowered[term]
-                        assert (c.center, c.atom, c.edge) == (c.diagrams, (), ())
-                        assert c.mixing is None
-                    assert c.path_weights is None
+                    assert (c.diagrams, c.path_weights) == table[term]
+                # the center-only targets are the self and pair diagrams as
+                # built, in order, with path weights 1
+                center_terms = [lowered[term] for term in ("self", "pair") if term in lowered]
+                assert spin.center == sum((c.diagrams for c in center_terms), ())
+                assert all(set(c.path_weights) == {1.0} for c in center_terms)
                 gated = lowered["gated"]
                 # the per-edge targets are the gated diagrams as built, each
                 # the gate (slot 3), the root's left leaf, times the rest;
                 # the path weights are Y^0_0 where the harmonic spin is 0,
                 # else the exchange sign
-                assert (gated.center, gated.atom) == ((), ())
-                assert gated.edge == gated.diagrams and gated.mixing is None
-                for d, w in zip(gated.diagrams, table["gated"][1]):
+                assert spin.edge == gated.diagrams
+                for d, w in zip(gated.diagrams, gated.path_weights):
                     if len(d.leaves) == 2:  # (g ⊗ h_b)_l
                         assert w == _Y00
                     else:
                         (_, two_jb), (_, two_ja) = d.leaves[1:]
                         assert w == (-1.0) ** ((two_ja + two_jb - two_l) // 2)
-                for t in gated.edge:
+                for t in spin.edge:
                     assert t.leaves[0] == (3, 0) and t.tree.left == LeafNode(3)
                     assert [slot for slot, _ in t.leaves].count(3) == 1
+                # the (center ⊗ T)_l targets are the fusion block's
                 fusion = lowered["fusion"]
-                assert fusion.atom and not fusion.center and not fusion.edge
-                for t in fusion.atom:
+                assert spin.atom
+                for t in spin.atom:
                     assert t.tree.left == LeafNode(0)
                     # T = (neighbor ⊗ harmonic)_k', or the neighbor alone
                     # where the harmonic spin is 0
                     assert [slot for slot, _ in t.leaves] in ([0, 1, 2], [0, 1])
-                for d in gated.diagrams + gated.edge + fusion.diagrams + fusion.atom:
+                for d in gated.diagrams + spin.edge + fusion.diagrams + spin.atom:
                     assert (2, 0) not in d.leaves  # no Y^0_0
 
     def test_path_weights_make_the_harmonic_first_diagrams(self):
@@ -807,11 +811,11 @@ class TestLowering:
         # (3, 0), and the eager and taped layers bind the same four
         model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=2, seed=2))
         for layer in model.layers:
-            for group in layer.recoupled.values():
-                for c in group:
-                    for d in c.diagrams + c.center + c.atom + c.edge:
-                        assert set(d.slots) <= {0, 1, 2, 3}
-                        assert all(two_j == 0 for slot, two_j in d.leaves if slot == 3)
+            for spin in layer.recoupled.values():
+                built = tuple(d for c in spin.collections for d in c.diagrams)
+                for d in built + spin.center + spin.atom + spin.edge:
+                    assert set(d.slots) <= {0, 1, 2, 3}
+                    assert all(two_j == 0 for slot, two_j in d.leaves if slot == 3)
         bound = []
         apply, taped = layers.apply_collections, layers.taped_collections
 
@@ -834,20 +838,16 @@ class TestLowering:
 
     @pytest.mark.parametrize("j_max", [1, 2])
     def test_gated_products_are_the_fusion_terms_T(self, j_max):
-        # the gated term's per-edge products, the gate's right factor, key
-        # the same memo entries as the fusion term's T at the same output
-        # spin, so they run once
+        # the per-edge products of the gated term (the spin's per-edge
+        # targets), the gate's right factor, key the same memo entries as
+        # the fusion term's T (its (center ⊗ T)_l targets) at the same
+        # output spin, so they run once
         model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=j_max, seed=2))
         shared = 0
         for layer in model.layers:
-            for two_l in layer.recoupled:
-                lowered = _terms(layer, two_l)
-                gated = {
-                    _subtree_key(t.tree.right, iter(t.leaves[1:])) for t in lowered["gated"].edge
-                }
-                fusion_T = {
-                    _subtree_key(t.tree.right, iter(t.leaves[1:])) for t in lowered["fusion"].atom
-                }
+            for spin in layer.recoupled.values():
+                gated = {_subtree_key(t.tree.right, iter(t.leaves[1:])) for t in spin.edge}
+                fusion_T = {_subtree_key(t.tree.right, iter(t.leaves[1:])) for t in spin.atom}
                 products = {key for key in gated if len(key) == 3}  # not a bare neighbor
                 assert products <= fusion_T
                 shared += len(products)
@@ -856,44 +856,55 @@ class TestLowering:
     @pytest.mark.parametrize("j_max", [1, 2])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_tables_are_built_in_the_form_they_run(self, n_layers, j_max):
-        # no interaction diagram reads the constant Y^0_0 harmonic, and
-        # every collection's mixing is kron(U, I_tau) or None, never a
-        # per-row scale
+        # no interaction diagram reads the constant Y^0_0 harmonic, and each
+        # output spin has one fixed matrix kron(F, I_tau), F's rows the
+        # spin's targets and its columns the collections' diagrams: F with
+        # the path weights divided out recouples every diagram (so it is
+        # block diagonal), and it is None only where it is the identity
+        tau = 2
         for kind in ("gated", "fused", "three_body"):
-            config = ModelConfig(kind=kind, n_layers=n_layers, tau=2, j_max=j_max,
+            config = ModelConfig(kind=kind, n_layers=n_layers, tau=tau, j_max=j_max,
                                  radial_channels=3, hidden=4, seed=2)
             for layer in Model(config).layers:
-                for group in layer.recoupled.values():
-                    for c in group:
-                        assert c.mixing is None or c.mixing.ndim == 2
-                        if kind != "three_body":
-                            for d in c.diagrams + c.center + c.atom + c.edge:
-                                assert (2, 0) not in d.leaves
+                for spin in layer.recoupled.values():
+                    built = tuple(d for c in spin.collections for d in c.diagrams)
+                    targets = spin.center + spin.atom + spin.edge
+                    path_weights = np.concatenate([c.path_weights for c in spin.collections])
+                    if spin.fixed is None:
+                        F = np.eye(len(built))
+                    else:
+                        F = spin.fixed[::tau, ::tau]
+                        assert np.array_equal(spin.fixed, np.kron(F, np.eye(tau)))
+                        assert not np.array_equal(F, np.eye(len(built)))
+                    assert F.shape == (len(targets), len(built))
+                    check_lowering(built, targets, F / path_weights)
+                    if kind != "three_body":
+                        for d in built + targets:
+                            assert (2, 0) not in d.leaves
 
     def test_dense_chains_and_first_stages_stay_per_edge(self):
         schedule = SpinSchedule("dense", (0, 2))
         params = init_three_body_layer((0, 2), 1, 3, 4, schedule, 2, "L")
-        for two_J, (block,) in params.recoupled.items():
+        for two_J, spin in params.recoupled.items():
+            (block,) = spin.collections
             assert block.weight == f"mixing/{two_J}"
             chains = [d for d in block.diagrams if len(d.leaves) > 3]
             assert chains
-            assert set(chains) <= set(block.edge)
+            assert set(chains) <= set(spin.edge)
             for chain in chains:
                 first_stage = FusionDiagram(chain.leaves[:3], chain.tree.left.left, two_J)
-                assert first_stage in block.edge  # a single of the schedule as well
+                assert first_stage in spin.edge  # a single of the schedule as well
 
     @pytest.mark.parametrize(
-        "extra, count",
-        [
-            (dict(kind="fused"), 11),
-            (dict(kind="gated"), 8),
-            (dict(kind="three_body", internal_spins=(0, 1, 2)), 4),
-        ],
+        "extra",
+        [dict(kind="fused"), dict(kind="gated"), dict(kind="three_body", internal_spins=(0, 1, 2))],
         ids=["fused", "gated", "three_body_sparse"],
     )
-    def test_atom_row_channel_mix_products(self, monkeypatch, extra, count):
-        # each collection's mixings compose in weight space, so its targets
-        # are mixed by one N-row product (the readout is one more)
+    def test_atom_row_channel_mix_products(self, monkeypatch, extra):
+        # the collections' weights compose with the spin's fixed matrix in
+        # weight space, so each recorded output spin's targets are mixed by
+        # one N-row product: spins 0 and 1 in layer 0, spin 0 in layer 1,
+        # and the readout is one more
         model = Model(ModelConfig(**extra, n_layers=2, tau=6, j_max=1, seed=2))
         rng = np.random.default_rng(9)
         positions = rng.normal(size=(9, 3)) * 1.3
@@ -911,7 +922,51 @@ class TestLowering:
         model.taped_forward(
             tape, tape.variable(positions), species, [9], model.parameter_nodes(tape)
         )
-        assert rows.count(9) == count
+        assert rows.count(9) == 4
+
+
+    @pytest.mark.parametrize(
+        "extra", TAPED_KINDS, ids=["gated", "fused", "three_body_sparse", "three_body_dense"]
+    )
+    def test_one_mixing_per_output_spin(self, monkeypatch, extra):
+        # per recorded output spin, taped_collections records one data
+        # product and, where the spin's fixed matrix is not the identity,
+        # one composition of it with the stacked weights; no path weight is
+        # a row scale and no collection's output is added to another's
+        model = Model(ModelConfig(n_layers=2, tau=3, j_max=2, radial_channels=4, hidden=8,
+                                  seed=1, **extra))
+        inside, recorded, expected = [], [], Counter()
+
+        def watching(name, fn):
+            def wrapped(tape, *args, **kwargs):
+                if inside:
+                    recorded.append((name, args[0].value.ndim))
+                return fn(tape, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("scale", "add", "channel_mix"):
+            monkeypatch.setattr(ad, name, watching(name, getattr(ad, name)))
+        taped = layers.taped_collections
+
+        def watched(tape, tables, *rest):
+            inside.append(True)
+            out = taped(tape, tables, *rest)
+            inside.pop()
+            expected["data"] += len(out)
+            expected["fixed"] += sum(tables[two_J].fixed is not None for two_J in out)
+            return out
+
+        monkeypatch.setattr(layers, "taped_collections", watched)
+        pc = _cloud(6, seed=5)
+        tape = ad.Tape()
+        model.taped_forward(
+            tape, tape.variable(pc.positions), pc.species, [6], model.parameter_nodes(tape)
+        )
+        assert expected["data"] == 4  # spins 0, 1, 2 of layer 0; spin 0 of layer 1
+        assert sorted(recorded) == sorted(
+            [("channel_mix", 3)] * expected["data"] + [("channel_mix", 2)] * expected["fixed"]
+        )
 
 
 class TestAblation:

@@ -174,13 +174,16 @@ class TestPlainVsTaped:
 )
 def test_taped_forward_records_only_ancestors_of_the_energy(kind, overrides):
     # the last layer must record only the spins the readout reads (spin 0);
-    # outputs of higher spin there would be recorded and never used
+    # outputs of higher spin there would be recorded and never used.  Every
+    # node counts, constant leaves included (an edge input that no layer
+    # reads would be one); only the parameter and position leaves are
+    # exempt, since the last layer's unread weights are parameters too
     model = Model(_small_config(kind, n_layers=2, **overrides))
     positions, species = _cloud(6, seed=5)
     tape = ad.Tape()
-    energy = model.taped_forward(
-        tape, tape.variable(positions), species, [6], model.parameter_nodes(tape)
-    )
+    param_nodes = model.parameter_nodes(tape)
+    position_node = tape.variable(positions)
+    energy = model.taped_forward(tape, position_node, species, [6], param_nodes)
     live: set[int] = set()
     stack = [energy]
     while stack:
@@ -188,7 +191,8 @@ def test_taped_forward_records_only_ancestors_of_the_energy(kind, overrides):
         if node.id not in live:
             live.add(node.id)
             stack.extend(parent for parent, _ in node.parents)
-    dead = [node.id for node in tape.nodes if node.parents and node.id not in live]
+    exempt = {node.id for node in param_nodes.values()} | {position_node.id}
+    dead = [node.id for node in tape.nodes if node.id not in live | exempt]
     assert dead == []
 
 
@@ -369,6 +373,17 @@ class TestParameters:
         model = Model(_small_config("gated", n_species=2))
         with pytest.raises(ValueError):
             model.plain_energy(np.zeros((1, 3)), np.array([5]))
+
+    @pytest.mark.parametrize("path", ["energy_and_forces", "plain_energy"])
+    def test_non_integer_species_rejected(self, path):
+        # a cast would truncate [0.2, 1.9, 1.5] to [0, 1, 1] and return that
+        # cloud's energy; integer-valued floats still name a species
+        model = Model(_small_config("gated"))
+        positions, _ = _cloud(3, seed=4)
+        with pytest.raises(ValueError, match="species"):
+            getattr(model, path)(positions, [0.2, 1.9, 1.5])
+        as_floats = getattr(model, path)(positions, [0.0, 1.0, 1.0])
+        np.testing.assert_equal(as_floats, getattr(model, path)(positions, np.array([0, 1, 1])))
 
     def test_describe_names_every_group(self):
         model = Model(_small_config("three_body", schedule_mode="sparse"))
