@@ -43,11 +43,28 @@ a spin-0 factor, whose CG block is c times the identity, is one broadcast
 multiply instead (the broadcast plan).  Its VJPs contract the forward
 tensor itself, so they hit the same plans.  ``index_add`` sums
 sorted segments, with the sort computed once per index array.
-``channel_mix`` is the one matrix product, with transpose flags: it and
-its cotangents are one BLAS call each over the flattened leading axes, with
+``channel_mix`` is the one matrix product, with transpose flags, and needs
 no reshape node.  ``backward`` walks parent links
 back from the seed, visits only the ancestors that depend on a node in its
 ``wrt`` list, and drops every other adjoint once its node's VJPs have run.
+
+Memory order.  Shapes put the row axis first: atoms or edges, then spin
+components, then channels.  Rows run to thousands where the other axes
+hold a few components and channels, so the primitives that build new
+arrays (``gather``, ``index_add``, ``einsum3``, ``channel_mix``,
+``concat``, ``slice_axis``, ``pad_axis``, ``broadcast_to``) store a result
+of two or more axes rows-last: axis 0 innermost in memory, the other axes
+in order, so that its physical form, ``transpose(_LAST[ndim])``, is
+C-contiguous; and each kernel's inner loops run along the rows.
+``gather`` takes along the physical last axis and ``index_add`` sums its
+segments along it; ``einsum3`` gathers each nonzero entry's components as
+a (nnz, ..., rows) block and leaves its GEMM's output with the rows
+innermost; ``channel_mix`` computes op(W)^T @ x^T on x's physical form,
+for complex data one real GEMM on its interleaved re/im parts; the
+structural primitives work on the physical forms.  Each accepts inputs in
+either order and gives the same values.  Elementwise primitives and NumPy
+reductions keep their inputs' order, and leaves (positions, parameters)
+are stored as given.
 """
 
 from __future__ import annotations
@@ -159,6 +176,32 @@ def _primitive(name: str):
 
 def _as_node(tape: Tape, x) -> Node:
     return x if isinstance(x, Node) else tape.constant(x)
+
+
+# Memory order: an n-axis array is stored rows-last when moving its axis 0
+# last, with ``transpose(_LAST[n])``, gives a C-contiguous array, its
+# physical form; ``_FIRST[n]`` moves the axis back.  Axis tuples by rank,
+# because ``transpose`` with a ready tuple costs a small fraction of
+# ``np.moveaxis``.
+_LAST = [()] + [(*range(1, n), 0) for n in range(1, 65)]
+_FIRST = [()] + [(n - 1, *range(n - 1)) for n in range(1, 65)]
+
+
+def _physical(a: np.ndarray) -> np.ndarray:
+    """``a`` with its row axis moved last (a view)."""
+    return a.transpose(_LAST[a.ndim])
+
+
+def _logical(p: np.ndarray) -> np.ndarray:
+    """The array whose physical form is ``p`` (a view): ``p``'s last axis
+    moved first."""
+    return p.transpose(_FIRST[p.ndim])
+
+
+def _physical_axis(axis: int, ndim: int) -> int:
+    """Where a logical axis (a negative one counting from the end) sits in
+    the physical form."""
+    return (axis - 1) % ndim
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +345,7 @@ def broadcast_to(tape: Tape, x: Node, shape) -> Node:
     shape = tuple(shape)
     old = x.shape
     return tape._emit(
-        np.broadcast_to(x.value, shape).copy(),
+        _logical(np.ascontiguousarray(_physical(np.broadcast_to(x.value, shape)))),
         ((x, lambda tape, w: reduce_to_shape(tape, w, old)),),
     )
 
@@ -345,7 +388,11 @@ def concat(tape: Tape, xs, axis: int) -> Node:
     xs = [_as_node(tape, x) for x in xs]
     if len(xs) == 1:
         return xs[0]  # one part is its own concatenation; no copy, no node
-    value = np.concatenate([x.value for x in xs], axis=axis)
+    parts = [_physical(x.value) for x in xs]
+    axis_p = _physical_axis(axis, parts[0].ndim)
+    shape = list(parts[0].shape)
+    shape[axis_p] = sum(part.shape[axis_p] for part in parts)
+    value = np.concatenate(parts, axis=axis_p, out=np.empty(shape, np.result_type(*parts)))
     parents = []
     offset = 0
     for x in xs:
@@ -357,17 +404,18 @@ def concat(tape: Tape, xs, axis: int) -> Node:
 
         parents.append((x, vjp))
         offset += width
-    return tape._emit(value, tuple(parents))
+    return tape._emit(_logical(value), tuple(parents))
 
 
 @_primitive("slice_axis")
 def slice_axis(tape: Tape, x: Node, axis: int, start: int, stop: int) -> Node:
     x = _as_node(tape, x)
-    index = [slice(None)] * np.ndim(x.value)
-    index[axis] = slice(start, stop)
+    part = _physical(x.value)
+    index = [slice(None)] * part.ndim
+    index[_physical_axis(axis, part.ndim)] = slice(start, stop)
     before, after = start, x.shape[axis] - stop
     return tape._emit(
-        np.ascontiguousarray(x.value[tuple(index)]),
+        _logical(np.ascontiguousarray(part[tuple(index)])),
         ((x, lambda tape, w: pad_axis(tape, w, axis=axis, before=before, after=after)),),
     )
 
@@ -375,12 +423,18 @@ def slice_axis(tape: Tape, x: Node, axis: int, start: int, stop: int) -> Node:
 @_primitive("pad_axis")
 def pad_axis(tape: Tape, x: Node, axis: int, before: int, after: int) -> Node:
     x = _as_node(tape, x)
-    pad = [(0, 0)] * np.ndim(x.value)
-    pad[axis] = (before, after)
-    n = x.shape[axis]
+    width = x.shape[axis]
+    part = _physical(x.value)
+    axis_p = _physical_axis(axis, part.ndim)
+    shape = list(part.shape)
+    shape[axis_p] += before + after
+    index = [slice(None)] * part.ndim
+    index[axis_p] = slice(before, before + width)
+    value = np.zeros(shape, dtype=part.dtype)
+    value[tuple(index)] = part
     return tape._emit(
-        np.pad(x.value, pad),
-        ((x, lambda tape, w: slice_axis(tape, w, axis=axis, start=before, stop=before + n)),),
+        _logical(value),
+        ((x, lambda tape, w: slice_axis(tape, w, axis=axis, start=before, stop=before + width)),),
     )
 
 
@@ -408,12 +462,17 @@ def _cached(array: np.ndarray, key, build: Callable):
 
 @_primitive("gather")
 def gather(tape: Tape, x: Node, indices) -> Node:
-    """Rows x[indices] along axis 0."""
+    """Rows x[indices] along axis 0, for a 1-D integer ``indices``.
+
+    Takes along the physical last axis, so a rows-last ``x`` is read in
+    runs of its row axis and the result is rows-last whatever the layout
+    of ``x``."""
     x = _as_node(tape, x)
     indices = np.asarray(indices, dtype=int)
     n = x.shape[0]
     return tape._emit(
-        x.value[indices], ((x, lambda tape, w: index_add(tape, w, indices, n)),)
+        _logical(np.take(_physical(x.value), indices, axis=-1)),
+        ((x, lambda tape, w: index_add(tape, w, indices, n)),),
     )
 
 
@@ -432,21 +491,29 @@ def _segments(indices: np.ndarray) -> tuple:
 def index_add(tape: Tape, x: Node, indices, n_rows: int) -> Node:
     """Scatter-add rows of x into n_rows bins (segment sum along axis 0).
 
-    Rows are summed as sorted segments with ``np.add.reduceat``, in their
-    original order within each bin; the sort and the segment starts are
-    computed once per index array (see ``_cached``).  Indices must lie in
-    ``[0, n_rows)``.
+    Rows are summed as sorted segments with ``np.add.reduceat`` along the
+    physical last axis, in their original order within each bin, and the
+    result is rows-last; the sort and the segment starts are computed once
+    per index array (see ``_cached``).  Indices must lie in ``[0, n_rows)``.
     """
     x = _as_node(tape, x)
     indices = np.asarray(indices, dtype=int)
-    value = np.zeros((n_rows,) + x.shape[1:], dtype=np.asarray(x.value).dtype)
-    if indices.size:
+    part = _physical(np.asarray(x.value))
+    shape = part.shape[:-1] + (n_rows,)
+    if not indices.size:
+        value = np.zeros(shape, dtype=part.dtype)
+    else:
         order, starts, rows = _cached(indices, "segments", _segments)
         if rows[0] < 0:
             raise IndexError(f"index_add: negative index {rows[0]}")
-        rows_in = x.value if order is None else x.value[order]
-        value[rows] = np.add.reduceat(rows_in, starts, axis=0)
-    return tape._emit(value, ((x, lambda tape, w: gather(tape, w, indices)),))
+        rows_in = part if order is None else np.take(part, order, axis=-1)
+        sums = np.add.reduceat(rows_in, starts, axis=-1)
+        if len(rows) == n_rows and rows[-1] == n_rows - 1:  # every bin has a row
+            value = sums
+        else:
+            value = np.zeros(shape, dtype=part.dtype)
+            value[..., rows] = sums
+    return tape._emit(_logical(value), ((x, lambda tape, w: gather(tape, w, indices)),))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +565,10 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     summed = "".join(sorted(set(rest_x + rest_y) - set(rest_o)))
     if summed and not set(rest_x) == set(rest_y) >= set(rest_o):
         return None
-    kept = rest_o + summed  # gathered axes: tensor index, output letters, summed letters
+    # gathered axes after the tensor index: the output's other letters, the
+    # summed letters, then its row letter (its first free letter) last
+    kept = rest_o[1:] + summed + rest_o[:1]
+    summed_axes = tuple(range(len(rest_o[1:]) + 1, len(rest_o[1:] + summed) + 1))
 
     def operand(term, letter, rest):
         axes = (term.index(letter),) + tuple(term.index(c) for c in kept if c in rest)
@@ -506,14 +576,14 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
         return axes, expand
 
     x_op, y_op = operand(x_sub, lx, rest_x), operand(y_sub, ly, rest_y)
-    out_axes = tuple((lo + rest_o).index(c) for c in out_sub)
+    out_axes = tuple((lo + rest_o[1:] + rest_o[:1]).index(c) for c in out_sub)
     roles = [t_sub.index(l) for l in (lx, ly, lo)]
     block = tensor.transpose(roles)  # (x index, y index, output index)
     for scalar_dim in (0, 1):
         if block.shape[scalar_dim] == 1:
             c = _scaled_identity(block[0] if scalar_dim == 0 else block[:, 0])
             if c is not None:
-                return partial(_contract_broadcast, x_op, y_op, len(summed), c, out_axes)
+                return partial(_contract_broadcast, x_op, y_op, summed_axes, c, out_axes)
 
     # the product overwrites a gathered operand of its full shape
     full = [set(rest) == set(kept) for rest in (rest_x, rest_y)]
@@ -523,30 +593,26 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     coeffs = np.zeros((block.shape[2], len(io)), dtype=tensor.dtype)
     coeffs[io, np.arange(len(io))] = tensor[coords]
     return partial(
-        _contract_nonzeros, (x_op, ix, y_op, iy, len(summed), into, coeffs, out_axes)
+        _contract_nonzeros, (x_op, ix, y_op, iy, summed_axes, into, coeffs, out_axes)
     )
 
 
-def _sum_trailing(prod: np.ndarray, n_summed: int) -> np.ndarray:
-    """``prod`` summed over its last ``n_summed`` axes."""
-    if not n_summed:
-        return prod
-    # np.sum over a short trailing axis is slower than a matrix-vector product
-    kept, width = prod.shape[: prod.ndim - n_summed], math.prod(prod.shape[-n_summed:])
-    return prod.reshape(kept + (width,)) @ np.ones(width)
-
-
-def _contract_broadcast(x_op, y_op, n_summed: int, c, out_axes, x, y) -> np.ndarray:
+def _contract_broadcast(x_op, y_op, summed_axes, c, out_axes, x, y) -> np.ndarray:
     """einsum with a tensor that is c times the identity between the output
     and one operand, the other operand's index having dimension 1.
 
     Each operand's tensor axis comes first (the dimension-1 one broadcasts
-    against the other, whose components are the output's), so the product
-    is one broadcast multiply; summed letters are reduced as in
-    ``_contract_nonzeros``, then the result is scaled by c unless c is 1.
+    against the other, whose components are the output's) and its row axis
+    last, so the product is one broadcast multiply whose inner loops run
+    along the rows; summed letters are reduced as in ``_contract_nonzeros``,
+    then the result is scaled by c unless c is 1.
     """
     (x_axes, x_expand), (y_axes, y_expand) = x_op, y_op
-    prod = _sum_trailing(x.transpose(x_axes)[x_expand] * y.transpose(y_axes)[y_expand], n_summed)
+    prod = np.multiply(
+        x.transpose(x_axes)[x_expand], y.transpose(y_axes)[y_expand], order="C"
+    )
+    if summed_axes:
+        prod = prod.sum(axis=summed_axes)
     if c != 1:
         prod = prod * c
     return prod.transpose(out_axes)
@@ -555,20 +621,26 @@ def _contract_broadcast(x_op, y_op, n_summed: int, c, out_axes, x, y) -> np.ndar
 def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """einsum over the tensor's nonzero entries only.
 
-    Gathers the components each entry reads into (nnz, ...) arrays, multiplies
-    them in place, sums any summed letters (the trailing axes) with one
-    product against a ones vector, and sums the result into the output
-    components with one (out dim, nnz) coefficient matrix; a complex product
-    meets a real matrix as one real GEMM over its interleaved re/im parts.
-    The NumPy call count is fixed, so the cost stays low at small edge counts
-    too.
+    Gathers the components each entry reads into (nnz, ..., rows) blocks
+    (for a rows-last operand, whole runs of its row axis), multiplies them
+    in place, sums any summed letters (the axes just before the rows), and
+    sums the result into the output components with one (out dim, nnz)
+    coefficient matrix, whose product comes out with the rows innermost; a
+    complex product meets a real matrix as one real GEMM over its
+    interleaved re/im parts.  The NumPy call count is fixed, so the cost
+    stays low at small edge counts too.
     """
-    (x_axes, x_expand), ix, (y_axes, y_expand), iy, n_summed, into, coeffs, out_axes = plan
-    factors = (x.transpose(x_axes)[ix][x_expand], y.transpose(y_axes)[iy][y_expand])
+    (x_axes, x_expand), ix, (y_axes, y_expand), iy, summed_axes, into, coeffs, out_axes = plan
+    factors = (
+        np.take(x.transpose(x_axes), ix, axis=0)[x_expand],
+        np.take(y.transpose(y_axes), iy, axis=0)[y_expand],
+    )
     out = None if into is None else factors[into]
     if out is not None and out.dtype != np.result_type(*factors):
         out = None
-    prod = _sum_trailing(np.multiply(*factors, out=out), n_summed)
+    prod = np.multiply(*factors, out=out, order="C")
+    if summed_axes:
+        prod = prod.sum(axis=summed_axes)
     inner = prod.shape[1:]
     flat = prod.reshape(len(ix), math.prod(inner))
     if flat.dtype == np.complex128 and coeffs.dtype == np.float64:
@@ -589,8 +661,12 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     dimension 1 and the tensor is c times the identity between the other
     two indices (a spin-0 factor: 0 ⊗ j -> j, j ⊗ 0 -> j, 0 ⊗ 0 -> 0),
     else a contraction over its nonzero entries only.  Any other form
-    raises ValueError.  The cotangent of one factor contracts the same
-    tensor with the other factor, as it is.
+    raises ValueError.  Each plan reads its operands with the output's row
+    letter (its first free letter) innermost, whatever their memory order,
+    and returns the output rows-last where its first letter is that row
+    letter and its tensor letter the next (every CG product here).  The
+    cotangent of one factor contracts the same tensor with the other
+    factor, as it is.
     """
     x, y = _as_node(tape, x), _as_node(tape, y)
     t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
@@ -615,6 +691,27 @@ def _matrix(a: np.ndarray) -> np.ndarray:
     return a if a.ndim <= 2 else a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
 
 
+def _mix(a: np.ndarray, b: np.ndarray, trans_x: bool, trans_w: bool) -> np.ndarray:
+    """op(a) @ op(b) as ``channel_mix`` defines it, rows-last."""
+    if not trans_x:
+        # op(W)^T @ x^T on x's physical form: one product per index of x's
+        # middle axes, over whole runs of its rows; W in C order whatever
+        # its layout, so that BLAS sums each product in one order
+        mw = np.ascontiguousarray(_matrix(b))
+        w_t = mw if trans_w else mw.T
+        part = _physical(a)
+        if a.ndim > 1 and part.dtype == np.complex128 and w_t.dtype == np.float64:
+            part = np.ascontiguousarray(part).view(np.float64)  # interleaved re/im
+            return _logical((w_t @ part).view(np.complex128))
+        return _logical(w_t @ part)
+    if not trans_w and a.ndim > 1 and a.shape[:-1] == b.shape[:-1]:
+        # (W^T x)^T summed over the rows, one product per leading index
+        prod = _physical(b) @ _physical(a).swapaxes(-1, -2)
+        return prod.sum(axis=tuple(range(a.ndim - 2))).T
+    mb = _matrix(b)
+    return ((mb if trans_w else mb.T) @ _matrix(a)).T
+
+
 @_primitive("channel_mix")
 def channel_mix(
     tape: Tape, x: Node, weights: Node, trans_x: bool = False, trans_w: bool = False
@@ -623,20 +720,21 @@ def channel_mix(
     mixing x @ W on the trailing axis, and the products of its cotangents.
 
     An operand with more than two axes is read as the matrix of its
-    flattened leading axes by its trailing axis, so the product is one BLAS
-    call (a stacked product would be one small product per leading index);
-    the result keeps x's leading axes unless ``trans_x`` is set.  The
-    cotangent of op(x) is w @ op(W)^T and that of op(W) is op(x)^T @ w, each
-    again one ``channel_mix`` of the other factor; from (F, F) they are the
-    (F, T) and (T, F) products, a set that their own VJPs keep.  A weight
-    cotangent from complex data is complex, and ``backward`` keeps its real
-    part, so real parameters receive real gradients.
+    flattened leading axes by its trailing axis; the result keeps x's
+    leading axes unless ``trans_x`` is set.  The product is computed
+    transposed, so that it comes out rows-last: op(W)^T @ x^T over x's
+    physical form, one BLAS call per index of x's middle axes, each over
+    whole runs of its rows (a complex x meets a real W as one real GEMM on
+    its interleaved re/im parts); and a data-by-data product x^T @ W as
+    W^T x summed the same way.  The cotangent of op(x) is w @ op(W)^T and
+    that of op(W) is op(x)^T @ w, each again one ``channel_mix`` of the
+    other factor; from (F, F) they are the (F, T) and (T, F) products, a
+    set that their own VJPs keep.  A weight cotangent from complex data is
+    complex, and ``backward`` keeps its real part, so real parameters
+    receive real gradients.
     """
     x, weights = _as_node(tape, x), _as_node(tape, weights)
-    a, b = _matrix(x.value), _matrix(weights.value)
-    value = (a.T if trans_x else a) @ (b.T if trans_w else b)
-    if not trans_x:
-        value = value.reshape(x.shape[:-1] + value.shape[-1:])
+    value = _mix(np.asarray(x.value), np.asarray(weights.value), trans_x, trans_w)
 
     # Each cotangent contracts with the other factor's *node*, not its
     # current value: the data cotangent must stay differentiable with

@@ -117,7 +117,7 @@ def build_neighborhood(
     side = cutoff + 1e-12 * (cutoff + np.abs(pos).max())
     cells = _squeeze(np.floor(pos / side)) + 1
     if groups is not None:
-        groups = np.asarray(groups, dtype=int)
+        groups = check_integers(groups, "groups")
         if groups.shape != (n,):
             raise ValueError(f"groups must be one integer per atom, got shape {groups.shape}")
         # group and x share one coordinate, in which distinct groups lie >= 2 apart

@@ -230,7 +230,7 @@ class Model:
         """
         cfg = self.config
         species = self._check_inputs(positions.value, species)
-        counts = np.asarray(counts, dtype=int)
+        counts = check_integers(counts, "counts")
         n_atoms = len(species)
         if counts.ndim != 1 or counts.size == 0 or counts.min() < 1 or counts.sum() != n_atoms:
             raise ShapeMismatch(

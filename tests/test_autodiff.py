@@ -822,6 +822,155 @@ def _second_order_chain(tape, x, w):
     return ad.sum_all(tape, ad.mul(tape, force, force))
 
 
+def _rows_last(a):
+    """The values of ``a`` stored rows-last: axis 0 innermost in memory."""
+    a = np.asarray(a)
+    if a.ndim < 2:
+        return a.copy()
+    order = (*range(1, a.ndim), 0)
+    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
+
+
+def _is_rows_last(a):
+    return a.ndim < 2 or a.transpose(*range(1, a.ndim), 0).flags.c_contiguous
+
+
+def _draw(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape)
+    return values + 1j * rng.normal(size=shape) if dtype == complex else values
+
+
+def _value_and_vjps(build, arrays, store):
+    """``build(tape, *nodes)`` on ``arrays`` stored by ``store``: the value,
+    and the VJP into each parent of one fixed cotangent stored the same way."""
+    tape = ad.Tape()
+    out = build(tape, *(tape.variable(store(a)) for a in arrays))
+    w = tape.constant(store(_draw(out.shape, out.value.dtype, seed=11)))
+    return out.value, [vjp(tape, w).value for _, vjp in out.parents]
+
+
+def _same_in_either_order(build, arrays, exact=True):
+    """Value and first-order VJPs agree for C-ordered and rows-last inputs:
+    bit for bit when ``exact``, else to 1e-15 of the largest value; and the
+    value comes out rows-last either way."""
+    c_order = _value_and_vjps(build, arrays, np.ascontiguousarray)
+    rows_last = _value_and_vjps(build, arrays, _rows_last)
+    assert _is_rows_last(c_order[0]) and _is_rows_last(rows_last[0])
+    pairs = [(c_order[0], rows_last[0])] + list(zip(c_order[1], rows_last[1]))
+    for want, got in pairs:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            scale = np.max(np.abs(want), initial=0.0)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * scale
+
+
+class TestMemoryOrder:
+    """Each kernel that builds a new array gives the same value and VJPs for
+    a C-ordered input and for the same values stored rows-last, and emits
+    its result rows-last."""
+
+    @pytest.mark.parametrize("shape", [(5, 3, 4), (5, 3)], ids=str)
+    def test_gather(self, shape):
+        indices = np.array([4, 0, 2, 2, 1, 4, 3])
+        _same_in_either_order(
+            lambda tape, x: ad.gather(tape, x, indices), [_draw(shape, complex, 1)]
+        )
+
+    @pytest.mark.parametrize(
+        "indices, n_rows",
+        [
+            ([0, 0, 1, 3, 3, 3, 4], 5),  # sorted, bin 2 empty
+            ([3, 0, 4, 0, 1, 3, 2], 5),  # unsorted, every bin
+            ([3, 0, 4, 0, 1, 3, 2], 7),  # unsorted, trailing bins empty
+            ([], 4),  # zero rows
+        ],
+        ids=["sorted", "unsorted", "unsorted-empty-bins", "zero-rows"],
+    )
+    def test_index_add(self, indices, n_rows):
+        indices = np.array(indices, dtype=int)
+        x = _draw((len(indices), 3, 4), complex, 2)
+        _same_in_either_order(lambda tape, x: ad.index_add(tape, x, indices, n_rows), [x])
+
+    @pytest.mark.parametrize(
+        "triple, sub",
+        [
+            ((2, 2, 2), "abc,eat,ebt->ect"),  # nonzero-entry plan
+            ((2, 2, 2), "abc,ea,ebt->ect"),  # nonzero-entry plan, a harmonic operand
+            ((2, 2, 2), "abc,eat,ect->eb"),  # nonzero-entry plan, summed letter
+            ((0, 2, 2), "abc,eat,ebt->ect"),  # broadcast plan
+            ((0, 4, 4), "abc,eat,ect->eb"),  # broadcast plan, summed letter
+        ],
+        ids=str,
+    )
+    def test_einsum3(self, triple, sub):
+        coeffs = cg_tensor(*triple).coeffs
+        plan = ad._sparse_plan(coeffs, sub).func
+        assert plan is (ad._contract_broadcast if 0 in triple else ad._contract_nonzeros)
+        dims = dict(zip("abc", coeffs.shape))
+        x_sub, y_sub = sub.split("->")[0].split(",")[1:]
+        operands = [
+            _draw(tuple({"e": 6, "t": 4, **dims}[c] for c in term), complex, seed)
+            for seed, term in enumerate((x_sub, y_sub))
+        ]
+        _same_in_either_order(lambda tape, x, y: ad.einsum3(tape, coeffs, x, y, sub), operands)
+
+    @pytest.mark.parametrize(
+        "shape_x, shape_w, trans_x, trans_w",
+        [
+            ((6, 3, 4), (4, 2), False, False),
+            ((6, 3, 2), (4, 2), False, True),
+            ((6, 3, 4), (6, 3, 2), True, False),
+            ((6, 4), (4, 2), False, False),
+            ((6, 4), (6, 2), True, False),
+        ],
+        ids=["F-F", "F-T", "T-F", "F-F-2d", "T-F-2d"],
+    )
+    def test_channel_mix(self, shape_x, shape_w, trans_x, trans_w):
+        # complex data and real weights, as the layers mix them; a (T, F)
+        # product multiplies two data arrays.  BLAS may sum in another order
+        # for another operand layout
+        x = _draw(shape_x, complex, 3)
+        w = _draw(shape_w, complex if trans_x else float, 4)
+        _same_in_either_order(
+            lambda tape, x, w: ad.channel_mix(tape, x, w, trans_x, trans_w), [x, w], exact=False
+        )
+
+    @pytest.mark.parametrize("axis", [2, 0, -1])
+    def test_concat(self, axis):
+        shapes = [[5, 3, 4] for _ in range(3)]
+        for shape, width in zip(shapes, (2, 1, 3)):
+            shape[axis] = width
+        parts = [_draw(tuple(shape), complex, k) for k, shape in enumerate(shapes)]
+        _same_in_either_order(lambda tape, *xs: ad.concat(tape, list(xs), axis=axis), parts)
+
+    @pytest.mark.parametrize("axis", [2, 0])
+    def test_slice_axis(self, axis):
+        _same_in_either_order(
+            lambda tape, x: ad.slice_axis(tape, x, axis=axis, start=1, stop=3),
+            [_draw((5, 3, 4), complex, 5)],
+        )
+
+    @pytest.mark.parametrize("axis", [2, 0])
+    def test_pad_axis(self, axis):
+        _same_in_either_order(
+            lambda tape, x: ad.pad_axis(tape, x, axis=axis, before=2, after=1),
+            [_draw((5, 3, 4), complex, 6)],
+        )
+
+    @pytest.mark.parametrize("shape", [(5, 1, 4), (1, 3, 4), (4,)], ids=str)
+    def test_broadcast_to(self, shape):
+        # the VJP is NumPy's sum over the broadcast axes, whose order follows
+        # the layout
+        _same_in_either_order(
+            lambda tape, x: ad.broadcast_to(tape, x, (5, 3, 4)),
+            [_draw(shape, complex, 7)],
+            exact=False,
+        )
+
+
 class TestGraphFreeTape:
     """``Tape(graph=False)`` computes values and keeps no graph."""
 

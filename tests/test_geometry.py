@@ -144,6 +144,16 @@ class TestGroups:
         with pytest.raises(ValueError, match="one integer per atom"):
             build_neighborhood(pc, 3.0, np.zeros(2, int))
 
+    def test_non_integer_groups_rejected(self):
+        # a cast would truncate [0.5, 0.9, 1.5] to [0, 0, 1] and join two atoms
+        pc = PointCloud(np.eye(3), np.zeros(3, int))
+        with pytest.raises(ValueError, match="groups"):
+            build_neighborhood(pc, 3.0, [0.5, 0.9, 1.5])
+        as_floats = build_neighborhood(pc, 3.0, [0.0, 0.0, 1.0])
+        as_ints = build_neighborhood(pc, 3.0, [0, 0, 1])
+        assert np.array_equal(as_floats.src, as_ints.src)
+        assert np.array_equal(as_floats.dst, as_ints.dst)
+
 
 class TestSpecies:
     @pytest.mark.parametrize("bad", [[0.2, 1.9, 1.5], [0, 1, np.nan], [True, False, True]])

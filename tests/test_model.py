@@ -358,6 +358,20 @@ class TestParameters:
                 tape, tape.variable(positions), species, counts, model.parameter_nodes(tape)
             )
 
+    def test_non_integer_counts_rejected(self):
+        # a cast would truncate [2.9, 3.2] to [2, 3] and return their energies
+        model = Model(_small_config("gated"))
+        positions, species = _cloud(5, seed=5)
+        tape = ad.Tape()
+        params = model.parameter_nodes(tape)
+        with pytest.raises(ValueError, match="counts"):
+            model.taped_forward(tape, tape.variable(positions), species, [2.9, 3.2], params)
+        as_floats, as_ints = (
+            model.taped_forward(tape, tape.variable(positions), species, counts, params).value
+            for counts in ([2.0, 3.0], [2, 3])
+        )
+        assert np.array_equal(as_floats, as_ints)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("path", ["energy_and_forces", "plain_energy"])
     def test_non_finite_positions_rejected(self, path, bad):

@@ -387,3 +387,52 @@ def test_graph_free_parameter_backward_equals_a_recording_one(extra, n_layers):
     assert list(gradients) == list(param_nodes)
     for name, node in param_nodes.items():
         assert np.array_equal(gradients[name], np.real(recorded[node.id].value)), name
+
+
+# the primitives that build arrays from their rows; each stores its result
+# with the row axis innermost
+ROWS_LAST_PRIMITIVES = ("gather", "index_add", "einsum3", "channel_mix", "concat")
+
+
+class TestRowsLastLayout:
+    """Every array that a row-building primitive records in a model's force
+    call or training step is stored rows-last."""
+
+    def _emitted(self, monkeypatch):
+        """(name, value) of each new node the row-building primitives emit,
+        on any tape, graph-free ones included."""
+        emitted = []
+        for name in ROWS_LAST_PRIMITIVES:
+            def wrapped(tape, *args, _fn=getattr(ad, name), _name=name, **kwargs):
+                node = _fn(tape, *args, **kwargs)
+                inputs = [x for arg in args for x in (arg if isinstance(arg, list) else [arg])]
+                if not any(node is x for x in inputs):  # concat of one part returns it
+                    emitted.append((_name, node.value))
+                return node
+
+            monkeypatch.setattr(ad, name, wrapped)
+        return emitted
+
+    def _assert_rows_last(self, emitted):
+        multi_row = [(name, v) for name, v in emitted if v.ndim >= 2 and v.shape[0] > 1]
+        assert {name for name, _ in multi_row} == set(ROWS_LAST_PRIMITIVES)
+        for name, value in multi_row:
+            physical = value.transpose(*range(1, value.ndim), 0)
+            assert physical.flags.c_contiguous, (name, value.shape, value.strides)
+
+    @pytest.mark.parametrize("kind", ["fused", "three_body"])
+    def test_force_call(self, monkeypatch, kind):
+        model = Model(ModelConfig(kind=kind, n_layers=2, tau=3, j_max=1, seed=2))
+        rng = np.random.default_rng(4)
+        positions, species = rng.normal(size=(10, 3)) * 1.3, rng.integers(0, 2, size=10)
+        emitted = self._emitted(monkeypatch)
+        model.energy_and_forces(positions, species)
+        self._assert_rows_last(emitted)
+
+    def test_training_step(self, monkeypatch):
+        # train_wide's shape: three-body, 16 clouds of 8 atoms in one batch
+        model = Model(ModelConfig(kind="three_body", n_layers=2, tau=3, j_max=1, seed=2))
+        samples = generate_dataset(16, 8, seed=6)
+        emitted = self._emitted(monkeypatch)
+        _batch_loss_and_gradients(model, samples, LossConfig())
+        self._assert_rows_last(emitted)
