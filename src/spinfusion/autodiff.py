@@ -527,13 +527,9 @@ def _split_subscript(subscript: str) -> tuple[str, str, str, str]:
     return t_sub, x_sub, y_sub, out
 
 
-def _scaled_identity(block: np.ndarray):
-    """c when ``block`` is c times the identity matrix, else None."""
+def _is_identity(block: np.ndarray) -> bool:
     n = len(block)
-    if block.shape != (n, n) or n == 0:
-        return None
-    c = block[0, 0]
-    return c if np.array_equal(block, c * np.eye(n, dtype=block.dtype)) else None
+    return block.shape == (n, n) and n > 0 and np.array_equal(block, np.eye(n))
 
 
 def _sparse_plan(tensor: np.ndarray, subscript: str):
@@ -544,11 +540,11 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     summed letter is in both operands.
 
     The broadcast plan (``_contract_broadcast``) serves a tensor with an
-    operand index of dimension 1 between whose other two indices it is c
-    times the identity (every 0 ⊗ j -> j CG product, and the VJP of one
-    that keeps that form); every other tensor gets the nonzero-entry plan
-    (``_contract_nonzeros``), so does a product into a dimension-1 output
-    such as 1 ⊗ 1 -> 0."""
+    operand index of dimension 1 between whose other two indices it is the
+    identity (every 0 ⊗ j -> j CG product, and the VJP of one that keeps
+    that form); every other tensor gets the nonzero-entry plan
+    (``_contract_nonzeros``), so do a c·I block with c != 1 and a product
+    into a dimension-1 output such as 1 ⊗ 1 -> 0."""
     t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
     terms = (x_sub, y_sub, out_sub)
     if (
@@ -580,10 +576,10 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     roles = [t_sub.index(l) for l in (lx, ly, lo)]
     block = tensor.transpose(roles)  # (x index, y index, output index)
     for scalar_dim in (0, 1):
-        if block.shape[scalar_dim] == 1:
-            c = _scaled_identity(block[0] if scalar_dim == 0 else block[:, 0])
-            if c is not None:
-                return partial(_contract_broadcast, x_op, y_op, summed_axes, c, out_axes)
+        if block.shape[scalar_dim] == 1 and _is_identity(
+            block[0] if scalar_dim == 0 else block[:, 0]
+        ):
+            return partial(_contract_broadcast, x_op, y_op, summed_axes, out_axes)
 
     # the product overwrites a gathered operand of its full shape
     full = [set(rest) == set(kept) for rest in (rest_x, rest_y)]
@@ -597,15 +593,14 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     )
 
 
-def _contract_broadcast(x_op, y_op, summed_axes, c, out_axes, x, y) -> np.ndarray:
-    """einsum with a tensor that is c times the identity between the output
-    and one operand, the other operand's index having dimension 1.
+def _contract_broadcast(x_op, y_op, summed_axes, out_axes, x, y) -> np.ndarray:
+    """einsum with a tensor that is the identity between the output and one
+    operand, the other operand's index having dimension 1.
 
     Each operand's tensor axis comes first (the dimension-1 one broadcasts
     against the other, whose components are the output's) and its row axis
     last, so the product is one broadcast multiply whose inner loops run
-    along the rows; summed letters are reduced as in ``_contract_nonzeros``,
-    then the result is scaled by c unless c is 1.
+    along the rows; summed letters are reduced as in ``_contract_nonzeros``.
     """
     (x_axes, x_expand), (y_axes, y_expand) = x_op, y_op
     prod = np.multiply(
@@ -613,8 +608,6 @@ def _contract_broadcast(x_op, y_op, summed_axes, c, out_axes, x, y) -> np.ndarra
     )
     if summed_axes:
         prod = prod.sum(axis=summed_axes)
-    if c != 1:
-        prod = prod * c
     return prod.transpose(out_axes)
 
 

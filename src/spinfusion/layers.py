@@ -76,7 +76,7 @@ from .errors import EmptySchedule
 from .features import _Y00, EdgeFeature
 from .geometry import Neighborhood, PointCloud
 from .irreps import Activation
-from .spins import admissible
+from .spins import admissible, format_spin
 
 __all__ = [
     "SpinSchedule",
@@ -111,7 +111,9 @@ def seeded_uniform(shape: tuple[int, ...], seed: int, name: str) -> np.ndarray:
 class SpinSchedule:
     """Internal-spin selection for three-body couplings.
 
-    ``internal_two_ks`` lists the schedule's internal spins (as 2k).  Sparse
+    ``internal_two_ks`` lists the schedule's distinct internal spins (as 2k);
+    a repeated spin would only add linearly dependent copies of the same
+    diagrams, so it is rejected.  Sparse
     mode couples through one internal spin at a time; dense mode evaluates
     ordered tuples: every single spin plus every permutation of the full
     sequence (deduplicated, deterministic order).
@@ -125,7 +127,11 @@ class SpinSchedule:
             raise ValueError(f"schedule mode must be sparse or dense, got {self.mode!r}")
         if not self.internal_two_ks:
             raise EmptySchedule("an internal-spin schedule needs at least one spin")
-        object.__setattr__(self, "internal_two_ks", tuple(int(k) for k in self.internal_two_ks))
+        two_ks = tuple(int(k) for k in self.internal_two_ks)
+        for i, k in enumerate(two_ks):
+            if k in two_ks[:i]:
+                raise ValueError(f"internal spin {format_spin(k)} is listed more than once")
+        object.__setattr__(self, "internal_two_ks", two_ks)
 
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:

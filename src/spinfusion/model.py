@@ -89,6 +89,9 @@ class ModelConfig:
         spins = [check_json_number(j, "internal_spins", integer=True) for j in self.internal_spins]
         if min(spins, default=0) < 0:
             raise ValueError(f"internal_spins must be integers >= 0, got {list(self.internal_spins)}")
+        for i, j in enumerate(spins):
+            if j in spins[:i]:
+                raise ValueError(f"internal_spins lists spin {int(j)} more than once")
         object.__setattr__(self, "internal_spins", tuple(int(j) for j in self.internal_spins))
 
     def to_json(self) -> str:

@@ -1,19 +1,12 @@
-"""Rotations: ZYZ Euler angles, unit quaternions, Haar sampling.
+"""Rotations as unit quaternions, with Haar sampling.
 
-Convention (fixed package-wide): a ``Rotation`` g = (alpha, beta, gamma)
-acts on 3-vectors through
-
-    rotation_matrix(g) = Rz(-alpha) @ Ry(beta) @ Rz(-gamma).
-
-With this labeling the spin-j representation of g is exactly
-``wigner_D(j, g)`` with matrix elements e^{-i m' alpha} d(beta) e^{-i m gamma},
-and the textbook complex spherical harmonics satisfy Y(R x) = D(g) Y(x)
-(numerically pinned by the identity Y^1(v) = sqrt(3/4pi) B v together with
-rotation_matrix(g) = B^H D^1(g) B for the unitary solid-harmonic basis B).
-Quaternions follow the standard active convention: q = (cos t/2, sin t/2 * n)
-rotates by angle t about the unit axis n, and quaternion multiplication
-composes rotations (kept on the Rotation so half-integer representations can
-resolve their SU(2) sign).
+A ``Rotation`` is one unit quaternion q = (w, x, y, z) in the standard active
+convention: q = (cos t/2, sin t/2 * n) rotates by angle t about the unit axis
+n, and ``rotation_matrix(g)`` is q's standard rotation matrix.  Composition is
+the quaternion product and the inverse is the conjugate, so q carries the
+SU(2) element itself (q and -q are the same rotation but not the same
+half-integer representation).  ``wigner.wigner_D`` builds every spin from it,
+and the textbook complex spherical harmonics satisfy Y(R x) = D(g) Y(x).
 """
 
 from __future__ import annotations
@@ -32,99 +25,26 @@ __all__ = [
     "identity_rotation",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class Rotation:
-    """ZYZ Euler angles with beta in [0, pi], plus the sampled quaternion.
+    """A unit quaternion (w, x, y, z); any nonzero finite 4-vector is
+    normalized when the rotation is built."""
 
-    The quaternion is optional; when present it denotes the same rotation
-    (either SU(2) lift) and is used for exact composition and for fixing the
-    sign of half-integer representations.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    quaternion: tuple[float, float, float, float] | None = None
+    quaternion: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        if not -1e-12 <= self.beta <= math.pi + 1e-12:
-            raise ValueError(f"beta must lie in [0, pi], got {self.beta}")
+        q = tuple(self.quaternion)
+        if len(q) != 4:
+            raise ValueError(f"a quaternion has 4 components, got {len(q)}")
+        norm = math.sqrt(sum(c * c for c in q))
+        if not math.isfinite(norm) or norm < 1e-12:
+            raise ValueError("quaternion must be nonzero and finite")
+        object.__setattr__(self, "quaternion", tuple(c / norm for c in q))
 
 
 def identity_rotation() -> Rotation:
-    return Rotation(0.0, 0.0, 0.0, (1.0, 0.0, 0.0, 0.0))
-
-
-def _quat_multiply(q1, q2) -> tuple[float, float, float, float]:
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-
-
-def _quat_matrix(q) -> np.ndarray:
-    """Standard active rotation matrix of a unit quaternion."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def _axis_quat(axis: int, angle: float) -> tuple[float, float, float, float]:
-    half = 0.5 * angle
-    q = [math.cos(half), 0.0, 0.0, 0.0]
-    q[1 + axis] = math.sin(half)
-    return tuple(q)
-
-
-def _euler_to_quat(alpha: float, beta: float, gamma: float):
-    """Canonical SU(2) lift of the rotation with our angle labeling."""
-    q = _quat_multiply(_axis_quat(2, -alpha), _axis_quat(1, beta))
-    return _quat_multiply(q, _axis_quat(2, -gamma))
-
-
-def _zyz_from_matrix(n: np.ndarray) -> tuple[float, float, float]:
-    """Angles (a, b, c) with n = Rz(a) @ Ry(b) @ Rz(c), b in [0, pi]."""
-    sin_b = math.hypot(n[0, 2], n[1, 2])
-    b = math.atan2(sin_b, n[2, 2])
-    if sin_b > 1e-12:
-        a = math.atan2(n[1, 2], n[0, 2])
-        c = math.atan2(n[2, 1], -n[2, 0])
-    elif n[2, 2] > 0.0:  # b ~ 0: only a + c matters
-        a = math.atan2(n[1, 0], n[0, 0])
-        c = 0.0
-    else:  # b ~ pi: only a - c matters
-        a = math.atan2(-n[1, 0], -n[0, 0])
-        c = 0.0
-    return a, b, c
-
-
-def _wrap(angle: float) -> float:
-    wrapped = math.fmod(angle, _TWO_PI)
-    return wrapped + _TWO_PI if wrapped < 0.0 else wrapped
-
-
-def rotation_from_quaternion(q) -> Rotation:
-    """Rotation carrying q, with angles matching rotation_matrix == matrix(q)."""
-    norm = math.sqrt(sum(c * c for c in q))
-    if not math.isfinite(norm) or norm < 1e-12:
-        raise ValueError("quaternion must be nonzero and finite")
-    q = tuple(c / norm for c in q)
-    # rotation_matrix(g) = Rz(-alpha) Ry(beta) Rz(-gamma) is already in
-    # standard Rz(a)Ry(b)Rz(c) form with a = -alpha, b = beta, c = -gamma.
-    a, b, c = _zyz_from_matrix(_quat_matrix(q))
-    return Rotation(_wrap(-a), b, _wrap(-c), q)
+    return Rotation((1.0, 0.0, 0.0, 0.0))
 
 
 def haar_rotation(seed) -> Rotation:
@@ -134,43 +54,37 @@ def haar_rotation(seed) -> Rotation:
     shared generator yields a stream of independent rotations).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    q = rng.standard_normal(4)
-    return rotation_from_quaternion(tuple(q))
-
-
-def _angles_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    def rz(t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def ry(t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-    return rz(-alpha) @ ry(beta) @ rz(-gamma)
+    return Rotation(tuple(rng.standard_normal(4)))
 
 
 def rotation_matrix(g: Rotation) -> np.ndarray:
-    """3x3 matrix acting on positions: Rz(-alpha) @ Ry(beta) @ Rz(-gamma)."""
-    return _angles_matrix(g.alpha, g.beta, g.gamma)
-
-
-def _lift(g: Rotation):
-    return g.quaternion if g.quaternion is not None else _euler_to_quat(
-        g.alpha, g.beta, g.gamma
+    """3x3 matrix acting on positions: the standard active matrix of q."""
+    w, x, y, z = g.quaternion
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
     )
 
 
 def compose(g1: Rotation, g2: Rotation) -> Rotation:
-    """Rotation with matrix rotation_matrix(g1) @ rotation_matrix(g2).
-
-    Composition happens at the quaternion level so half-integer
-    representations stay consistent: wigner_D(j, compose(g1, g2)) equals
-    wigner_D(j, g1) @ wigner_D(j, g2) for all j.
-    """
-    return rotation_from_quaternion(_quat_multiply(_lift(g1), _lift(g2)))
+    """The quaternion product g1 g2, whose matrix is rotation_matrix(g1) @
+    rotation_matrix(g2) and whose D^j is wigner_D(j, g1) @ wigner_D(j, g2)."""
+    w1, x1, y1, z1 = g1.quaternion
+    w2, x2, y2, z2 = g2.quaternion
+    return Rotation(
+        (
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )
+    )
 
 
 def inverse(g: Rotation) -> Rotation:
-    w, x, y, z = _lift(g)
-    return rotation_from_quaternion((w, -x, -y, -z))
+    """The conjugate quaternion."""
+    w, x, y, z = g.quaternion
+    return Rotation((w, -x, -y, -z))

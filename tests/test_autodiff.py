@@ -311,6 +311,20 @@ class TestKernelOracles:
         want = np.einsum(sub, coeffs, x, y)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_scaled_identity_takes_the_nonzero_plan(self):
+        # only an exact identity block broadcasts; 2·I between the spin-1
+        # operand and the output goes through the nonzero entries
+        coeffs = 2.0 * cg_tensor(0, 2, 2).coeffs
+        sub = "abc,eat,ebt->ect"
+        assert ad._sparse_plan(coeffs, sub).func is ad._contract_nonzeros
+        dims = dict(zip("abc", coeffs.shape))
+        rng = np.random.default_rng(9)
+        _, x_sub, y_sub = sub.split("->")[0].split(",")
+        x, y = _operand(x_sub, dims, 37, rng), _operand(y_sub, dims, 37, rng)
+        got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+        want = np.einsum(sub, coeffs, x, y)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_einsum3_dense_complex_tensor(self):
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(3, 2)) + 0j, rng.normal(size=(3, 2)) * 1j

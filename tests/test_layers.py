@@ -80,6 +80,12 @@ class TestSpinSchedule:
         with pytest.raises(ValueError):
             SpinSchedule("diagonal", (0,))
 
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_repeated_spin_rejected(self, mode):
+        # a repeated spin only adds linearly dependent copies of its diagrams
+        with pytest.raises(ValueError, match="internal spin 1 is listed more than once"):
+            SpinSchedule(mode, (0, 2, 2))
+
 
 class TestThreeBodyPaths:
     def test_paths_are_admissible_chains(self):

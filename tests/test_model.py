@@ -58,6 +58,7 @@ class TestConfig:
             ("n_layers", 0), ("n_layers", -2), ("j_max", -1), ("cutoff", 0.0),
             ("cutoff", -1.0), ("cutoff", float("nan")), ("cutoff", float("inf")),
             ("internal_spins", (-1,)), ("internal_spins", (0.5,)),
+            ("internal_spins", (0, 1, 1)),
             ("schedule_mode", "full"), ("seed", -1),
         ],
     )

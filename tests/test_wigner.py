@@ -11,16 +11,20 @@ from spinfusion.rotations import (
     haar_rotation,
     identity_rotation,
     inverse,
-    rotation_from_quaternion,
     rotation_matrix,
 )
 from spinfusion.spins import Spin, dim
-from spinfusion.wigner import wigner_D, wigner_small_d
+from spinfusion.wigner import wigner_D
+
+
+def small_d(j, beta):
+    """d^j(beta): D^j of the rotation by beta about y."""
+    return wigner_D(j, Rotation((math.cos(beta / 2), 0.0, math.sin(beta / 2), 0.0))).matrix
 
 
 class TestSmallD:
     def test_spin_zero_is_trivial(self):
-        assert wigner_small_d(Spin(0), 1.234).tolist() == [[1.0]]
+        assert small_d(Spin(0), 1.234).tolist() == [[1.0]]
 
     def test_spin_half_values(self):
         # Ascending m ordering (-1/2, +1/2):
@@ -32,28 +36,28 @@ class TestSmallD:
                 [-math.sin(beta / 2), math.cos(beta / 2)],
             ]
         )
-        assert np.max(np.abs(wigner_small_d(Spin(1), beta) - expected)) < 1e-15
+        assert np.max(np.abs(small_d(Spin(1), beta) - expected)) < 1e-15
 
     def test_spin_half_at_pi(self):
         assert np.allclose(
-            wigner_small_d(Spin(1), math.pi), [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15
+            small_d(Spin(1), math.pi), [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15
         )
 
     def test_spin_one_center_element_is_cos_beta(self):
         # d^1_{00}(beta) = cos(beta)
         for beta in (0.0, math.pi / 3, 1.1, 2.7):
-            assert wigner_small_d(Spin(2), beta)[1, 1] == pytest.approx(
+            assert small_d(Spin(2), beta)[1, 1] == pytest.approx(
                 math.cos(beta), abs=1e-14
             )
 
     def test_orthogonality(self):
         for two_j in (1, 2, 3, 4):
-            d = wigner_small_d(Spin(two_j), 0.9)
+            d = small_d(Spin(two_j), 0.9)
             assert np.max(np.abs(d @ d.T - np.eye(dim(two_j)))) < 1e-13
 
     def test_beta_zero_is_identity(self):
         for two_j in (1, 2, 5):
-            assert np.max(np.abs(wigner_small_d(Spin(two_j), 0.0) - np.eye(dim(two_j)))) < 1e-15
+            assert np.max(np.abs(small_d(Spin(two_j), 0.0) - np.eye(dim(two_j)))) < 1e-15
 
 
 class TestWignerD:
@@ -68,17 +72,21 @@ class TestWignerD:
             d = wigner_D(Spin(two_j), haar_rotation(seed)).matrix
             assert np.max(np.abs(d.conj().T @ d - np.eye(dim(two_j)))) < 1e-13
 
-    @pytest.mark.parametrize("two_j", [1, 2, 4])
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 4])
     def test_composition_homomorphism(self, two_j):
         g1, g2 = haar_rotation(10), haar_rotation(11)
         left = wigner_D(Spin(two_j), compose(g1, g2)).matrix
         right = wigner_D(Spin(two_j), g1).matrix @ wigner_D(Spin(two_j), g2).matrix
-        sign = 1.0 if two_j % 2 == 0 else np.sign(
-            np.real(np.trace(left @ right.conj().T))
-        )
-        # Integer spins are true SO(3) representations; half-integer spins
-        # compose up to the SU(2) double-cover sign.
-        assert np.max(np.abs(left - sign * right)) < 1e-13
+        # exact for half-integer spins too: compose is the SU(2) product
+        assert np.max(np.abs(left - right)) < 1e-13
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4])
+    def test_negated_quaternion_flips_half_integer_spins(self, two_j):
+        # q and -q are one rotation; D^j(-q) = (-1)^{2j} D^j(q)
+        g = haar_rotation(12)
+        minus = Rotation(tuple(-c for c in g.quaternion))
+        d, d_minus = wigner_D(Spin(two_j), g).matrix, wigner_D(Spin(two_j), minus).matrix
+        assert np.max(np.abs(d_minus - (-1) ** two_j * d)) < 1e-13
 
     def test_inverse_is_conjugate_transpose(self):
         g = haar_rotation(3)
@@ -109,7 +117,7 @@ class TestRotationMatrix:
 
     def test_cyclic_quaternion(self):
         # The quaternion (1,1,1,1)/2 rotates x->y->z->x.
-        r = rotation_matrix(rotation_from_quaternion([0.5, 0.5, 0.5, 0.5]))
+        r = rotation_matrix(Rotation((0.5, 0.5, 0.5, 0.5)))
         expected = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert np.max(np.abs(r - expected)) < 1e-14
 
@@ -119,10 +127,10 @@ class TestRotationMatrix:
         right = rotation_matrix(g1) @ rotation_matrix(g2)
         assert np.max(np.abs(left - right)) < 1e-13
 
-    def test_z_axis_euler_alpha(self):
-        # rotation_matrix(g) = Rz(-alpha) Ry(beta) Rz(-gamma), so a pure
-        # alpha = 0.4 is a clockwise rotation about z.
-        g = Rotation(alpha=0.4, beta=0.0, gamma=0.0)
+    def test_z_axis_rotation(self):
+        # q = (cos t/2, 0, 0, sin t/2) rotates by t about z; t = -0.4 is a
+        # clockwise rotation
+        g = Rotation((math.cos(-0.2), 0.0, 0.0, math.sin(-0.2)))
         r = rotation_matrix(g)
         c, s = math.cos(0.4), math.sin(0.4)
         expected = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -143,3 +151,19 @@ class TestHaar:
     def test_unit_quaternion(self):
         q = haar_rotation(7).quaternion
         assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestRotationRejects:
+    @pytest.mark.parametrize(
+        "q",
+        [
+            (0.0, 0.0, 0.0, 0.0),
+            (math.nan, 0.0, 0.0, 1.0),
+            (1.0, math.inf, 0.0, 0.0),
+            (1.0, 0.0, 0.0),
+        ],
+        ids=str,
+    )
+    def test_degenerate_quaternion(self, q):
+        with pytest.raises(ValueError):
+            Rotation(q)
