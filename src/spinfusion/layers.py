@@ -1,40 +1,49 @@
 """Equivariant message-passing layers built from fusion diagrams.
 
-Two layer families:
+One layer family: a layer is a list of terms, each a collection of fusion
+diagrams per output spin mixed to tau channels by its own weight, and the
+mixed terms are summed.  The terms:
 
-* the interaction layer — per-atom update combining a self term, a
-  channel-wise CG self-product (``pair``) and a gated two-body message sum
-  (``gated``); the "fused" kind adds one fusion block of three-leaf
-  diagrams per output spin.  Every term is a fusion-diagram collection (the
-  self term a one-leaf diagram) mixed to tau channels by its own weight,
-  and the mixed terms are summed, so zeroing the fusion blocks' mixings
-  reproduces the gated layer.
+* ``self``: the center's own part, a one-leaf diagram;
+* ``pair``: channel-wise CG products of two center parts;
+* ``gated``: the two-body message (g ⊗ (h_b ⊗ Y_a)_l)_l, g an invariant
+  gate, summed over neighbors;
+* ``fusion``: a fusion block of three-leaf diagrams ((center ⊗ neighbor)_k
+  ⊗ Y)_l, summed over neighbors;
+* ``three_body``: a fusion block of staged couplings of (center, embedded
+  edge, neighbor), summed over neighbors, whose diagrams come from an
+  internal-spin schedule, either sparse (one internal spin per coupling)
+  or dense (staged ordered tuples of internal spins, every stage pinned to
+  the output spin so no reshaping layer is needed).
 
-* the three-body update — for every output spin J, a fusion block whose
-  three slots are (center activation, edge feature, neighbor activation) is
-  summed over neighbors; diagram collections come from an internal-spin
-  schedule, either sparse (one internal spin per coupling) or dense (staged
-  ordered tuples of internal spins, every stage pinned to the output spin so
-  no reshaping layer is needed), followed by one trainable mixing over the
-  concatenated channel axis.
+Each model kind names its term set: gated is self, pair and gated; fused
+adds fusion, so zeroing the fusion blocks' mixings reproduces the gated
+layer; three_body is three_body alone.
+
+Every diagram reads one slot table: slot 0 is the center atom (N rows),
+and per edge (E rows) slot 1 is the neighbor, 2 the edge harmonic, 3 the
+gate (a spin-0 leaf) and 4 the embedded edge (Y^j ⊗ R_j)_j, the harmonic
+times the spin-0 radial leaf R_j.  Both executors bind the same table.  A
+layer binds the gate, and owns its ``gate/*`` weights, only where a
+diagram reads slot 3, and the embedded edge, with its ``edge_embed/{2j}``
+weights, only where one reads slot 4: a gated layer records no R_j and a
+three-body layer no gate.
 
 Each layer is a ``LayerParams``: one ``SpinTable`` per output spin (its
 diagram collections, each naming the one weight that mixes it, and their
 one lowering), and one weight table, ``weights``, keyed by the parameter's
 name within the layer (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``,
-...), all built once at init.  A model lists the weight tables under the
-layer's name; that is all it knows of them.  Every collection reads one
-slot table per layer: slot 0 is the center atom (N rows), the other slots
-are per edge (E rows).  Both executors bind the same table.
+...), all built once at init by ``init_layer``.  A model lists the weight
+tables under the layer's name; that is all it knows of them.
 
 Both executors run the same collections and weights.  The per-atom one
-(``interaction_layer``, ``three_body_forward``), the eager oracle, binds
-the slots once per atom and runs each collection as built through
-``blocks.apply``.  The taped one (``taped_collections``), vectorized over
-atoms and edges, runs each output spin as lowered at init: ``recouple``
-F-moves each three-leaf diagram ((center ⊗ a)_k ⊗ b)_J into (center ⊗
-T)_J, T = (a ⊗ b)_k' (same span, real matrix U), and every target falls in
-one of three groups by its tree:
+(``layer_forward``), the eager oracle, binds the slots once per atom and
+runs each collection as built through ``blocks.apply``.  The taped one
+(``taped_layer``, through ``taped_collections``), vectorized over atoms
+and edges, runs each output spin as lowered at init: ``recouple`` F-moves
+each three-leaf diagram ((center ⊗ a)_k ⊗ b)_J into (center ⊗ T)_J, T =
+(a ⊗ b)_k' (same span, real matrix U), and every target falls in one of
+three groups by its tree:
 
 * center-only: every leaf is slot 0, contracted at N rows;
 * (center ⊗ T)_J, T over edge slots only: T per edge, summed over each
@@ -42,13 +51,12 @@ one of three groups by its tree:
 * everything else (the gated term, the dense schedule's multi-stage chains
   and their three-leaf first stages): per edge, then summed.
 
-The interaction layer's tables are built in the form they run, so
-``recouple`` is its only lowering: the gate is the root's left leaf of
-each gated diagram, (g ⊗ (h_b ⊗ Y_a)_l)_l, whose (neighbor ⊗ harmonic)
-pair is the fusion term's T, and no diagram reads the constant Y^0_0
-harmonic; that constant and the exchange sign are the diagrams' fixed
-path weights.  Each (neighbor, harmonic, k) product runs once per edge and
-layer.
+The tables are built in the form they run, so ``recouple`` is the only
+lowering: the gate is the root's left leaf of each gated diagram, (g ⊗
+(h_b ⊗ Y_a)_l)_l, whose (neighbor ⊗ harmonic) pair is the fusion term's T,
+and no diagram reads the constant Y^0_0 harmonic; that constant and the
+exchange sign are the diagrams' fixed path weights.  Each (neighbor,
+harmonic, k) product runs once per edge and layer.
 
 So each edge's contribution is summed over the neighborhood as early as
 the tree allows, and the center is gathered to the edges only for a target
@@ -81,13 +89,12 @@ from .spins import admissible, format_spin
 __all__ = [
     "SpinSchedule",
     "LayerParams",
-    "InteractionParams",
-    "ThreeBodyParams",
     "invariant_gate",
+    "init_layer",
     "init_interaction_layer",
-    "interaction_layer",
     "init_three_body_layer",
-    "three_body_forward",
+    "layer_forward",
+    "taped_layer",
     "seeded_uniform",
 ]
 
@@ -177,7 +184,7 @@ def taped_gate(
     weights: dict[str, ad.Node],
 ) -> ad.Node:
     """Vectorized gate over all edges -> (E, 1, tau) real node, the
-    interaction layer's spin-0 gate leaf.
+    spin-0 leaf of slot 3.
 
     ``neighbor0`` is the neighbor's spin-0 part, (E, 1, tau), which the
     layer has already gathered at ``dst``; the center's (N, 1, tau) part is
@@ -394,18 +401,23 @@ def taped_collections(
 
 
 # ---------------------------------------------------------------------------
-# layer tables
+# layers: terms over one slot table
 # ---------------------------------------------------------------------------
+
+
+# The per-edge slots of every layer's table, as both executors bind them;
+# slot 0 is the center atom.
+_NEIGHBOR, _HARMONIC, _GATE, _EDGE = 1, 2, 3, 4
 
 
 @dataclass
 class LayerParams:
     """One layer's diagram table and weight table, both built at init.
 
-    ``recoupled[two_J]`` is the ``SpinTable`` of output spin 2J: its
-    collections, each with its weight key, in the order their mixed outputs
-    are summed, and their one lowering; its keys are the layer's output
-    spins.
+    ``recoupled[two_J]`` is the ``SpinTable`` of output spin 2J: one
+    collection per non-empty term, each with its weight key, in the order
+    their mixed outputs are summed, and their one lowering; its keys are
+    the layer's output spins.
     ``weights`` maps each parameter's name within the layer
     (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``, ...) to its array,
     in checkpoint order; a model lists it under ``{layer name}/{key}``,
@@ -421,6 +433,17 @@ class LayerParams:
     def output_spins(self) -> tuple[int, ...]:
         return tuple(sorted(self.recoupled))
 
+    @property
+    def slots(self) -> frozenset[int]:
+        """The slots that the layer's diagrams read."""
+        return frozenset(
+            slot
+            for table in self.recoupled.values()
+            for c in table.collections
+            for d in c.diagrams
+            for slot in d.slots
+        )
+
     def add_seeded(self, key: str, shape: tuple[int, int], seed: int, name: str) -> None:
         """Add weight ``key`` of the layer called ``name``, ``seeded_uniform``."""
         self.weights[key] = seeded_uniform(shape, seed, f"{name}/{key}")
@@ -428,194 +451,6 @@ class LayerParams:
     def weight_nodes(self, param_nodes: dict[str, ad.Node], name: str) -> dict[str, ad.Node]:
         """The table's nodes among a model's, keyed as in ``weights``."""
         return {key: param_nodes[f"{name}/{key}"] for key in self.weights}
-
-
-# ---------------------------------------------------------------------------
-# pairwise interaction layer (gated / fused kinds)
-# ---------------------------------------------------------------------------
-
-
-class InteractionParams(LayerParams):
-    """Tables of one interaction layer.
-
-    Slots of the tables and of their lowered targets: 0 = center (N rows),
-    1 = neighbor, 2 = edge harmonic, 3 = gate (spin 0 only; E rows each).
-    ``recoupled[two_l]`` holds one collection per term at output spin 2l,
-    in the fixed order self (slot 0), pair (0, 0), gated (3, (1, 2)) and,
-    in the fused kind, the fusion block ((0, 1), 2); none is empty.  The
-    fused spin is the gated spin plus one fusion block.
-    Weights: ``gate/*`` (``invariant_gate``); ``vertex/{2l}/{term}`` mixes
-    a term's concatenated diagram outputs to tau channels, and the fusion
-    block's ``fusion_mix/{2l}`` mixes its own.  No diagram reads the
-    constant Y^0_0 harmonic: its factor, like the sign of a leaf exchange,
-    is the fixed path weight of the diagram that would read it.  The
-    terms are lowered by ``recouple``: self and pair center-only; gated
-    per edge, as built, (gate ⊗ (neighbor ⊗ harmonic)_l)_l or (gate ⊗
-    neighbor)_l; fusion as (center ⊗ T)_l with T = (neighbor ⊗
-    harmonic)_k', or (center ⊗ neighbor)_l as built.  Both terms'
-    products share one memo, so each (neighbor, harmonic, k) product is
-    recorded once per layer.  Zeroing ``fusion_mix`` zeroes the fusion
-    targets' rows of the spin's one mixing, which reproduces the gated
-    layer.
-    """
-
-
-# The interaction layer's per-edge slots, as both executors bind them.
-_NEIGHBOR, _HARMONIC, _GATE = 1, 2, 3
-
-
-def _term_diagrams(input_spins, edge_spins, two_l: int, fused: bool):
-    """The non-empty terms' diagram collections at one output spin.
-
-    The pair and gated terms list their (2ja, 2jb) spins lexicographically:
-    the pair term couples two center parts, the gated one the spin-0 gate g
-    with the neighbor-harmonic pair, (g ⊗ (h_b ⊗ Y_a)_l)_l.  The fusion
-    term couples (center, neighbor) through k, then (k, edge harmonic) into
-    the output spin, lexicographic in (2ji, 2jj, 2k, 2jy).  No diagram has
-    a Y^0_0 leaf, a constant: where a = 0 or y = 0 the diagram is the
-    two-leaf (g ⊗ h_b)_l or (h_i ⊗ h_j)_l.
-
-    Each term is (diagrams, path weights): a diagram's path weight is the
-    fixed factor that makes it the harmonic-first diagram it stands for,
-    (Y_a ⊗ (h_b ⊗ g)_b)_l or ((h_i ⊗ h_j)_k ⊗ Y_y)_l.  That is Y^0_0 where
-    a = 0 or y = 0 (a spin-0 CG vertex is the identity), the exchange sign
-    (-1)^(ja+jb-l) of (Y_a ⊗ h_b)_l = ± (h_b ⊗ Y_a)_l for the other gated
-    diagrams, and 1 for the rest.
-    """
-
-    def gated(two_ja, two_jb):
-        if two_ja == 0:
-            return left_comb([0, two_jb], [], two_l, slots=[_GATE, _NEIGHBOR]), _Y00
-        pair = FuseNode(LeafNode(_NEIGHBOR), LeafNode(_HARMONIC), two_l)
-        leaves = ((_GATE, 0), (_NEIGHBOR, two_jb), (_HARMONIC, two_ja))
-        sign = -1.0 if (two_ja + two_jb - two_l) // 2 % 2 else 1.0
-        return FusionDiagram(leaves, FuseNode(LeafNode(_GATE), pair, two_l), two_l), sign
-
-    def fusion(two_ji, two_jj, two_k, two_jy):
-        if two_jy == 0:  # then k = l
-            return left_comb([two_ji, two_jj], [], two_l, slots=[0, _NEIGHBOR]), _Y00
-        spins = [two_ji, two_jj, two_jy]
-        return left_comb(spins, [two_k], two_l, slots=[0, _NEIGHBOR, _HARMONIC]), 1.0
-
-    terms = {
-        "self": (
-            ((FusionDiagram(((0, two_l),), LeafNode(0), two_l), 1.0),)
-            if two_l in input_spins
-            else ()
-        ),
-        "pair": tuple(
-            (left_comb([two_ja, two_jb], [], two_l, slots=[0, 0]), 1.0)
-            for two_ja in input_spins
-            for two_jb in input_spins
-            if admissible(two_ja, two_jb, two_l)
-        ),
-        "gated": tuple(
-            gated(two_ja, two_jb)
-            for two_ja in edge_spins
-            for two_jb in input_spins
-            if admissible(two_ja, two_jb, two_l)
-        ),
-        "fusion": tuple(
-            fusion(two_ji, two_jj, two_k, two_jy)
-            for two_ji in input_spins
-            for two_jj in input_spins
-            for two_k in range(abs(two_ji - two_jj), two_ji + two_jj + 2, 2)
-            for two_jy in edge_spins
-            if fused and admissible(two_k, two_jy, two_l)
-        ),
-    }
-    return {term: tuple(zip(*paths)) for term, paths in terms.items() if paths}
-
-
-def init_interaction_layer(
-    input_spins,
-    j_max: int,
-    tau: int,
-    radial_channels: int,
-    hidden: int,
-    fused: bool,
-    seed: int,
-    name: str,
-) -> InteractionParams:
-    input_spins = tuple(sorted(input_spins))
-    edge_spins = tuple(2 * j for j in range(j_max + 1))
-    params = InteractionParams(tau=tau)
-    params.add_seeded("gate/w_hidden", (4 * tau + radial_channels, hidden), seed, name)
-    params.weights["gate/b_hidden"] = np.zeros(hidden)
-    params.add_seeded("gate/w_out", (hidden, tau), seed, name)
-    params.weights["gate/b_out"] = np.zeros(tau)
-    for two_l in edge_spins:
-        collections = []
-        terms = _term_diagrams(input_spins, edge_spins, two_l, fused)
-        for term, (diagrams, path_weights) in terms.items():
-            key = f"fusion_mix/{two_l}" if term == "fusion" else f"vertex/{two_l}/{term}"
-            params.add_seeded(key, (len(diagrams) * tau, tau), seed, name)
-            collections.append(Collection(diagrams, key, path_weights))
-        params.recoupled[two_l] = lower_spin(collections, tau)
-    return params
-
-
-def _broadcast_harmonics(edge: EdgeFeature, tau: int) -> Activation:
-    """Single-channel harmonics repeated across tau channels."""
-    return Activation(
-        {two_j: np.repeat(part, tau, axis=1) for two_j, part in edge.harmonics.items()}
-    )
-
-
-def interaction_layer(
-    acts: list[Activation],
-    pc: PointCloud,
-    nbr: Neighborhood,
-    feats: dict[tuple[int, int], EdgeFeature],
-    params: InteractionParams,
-) -> list[Activation]:
-    """Plain per-atom interaction layer (reference implementation).
-
-    Binds the layer's slots for each atom, the per-edge slots listed over
-    its neighbors, and runs every term through ``apply_collections``.
-    """
-    out: list[Activation] = []
-    for o in range(pc.n_atoms):
-        center = acts[o]
-        neighbors = nbr.neighbors(o)
-        gates = [invariant_gate(center, acts[i], feats[(o, i)], params.weights) for i in neighbors]
-        inputs = [
-            center,
-            [acts[i] for i in neighbors],
-            [_broadcast_harmonics(feats[(o, i)], params.tau) for i in neighbors],
-            [Activation({0: gate[None]}) for gate in gates],
-        ]
-        out.append(apply_collections(params.recoupled, inputs, params.weights))
-    return out
-
-
-def taped_interaction_layer(
-    tape: ad.Tape,
-    acts: dict[int, ad.Node],
-    src: np.ndarray,
-    dst: np.ndarray,
-    harmonics: dict[int, ad.Node],
-    basis: ad.Node,
-    params: InteractionParams,
-    param_nodes: dict[str, ad.Node],
-    name: str,
-    output_spins: tuple[int, ...],
-) -> dict[int, ad.Node]:
-    """Vectorized interaction layer on the tape; mirrors interaction_layer.
-
-    Records the gate and the layer's four slots, then runs its collections
-    through ``taped_collections`` at the spins in ``output_spins``.
-    """
-    weights = params.weight_nodes(param_nodes, name)
-    neighbor = {two_j: ad.gather(tape, node, dst) for two_j, node in acts.items()}
-    gate = taped_gate(tape, acts, src, neighbor[0], basis, weights)
-    slots = [acts, neighbor, harmonics, {0: gate}]
-    return taped_collections(tape, params.recoupled, slots, src, weights, output_spins)
-
-
-# ---------------------------------------------------------------------------
-# three-body neighborhood update (sparse / dense schedules)
-# ---------------------------------------------------------------------------
 
 
 def three_body_paths(input_spins, edge_spins, two_J: int, ks: tuple[int, ...]):
@@ -643,30 +478,157 @@ def three_body_paths(input_spins, edge_spins, two_J: int, ks: tuple[int, ...]):
 
 
 def _path_diagram(two_J: int, ks: tuple[int, ...], path) -> FusionDiagram:
-    """Unroll a staged coupling into one diagram over slots (0, 1, 2)."""
+    """Unroll a staged coupling into one diagram over slots (0, 4, 1):
+    center, then per stage the embedded edge and the neighbor."""
     leaves = [(0, path[0][0])]
     node = LeafNode(0)
     for t, two_k in enumerate(ks):
         _, two_je, two_ji = path[t]
-        leaves.append((1, two_je))
-        leaves.append((2, two_ji))
-        node = FuseNode(FuseNode(node, LeafNode(1), two_k), LeafNode(2), two_J)
+        leaves.append((_EDGE, two_je))
+        leaves.append((_NEIGHBOR, two_ji))
+        node = FuseNode(FuseNode(node, LeafNode(_EDGE), two_k), LeafNode(_NEIGHBOR), two_J)
     return FusionDiagram(tuple(leaves), node, two_J)
 
 
-class ThreeBodyParams(LayerParams):
-    """Tables of one three-body update layer.
+def _term_diagrams(terms, input_spins, edge_spins, two_l: int, schedule=None):
+    """The non-empty collections of ``terms`` at one output spin, in order.
 
-    ``recoupled[two_J]`` holds one collection, the fusion block at output
-    spin 2J, with path weights 1 (slots: 0 = center, 1 = embedded edge
-    (Y^j ⊗ R_j)_j per edge spin j, 2 = neighbor), non-empty.  Weights:
-    ``edge_embed/{2j}`` maps the radial basis to R_j, the spin-0 radial
-    leaf with tau channels (``embed_edge``); ``mixing/{2J}`` is the block's
-    trainable final mixing over the concatenated diagram axis.  The block
-    is lowered so that every three-leaf diagram becomes (center ⊗ (edge ⊗
-    neighbor)_k')_J, except in a dense block, whose multi-stage chains and
-    their three-leaf first stages stay per edge.
+    The pair and gated terms list their (2ja, 2jb) spins lexicographically:
+    the pair term couples two center parts, the gated one the spin-0 gate g
+    with the neighbor-harmonic pair, (g ⊗ (h_b ⊗ Y_a)_l)_l.  The fusion
+    term couples (center, neighbor) through k, then (k, edge harmonic) into
+    the output spin, lexicographic in (2ji, 2jj, 2k, 2jy).  No diagram has
+    a Y^0_0 leaf, a constant: where a = 0 or y = 0 the diagram is the
+    two-leaf (g ⊗ h_b)_l or (h_i ⊗ h_j)_l.  The three_body term unrolls
+    each coupling tuple of ``schedule`` along each of its paths
+    (``three_body_paths``).
+
+    Each term is (diagrams, path weights): a diagram's path weight is the
+    fixed factor that makes it the harmonic-first diagram it stands for,
+    (Y_a ⊗ (h_b ⊗ g)_b)_l or ((h_i ⊗ h_j)_k ⊗ Y_y)_l.  That is Y^0_0 where
+    a = 0 or y = 0 (a spin-0 CG vertex is the identity), the exchange sign
+    (-1)^(ja+jb-l) of (Y_a ⊗ h_b)_l = ± (h_b ⊗ Y_a)_l for the other gated
+    diagrams, and 1 for the rest.
     """
+
+    def gated(two_ja, two_jb):
+        if two_ja == 0:
+            return left_comb([0, two_jb], [], two_l, slots=[_GATE, _NEIGHBOR]), _Y00
+        pair = FuseNode(LeafNode(_NEIGHBOR), LeafNode(_HARMONIC), two_l)
+        leaves = ((_GATE, 0), (_NEIGHBOR, two_jb), (_HARMONIC, two_ja))
+        sign = -1.0 if (two_ja + two_jb - two_l) // 2 % 2 else 1.0
+        return FusionDiagram(leaves, FuseNode(LeafNode(_GATE), pair, two_l), two_l), sign
+
+    def fusion(two_ji, two_jj, two_k, two_jy):
+        if two_jy == 0:  # then k = l
+            return left_comb([two_ji, two_jj], [], two_l, slots=[0, _NEIGHBOR]), _Y00
+        spins = [two_ji, two_jj, two_jy]
+        return left_comb(spins, [two_k], two_l, slots=[0, _NEIGHBOR, _HARMONIC]), 1.0
+
+    paths = {
+        "self": lambda: (
+            ((FusionDiagram(((0, two_l),), LeafNode(0), two_l), 1.0),)
+            if two_l in input_spins
+            else ()
+        ),
+        "pair": lambda: (
+            (left_comb([two_ja, two_jb], [], two_l, slots=[0, 0]), 1.0)
+            for two_ja in input_spins
+            for two_jb in input_spins
+            if admissible(two_ja, two_jb, two_l)
+        ),
+        "gated": lambda: (
+            gated(two_ja, two_jb)
+            for two_ja in edge_spins
+            for two_jb in input_spins
+            if admissible(two_ja, two_jb, two_l)
+        ),
+        "fusion": lambda: (
+            fusion(two_ji, two_jj, two_k, two_jy)
+            for two_ji in input_spins
+            for two_jj in input_spins
+            for two_k in range(abs(two_ji - two_jj), two_ji + two_jj + 2, 2)
+            for two_jy in edge_spins
+            if admissible(two_k, two_jy, two_l)
+        ),
+        "three_body": lambda: (
+            (_path_diagram(two_l, ks, path), 1.0)
+            for ks in schedule.tuples
+            for path in three_body_paths(input_spins, edge_spins, two_l, ks)
+        ),
+    }
+    collections = {term: tuple(zip(*paths[term]())) for term in terms}
+    return {term: c for term, c in collections.items() if c}
+
+
+def _weight_key(term: str, two_l: int) -> str:
+    """The key of the weight that mixes one term's collection at spin 2l."""
+    return {"fusion": f"fusion_mix/{two_l}", "three_body": f"mixing/{two_l}"}.get(
+        term, f"vertex/{two_l}/{term}"
+    )
+
+
+def init_layer(
+    input_spins,
+    terms,
+    j_max: int,
+    tau: int,
+    radial_channels: int,
+    seed: int,
+    name: str,
+    hidden: int | None = None,
+    schedule: SpinSchedule | None = None,
+) -> LayerParams:
+    """A layer of ``terms`` (``self``, ``pair``, ``gated``, ``fusion``,
+    ``three_body``) at every output spin up to ``j_max`` that one of them
+    reaches.  ``hidden`` sizes the gate, ``schedule`` the three_body term.
+
+    The weights come in checkpoint order: first those of the slots the
+    diagrams read, ``gate/*`` (``invariant_gate``) for slot 3 and
+    ``edge_embed/{2j}`` (``embed_edge``) for slot 4, then each output
+    spin's term weights, each mixing its collection to tau channels:
+    ``vertex/{2l}/{term}``, ``fusion_mix/{2l}`` or ``mixing/{2l}``.
+    """
+    input_spins = tuple(sorted(input_spins))
+    edge_spins = tuple(2 * j for j in range(j_max + 1))
+    params = LayerParams(tau=tau)
+    for two_l in edge_spins:
+        collections = [
+            Collection(diagrams, _weight_key(term, two_l), path_weights)
+            for term, (diagrams, path_weights) in _term_diagrams(
+                terms, input_spins, edge_spins, two_l, schedule
+            ).items()
+        ]
+        if collections:
+            params.recoupled[two_l] = lower_spin(collections, tau)
+    if _GATE in params.slots:
+        params.add_seeded("gate/w_hidden", (4 * tau + radial_channels, hidden), seed, name)
+        params.weights["gate/b_hidden"] = np.zeros(hidden)
+        params.add_seeded("gate/w_out", (hidden, tau), seed, name)
+        params.weights["gate/b_out"] = np.zeros(tau)
+    if _EDGE in params.slots:
+        for two_j in edge_spins:
+            params.add_seeded(f"edge_embed/{two_j}", (radial_channels, tau), seed, name)
+    for table in params.recoupled.values():
+        for c in table.collections:
+            params.add_seeded(c.weight, (len(c.diagrams) * tau, tau), seed, name)
+    return params
+
+
+def init_interaction_layer(
+    input_spins,
+    j_max: int,
+    tau: int,
+    radial_channels: int,
+    hidden: int,
+    fused: bool,
+    seed: int,
+    name: str,
+) -> LayerParams:
+    """A gated layer (terms self, pair, gated) or, if ``fused``, a fused one
+    (the same terms plus fusion)."""
+    terms = ("self", "pair", "gated") + (("fusion",) if fused else ())
+    return init_layer(input_spins, terms, j_max, tau, radial_channels, seed, name, hidden=hidden)
 
 
 def init_three_body_layer(
@@ -677,28 +639,22 @@ def init_three_body_layer(
     schedule: SpinSchedule,
     seed: int,
     name: str,
-) -> ThreeBodyParams:
-    input_spins = tuple(sorted(input_spins))
-    edge_spins = tuple(2 * j for j in range(j_max + 1))
-    params = ThreeBodyParams(tau=tau)
-    for two_j in edge_spins:
-        params.add_seeded(f"edge_embed/{two_j}", (radial_channels, tau), seed, name)
-    for two_J in edge_spins:
-        diagrams = tuple(
-            _path_diagram(two_J, ks, path)
-            for ks in schedule.tuples
-            for path in three_body_paths(input_spins, edge_spins, two_J, ks)
-        )
-        if not diagrams:
-            continue
-        params.add_seeded(f"mixing/{two_J}", (len(diagrams) * tau, tau), seed, name)
-        block = Collection(diagrams, f"mixing/{two_J}", (1.0,) * len(diagrams))
-        params.recoupled[two_J] = lower_spin((block,), tau)
-    return params
+) -> LayerParams:
+    """A three-body layer: the three_body term over ``schedule``."""
+    return init_layer(
+        input_spins, ("three_body",), j_max, tau, radial_channels, seed, name, schedule=schedule
+    )
 
 
-def embed_edge(edge: EdgeFeature, params: ThreeBodyParams) -> Activation:
-    """The embedded edge, slot 1: per spin j, Y^j (at j = 0 the constant
+def _broadcast_harmonics(edge: EdgeFeature, tau: int) -> Activation:
+    """Single-channel harmonics repeated across tau channels."""
+    return Activation(
+        {two_j: np.repeat(part, tau, axis=1) for two_j, part in edge.harmonics.items()}
+    )
+
+
+def embed_edge(edge: EdgeFeature, params: LayerParams) -> Activation:
+    """The embedded edge, slot 4: per spin j, Y^j (at j = 0 the constant
     Y^0_0) times the spin-0 radial weight R_j = basis @ ``edge_embed/{2j}``,
     one per feature channel."""
     return Activation(
@@ -709,50 +665,12 @@ def embed_edge(edge: EdgeFeature, params: ThreeBodyParams) -> Activation:
     )
 
 
-def three_body_forward(
-    acts: list[Activation],
-    pc: PointCloud,
-    nbr: Neighborhood,
-    feats: dict[tuple[int, int], EdgeFeature],
-    params: ThreeBodyParams,
-) -> list[Activation]:
-    """Plain per-atom three-body update (reference implementation).
-
-    Slots: 0 = center activation, 1 = embedded edge feature, 2 = neighbor
-    activation; listed slots aggregate over the index-aligned neighbor list.
-    """
-    out = []
-    for o in range(pc.n_atoms):
-        neighbors = nbr.neighbors(o)
-        inputs = [
-            acts[o],
-            [embed_edge(feats[(o, i)], params) for i in neighbors],
-            [acts[i] for i in neighbors],
-        ]
-        out.append(apply_collections(params.recoupled, inputs, params.weights))
-    return out
-
-
-def taped_three_body_layer(
-    tape: ad.Tape,
-    acts: dict[int, ad.Node],
-    src: np.ndarray,
-    dst: np.ndarray,
-    harmonics: dict[int, ad.Node],
-    basis: ad.Node,
-    params: ThreeBodyParams,
-    param_nodes: dict[str, ad.Node],
-    name: str,
-    output_spins: tuple[int, ...],
+def taped_embed_edge(
+    tape: ad.Tape, harmonics: dict[int, ad.Node], basis: ad.Node, weights: dict[str, ad.Node]
 ) -> dict[int, ad.Node]:
-    """Vectorized three-body update; mirrors three_body_forward.
-
-    Records slot 1 per edge spin as (Y^j ⊗ R_j)_j, the (E, 2j+1) harmonic
-    times its (E, 1, tau) spin-0 radial leaf R_j (one broadcast multiply),
-    and at spin 0 as R_0 scaled by the constant Y^0_0, then runs the blocks
-    through ``taped_collections`` at ``output_spins``.
-    """
-    weights = params.weight_nodes(param_nodes, name)
+    """Slot 4 on the tape, per edge spin (Y^j ⊗ R_j)_j: the (E, 2j+1)
+    harmonic times its (E, 1, tau) spin-0 radial leaf R_j (one broadcast
+    multiply), and at spin 0 R_0 scaled by the constant Y^0_0."""
     radial = {
         two_j: ad.channel_mix(tape, basis, weights[f"edge_embed/{two_j}"])
         for two_j in [0, *harmonics]
@@ -762,7 +680,76 @@ def taped_three_body_layer(
         edge[two_j] = ad.einsum3(
             tape, cg_tensor(two_j, 0, two_j).coeffs, harm, radial[two_j], "abc,ea,ebt->ect"
         )
+    return edge
+
+
+def layer_forward(
+    acts: list[Activation],
+    pc: PointCloud,
+    nbr: Neighborhood,
+    feats: dict[tuple[int, int], EdgeFeature],
+    params: LayerParams,
+) -> list[Activation]:
+    """Plain per-atom layer (reference implementation).
+
+    Binds the slot table for each atom, the per-edge slots listed over its
+    neighbors (the gate and the embedded edge only where a diagram reads
+    them), and runs every term through ``apply_collections``.
+    """
+    reads = params.slots
+    out: list[Activation] = []
+    for o in range(pc.n_atoms):
+        center, neighbors = acts[o], nbr.neighbors(o)
+        edges = [feats[(o, i)] for i in neighbors]
+        inputs = [
+            center,
+            [acts[i] for i in neighbors],
+            [_broadcast_harmonics(edge, params.tau) for edge in edges],
+            [
+                Activation({0: invariant_gate(center, acts[i], edge, params.weights)[None]})
+                for i, edge in zip(neighbors, edges)
+            ]
+            if _GATE in reads
+            else None,
+            [embed_edge(edge, params) for edge in edges] if _EDGE in reads else None,
+        ]
+        out.append(apply_collections(params.recoupled, inputs, params.weights))
+    return out
+
+
+def taped_layer(
+    tape: ad.Tape,
+    acts: dict[int, ad.Node],
+    src: np.ndarray,
+    dst: np.ndarray,
+    harmonics: dict[int, ad.Node],
+    basis: ad.Node,
+    params: LayerParams,
+    param_nodes: dict[str, ad.Node],
+    name: str,
+    output_spins: tuple[int, ...],
+) -> dict[int, ad.Node]:
+    """Vectorized layer on the tape; mirrors ``layer_forward``.
+
+    Records the embedded edge where a diagram reads slot 4, the neighbor
+    gather, and the gate where a diagram reads slot 3, then runs the
+    layer's collections through ``taped_collections`` at the spins in
+    ``output_spins``.
+    """
+    weights = params.weight_nodes(param_nodes, name)
+    reads = params.slots
+    edge = taped_embed_edge(tape, harmonics, basis, weights) if _EDGE in reads else None
     neighbor = {two_j: ad.gather(tape, node, dst) for two_j, node in acts.items()}
-    return taped_collections(
-        tape, params.recoupled, [acts, edge, neighbor], src, weights, output_spins
-    )
+    gate = {0: taped_gate(tape, acts, src, neighbor[0], basis, weights)} if _GATE in reads else None
+    slots = [acts, neighbor, harmonics, gate, edge]
+    return taped_collections(tape, params.recoupled, slots, src, weights, output_spins)
+
+
+# read by tests/test_acceptance.py, criterion 4
+interaction_layer = layer_forward
+# read by tests/test_acceptance.py, criterion 4
+three_body_forward = layer_forward
+# read by perfbench/spans.py, LAYERS
+taped_interaction_layer = taped_layer
+# read by perfbench/spans.py, LAYERS
+taped_three_body_layer = taped_layer

@@ -1,10 +1,11 @@
 """Equivariant energy models assembled from fusion-block layers.
 
 A model maps a point cloud (positions + integer species) to a scalar energy:
-species are embedded as spin-0 features, message-passing layers (pairwise
-interaction or three-body update) refine per-atom activations, and an
-invariant readout on the final spin-0 part sums per-atom energies.  Forces
-are exact reverse-mode gradients of the energy with respect to positions.
+species are embedded as spin-0 features, message-passing layers (each a
+list of diagram terms, which the model kind names) refine per-atom
+activations, and an invariant readout on the final spin-0 part sums
+per-atom energies.  Forces are exact reverse-mode gradients of the energy
+with respect to positions.
 
 The taped forward (vectorized over atoms and edges) is the trainable path.
 It takes a batch of samples as one disjoint-union graph and returns one
@@ -35,16 +36,13 @@ from .geometry import PointCloud, build_neighborhood, edge_index
 from .irreps import Activation
 from .spins import Spin
 from .layers import (
-    InteractionParams,
     LayerParams,
     SpinSchedule,
     init_interaction_layer,
     init_three_body_layer,
-    interaction_layer,
+    layer_forward,
     seeded_uniform,
-    taped_interaction_layer,
-    taped_three_body_layer,
-    three_body_forward,
+    taped_layer,
 )
 
 __all__ = ["ModelConfig", "Model", "KINDS"]
@@ -261,12 +259,7 @@ class Model:
         # layer's inputs, or spin 0 for the readout
         wanted = self.layer_input_spins[1:] + [(0,)]
         for s, layer in enumerate(self.layers):
-            taped = (
-                taped_interaction_layer
-                if isinstance(layer, InteractionParams)
-                else taped_three_body_layer
-            )
-            acts = taped(
+            acts = taped_layer(
                 tape, acts, src, dst, harmonics, basis, layer, param_nodes, f"layer{s}",
                 wanted[s],
             )
@@ -336,10 +329,7 @@ class Model:
             for a in range(pc.n_atoms)
         ]
         for layer in self.layers:
-            if isinstance(layer, InteractionParams):
-                acts = interaction_layer(acts, pc, nbr, feats, layer)
-            else:
-                acts = three_body_forward(acts, pc, nbr, feats, layer)
+            acts = layer_forward(acts, pc, nbr, feats, layer)
         total = 0.0
         for a in range(pc.n_atoms):
             scalar = acts[a].part(0)[0]

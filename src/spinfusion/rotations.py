@@ -38,6 +38,10 @@ class Rotation:
         if len(q) != 4:
             raise ValueError(f"a quaternion has 4 components, got {len(q)}")
         norm = math.sqrt(sum(c * c for c in q))
+        if math.isinf(norm):  # the squares overflow: rescale by the largest
+            largest = max(abs(c) for c in q)
+            q = tuple(c / largest for c in q)
+            norm = math.sqrt(sum(c * c for c in q))
         if not math.isfinite(norm) or norm < 1e-12:
             raise ValueError("quaternion must be nonzero and finite")
         object.__setattr__(self, "quaternion", tuple(c / norm for c in q))

@@ -6,6 +6,7 @@ see the same function.
 """
 
 import gc
+import itertools
 import platform
 
 import numpy as np
@@ -756,6 +757,33 @@ class TestMatmul:
                     assert products[-1].shape == parent.shape
             frontier = products
         assert names == ["channel_mix"] * 6
+
+    def test_zero_rows_leave_the_product_bit_identical(self):
+        # criterion 5 (a fused model with zeroed fusion_mix is the gated
+        # model bit for bit) rests on this: appending inputs y with zero
+        # weight rows to a complex x's real mixing changes no bit
+        rng = np.random.default_rng(24)
+        tape = ad.Tape()
+        differ = []
+        for k, tau, extra, rows in itertools.product(
+            range(6, 13), range(3, 13), (3, 12), (5, 40)
+        ):
+            x, y = (
+                rng.normal(size=(rows, 1, n)) + 1j * rng.normal(size=(rows, 1, n))
+                for n in (k, extra)
+            )
+            w = rng.normal(size=(k, tau))
+            alone = ad.channel_mix(tape, x, w).value
+            padded = ad.channel_mix(
+                tape, ad.concat(tape, [x, y], axis=2), np.vstack([w, np.zeros((extra, tau))])
+            ).value
+            if not np.array_equal(alone, padded):
+                differ.append((k, tau, extra, rows))
+        assert not differ, (
+            f"channel_mix(x, W) and channel_mix([x, y], [W; 0]) differ in the last "
+            f"bits at (K, tau, extra, rows) = {differ[:5]}: this BLAS sums a product "
+            f"in a different order once zero rows join its inner dimension"
+        )
 
     def test_channel_mix_on_complex_data(self, monkeypatch):
         # value and both cotangents against NumPy, the mixed second

@@ -22,16 +22,13 @@ from spinfusion.features import _Y00, taped_distances, taped_edge_harmonics, tap
 from spinfusion.geometry import PointCloud, build_neighborhood, edge_index
 from spinfusion.irreps import Activation
 from spinfusion.layers import (
-    InteractionParams,
     SpinSchedule,
     init_interaction_layer,
     init_three_body_layer,
-    interaction_layer,
+    layer_forward,
     seeded_uniform,
     taped_diagrams,
-    taped_interaction_layer,
-    taped_three_body_layer,
-    three_body_forward,
+    taped_layer,
     three_body_paths,
 )
 from spinfusion.model import Model, ModelConfig, edge_features
@@ -127,7 +124,7 @@ _TERMS = ("self", "pair", "gated", "fusion")
 
 
 def _terms(layer, two_l):
-    """An interaction layer's collections at output spin 2l, in table order,
+    """A gated or fused layer's collections at output spin 2l, in table order,
     keyed by the term that each one's weight key names."""
     names = {f"vertex/{two_l}/{term}": term for term in _TERMS[:3]}
     names[f"fusion_mix/{two_l}"] = "fusion"
@@ -238,21 +235,17 @@ LAYER_CASES = [
 ]
 
 
-def _forward_for(name):
-    return three_body_forward if name.startswith("three_body") else interaction_layer
-
-
 class TestLayerEquivariance:
     @pytest.mark.parametrize("name,make", LAYER_CASES, ids=[c[0] for c in LAYER_CASES])
     def test_rotation_equivariance(self, name, make):
         params = make()
         pc = _cloud(5, seed=5)
         acts = _spin0_acts(5, 3, seed=6)
-        out = _layer_outputs(_forward_for(name), params, pc, acts, 1, 4)
+        out = _layer_outputs(layer_forward, params, pc, acts, 1, 4)
 
         g = haar_rotation(9)
         rotated = PointCloud(pc.positions @ rotation_matrix(g).T, pc.species)
-        out_rot = _layer_outputs(_forward_for(name), params, rotated, acts, 1, 4)
+        out_rot = _layer_outputs(layer_forward, params, rotated, acts, 1, 4)
 
         worst = 0.0
         for i in range(5):
@@ -266,9 +259,9 @@ class TestLayerEquivariance:
         params = make()
         pc = _cloud(5, seed=5)
         acts = _spin0_acts(5, 3, seed=6)
-        out = _layer_outputs(_forward_for(name), params, pc, acts, 1, 4)
+        out = _layer_outputs(layer_forward, params, pc, acts, 1, 4)
         shifted = PointCloud(pc.positions + np.array([2.0, -1.0, 0.5]), pc.species)
-        out_shift = _layer_outputs(_forward_for(name), params, shifted, acts, 1, 4)
+        out_shift = _layer_outputs(layer_forward, params, shifted, acts, 1, 4)
         worst = max(
             np.max(np.abs(out[i].part(s) - out_shift[i].part(s)))
             for i in range(5)
@@ -281,12 +274,12 @@ class TestLayerEquivariance:
         params = make()
         pc = _cloud(5, seed=5)
         acts = _spin0_acts(5, 3, seed=6)
-        out = _layer_outputs(_forward_for(name), params, pc, acts, 1, 4)
+        out = _layer_outputs(layer_forward, params, pc, acts, 1, 4)
 
         perm = np.array([3, 0, 4, 1, 2])
         permuted = PointCloud(pc.positions[perm], pc.species[perm])
         acts_perm = [acts[i] for i in perm]
-        out_perm = _layer_outputs(_forward_for(name), params, permuted, acts_perm, 1, 4)
+        out_perm = _layer_outputs(layer_forward, params, permuted, acts_perm, 1, 4)
 
         worst = max(
             np.max(np.abs(out[perm[i]].part(s) - out_perm[i].part(s)))
@@ -368,15 +361,14 @@ class TestTapedDiagrams:
         if kind == "fused":
             params = init_interaction_layer((0, 2), 1, tau, 4, 8, True, 2, "L")
             collections = [_terms(params, two_l)["fusion"].diagrams for two_l in params.recoupled]
-            channel_less = (2,)  # slots: center, neighbor, edge harmonic
         else:
             schedule = SpinSchedule("dense", (0, 2, 4))
             params = init_three_body_layer((0, 2), 1, tau, 4, schedule, 2, "L")
             collections = [
                 c.diagrams for spin in params.recoupled.values() for c in spin.collections
             ]
-            channel_less = ()  # slots: center, embedded edge, neighbor
-        leaves = _random_leaves([(0, 2)] * 3, n, tau, seed=2, channel_less=channel_less)
+        # the one slot table: center, neighbor, edge harmonic, gate, embedded edge
+        leaves = _random_leaves([(0, 2)] * 5, n, tau, seed=2, channel_less=(2,))
         tape = ad.Tape()
         nodes, memo = _on_tape(tape, leaves), {}
         assert collections
@@ -442,11 +434,8 @@ def test_taped_layer_records_no_dead_nodes(extra):
         for two_j in model.layer_input_spins[1]
     }
     param_nodes = model.parameter_nodes(tape)
-    taped = (
-        taped_interaction_layer if isinstance(layer, InteractionParams) else taped_three_body_layer
-    )
     start = len(tape.nodes)
-    out = taped(
+    out = taped_layer(
         tape, acts, src, dst, harmonics, basis, layer, param_nodes, "layer1", layer.output_spins
     )
 
@@ -739,7 +728,7 @@ class TestLowering:
         model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=1, seed=2))
         for layer, input_spins in zip(model.layers, model.layer_input_spins):
             for two_l, spin in layer.recoupled.items():
-                table = layers._term_diagrams(input_spins, (0, 2), two_l, True)
+                table = layers._term_diagrams(_TERMS, input_spins, (0, 2), two_l)
                 lowered = _terms(layer, two_l)
                 assert len(lowered) == len(spin.collections)
                 assert list(lowered) == list(table)
@@ -792,7 +781,7 @@ class TestLowering:
         inputs = [act((0, 2, 4)), act((0, 2, 4)), harmonics, act((0,))]
         seen = set()
         for two_l in (0, 2, 4):
-            table = layers._term_diagrams((0, 2, 4), (0, 2, 4), two_l, True)
+            table = layers._term_diagrams(_TERMS, (0, 2, 4), (0, 2, 4), two_l)
             for term in ("gated", "fusion"):
                 for d, w in zip(*table[term]):
                     if term == "gated":
@@ -811,26 +800,40 @@ class TestLowering:
                     seen.add(w)
         assert seen == {1.0, -1.0, _Y00}
 
-    def test_both_executors_bind_one_slot_table(self, monkeypatch):
-        # slots 0 center, 1 neighbor, 2 harmonic, 3 gate: every table leaf
-        # and every lowered target reads them, the gate as the spin-0 leaf
-        # (3, 0), and the eager and taped layers bind the same four
-        model = Model(ModelConfig(kind="fused", n_layers=2, tau=3, j_max=2, seed=2))
+    @pytest.mark.parametrize(
+        "extra", TAPED_KINDS, ids=["gated", "fused", "three_body_sparse", "three_body_dense"]
+    )
+    def test_both_executors_bind_one_slot_table(self, monkeypatch, extra):
+        # slots 0 center, 1 neighbor, 2 harmonic, 3 gate, 4 embedded edge:
+        # every table leaf and every lowered target reads them, the gate
+        # only as the spin-0 leaf (3, 0) and only in the gated and fused
+        # kinds, the embedded edge only in three_body; the eager and taped
+        # layers bind the same five, the gate and the embedded edge only
+        # where a diagram reads them
+        model = Model(ModelConfig(n_layers=2, tau=3, j_max=2, seed=2, **extra))
+        three_body = extra["kind"] == "three_body"
         for layer in model.layers:
             for spin in layer.recoupled.values():
                 built = tuple(d for c in spin.collections for d in c.diagrams)
                 for d in built + spin.center + spin.atom + spin.edge:
-                    assert set(d.slots) <= {0, 1, 2, 3}
+                    assert set(d.slots) <= {0, 1, 2, 3, 4}
                     assert all(two_j == 0 for slot, two_j in d.leaves if slot == 3)
+                    assert (3 in d.slots) <= (not three_body)
+                    assert (4 in d.slots) <= three_body
+            assert layer.slots & {3, 4} == ({4} if three_body else {3})
         bound = []
         apply, taped = layers.apply_collections, layers.taped_collections
 
+        def binding(slots):
+            return len(slots), tuple(i for i, slot in enumerate(slots) if slot is not None)
+
         def eager(collections, inputs, weights):
-            bound.append(("eager", len(inputs), {tuple(a.spins) for a in inputs[3]}))
+            gate = {tuple(a.spins) for a in inputs[3] or ()}
+            bound.append(("eager", *binding(inputs), gate))
             return apply(collections, inputs, weights)
 
         def recorded(tape, collections, leaves, *rest):
-            bound.append(("taped", len(leaves), {tuple(leaves[3])}))
+            bound.append(("taped", *binding(leaves), {tuple(leaves[3] or ())}))
             return taped(tape, collections, leaves, *rest)
 
         monkeypatch.setattr(layers, "apply_collections", eager)
@@ -838,9 +841,11 @@ class TestLowering:
         pc = _cloud(5, seed=3)
         model.energy_and_forces(pc.positions, pc.species)
         model.plain_energy(pc.positions, pc.species)
-        assert {executor for executor, _, _ in bound} == {"eager", "taped"}
-        assert all(slots == 4 and gate_spins <= {(0,)} for _, slots, gate_spins in bound)
-        assert any(gate_spins for _, _, gate_spins in bound)
+        assert {executor for executor, *_ in bound} == {"eager", "taped"}
+        per_edge = (0, 1, 2, 4) if three_body else (0, 1, 2, 3)
+        assert {(n, slots) for _, n, slots, _ in bound} == {(5, per_edge)}
+        gate_spins = set().union(*(spins for *_, spins in bound))
+        assert gate_spins == ({()} if three_body else {(0,)})
 
     @pytest.mark.parametrize("j_max", [1, 2])
     def test_gated_products_are_the_fusion_terms_T(self, j_max):

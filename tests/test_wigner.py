@@ -152,6 +152,14 @@ class TestHaar:
         q = haar_rotation(7).quaternion
         assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_divided_by_its_plain_norm(self, seed):
+        # a Haar draw never overflows, so it keeps the plain-norm path, bit
+        # for bit: no rescale by its largest component
+        raw = np.random.default_rng(seed).standard_normal(4)
+        norm = math.sqrt(sum(c * c for c in raw))
+        assert haar_rotation(seed).quaternion == tuple(c / norm for c in raw)
+
 
 class TestRotationRejects:
     @pytest.mark.parametrize(
@@ -167,3 +175,17 @@ class TestRotationRejects:
     def test_degenerate_quaternion(self, q):
         with pytest.raises(ValueError):
             Rotation(q)
+
+    @pytest.mark.parametrize(
+        "q, unit",
+        [
+            ((1e200, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+            ((1e200, -1e200, 1e200, 1e200), (0.5, -0.5, 0.5, 0.5)),
+            ((3e300, 0.0, -4e300, 0.0), (0.6, 0.0, -0.8, 0.0)),
+        ],
+        ids=str,
+    )
+    def test_huge_finite_quaternion_normalizes(self, q, unit):
+        # the sum of squares overflows, so the components are rescaled by
+        # the largest before the norm is taken
+        assert np.max(np.abs(np.array(Rotation(q).quaternion) - unit)) <= 1e-16
