@@ -36,17 +36,19 @@ contribution, and Re w is the same under either convention, so real
 adjoints (forces, parameter gradients) are those of the conjugate
 convention, bit for bit.
 
-The two kernels the models spend their time in are sparse.  ``einsum3``
-contracts a CG tensor over its nonzero entries only (m_c = m_a + m_b
-leaves most entries zero), with a plan built once per tensor and subscript;
-a spin-0 factor, whose CG block is c times the identity, is one broadcast
-multiply instead (the broadcast plan).  Its VJPs contract the forward
-tensor itself, so they hit the same plans.  ``index_add`` sums
+The two kernels the models spend their time in serve only the products
+the models record.  ``einsum3`` contracts a CG tensor with operands laid
+out as (rows, components[, channels]) over its nonzero entries only (m_c =
+m_a + m_b leaves most entries zero), with a plan built once per tensor and
+subscript; a spin-0 factor, whose CG block is the identity, is one
+broadcast multiply instead.  Its VJPs contract the forward tensor itself
+in the same layout, so they hit the same plans.  ``channel_mix`` is the
+one matrix product: the mixing x @ W and the two transposed products its
+VJPs make.  Any other form of either raises ValueError.  ``index_add`` sums
 sorted segments, with the sort computed once per index array.
-``channel_mix`` is the one matrix product, with transpose flags, and needs
-no reshape node.  ``backward`` walks parent links
-back from the seed, visits only the ancestors that depend on a node in its
-``wrt`` list, and drops every other adjoint once its node's VJPs have run.
+``backward`` walks parent links back from the seed, visits only the
+ancestors that depend on a node in its ``wrt`` list, and drops every other
+adjoint once its node's VJPs have run.
 
 Memory order.  Shapes put the row axis first: atoms or edges, then spin
 components, then channels.  Rows run to thousands where the other axes
@@ -58,7 +60,7 @@ in order, so that its physical form, ``transpose(_LAST[ndim])``, is
 C-contiguous; and each kernel's inner loops run along the rows.
 ``gather`` takes along the physical last axis and ``index_add`` sums its
 segments along it; ``einsum3`` gathers each nonzero entry's components as
-a (nnz, ..., rows) block and leaves its GEMM's output with the rows
+a (nnz, [channel,] rows) block and leaves its GEMM's output with the rows
 innermost; ``channel_mix`` computes op(W)^T @ x^T on x's physical form,
 for complex data one real GEMM on its interleaved re/im parts; the
 structural primitives work on the physical forms.  Each accepts inputs in
@@ -168,7 +170,6 @@ PRIMITIVES: dict[str, Callable] = {}
 def _primitive(name: str):
     def wrap(fn):
         PRIMITIVES[name] = fn
-        fn.__primitive_name__ = name
         return fn
 
     return wrap
@@ -534,106 +535,92 @@ def _is_identity(block: np.ndarray) -> bool:
 
 def _sparse_plan(tensor: np.ndarray, subscript: str):
     """The contraction of a three-index tensor as a function of the two
-    operands' arrays, or None when ``subscript`` is not of the form it
-    handles: each operand and the output carry exactly one distinct tensor
-    index, no letter repeats within a term, there is no ellipsis, and a
-    summed letter is in both operands.
-
-    The broadcast plan (``_contract_broadcast``) serves a tensor with an
-    operand index of dimension 1 between whose other two indices it is the
-    identity (every 0 ⊗ j -> j CG product, and the VJP of one that keeps
-    that form); every other tensor gets the nonzero-entry plan
-    (``_contract_nonzeros``), so do a c·I block with c != 1 and a product
-    into a dimension-1 output such as 1 ⊗ 1 -> 0."""
-    t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
-    terms = (x_sub, y_sub, out_sub)
+    operands' arrays, or None when ``subscript`` is not of ``einsum3``'s
+    one layout.  Both operands are read in their physical forms, (tensor
+    index, [channel,] rows), a channel-less one with a unit channel axis
+    where the product has one.  The broadcast plan (``_contract_broadcast``)
+    serves a tensor with an operand index of dimension 1 between whose
+    other two indices it is the identity (every 0 ⊗ j -> j CG product, and
+    the VJP of one that keeps that form); every other tensor gets the
+    nonzero-entry plan (``_contract_nonzeros``), so do a c·I block with
+    c != 1 and a product into a dimension-1 output such as 1 ⊗ 1 -> 0."""
+    t_sub, *terms = _split_subscript(subscript)
+    row = terms[0][:1]
+    channel = next((term[2:] for term in terms if len(term) == 3), "")
+    own = [term[1:2] for term in terms]
+    x_has, y_has, out_has = has = [len(term) == 3 for term in terms]
+    letters = t_sub + row + channel
     if (
-        "." in subscript
-        or len(t_sub) != 3
-        or any(len(set(term)) != len(term) for term in (t_sub,) + terms)
+        not letters.isalpha()
+        or len(set(letters)) != 4 + len(channel)
+        or sorted(own) != sorted(t_sub)
+        or any(term != row + l + channel * h for term, l, h in zip(terms, own, has))
+        or (out_has and not (x_has or y_has))
+        or (x_has != y_has and not out_has)
     ):
         return None
-    own = [[c for c in term if c in t_sub] for term in terms]
-    if any(len(letters) != 1 for letters in own) or {l[0] for l in own} != set(t_sub):
-        return None
-    (lx,), (ly,), (lo,) = own
-    rest_x, rest_y, rest_o = (term.replace(l, "") for term, l in zip(terms, (lx, ly, lo)))
-    summed = "".join(sorted(set(rest_x + rest_y) - set(rest_o)))
-    if summed and not set(rest_x) == set(rest_y) >= set(rest_o):
-        return None
-    # gathered axes after the tensor index: the output's other letters, the
-    # summed letters, then its row letter (its first free letter) last
-    kept = rest_o[1:] + summed + rest_o[:1]
-    summed_axes = tuple(range(len(rest_o[1:]) + 1, len(rest_o[1:] + summed) + 1))
-
-    def operand(term, letter, rest):
-        axes = (term.index(letter),) + tuple(term.index(c) for c in kept if c in rest)
-        expand = (slice(None),) + tuple(slice(None) if c in rest else None for c in kept)
-        return axes, expand
-
-    x_op, y_op = operand(x_sub, lx, rest_x), operand(y_sub, ly, rest_y)
-    out_axes = tuple((lo + rest_o[1:] + rest_o[:1]).index(c) for c in out_sub)
-    roles = [t_sub.index(l) for l in (lx, ly, lo)]
+    summed = x_has and y_has and not out_has
+    x_op, y_op = (
+        (_LAST[len(term)], (slice(None), None) if (x_has or y_has) and not h else ...)
+        for term, h in zip(terms, has[:2])
+    )
+    out_axes = _FIRST[len(terms[2])]
+    roles = [t_sub.index(l) for l in own]
     block = tensor.transpose(roles)  # (x index, y index, output index)
-    for scalar_dim in (0, 1):
-        if block.shape[scalar_dim] == 1 and _is_identity(
-            block[0] if scalar_dim == 0 else block[:, 0]
-        ):
-            return partial(_contract_broadcast, x_op, y_op, summed_axes, out_axes)
+    if any(block.shape[d] == 1 and _is_identity(block.take(0, axis=d)) for d in (0, 1)):
+        return partial(_contract_broadcast, x_op, y_op, summed, out_axes)
 
-    # the product overwrites a gathered operand of its full shape
-    full = [set(rest) == set(kept) for rest in (rest_x, rest_y)]
-    into = full.index(True) if any(full) else None
+    # the product overwrites the gathered operand of its full shape
+    into = 1 if y_has and not x_has else 0
     coords = np.nonzero(tensor)
     ix, iy, io = (coords[r] for r in roles)
     coeffs = np.zeros((block.shape[2], len(io)), dtype=tensor.dtype)
     coeffs[io, np.arange(len(io))] = tensor[coords]
-    return partial(
-        _contract_nonzeros, (x_op, ix, y_op, iy, summed_axes, into, coeffs, out_axes)
-    )
+    return partial(_contract_nonzeros, (x_op, ix, y_op, iy, summed, into, coeffs, out_axes))
 
 
-def _contract_broadcast(x_op, y_op, summed_axes, out_axes, x, y) -> np.ndarray:
+def _contract_broadcast(x_op, y_op, summed, out_axes, x, y) -> np.ndarray:
     """einsum with a tensor that is the identity between the output and one
     operand, the other operand's index having dimension 1.
 
     Each operand's tensor axis comes first (the dimension-1 one broadcasts
     against the other, whose components are the output's) and its row axis
     last, so the product is one broadcast multiply whose inner loops run
-    along the rows; summed letters are reduced as in ``_contract_nonzeros``.
+    along the rows; a summed channel is reduced as in
+    ``_contract_nonzeros``.
     """
     (x_axes, x_expand), (y_axes, y_expand) = x_op, y_op
     prod = np.multiply(
         x.transpose(x_axes)[x_expand], y.transpose(y_axes)[y_expand], order="C"
     )
-    if summed_axes:
-        prod = prod.sum(axis=summed_axes)
+    if summed:
+        prod = prod.sum(axis=1)
     return prod.transpose(out_axes)
 
 
 def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """einsum over the tensor's nonzero entries only.
 
-    Gathers the components each entry reads into (nnz, ..., rows) blocks
-    (for a rows-last operand, whole runs of its row axis), multiplies them
-    in place, sums any summed letters (the axes just before the rows), and
-    sums the result into the output components with one (out dim, nnz)
-    coefficient matrix, whose product comes out with the rows innermost; a
-    complex product meets a real matrix as one real GEMM over its
-    interleaved re/im parts.  The NumPy call count is fixed, so the cost
-    stays low at small edge counts too.
+    Gathers the components each entry reads into (nnz, [channel,] rows)
+    blocks (for a rows-last operand, whole runs of its row axis),
+    multiplies them in place, sums a summed channel, and sums the result
+    into the output components with one (out dim, nnz) coefficient matrix,
+    whose product comes out with the rows innermost; a complex product
+    meets a real matrix as one real GEMM over its interleaved re/im parts.
+    The NumPy call count is fixed, so the cost stays low at small edge
+    counts too.
     """
-    (x_axes, x_expand), ix, (y_axes, y_expand), iy, summed_axes, into, coeffs, out_axes = plan
+    (x_axes, x_expand), ix, (y_axes, y_expand), iy, summed, into, coeffs, out_axes = plan
     factors = (
         np.take(x.transpose(x_axes), ix, axis=0)[x_expand],
         np.take(y.transpose(y_axes), iy, axis=0)[y_expand],
     )
-    out = None if into is None else factors[into]
-    if out is not None and out.dtype != np.result_type(*factors):
+    out = factors[into]
+    if out.dtype != np.result_type(*factors):
         out = None
     prod = np.multiply(*factors, out=out, order="C")
-    if summed_axes:
-        prod = prod.sum(axis=summed_axes)
+    if summed:
+        prod = prod.sum(axis=1)
     inner = prod.shape[1:]
     flat = prod.reshape(len(ix), math.prod(inner))
     if flat.dtype == np.complex128 and coeffs.dtype == np.float64:
@@ -647,19 +634,17 @@ def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) -> Node:
     """Bilinear contraction with a constant tensor: einsum(subscript, T, x, y).
 
-    Used for channel-wise CG products.  The tensor has three indices, one
-    to each operand and one to the output (every CG product and each of its
-    VJPs); the contraction runs a plan built once per tensor and subscript
-    (``_sparse_plan``): one broadcast multiply when an operand has
-    dimension 1 and the tensor is c times the identity between the other
-    two indices (a spin-0 factor: 0 ⊗ j -> j, j ⊗ 0 -> j, 0 ⊗ 0 -> 0),
-    else a contraction over its nonzero entries only.  Any other form
-    raises ValueError.  Each plan reads its operands with the output's row
-    letter (its first free letter) innermost, whatever their memory order,
-    and returns the output rows-last where its first letter is that row
-    letter and its tensor letter the next (every CG product here).  The
-    cotangent of one factor contracts the same tensor with the other
-    factor, as it is.
+    Used for channel-wise CG products, in the one layout of every CG
+    product here and of each of its VJPs: each operand and the output are
+    a row letter, one of the tensor's three letters, then an optional
+    channel letter, the row and channel letters shared by all three terms
+    (``"abc,eat,ebt->ect"``, ``"abc,ea,ebt->ect"``); a channel letter in
+    both operands but not in the output is summed.  Any other subscript
+    raises ValueError.  The contraction runs a plan built once per tensor
+    and subscript (``_sparse_plan``), reads its operands with the rows
+    innermost, whatever their memory order, and returns the output
+    rows-last.  The cotangent of one factor contracts the same tensor with
+    the other factor, as it is.
     """
     x, y = _as_node(tape, x), _as_node(tape, y)
     t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
@@ -679,30 +664,27 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     )
 
 
-def _matrix(a: np.ndarray) -> np.ndarray:
-    """``a`` read as a matrix: its flattened leading axes by its last axis."""
-    return a if a.ndim <= 2 else a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-
-
 def _mix(a: np.ndarray, b: np.ndarray, trans_x: bool, trans_w: bool) -> np.ndarray:
     """op(a) @ op(b) as ``channel_mix`` defines it, rows-last."""
-    if not trans_x:
+    if not trans_x and b.ndim == 2:
         # op(W)^T @ x^T on x's physical form: one product per index of x's
         # middle axes, over whole runs of its rows; W in C order whatever
         # its layout, so that BLAS sums each product in one order
-        mw = np.ascontiguousarray(_matrix(b))
+        mw = np.ascontiguousarray(b)
         w_t = mw if trans_w else mw.T
         part = _physical(a)
         if a.ndim > 1 and part.dtype == np.complex128 and w_t.dtype == np.float64:
             part = np.ascontiguousarray(part).view(np.float64)  # interleaved re/im
             return _logical((w_t @ part).view(np.complex128))
         return _logical(w_t @ part)
-    if not trans_w and a.ndim > 1 and a.shape[:-1] == b.shape[:-1]:
+    if trans_x and not trans_w and a.ndim > 1 and a.shape[:-1] == b.shape[:-1]:
         # (W^T x)^T summed over the rows, one product per leading index
         prod = _physical(b) @ _physical(a).swapaxes(-1, -2)
         return prod.sum(axis=tuple(range(a.ndim - 2))).T
-    mb = _matrix(b)
-    return ((mb if trans_w else mb.T) @ _matrix(a)).T
+    raise ValueError(
+        f"channel_mix: unsupported product of shapes {a.shape} and {b.shape} "
+        f"with flags ({trans_x}, {trans_w})"
+    )
 
 
 @_primitive("channel_mix")
@@ -712,19 +694,20 @@ def channel_mix(
     """op(x) @ op(W), op the transpose when its flag is set: the channel
     mixing x @ W on the trailing axis, and the products of its cotangents.
 
-    An operand with more than two axes is read as the matrix of its
-    flattened leading axes by its trailing axis; the result keeps x's
-    leading axes unless ``trans_x`` is set.  The product is computed
-    transposed, so that it comes out rows-last: op(W)^T @ x^T over x's
-    physical form, one BLAS call per index of x's middle axes, each over
-    whole runs of its rows (a complex x meets a real W as one real GEMM on
-    its interleaved re/im parts); and a data-by-data product x^T @ W as
-    W^T x summed the same way.  The cotangent of op(x) is w @ op(W)^T and
-    that of op(W) is op(x)^T @ w, each again one ``channel_mix`` of the
-    other factor; from (F, F) they are the (F, T) and (T, F) products, a
-    set that their own VJPs keep.  A weight cotangent from complex data is
-    complex, and ``backward`` keeps its real part, so real parameters
-    receive real gradients.
+    Three products are served: (F, F), the mixing itself, and (F, T), x @
+    W^T, each with a matrix W and keeping x's leading axes; and (T, F),
+    x^T @ y for data of two or more axes with equal leading shapes, summed
+    over them.  Any other, (T, T) among them, raises ValueError.  Each is
+    computed transposed, so that it comes out rows-last: op(W)^T @ x^T
+    over x's physical form, one BLAS call per index of x's middle axes,
+    each over whole runs of its rows (a complex x meets a real W as one
+    real GEMM on its interleaved re/im parts), and (T, F) as W^T x summed
+    the same way.  The cotangent of op(x) is w @ op(W)^T and that of op(W)
+    is op(x)^T @ w, each again one ``channel_mix`` of the other factor;
+    from (F, F) they are the (F, T) and (T, F) products, a set that their
+    own VJPs keep.  A weight cotangent from complex data is complex, and
+    ``backward`` keeps its real part, so real parameters receive real
+    gradients.
     """
     x, weights = _as_node(tape, x), _as_node(tape, weights)
     value = _mix(np.asarray(x.value), np.asarray(weights.value), trans_x, trans_w)

@@ -36,7 +36,6 @@ from .potentials import POTENTIAL_KINDS
 from .rotations import haar_rotation
 from .spins import format_spin, parse_spin, twice_m_range
 from .training import (
-    AdamConfig,
     LossConfig,
     _batch_loss_and_gradients,
     batch_loss,
@@ -254,7 +253,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         n_epochs=args.epochs,
         batch_size=args.batch_size,
         loss_config=LossConfig(args.energy_weight, args.force_weight),
-        adam=AdamConfig(learning_rate=args.learning_rate),
+        learning_rate=args.learning_rate,
         seed=args.seed,
         val_samples=val_samples,
     )

@@ -75,7 +75,6 @@ def generate_dataset(
     potential_kind: str = "morse",
     seed: int = 0,
     n_species: int = 2,
-    min_separation: float = MIN_SEPARATION,
 ) -> list[Sample]:
     """Random well-separated clusters labelled by the reference potential.
 
@@ -98,13 +97,13 @@ def generate_dataset(
             deltas = positions[None, :, :] - positions[:, None, :]
             distances = np.sqrt((deltas**2).sum(axis=-1))
             off_diagonal = distances[~np.eye(n_atoms, dtype=bool)]
-            if off_diagonal.min() >= min_separation:
+            if off_diagonal.min() >= MIN_SEPARATION:
                 accepted = positions
                 break
         if accepted is None:
             raise RejectionFailure(
                 f"sample {index}: no configuration with separation >= "
-                f"{min_separation} found in {MAX_TRIES_PER_SAMPLE} tries"
+                f"{MIN_SEPARATION} found in {MAX_TRIES_PER_SAMPLE} tries"
             )
         species = rng.integers(0, n_species, size=n_atoms)
         energy, forces = potential_energy_forces(accepted, potential_kind)

@@ -16,9 +16,9 @@ mixed terms are summed.  The terms:
   or dense (staged ordered tuples of internal spins, every stage pinned to
   the output spin so no reshaping layer is needed).
 
-Each model kind names its term set: gated is self, pair and gated; fused
-adds fusion, so zeroing the fusion blocks' mixings reproduces the gated
-layer; three_body is three_body alone.
+Each model kind names its term set in ``KIND_TERMS``: gated is self, pair
+and gated; fused adds fusion, so zeroing the fusion blocks' mixings
+reproduces the gated layer; three_body is three_body alone.
 
 Every diagram reads one slot table: slot 0 is the center atom (N rows),
 and per edge (E rows) slot 1 is the neighbor, 2 the edge harmonic, 3 the
@@ -89,6 +89,7 @@ from .spins import admissible, format_spin
 __all__ = [
     "SpinSchedule",
     "LayerParams",
+    "KIND_TERMS",
     "invariant_gate",
     "init_layer",
     "init_interaction_layer",
@@ -561,6 +562,14 @@ def _term_diagrams(terms, input_spins, edge_spins, two_l: int, schedule=None):
     return {term: c for term, c in collections.items() if c}
 
 
+# each model kind's term set, in the order the mixed terms are summed
+KIND_TERMS = {
+    "gated": ("self", "pair", "gated"),
+    "fused": ("self", "pair", "gated", "fusion"),
+    "three_body": ("three_body",),
+}
+
+
 def _weight_key(term: str, two_l: int) -> str:
     """The key of the weight that mixes one term's collection at spin 2l."""
     return {"fusion": f"fusion_mix/{two_l}", "three_body": f"mixing/{two_l}"}.get(
@@ -615,6 +624,7 @@ def init_layer(
     return params
 
 
+# read by tests/test_acceptance.py, criterion 4
 def init_interaction_layer(
     input_spins,
     j_max: int,
@@ -625,12 +635,12 @@ def init_interaction_layer(
     seed: int,
     name: str,
 ) -> LayerParams:
-    """A gated layer (terms self, pair, gated) or, if ``fused``, a fused one
-    (the same terms plus fusion)."""
-    terms = ("self", "pair", "gated") + (("fusion",) if fused else ())
+    """A gated layer or, if ``fused``, a fused one (``KIND_TERMS``)."""
+    terms = KIND_TERMS["fused" if fused else "gated"]
     return init_layer(input_spins, terms, j_max, tau, radial_channels, seed, name, hidden=hidden)
 
 
+# read by tests/test_acceptance.py, criterion 4
 def init_three_body_layer(
     input_spins,
     j_max: int,
@@ -640,9 +650,10 @@ def init_three_body_layer(
     seed: int,
     name: str,
 ) -> LayerParams:
-    """A three-body layer: the three_body term over ``schedule``."""
+    """A three-body layer (``KIND_TERMS``) over ``schedule``."""
     return init_layer(
-        input_spins, ("three_body",), j_max, tau, radial_channels, seed, name, schedule=schedule
+        input_spins, KIND_TERMS["three_body"], j_max, tau, radial_channels, seed, name,
+        schedule=schedule,
     )
 
 

@@ -36,10 +36,10 @@ from .geometry import PointCloud, build_neighborhood, edge_index
 from .irreps import Activation
 from .spins import Spin
 from .layers import (
+    KIND_TERMS,
     LayerParams,
     SpinSchedule,
-    init_interaction_layer,
-    init_three_body_layer,
+    init_layer,
     layer_forward,
     seeded_uniform,
     taped_layer,
@@ -47,7 +47,7 @@ from .layers import (
 
 __all__ = ["ModelConfig", "Model", "KINDS"]
 
-KINDS = ("gated", "fused", "three_body")
+KINDS = tuple(KIND_TERMS)
 
 # integer fields and their least allowed value
 _INTEGER_FIELDS = {
@@ -119,33 +119,24 @@ class Model:
         self.layers: list[LayerParams] = []
         spins: tuple[int, ...] = (0,)
         self.layer_input_spins: list[tuple[int, ...]] = []
+        schedule = None
+        if config.kind == "three_body":
+            two_ks = tuple(2 * j for j in config.internal_spins)
+            schedule = SpinSchedule(config.schedule_mode, two_ks)
         for s in range(config.n_layers):
             name = f"layer{s}"
             self.layer_input_spins.append(spins)
-            if config.kind in ("gated", "fused"):
-                layer = init_interaction_layer(
-                    spins,
-                    config.j_max,
-                    config.tau,
-                    config.radial_channels,
-                    config.hidden,
-                    fused=(config.kind == "fused"),
-                    seed=seed,
-                    name=name,
-                )
-            else:
-                schedule = SpinSchedule(
-                    config.schedule_mode, tuple(2 * j for j in config.internal_spins)
-                )
-                layer = init_three_body_layer(
-                    spins,
-                    config.j_max,
-                    config.tau,
-                    config.radial_channels,
-                    schedule,
-                    seed=seed,
-                    name=name,
-                )
+            layer = init_layer(
+                spins,
+                KIND_TERMS[config.kind],
+                config.j_max,
+                config.tau,
+                config.radial_channels,
+                seed,
+                name,
+                hidden=config.hidden,
+                schedule=schedule,
+            )
             spins = layer.output_spins
             if 0 not in spins:
                 raise ValueError(

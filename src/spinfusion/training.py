@@ -30,7 +30,7 @@ from .data import Sample
 from .errors import NonFiniteLoss
 from .model import Model
 
-__all__ = ["LossConfig", "AdamConfig", "RunRecord", "batch_loss", "train", "evaluate"]
+__all__ = ["LossConfig", "RunRecord", "batch_loss", "train", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,8 @@ class LossConfig:
     force_weight: float = 1000.0
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+# Adam's moment decay rates and the floor of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -136,13 +132,13 @@ def _batch_loss_and_gradients(
     return value, {name: np.real(grads[node.id].value) for name, node in param_nodes.items()}
 
 
-def _run_hash(model: Model, loss_config: LossConfig, adam: AdamConfig,
+def _run_hash(model: Model, loss_config: LossConfig, learning_rate: float,
               n_epochs: int, batch_size: int, seed: int, n_train: int, n_val: int) -> str:
     payload = json.dumps(
         {
             "model": asdict(model.config),
             "loss": [loss_config.energy_weight, loss_config.force_weight],
-            "adam": [adam.learning_rate, adam.beta1, adam.beta2, adam.epsilon],
+            "adam": [learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON],
             "n_epochs": n_epochs,
             "batch_size": batch_size,
             "seed": seed,
@@ -160,7 +156,7 @@ def train(
     n_epochs: int,
     batch_size: int = 8,
     loss_config: LossConfig = LossConfig(),
-    adam: AdamConfig = AdamConfig(),
+    learning_rate: float = 1e-3,
     seed: int = 0,
     val_samples: list[Sample] | None = None,
 ) -> RunRecord:
@@ -179,7 +175,7 @@ def train(
     start = time.perf_counter()
     record = RunRecord(
         config_hash=_run_hash(
-            model, loss_config, adam, n_epochs, batch_size, seed,
+            model, loss_config, learning_rate, n_epochs, batch_size, seed,
             len(train_samples), len(val_samples) if val_samples else 0,
         ),
         seed=seed,
@@ -198,21 +194,21 @@ def train(
             step_loss, gradients = _batch_loss_and_gradients(model, batch, loss_config)
             epoch_loss += step_loss
             step += 1
-            bias1 = 1.0 - adam.beta1**step
-            bias2 = 1.0 - adam.beta2**step
+            bias1 = 1.0 - ADAM_BETA1**step
+            bias2 = 1.0 - ADAM_BETA2**step
             parameters = model.parameters()
             for name in names:
                 gradient = gradients[name]
                 first_moment[name] = (
-                    adam.beta1 * first_moment[name] + (1.0 - adam.beta1) * gradient
+                    ADAM_BETA1 * first_moment[name] + (1.0 - ADAM_BETA1) * gradient
                 )
                 second_moment[name] = (
-                    adam.beta2 * second_moment[name] + (1.0 - adam.beta2) * gradient**2
+                    ADAM_BETA2 * second_moment[name] + (1.0 - ADAM_BETA2) * gradient**2
                 )
                 update = (first_moment[name] / bias1) / (
-                    np.sqrt(second_moment[name] / bias2) + adam.epsilon
+                    np.sqrt(second_moment[name] / bias2) + ADAM_EPSILON
                 )
-                parameters[name] -= adam.learning_rate * update
+                parameters[name] -= learning_rate * update
         record.train_losses.append(epoch_loss / len(train_samples))
         if val_samples:
             val_loss = sum(

@@ -327,10 +327,11 @@ class TestKernelOracles:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_einsum3_dense_complex_tensor(self):
+        # one row: every operand carries the row axis
         rng = np.random.default_rng(4)
-        x, y = rng.normal(size=(3, 2)) + 0j, rng.normal(size=(3, 2)) * 1j
-        got = ad.einsum3(ad.Tape(), CG_LIKE, x, y, "abc,at,bt->ct").value
-        want = np.einsum("abc,at,bt->ct", CG_LIKE, x, y)
+        x, y = rng.normal(size=(1, 3, 2)) + 0j, rng.normal(size=(1, 3, 2)) * 1j
+        got = ad.einsum3(ad.Tape(), CG_LIKE, x, y, "abc,eat,ebt->ect").value
+        want = np.einsum("abc,eat,ebt->ect", CG_LIKE, x, y)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
@@ -343,6 +344,14 @@ class TestKernelOracles:
             (CG_LIKE, "abc,at,bs->cs"),  # a summed letter in one operand only
             (CG_LIKE[0], "abc,a,b->c"),  # a two-index tensor
             (CG_LIKE, "abc,a->bc"),  # one operand
+            (CG_LIKE, "abc,a,b->c"),  # no row letter
+            (CG_LIKE, "abc,at,bt->ct"),  # no row letter, a channel letter
+            (CG_LIKE, "abc,ea,fb->efc"),  # mixed row letters, both kept
+            (CG_LIKE, "abc,eat,fbt->efct"),  # mixed row letters, a channel letter
+            (CG_LIKE, "abc,ea,eb->fec"),  # a row letter in the output only
+            (CG_LIKE, "abc,ae,be->ce"),  # the row letter after the tensor letter
+            (CG_LIKE, "abc,eta,ebt->ect"),  # the channel letter before it
+            (CG_LIKE, "abc,ea,eb->ect"),  # a channel letter in the output only
         ],
     )
     def test_einsum3_rejects_unsupported_subscripts(self, tensor, sub):
@@ -495,16 +504,17 @@ class TestPrimitiveGradients:
 
     def test_einsum3_both_operands(self):
         def build(tape, x):
+            # one row: every operand carries the row axis
             lifted = ad.broadcast_to(
-                tape, ad.reshape(tape, ad.complex_cast(tape, x), (3, 1)), (3, 2)
+                tape, ad.reshape(tape, ad.complex_cast(tape, x), (1, 3, 1)), (1, 3, 2)
             )
-            other = tape.constant(CPLX_VEC[:3][:, None] * np.ones((1, 2)))
-            left = ad.einsum3(tape, CG_LIKE, lifted, other, "abc,at,bt->ct")
-            right = ad.einsum3(tape, CG_LIKE, other, lifted, "abc,at,bt->ct")
+            other = tape.constant(CPLX_VEC[:3][None, :, None] * np.ones((1, 1, 2)))
+            left = ad.einsum3(tape, CG_LIKE, lifted, other, "abc,eat,ebt->ect")
+            right = ad.einsum3(tape, CG_LIKE, other, lifted, "abc,eat,ebt->ect")
             return ad.add(
                 tape,
-                _real_loss(tape, left, np.ones((5, 2))),
-                _real_loss(tape, right, np.ones((5, 2))),
+                _real_loss(tape, left, np.ones((1, 5, 2))),
+                _real_loss(tape, right, np.ones((1, 5, 2))),
             )
 
         _check(_scalar_case(build), REAL_VEC[:3])
@@ -701,7 +711,6 @@ _PRODUCTS = [
     ((4, 3), (3, 2), False, False),
     ((4, 3), (2, 3), False, True),
     ((3, 4), (3, 2), True, False),
-    ((3, 4), (2, 3), True, True),
     # 3-D operands, in the flag pairs that channel_mix's VJPs produce
     ((2, 4, 3), (3, 2), False, False),
     ((2, 4, 3), (2, 3), False, True),
@@ -729,6 +738,22 @@ class TestMatmul:
             return _real_loss(tape, product, probe)
 
         _check(_scalar_case(build), rng.normal(size=2 * (np.prod(shape_a) + np.prod(shape_b))))
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b, trans_a, trans_b",
+        [
+            ((3, 4), (2, 3), True, True),  # (T, T)
+            ((2, 4, 3), (4, 2), True, False),  # (T, F), unequal leading shapes
+            ((4,), (4, 2), True, False),  # (T, F), no leading axis
+            ((2, 4, 6), (2, 3, 2), False, False),  # a three-axis weight
+        ],
+        ids=["T-T", "T-F-unequal", "T-F-1d", "F-F-3d-weight"],
+    )
+    def test_rejects_products_no_vjp_makes(self, shape_a, shape_b, trans_a, trans_b):
+        tape = ad.Tape()
+        a, b = tape.constant(np.ones(shape_a)), tape.constant(np.ones(shape_b))
+        with pytest.raises(ValueError):
+            ad.channel_mix(tape, a, b, trans_a, trans_b)
 
     def test_cotangents_record_only_channel_mix(self, monkeypatch):
         # each cotangent of a product over 3-D data is one channel_mix of the

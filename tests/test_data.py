@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from spinfusion import data
 from spinfusion.data import (
     MIN_SEPARATION,
     RejectionFailure,
@@ -108,10 +109,11 @@ class TestGeneration:
             assert s.energy == pytest.approx(energy, abs=1e-12)
             assert np.allclose(s.forces, forces, atol=1e-12)
 
-    def test_impossible_packing_raises(self):
-        # 50 atoms at 0.8 separation cannot fit in the sampling volume
+    def test_impossible_packing_raises(self, monkeypatch):
+        # 50 atoms at 5.0 separation cannot fit in the sampling volume
+        monkeypatch.setattr(data, "MIN_SEPARATION", 5.0)
         with pytest.raises(RejectionFailure):
-            generate_dataset(1, 50, "morse", seed=0, min_separation=5.0)
+            generate_dataset(1, 50, "morse", seed=0)
 
 
 class TestJsonl:

@@ -494,12 +494,13 @@ def test_forward_repeats_no_work(monkeypatch, extra, j_max):
 class TestPlainTapedAgreement:
     @pytest.mark.parametrize("kind", ["gated", "fused", "three_body"])
     @pytest.mark.parametrize("n_layers", [1, 2])
-    def test_energy_matches(self, kind, n_layers):
+    @pytest.mark.parametrize("j_max", [0, 1])
+    def test_energy_matches(self, kind, n_layers, j_max):
         config = ModelConfig(
             kind=kind,
             n_layers=n_layers,
             tau=3,
-            j_max=1,
+            j_max=j_max,
             cutoff=3.0,
             radial_channels=4,
             hidden=8,

@@ -2,11 +2,14 @@
 
 For every layer kind, the energy is invariant under rotation, translation
 and permutation of the atoms, and the forces rotate with the cloud, move
-with a permutation and ignore a translation.  Clouds are random (pairs
+with a permutation and ignore a translation; and one layer is exactly
+two-body, while two layers are not.  Clouds are random (pairs
 at least 0.7 apart), spread along a line farther apart than the cutoff
 (no edges), or a single atom.  Examples are derandomized and few, so a run
 is repeatable and short.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -107,3 +110,34 @@ def test_energy_invariance_and_force_covariance(kind, shape):
         assert _close(f_perm, forces[perm], forces)
 
     check()
+
+
+# a 3-atom cloud with every pair inside the cutoff
+BODY_ORDER_CLOUD = np.array([[0.0, 0.0, 0.0], [1.3, 0.2, -0.1], [0.4, 1.1, 0.5]])
+BODY_ORDER_SPECIES = np.array([0, 1, 0])
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_body_order(kind, n_layers):
+    # the three-body residual sum_S (-1)^(3-|S|) E(S) over the cloud's
+    # non-empty subsets S is zero for any sum of one- and two-body terms:
+    # at one layer it is rounding, at two layers the second message passing
+    # makes it three-body
+    model = Model(ModelConfig(
+        n_layers=n_layers, tau=3, j_max=1, cutoff=CUTOFF, radial_channels=4, hidden=8, seed=5,
+        **KINDS[kind],
+    ))
+    energies = [
+        (len(subset), model.energy_and_forces(
+            BODY_ORDER_CLOUD[list(subset)], BODY_ORDER_SPECIES[list(subset)]
+        )[0])
+        for size in (1, 2, 3)
+        for subset in itertools.combinations(range(3), size)
+    ]
+    residual = abs(sum((-1) ** (3 - size) * energy for size, energy in energies))
+    scale = max(abs(energy) for _, energy in energies)
+    if n_layers == 1:
+        assert residual <= 1e-12 * scale
+    else:
+        assert residual >= 1e-6 * scale

@@ -10,7 +10,6 @@ from spinfusion.data import Sample, generate_dataset
 from spinfusion.errors import NonFiniteLoss
 from spinfusion.model import KINDS, Model, ModelConfig
 from spinfusion.training import (
-    AdamConfig,
     LossConfig,
     _batch_loss_and_gradients,
     _taped_batch_loss,
@@ -118,6 +117,21 @@ class TestTrainLoop:
         assert record_a.config_hash != record_b.config_hash
         assert record_a.train_losses != record_b.train_losses
 
+    @pytest.mark.parametrize(
+        "learning_rate, run_hash",
+        [(None, "809ac8c684b80834"), (1e-2, "679360f77fa32335")],
+        ids=["default", "1e-2"],
+    )
+    def test_run_hash_is_pinned(self, learning_rate, run_hash):
+        # the hash covers the model config, the loss weights, Adam's learning
+        # rate, decay rates and floor, and the run's shape; it must not change
+        # when the code that builds it does
+        model = Model(ModelConfig(tau=3, radial_channels=4, hidden=8))
+        data = generate_dataset(4, 3, "morse", seed=4)
+        extra = {} if learning_rate is None else {"learning_rate": learning_rate}
+        record = train(model, data, 0, batch_size=2, seed=1, **extra)
+        assert record.config_hash == run_hash
+
     def test_zero_epochs_changes_nothing(self):
         data = generate_dataset(4, 4, "morse", seed=2)
         model = _tiny_model()
@@ -196,12 +210,12 @@ class TestTrainLoop:
         assert record.final_energy_mae >= 0
         assert record.final_force_mae >= 0
 
-    def test_adam_config_is_used(self):
+    def test_learning_rate_is_used(self):
         data = generate_dataset(4, 4, "morse", seed=2)
         model_fast = _tiny_model()
         model_slow = _tiny_model()
-        train(model_fast, data, 1, seed=0, adam=AdamConfig(learning_rate=1e-2))
-        train(model_slow, data, 1, seed=0, adam=AdamConfig(learning_rate=1e-5))
+        train(model_fast, data, 1, seed=0, learning_rate=1e-2)
+        train(model_slow, data, 1, seed=0, learning_rate=1e-5)
         moved_fast = max(
             np.max(np.abs(a - b))
             for a, b in zip(
