@@ -1,6 +1,7 @@
 """Fusion blocks: apply a collection of fusion diagrams, aggregate over
 index-aligned input multisets, concatenate per-diagram outputs along a new
-channel axis, and mix with a learned real matrix.
+channel axis, and mix with a learned real matrix, a plain 2-D array that
+acts on the channel axis only (never on m).
 
 All diagrams in a block share the same root spin, so their outputs
 concatenate; each reads its own slots, and the block reads their union.  A
@@ -9,29 +10,30 @@ over; every listed slot must have the same length, and aggregation sums
 each diagram over the index-aligned tuples in ascending order (a
 deterministic symmetric reduction, so reordering the tuples moves the
 result only by floating-point reassociation).
+
+A block file stores the mixing as a recipe, its shape and either
+``"uniform"`` with a seed (``uniform_mixing``) or ``"identity"``;
+``block_from_json`` builds the matrix from it.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import FusionDiagram, contract, diagram_from_json, diagram_to_json
+from .diagrams import FusionDiagram, contract, diagram_from_json
 from .errors import ChannelMismatch, EmptyDiagramSet, SpinMismatch, check_json, check_json_number
 from .irreps import Activation, IrrepVector
 from .spins import Spin, dim
 
 __all__ = [
     "AggregationKind",
-    "MixingMatrix",
     "FusionBlockConfig",
-    "identity_mixing",
     "uniform_mixing",
     "apply",
-    "block_to_json",
     "block_from_json",
 ]
 
@@ -42,44 +44,20 @@ class AggregationKind(enum.Enum):
     SUM = "sum"
 
 
-@dataclass
-class MixingMatrix:
-    """Real matrix acting on the channel axis only (never on m).
-
-    ``init`` records how the weights were produced ("uniform" with ``seed``,
-    or "identity"), so a config round-trips through JSON by re-initializing.
-    """
-
-    weights: np.ndarray
-    init: str = "uniform"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 2:
-            raise ValueError(f"mixing weights must be a matrix, got shape {self.weights.shape}")
-
-
-def uniform_mixing(rows: int, cols: int, seed: int) -> MixingMatrix:
+def uniform_mixing(rows: int, cols: int, seed: int) -> np.ndarray:
     """Entries i.i.d. uniform in [-s, s] with s = rows**-0.5 (variance-preserving)."""
     scale = rows ** -0.5
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(-scale, scale, size=(rows, cols))
-    return MixingMatrix(weights, init="uniform", seed=seed)
-
-
-def identity_mixing(n: int) -> MixingMatrix:
-    """Identity mixing: concatenation passes through."""
-    return MixingMatrix(np.eye(n), init="identity", seed=0)
+    return np.random.default_rng(seed).uniform(-scale, scale, size=(rows, cols))
 
 
 @dataclass
 class FusionBlockConfig:
-    """The diagram collection, the aggregation, and the mixing stage."""
+    """The diagram collection, the aggregation, and the mixing stage: a
+    (concatenated channels, output channels) real matrix."""
 
     diagrams: tuple[FusionDiagram, ...]
     aggregation: AggregationKind = AggregationKind.SUM
-    mixing: MixingMatrix = field(default=None)  # type: ignore[assignment]
+    mixing: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.diagrams = tuple(self.diagrams)
@@ -90,6 +68,9 @@ class FusionBlockConfig:
             raise ValueError(f"diagrams disagree on root spin: {sorted(roots)}")
         if self.mixing is None:
             raise ValueError("a fusion block needs a mixing matrix")
+        self.mixing = np.asarray(self.mixing, dtype=float)
+        if self.mixing.ndim != 2:
+            raise ValueError(f"mixing weights must be a matrix, got shape {self.mixing.shape}")
 
     @property
     def two_J(self) -> int:
@@ -137,7 +118,7 @@ def apply(cfg: FusionBlockConfig, input_sets) -> IrrepVector:
     if len(channel_counts) > 1:
         raise ChannelMismatch(f"inputs disagree on channel count: {sorted(channel_counts)}")
 
-    rows, cols = cfg.mixing.weights.shape
+    rows, cols = cfg.mixing.shape
     if channel_counts:
         channels = channel_counts.pop()
     else:
@@ -162,24 +143,8 @@ def apply(cfg: FusionBlockConfig, input_sets) -> IrrepVector:
         else:
             parts.append(contract(d, fixed).data)
     concatenated = np.concatenate(parts, axis=1)
-    mixed = concatenated @ cfg.mixing.weights
+    mixed = concatenated @ cfg.mixing
     return IrrepVector(Spin(cfg.two_J), mixed)
-
-
-def block_to_json(cfg: FusionBlockConfig) -> str:
-    """Serialize diagrams, aggregation kind, and the mixing recipe (shape,
-    init kind, seed) — weights re-initialize on load."""
-    payload = {
-        "diagrams": [json.loads(diagram_to_json(d)) for d in cfg.diagrams],
-        "aggregation": cfg.aggregation.value,
-        "mixing": {
-            "rows": int(cfg.mixing.weights.shape[0]),
-            "cols": int(cfg.mixing.weights.shape[1]),
-            "init": cfg.mixing.init,
-            "seed": int(cfg.mixing.seed),
-        },
-    }
-    return json.dumps(payload, indent=2)
 
 
 def block_from_json(text: str) -> FusionBlockConfig:
@@ -201,7 +166,7 @@ def block_from_json(text: str) -> FusionBlockConfig:
     if mix["init"] == "identity":
         if mix["rows"] != mix["cols"]:
             raise ValueError("identity mixing must be square")
-        mixing = identity_mixing(mix["rows"])
+        mixing = np.eye(mix["rows"])
     elif mix["init"] == "uniform":
         mixing = uniform_mixing(mix["rows"], mix["cols"], integer_field("seed"))
     else:

@@ -111,7 +111,7 @@ def _slot_inputs(block, rng):
     for diagram in block.diagrams:
         for slot, two_j in diagram.leaves:
             spins_by_slot.setdefault(slot, set()).add(two_j)
-    channels = block.mixing.weights.shape[0] // len(block.diagrams)
+    channels = block.mixing.shape[0] // len(block.diagrams)
     inputs = {}
     for slot, spins in spins_by_slot.items():
         inputs[slot] = Activation(

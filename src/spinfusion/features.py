@@ -1,5 +1,5 @@
 """Edge features: spherical harmonics of displacements and a smooth radial
-basis of their lengths.
+basis of their lengths, one row per directed edge in ``edge_index`` order.
 
 The radial basis uses Gaussian bumps with centers evenly spaced on
 (0, cutoff], width equal to the spacing, multiplied by the cosine envelope
@@ -8,7 +8,6 @@ The radial basis uses Gaussian bumps with centers evenly spaced on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -18,10 +17,8 @@ from .cg import cg_tensor
 from .errors import ZeroVector
 from .geometry import Neighborhood, PointCloud, edge_index
 from .harmonics import _MIN_LENGTH, sph_values
-from .irreps import Activation
 
 __all__ = [
-    "EdgeFeature",
     "radial_centers",
     "radial_basis",
     "edge_features",
@@ -33,20 +30,6 @@ __all__ = [
 _POLE = np.array([0.0, 0.0, 1.0])
 _Y00 = float(sph_values(_POLE, 0)[0].real)  # Y^0_0, the same in every direction
 _Y1_MATRIX = sph_values(np.eye(3), 2)  # Y^1(u) = u @ M: row k is Y^1 of axis k
-
-
-@dataclass(frozen=True)
-class EdgeFeature:
-    """One edge's layer-independent inputs, which each layer weights itself.
-
-    ``harmonics``: the single-channel spherical harmonics of the unit
-    displacement, part[m, 0] = Y^j_m, spins 1..j_max (Y^0 is the constant
-    ``_Y00``, which the layers fold into fixed factors).
-    ``basis``: the radial basis row (with envelope).
-    """
-
-    harmonics: Activation
-    basis: np.ndarray
 
 
 def radial_centers(cutoff: float, n_channels: int) -> tuple[np.ndarray, float]:
@@ -143,25 +126,17 @@ def taped_edge_harmonics(
 
 def edge_features(
     pc: PointCloud, nbr: Neighborhood, j_max: int, radial_channels: int
-) -> dict[tuple[int, int], EdgeFeature]:
-    """Per-edge features for every directed edge (o, i), i in N(o)."""
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Every directed edge's layer-independent inputs, which each layer
+    weights itself, as (harmonics, basis), one row per edge in
+    ``edge_index`` order: ``harmonics`` maps 2j to the (E, 2j+1) spherical
+    harmonics of the displacements, spins 1..j_max (Y^0 is the constant
+    ``_Y00``, which the layers fold into fixed factors), and ``basis`` is
+    the (E, radial_channels) radial basis (with envelope)."""
     src, dst = edge_index(nbr)
-    features: dict[tuple[int, int], EdgeFeature] = {}
-    if src.size == 0:
-        return features
     displacements = pc.positions[dst] - pc.positions[src]
     lengths = np.sqrt(np.sum(displacements**2, axis=-1))
     if np.any(lengths < _MIN_LENGTH):
         raise ZeroVector("coincident atoms give zero-length edges")
-    basis = radial_basis(lengths, nbr.cutoff, radial_channels)
-    harmonic_values = {
-        2 * j: sph_values(displacements, 2 * j) for j in range(1, j_max + 1)
-    }
-    for e, (o, i) in enumerate(zip(src, dst)):
-        features[(int(o), int(i))] = EdgeFeature(
-            harmonics=Activation(
-                {two_j: values[e][:, None] for two_j, values in harmonic_values.items()}
-            ),
-            basis=basis[e].copy(),
-        )
-    return features
+    harmonics = {2 * j: sph_values(displacements, 2 * j) for j in range(1, j_max + 1)}
+    return harmonics, radial_basis(lengths, nbr.cutoff, radial_channels)

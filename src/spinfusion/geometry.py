@@ -14,9 +14,8 @@ adjacent cells, so a batch of samples is searched at once and no edge joins
 two samples.
 
 A ``Neighborhood`` stores the edges as (src, dst) arrays ordered by src,
-then dst.  ``edge_index`` returns them as they are; the per-atom tuples
-(``lists``, ``neighbors``) are derived from them on first use, for the
-per-atom reference layers.
+then dst.  ``edge_index`` returns them as they are, and ``lists``, the
+per-atom neighbor tuples, is derived from them on first use.
 """
 
 from __future__ import annotations
@@ -79,9 +78,6 @@ class Neighborhood:
         ends = np.cumsum(np.bincount(self.src, minlength=self.n_atoms)).tolist()
         members = self.dst.tolist()
         return tuple(tuple(members[a:b]) for a, b in zip([0] + ends[:-1], ends))
-
-    def neighbors(self, o: int) -> tuple[int, ...]:
-        return self.lists[o]
 
 
 def _squeeze(coords: np.ndarray) -> np.ndarray:

@@ -37,13 +37,14 @@ name within the layer (``gate/w_hidden``, ``vertex/2/pair``, ``mixing/0``,
 tables under the layer's name; that is all it knows of them.
 
 Both executors run the same collections and weights.  The per-atom one
-(``layer_forward``), the eager oracle, binds the slots once per atom and
-runs each collection as built through ``blocks.apply``.  The taped one
-(``taped_layer``, through ``taped_collections``), vectorized over atoms
-and edges, runs each output spin as lowered at init: ``recouple`` F-moves
-each three-leaf diagram ((center ⊗ a)_k ⊗ b)_J into (center ⊗ T)_J, T =
-(a ⊗ b)_k' (same span, real matrix U), and every target falls in one of
-three groups by its tree:
+(``layer_forward``), the eager oracle, binds the slots once per atom, its
+edges one range of the ``edge_features`` rows, and runs each collection
+as built through ``blocks.apply``, its weight the block's mixing matrix.
+The taped one (``taped_layer``, through ``taped_collections``),
+vectorized over atoms and edges, runs each output spin as lowered at init:
+``recouple`` F-moves each three-leaf diagram ((center ⊗ a)_k ⊗ b)_J into
+(center ⊗ T)_J, T = (a ⊗ b)_k' (same span, real matrix U), and every
+target falls in one of three groups by its tree:
 
 * center-only: every leaf is slot 0, contracted at N rows;
 * (center ⊗ T)_J, T over edge slots only: T per edge, summed over each
@@ -77,11 +78,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .blocks import FusionBlockConfig, MixingMatrix, apply as block_apply
+from .blocks import FusionBlockConfig, apply as block_apply
 from .cg import cg_tensor
 from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb, recouple
 from .errors import EmptySchedule
-from .features import _Y00, EdgeFeature
+from .features import _Y00
 from .geometry import Neighborhood, PointCloud
 from .irreps import Activation
 from .spins import admissible, format_spin
@@ -159,19 +160,14 @@ class SpinSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _gate_features(center: Activation, neighbor: Activation, basis: np.ndarray) -> np.ndarray:
-    """Invariant inputs: Re/Im of both j=0 parts plus the radial basis row."""
-    c0 = center.part(0)[0]
-    n0 = neighbor.part(0)[0]
-    return np.concatenate([c0.real, c0.imag, n0.real, n0.imag, np.asarray(basis, dtype=float)])
-
-
 def invariant_gate(
-    center: Activation, neighbor: Activation, edge: EdgeFeature, weights: dict[str, np.ndarray]
+    center: Activation, neighbor: Activation, basis: np.ndarray, weights: dict[str, np.ndarray]
 ) -> np.ndarray:
     """Rotation-invariant per-channel gate value for one edge: a two-layer
-    perceptron on invariant inputs, read from a layer's ``gate/*`` weights."""
-    x = _gate_features(center, neighbor, edge.basis)
+    perceptron, read from a layer's ``gate/*`` weights, on invariant inputs,
+    Re/Im of both spin-0 parts and the edge's radial basis row."""
+    c0, n0 = center.part(0)[0], neighbor.part(0)[0]
+    x = np.concatenate([c0.real, c0.imag, n0.real, n0.imag, basis])
     hidden = np.tanh(x @ weights["gate/w_hidden"] + weights["gate/b_hidden"])
     return hidden @ weights["gate/w_out"] + weights["gate/b_out"]
 
@@ -341,7 +337,7 @@ def apply_collections(
         for c in table.collections:
             weight = weights[c.weight]
             rows = np.repeat(c.path_weights, len(weight) // len(c.diagrams))[:, None]
-            block = FusionBlockConfig(c.diagrams, mixing=MixingMatrix(rows * weight))
+            block = FusionBlockConfig(c.diagrams, mixing=rows * weight)
             value = block_apply(block, inputs).data
             parts[two_J] = value if two_J not in parts else parts[two_J] + value
     return Activation(parts)
@@ -657,21 +653,17 @@ def init_three_body_layer(
     )
 
 
-def _broadcast_harmonics(edge: EdgeFeature, tau: int) -> Activation:
-    """Single-channel harmonics repeated across tau channels."""
-    return Activation(
-        {two_j: np.repeat(part, tau, axis=1) for two_j, part in edge.harmonics.items()}
-    )
-
-
-def embed_edge(edge: EdgeFeature, params: LayerParams) -> Activation:
-    """The embedded edge, slot 4: per spin j, Y^j (at j = 0 the constant
-    Y^0_0) times the spin-0 radial weight R_j = basis @ ``edge_embed/{2j}``,
-    one per feature channel."""
+def embed_edge(
+    harmonics: dict[int, np.ndarray], basis: np.ndarray, params: LayerParams
+) -> Activation:
+    """The embedded edge, slot 4, of one edge, from its harmonic rows (2j ->
+    (2j+1,)) and its radial basis row: per spin j, Y^j (at j = 0 the
+    constant Y^0_0) times the spin-0 radial weight R_j = basis @
+    ``edge_embed/{2j}``, one per feature channel."""
     return Activation(
         {
-            two_j: harmonic * (edge.basis @ params.weights[f"edge_embed/{two_j}"])
-            for two_j, harmonic in [(0, np.array([[_Y00]])), *edge.harmonics.items()]
+            two_j: harmonic[:, None] * (basis @ params.weights[f"edge_embed/{two_j}"])
+            for two_j, harmonic in [(0, np.array([_Y00])), *harmonics.items()]
         }
     )
 
@@ -698,31 +690,42 @@ def layer_forward(
     acts: list[Activation],
     pc: PointCloud,
     nbr: Neighborhood,
-    feats: dict[tuple[int, int], EdgeFeature],
+    feats: tuple[dict[int, np.ndarray], np.ndarray],
     params: LayerParams,
 ) -> list[Activation]:
     """Plain per-atom layer (reference implementation).
 
-    Binds the slot table for each atom, the per-edge slots listed over its
-    neighbors (the gate and the embedded edge only where a diagram reads
-    them), and runs every term through ``apply_collections``.
+    ``feats`` is ``edge_features``' (harmonics, basis), one row per edge of
+    ``nbr``; the edges are ordered by atom, so each atom's are one range of
+    rows, their neighbors read from ``nbr.dst``.  Binds the slot table for
+    each atom, the per-edge slots listed over its edges (the gate and the
+    embedded edge only where a diagram reads them), and runs every term
+    through ``apply_collections``.
     """
+    harmonics, basis = feats
+    bounds = np.searchsorted(nbr.src, np.arange(pc.n_atoms + 1))
     reads = params.slots
     out: list[Activation] = []
     for o in range(pc.n_atoms):
-        center, neighbors = acts[o], nbr.neighbors(o)
-        edges = [feats[(o, i)] for i in neighbors]
+        center, edges = acts[o], range(bounds[o], bounds[o + 1])
+        neighbors = [acts[i] for i in nbr.dst[edges]]
+        rows = [{two_j: h[e] for two_j, h in harmonics.items()} for e in edges]
         inputs = [
             center,
-            [acts[i] for i in neighbors],
-            [_broadcast_harmonics(edge, params.tau) for edge in edges],
+            neighbors,
             [
-                Activation({0: invariant_gate(center, acts[i], edge, params.weights)[None]})
-                for i, edge in zip(neighbors, edges)
+                Activation({two_j: np.tile(y[:, None], params.tau) for two_j, y in row.items()})
+                for row in rows
+            ],
+            [
+                Activation({0: invariant_gate(center, neighbor, basis[e], params.weights)[None]})
+                for neighbor, e in zip(neighbors, edges)
             ]
             if _GATE in reads
             else None,
-            [embed_edge(edge, params) for edge in edges] if _EDGE in reads else None,
+            [embed_edge(row, basis[e], params) for row, e in zip(rows, edges)]
+            if _EDGE in reads
+            else None,
         ]
         out.append(apply_collections(params.recoupled, inputs, params.weights))
     return out

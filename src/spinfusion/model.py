@@ -297,11 +297,10 @@ class Model:
         adjoint is freed as soon as the pass has used it.  The forces are
         those of ``taped_energies_and_forces``, bit for bit.
         """
-        species = self._check_inputs(positions, species)
         tape = ad.Tape()
         pos_node = tape.variable(np.asarray(positions, dtype=float))
         energies = self.taped_forward(
-            tape, pos_node, species, [species.size], self.parameter_nodes(tape)
+            tape, pos_node, species, [np.size(species)], self.parameter_nodes(tape)
         )
         grads = ad.backward(
             ad.Tape(graph=False), ad.sum_all(tape, energies), wrt=[pos_node]

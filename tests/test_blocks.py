@@ -8,8 +8,6 @@ from spinfusion.blocks import (
     FusionBlockConfig,
     apply,
     block_from_json,
-    block_to_json,
-    identity_mixing,
     uniform_mixing,
 )
 from spinfusion.diagrams import contract, left_comb
@@ -33,7 +31,7 @@ def _three_slot_config(channels=2, identity=False):
         left_comb([2, 2, 2], [k], 2, slots=[0, 1, 2]) for k in (0, 2, 4)
     )
     mixing = (
-        identity_mixing(3 * channels)
+        np.eye(3 * channels)
         if identity
         else uniform_mixing(3 * channels, channels, seed=11)
     )
@@ -55,14 +53,14 @@ def _two_and_three_leaf_config(channels=2):
 class TestConfig:
     def test_empty_diagram_set_rejected(self):
         with pytest.raises(EmptyDiagramSet):
-            FusionBlockConfig((), AggregationKind.SUM, identity_mixing(1))
+            FusionBlockConfig((), AggregationKind.SUM, np.eye(1))
 
     def test_diagrams_must_share_root_spin(self):
         with pytest.raises(ValueError):
             FusionBlockConfig(
                 (left_comb([2, 2], [], 2), left_comb([2, 2], [], 4)),
                 AggregationKind.SUM,
-                identity_mixing(2),
+                np.eye(2),
             )
 
     def test_slots_are_the_union_of_the_diagrams_slots(self):
@@ -70,22 +68,23 @@ class TestConfig:
         assert [d.slots for d in cfg.diagrams] == [(0, 1), (0, 1, 2), (0, 1, 2)]
         assert cfg.slots == (0, 1, 2)
 
+    @pytest.mark.parametrize("shape", [(6,), (6, 2, 1)], ids=["1d", "3d"])
+    def test_mixing_must_be_a_matrix(self, shape):
+        diagrams = _three_slot_config().diagrams
+        with pytest.raises(ValueError, match="must be a matrix"):
+            FusionBlockConfig(diagrams, AggregationKind.SUM, np.ones(shape))
+
     def test_uniform_mixing_scale(self):
         m = uniform_mixing(16, 4, seed=3)
-        assert (m.init, m.seed, m.weights.shape) == ("uniform", 3, (16, 4))
-        assert np.max(np.abs(m.weights)) <= 16 ** -0.5 + 1e-12
-
-    def test_identity_mixing_is_the_identity(self):
-        m = identity_mixing(4)
-        assert m.init == "identity"
-        assert np.array_equal(m.weights, np.eye(4))
+        assert m.shape == (16, 4)
+        assert np.max(np.abs(m)) <= 16 ** -0.5 + 1e-12
 
 
 class TestApply:
     def test_single_diagram_identity_mix_equals_contract(self):
         rng = np.random.default_rng(0)
         d = left_comb([2, 4], [], 2)
-        cfg = FusionBlockConfig((d,), AggregationKind.SUM, identity_mixing(3))
+        cfg = FusionBlockConfig((d,), AggregationKind.SUM, np.eye(3))
         inputs = [_vec(2, 3, rng), _vec(4, 3, rng)]
         out = apply(cfg, inputs)
         expected = contract(d, inputs)
@@ -107,7 +106,7 @@ class TestApply:
         inputs = [_vec(2, 2, rng) for _ in range(3)]
         mixed = apply(cfg, inputs)
         raw = apply(unmixed, inputs)
-        assert np.max(np.abs(mixed.data - raw.data @ cfg.mixing.weights)) < 1e-13
+        assert np.max(np.abs(mixed.data - raw.data @ cfg.mixing)) < 1e-13
 
     def test_aggregation_is_sum_over_index_aligned_lists(self):
         rng = np.random.default_rng(3)
@@ -152,7 +151,7 @@ class TestApply:
             left_comb([0, 2], [], 2, slots=[0, 1]),
             left_comb([2, 2], [], 2, slots=[0, 1]),
         )
-        cfg = FusionBlockConfig(diagrams, AggregationKind.SUM, identity_mixing(4))
+        cfg = FusionBlockConfig(diagrams, AggregationKind.SUM, np.eye(4))
         act = Activation(
             {
                 0: rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2)),
@@ -183,7 +182,7 @@ class TestTwoAndThreeLeafBlock:
             sum(contract(d, [center, n, e]).data for n, e in zip(neighbors, edges))
             for d in cfg.diagrams
         ]
-        expected = np.concatenate(sums, axis=1) @ cfg.mixing.weights
+        expected = np.concatenate(sums, axis=1) @ cfg.mixing
         out = apply(cfg, [center, neighbors, edges])
         assert np.max(np.abs(out.data - expected)) < 1e-13
 
@@ -238,25 +237,27 @@ class TestEquivariance:
         assert np.max(np.abs(out.data - base.data)) < 1e-12
 
 
+# a two-leaf diagram in the block-file format, (h_0 ⊗ h_1)_1
+_PAIR_JSON = (
+    '{"two_J": 2, "leaves": [{"slot": 0, "two_j": 2}, {"slot": 1, "two_j": 2}], '
+    '"tree": {"left": {"slot": 0}, "right": {"slot": 1}}}'
+)
+
+
 class TestJson:
-    def test_round_trip_preserves_structure_and_weights(self):
-        cfg = _three_slot_config(channels=2)
-        restored = block_from_json(block_to_json(cfg))
-        assert restored.aggregation == cfg.aggregation
-        assert restored.diagrams == cfg.diagrams
-        assert np.allclose(restored.mixing.weights, cfg.mixing.weights)
-        assert (restored.mixing.init, restored.mixing.seed) == ("uniform", 11)
-
-    def test_identity_round_trip(self):
-        cfg = _three_slot_config(channels=2, identity=True)
-        restored = block_from_json(block_to_json(cfg))
-        assert np.array_equal(restored.mixing.weights, np.eye(6))
-
-    def test_application_agrees_after_round_trip(self):
-        rng = np.random.default_rng(9)
-        cfg = _three_slot_config(channels=2)
-        restored = block_from_json(block_to_json(cfg))
-        inputs = [_vec(2, 2, rng) for _ in range(3)]
-        assert np.max(
-            np.abs(apply(cfg, inputs).data - apply(restored, inputs).data)
-        ) < 1e-15
+    @pytest.mark.parametrize(
+        "mixing, expected",
+        [
+            ('{"rows": 2, "cols": 3, "init": "uniform", "seed": 11}', uniform_mixing(2, 3, 11)),
+            ('{"rows": 2, "cols": 2, "init": "identity", "seed": 0}', np.eye(2)),
+        ],
+        ids=["uniform", "identity"],
+    )
+    def test_builds_the_recipes_matrix(self, mixing, expected):
+        cfg = block_from_json(
+            f'{{"diagrams": [{_PAIR_JSON}], "aggregation": "sum", "mixing": {mixing}}}'
+        )
+        assert cfg.diagrams == (left_comb([2, 2], [], 2, slots=[0, 1]),)
+        assert cfg.aggregation == AggregationKind.SUM
+        assert cfg.mixing.dtype == float
+        assert np.array_equal(cfg.mixing, expected)

@@ -8,12 +8,6 @@ import numpy as np
 import pytest
 
 from spinfusion import autodiff as ad
-from spinfusion.blocks import (
-    AggregationKind,
-    FusionBlockConfig,
-    block_to_json,
-    uniform_mixing,
-)
 from spinfusion.cli import main
 from spinfusion.diagrams import FuseNode, FusionDiagram, LeafNode, diagram_to_json, left_comb
 from spinfusion.model import Model, ModelConfig
@@ -104,15 +98,15 @@ class TestDiagram:
 
 
 class TestBlockCheck:
-    def test_equivariant_block_passes(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "mixing", [{"cols": 2}, {"cols": 6, "init": "identity"}], ids=["uniform", "identity"]
+    )
+    def test_equivariant_block_passes(self, tmp_path, capsys, mixing):
         diagrams = tuple(
             left_comb([2, 2, 2], [k], 2, slots=[0, 1, 2]) for k in (0, 2, 4)
         )
-        config = FusionBlockConfig(
-            diagrams, AggregationKind.SUM, uniform_mixing(6, 2, seed=4)
-        )
         path = tmp_path / "block.json"
-        path.write_text(block_to_json(config))
+        path.write_text(_block_json(diagrams, rows=6, **mixing))
         assert main(["block", "check", "--config", str(path), "--trials", "5"]) == 0
         rows = _rows(capsys.readouterr().out)
         assert rows[0] == ["check", "max_residual"]
@@ -129,9 +123,8 @@ class TestBlockCheck:
     def test_trials_below_one_is_one_error_line(self, tmp_path, capsys, trials):
         # no trial checks nothing, so it must not report residuals of 0
         diagrams = (left_comb([2, 2], [], 2, slots=[0, 1]),)
-        config = FusionBlockConfig(diagrams, AggregationKind.SUM, uniform_mixing(2, 2, seed=4))
         path = tmp_path / "block.json"
-        path.write_text(block_to_json(config))
+        path.write_text(_block_json(diagrams, rows=2, cols=2))
         assert main(["block", "check", "--config", str(path), f"--trials={trials}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -149,11 +142,8 @@ class TestBlockCheck:
     )
     def test_non_positive_mixing_shape_is_one_error_line(self, tmp_path, capsys, mixing, field):
         diagrams = (left_comb([2, 2], [], 2, slots=[0, 1]),)
-        config = FusionBlockConfig(diagrams, AggregationKind.SUM, uniform_mixing(2, 2, seed=4))
-        payload = json.loads(block_to_json(config))
-        payload["mixing"].update(mixing)
         path = tmp_path / "block.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(_block_json(diagrams, **{"rows": 2, "cols": 2, **mixing}))
         assert main(["block", "check", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -185,9 +175,8 @@ class TestBlockCheck:
         ids=["fusion_shape", "gated_shape"],
     )
     def test_two_and_three_leaf_block_passes(self, tmp_path, capsys, diagrams):
-        config = FusionBlockConfig(diagrams, AggregationKind.SUM, uniform_mixing(4, 2, seed=4))
         path = tmp_path / "block.json"
-        path.write_text(block_to_json(config))
+        path.write_text(_block_json(diagrams, rows=4, cols=2))
         assert main(["block", "check", "--config", str(path), "--trials", "3"]) == 0
         residuals = {r[0]: float(r[1]) for r in _rows(capsys.readouterr().out)[1:]}
         assert max(residuals.values()) <= 1e-12
@@ -414,6 +403,18 @@ class TestModelFile:
 def _diagram_text(two_J=0, slot=0):
     return json.dumps({"two_J": two_J, "leaves": [{"slot": slot, "two_j": 0}],
                        "tree": {"slot": 0}})
+
+
+def _block_json(diagrams, **mixing):
+    """The block file of ``diagrams``: summed, mixed by a matrix with the
+    recipe ``mixing`` (uniform, seed 4, unless it says otherwise)."""
+    mixing = {"init": "uniform", "seed": 4, **mixing}
+    payload = {
+        "diagrams": [json.loads(diagram_to_json(d)) for d in diagrams],
+        "aggregation": "sum",
+        "mixing": mixing,
+    }
+    return json.dumps(payload, indent=2)
 
 
 def _block_text(**mixing):

@@ -7,7 +7,7 @@ import pytest
 
 from spinfusion import autodiff as ad
 from spinfusion import layers
-from spinfusion.blocks import AggregationKind, FusionBlockConfig, apply, identity_mixing
+from spinfusion.blocks import AggregationKind, FusionBlockConfig, apply
 from spinfusion.diagrams import (
     FuseNode,
     FusionDiagram,
@@ -18,8 +18,15 @@ from spinfusion.diagrams import (
     validate,
 )
 from spinfusion.errors import EmptySchedule
-from spinfusion.features import _Y00, taped_distances, taped_edge_harmonics, taped_radial_basis
+from spinfusion.features import (
+    _Y00,
+    radial_basis,
+    taped_distances,
+    taped_edge_harmonics,
+    taped_radial_basis,
+)
 from spinfusion.geometry import PointCloud, build_neighborhood, edge_index
+from spinfusion.harmonics import sph_values
 from spinfusion.irreps import Activation
 from spinfusion.layers import (
     SpinSchedule,
@@ -217,6 +224,21 @@ def _layer_outputs(layer_fn, params, pc, acts, j_max, radial_channels):
     return layer_fn(acts, pc, nbr, feats, params)
 
 
+@pytest.mark.parametrize("j_max", [0, 2])
+def test_edge_features_are_the_rows_of_the_edge_index_edges(j_max):
+    pc = PointCloud(np.vstack([_cloud(6, seed=8).positions, [[20.0, 0.0, 0.0]]]), np.zeros(7, int))
+    nbr = build_neighborhood(pc, 3.0)
+    harmonics, basis = edge_features(pc, nbr, j_max, 4)
+    src, dst = edge_index(nbr)
+    assert sorted(harmonics) == list(range(2, 2 * j_max + 1, 2))
+    assert basis.shape == (src.size, 4) and src.size > 0
+    for e, (o, i) in enumerate(zip(src, dst)):
+        x = pc.positions[i] - pc.positions[o]
+        for two_j, rows in harmonics.items():
+            assert np.max(np.abs(rows[e] - sph_values(x, two_j))) <= 1e-15
+        assert np.max(np.abs(basis[e] - radial_basis(np.linalg.norm(x), 3.0, 4))) <= 1e-15
+
+
 LAYER_CASES = [
     ("gated", lambda: init_interaction_layer((0,), 1, 3, 4, 8, fused=False, seed=2, name="L")),
     ("fused", lambda: init_interaction_layer((0,), 1, 3, 4, 8, fused=True, seed=2, name="L")),
@@ -376,7 +398,7 @@ class TestTapedDiagrams:
             chunks = taped_diagrams(tape, diagrams, nodes, memo)
             got = np.concatenate([c.value for c in chunks], axis=2).sum(axis=0)
             unmixed = FusionBlockConfig(
-                diagrams, AggregationKind.SUM, identity_mixing(len(diagrams) * tau)
+                diagrams, AggregationKind.SUM, np.eye(len(diagrams) * tau)
             )
             per_slot = [[_row_activation(part, e, tau) for e in range(n)] for part in leaves]
             expected = apply(unmixed, per_slot).data
