@@ -59,11 +59,13 @@ of two or more axes rows-last: axis 0 innermost in memory, the other axes
 in order, so that its physical form, ``transpose(_LAST[ndim])``, is
 C-contiguous; and each kernel's inner loops run along the rows.
 ``gather`` takes along the physical last axis and ``index_add`` sums its
-segments along it; ``einsum3`` gathers each nonzero entry's components as
-a (nnz, [channel,] rows) block and leaves its GEMM's output with the rows
-innermost; ``channel_mix`` computes op(W)^T @ x^T on x's physical form,
-for complex data one real GEMM on its interleaved re/im parts; the
-structural primitives work on the physical forms.  Each accepts inputs in
+segments along it; ``einsum3`` multiplies the two operand components that
+each nonzero entry reads, whole runs of rows, straight into that entry's
+row of one (nnz, [channel,] rows) product block, copying neither operand,
+and leaves its GEMM's output with the rows innermost; ``channel_mix``
+computes op(W)^T @ x^T on x's physical form, for complex data one real
+GEMM on its interleaved re/im parts; the structural primitives work on
+the physical forms.  Each accepts inputs in
 either order and gives the same values.  Elementwise primitives and NumPy
 reductions keep their inputs' order, and leaves (positions, parameters)
 are stored as given.
@@ -97,7 +99,7 @@ class Node:
 
     @property
     def shape(self):
-        return np.shape(self.value)
+        return self.value.shape
 
 
 # glibc mallopt parameters, and the values set for them below.
@@ -537,13 +539,14 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     """The contraction of a three-index tensor as a function of the two
     operands' arrays, or None when ``subscript`` is not of ``einsum3``'s
     one layout.  Both operands are read in their physical forms, (tensor
-    index, [channel,] rows), a channel-less one with a unit channel axis
-    where the product has one.  The broadcast plan (``_contract_broadcast``)
-    serves a tensor with an operand index of dimension 1 between whose
-    other two indices it is the identity (every 0 ⊗ j -> j CG product, and
-    the VJP of one that keeps that form); every other tensor gets the
-    nonzero-entry plan (``_contract_nonzeros``), so do a c·I block with
-    c != 1 and a product into a dimension-1 output such as 1 ⊗ 1 -> 0."""
+    index, [channel,] rows), a channel-less one broadcasting along the
+    channel where the product has one.  The broadcast plan
+    (``_contract_broadcast``) serves a tensor with an operand index of
+    dimension 1 between whose other two indices it is the identity (every
+    0 ⊗ j -> j CG product, and the VJP of one that keeps that form); every
+    other tensor gets the nonzero-entry plan (``_contract_nonzeros``), so
+    do a c·I block with c != 1 and a product into a dimension-1 output such
+    as 1 ⊗ 1 -> 0."""
     t_sub, *terms = _split_subscript(subscript)
     row = terms[0][:1]
     channel = next((term[2:] for term in terms if len(term) == 3), "")
@@ -560,23 +563,24 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     ):
         return None
     summed = x_has and y_has and not out_has
-    x_op, y_op = (
-        (_LAST[len(term)], (slice(None), None) if (x_has or y_has) and not h else ...)
-        for term, h in zip(terms, has[:2])
-    )
+    x_axes, y_axes = (_LAST[len(term)] for term in terms[:2])
     out_axes = _FIRST[len(terms[2])]
     roles = [t_sub.index(l) for l in own]
     block = tensor.transpose(roles)  # (x index, y index, output index)
     if any(block.shape[d] == 1 and _is_identity(block.take(0, axis=d)) for d in (0, 1)):
-        return partial(_contract_broadcast, x_op, y_op, summed, out_axes)
+        x_expand, y_expand = (
+            (slice(None), None) if (x_has or y_has) and not h else ... for h in has[:2]
+        )
+        return partial(
+            _contract_broadcast, (x_axes, x_expand), (y_axes, y_expand), summed, out_axes
+        )
 
-    # the product overwrites the gathered operand of its full shape
-    into = 1 if y_has and not x_has else 0
     coords = np.nonzero(tensor)
     ix, iy, io = (coords[r] for r in roles)
     coeffs = np.zeros((block.shape[2], len(io)), dtype=tensor.dtype)
     coeffs[io, np.arange(len(io))] = tensor[coords]
-    return partial(_contract_nonzeros, (x_op, ix, y_op, iy, summed, into, coeffs, out_axes))
+    pairs = tuple(zip(ix.tolist(), iy.tolist()))
+    return partial(_contract_nonzeros, (x_axes, y_axes, pairs, summed, coeffs, out_axes))
 
 
 def _contract_broadcast(x_op, y_op, summed, out_axes, x, y) -> np.ndarray:
@@ -601,33 +605,41 @@ def _contract_broadcast(x_op, y_op, summed, out_axes, x, y) -> np.ndarray:
 def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """einsum over the tensor's nonzero entries only.
 
-    Gathers the components each entry reads into (nnz, [channel,] rows)
-    blocks (for a rows-last operand, whole runs of its row axis),
-    multiplies them in place, sums a summed channel, and sums the result
-    into the output components with one (out dim, nnz) coefficient matrix,
-    whose product comes out with the rows innermost; a complex product
-    meets a real matrix as one real GEMM over its interleaved re/im parts.
-    The NumPy call count is fixed, so the cost stays low at small edge
-    counts too.
+    Allocates one (nnz, [channel,] rows) product block and multiplies the
+    two operand components each entry reads straight into its row (for a
+    rows-last operand, whole runs of its row axis; a channel-less operand
+    broadcasts along the channel), so neither operand is copied.  Then it
+    sums a summed channel and sums the block into the output components
+    with one (out dim, nnz) coefficient matrix, whose product comes out
+    with the rows innermost; a complex product meets a real matrix as one
+    real GEMM over its interleaved re/im parts.  The Python work is one
+    multiply per nonzero entry, whatever the row count.
     """
-    (x_axes, x_expand), ix, (y_axes, y_expand), iy, summed, into, coeffs, out_axes = plan
-    factors = (
-        np.take(x.transpose(x_axes), ix, axis=0)[x_expand],
-        np.take(y.transpose(y_axes), iy, axis=0)[y_expand],
-    )
-    out = factors[into]
-    if out.dtype != np.result_type(*factors):
-        out = None
-    prod = np.multiply(*factors, out=out, order="C")
+    x_axes, y_axes, pairs, summed, coeffs, out_axes = plan
+    x, y = x.transpose(x_axes), y.transpose(y_axes)  # (tensor index, [channel,] rows)
+    inner = (x if x.ndim >= y.ndim else y).shape[1:]
+    prod = np.empty((len(pairs),) + inner, np.result_type(x, y))
+    for k, (a, b) in enumerate(pairs):
+        np.multiply(x[a], y[b], out=prod[k])
     if summed:
         prod = prod.sum(axis=1)
     inner = prod.shape[1:]
-    flat = prod.reshape(len(ix), math.prod(inner))
+    flat = prod.reshape(len(pairs), math.prod(inner))
     if flat.dtype == np.complex128 and coeffs.dtype == np.float64:
         out = (coeffs @ flat.view(np.float64)).view(np.complex128)
     else:
         out = coeffs @ flat
     return out.reshape((len(coeffs),) + inner).transpose(out_axes)
+
+
+def _einsum3_entry(tensor: np.ndarray, subscript: str):
+    """(plan, back_x, back_y) for ``einsum3``: the contraction and the
+    subscripts of its two VJPs, or None for an unsupported subscript."""
+    plan = _sparse_plan(tensor, subscript)
+    if plan is None:
+        return None
+    t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
+    return plan, f"{t_sub},{y_sub},{out_sub}->{x_sub}", f"{t_sub},{x_sub},{out_sub}->{y_sub}"
 
 
 @_primitive("einsum3")
@@ -647,14 +659,12 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     the other factor, as it is.
     """
     x, y = _as_node(tape, x), _as_node(tape, y)
-    t_sub, x_sub, y_sub, out_sub = _split_subscript(subscript)
     tensor = np.asarray(tensor)
-    plan = _cached(tensor, subscript, lambda t: _sparse_plan(t, subscript))
-    if plan is None:
+    entry = _cached(tensor, subscript, partial(_einsum3_entry, subscript=subscript))
+    if entry is None:
         raise ValueError(f"einsum3: unsupported subscript {subscript!r}")
+    plan, back_x, back_y = entry
     value = plan(x.value, y.value)
-    back_x = f"{t_sub},{y_sub},{out_sub}->{x_sub}"
-    back_y = f"{t_sub},{x_sub},{out_sub}->{y_sub}"
     return tape._emit(
         value,
         (
@@ -769,8 +779,10 @@ def backward(tape: Tape, seed: Node, wrt: list[Node]) -> dict[int, Node]:
     kept = {n.id for n in wrt}
     needed = set(kept)
     for node in order:
-        if any(p.id in needed for p, _ in node.parents):
-            needed.add(node.id)
+        for parent, _ in node.parents:
+            if parent.id in needed:
+                needed.add(node.id)
+                break
     adjoints: dict[int, Node] = {}
     if seed.id in needed:
         adjoints[seed.id] = tape.constant(np.ones_like(value))
@@ -787,7 +799,7 @@ def backward(tape: Tape, seed: Node, wrt: list[Node]) -> dict[int, Node]:
             # quantity.  A complex consumer's vjp may hand back a complex
             # array whose imaginary part is meaningless for this node; drop
             # it here so it cannot re-enter complex arithmetic further back.
-            if not np.iscomplexobj(parent.value) and np.iscomplexobj(contribution.value):
+            if parent.value.dtype.kind != "c" and contribution.value.dtype.kind == "c":
                 contribution = real(tape, contribution)
             previous = adjoints.get(parent.id)
             adjoints[parent.id] = (

@@ -181,9 +181,11 @@ def train(
         seed=seed,
     )
     shuffler = np.random.default_rng(seed)
-    names = list(model.parameters())
-    first_moment = {name: np.zeros_like(model.parameters()[name]) for name in names}
-    second_moment = {name: np.zeros_like(model.parameters()[name]) for name in names}
+    parameters = model.parameters()
+    names = list(parameters)
+    # the moments of every parameter, flattened and concatenated in name order
+    ends = np.cumsum([parameters[name].size for name in names]).tolist()
+    first_moment, second_moment = np.zeros(ends[-1]), np.zeros(ends[-1])
     step = 0
 
     for _ in range(n_epochs):
@@ -196,19 +198,15 @@ def train(
             step += 1
             bias1 = 1.0 - ADAM_BETA1**step
             bias2 = 1.0 - ADAM_BETA2**step
+            gradient = np.concatenate([gradients[name].ravel() for name in names])
+            first_moment = ADAM_BETA1 * first_moment + (1.0 - ADAM_BETA1) * gradient
+            second_moment = ADAM_BETA2 * second_moment + (1.0 - ADAM_BETA2) * gradient**2
+            update = learning_rate * (
+                (first_moment / bias1) / (np.sqrt(second_moment / bias2) + ADAM_EPSILON)
+            )
             parameters = model.parameters()
-            for name in names:
-                gradient = gradients[name]
-                first_moment[name] = (
-                    ADAM_BETA1 * first_moment[name] + (1.0 - ADAM_BETA1) * gradient
-                )
-                second_moment[name] = (
-                    ADAM_BETA2 * second_moment[name] + (1.0 - ADAM_BETA2) * gradient**2
-                )
-                update = (first_moment[name] / bias1) / (
-                    np.sqrt(second_moment[name] / bias2) + ADAM_EPSILON
-                )
-                parameters[name] -= learning_rate * update
+            for name, start, stop in zip(names, [0] + ends, ends):
+                parameters[name] -= update[start:stop].reshape(parameters[name].shape)
         record.train_losses.append(epoch_loss / len(train_samples))
         if val_samples:
             val_loss = sum(

@@ -8,6 +8,7 @@ see the same function.
 import gc
 import itertools
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,47 @@ def _operand(sub, dims, n_edges, rng):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def _gathered_contraction(tensor, sub, x, y):
+    """The nonzero-entry contraction as first written: gather both
+    operands' components per nonzero entry with ``np.take`` into (nnz,
+    [channel,] rows) blocks, multiply the blocks (into the gathered operand
+    of the product's shape), sum a summed channel, then one coefficient
+    GEMM, over interleaved re/im parts for a complex block."""
+    lhs, out_sub = sub.split("->")
+    t_sub, *operands = lhs.split(",")
+    terms = (*operands, out_sub)
+    x_has, y_has, out_has = (len(term) == 3 for term in terms)
+    roles = [t_sub.index(term[1]) for term in terms]
+    coords = np.nonzero(tensor)
+    ix, iy, io = (coords[r] for r in roles)
+    coeffs = np.zeros((tensor.shape[roles[2]], len(io)), dtype=tensor.dtype)
+    coeffs[io, np.arange(len(io))] = tensor[coords]
+
+    def gathered(a, index, own, other):
+        part = np.take(np.moveaxis(a, 0, -1), index, axis=0)
+        return part[:, None] if other and not own else part
+
+    factors = gathered(x, ix, x_has, y_has), gathered(y, iy, y_has, x_has)
+    into = factors[1 if y_has and not x_has else 0]
+    if into.dtype != np.result_type(*factors):
+        into = None
+    prod = np.multiply(*factors, out=into)
+    if x_has and y_has and not out_has:
+        prod = prod.sum(axis=1)
+    inner = prod.shape[1:]
+    flat = prod.reshape(len(io), -1)
+    if flat.dtype == np.complex128 and coeffs.dtype == np.float64:
+        out = (coeffs @ flat.view(np.float64)).view(np.complex128)
+    else:
+        out = coeffs @ flat
+    return np.moveaxis(out.reshape((len(coeffs),) + inner), -1, 0)
+
+
+def _rows_last(a):
+    """``a`` stored with its row axis innermost, as the primitives store it."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
 class TestKernelOracles:
     """The sparse einsum3 and the segment-sum index_add against NumPy."""
 
@@ -325,6 +367,55 @@ class TestKernelOracles:
         got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
         want = np.einsum(sub, coeffs, x, y)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("triple", ADMISSIBLE_UP_TO_2, ids=str)
+    def test_einsum3_equals_the_gathered_contraction(self, triple):
+        # multiplying each entry's components straight into the product
+        # block runs the same multiplies and the same GEMM on the same
+        # values as gathering them first: equal bit for bit
+        coeffs = cg_tensor(*triple).coeffs
+        dims = dict(zip("abc", coeffs.shape))
+        rng = np.random.default_rng(100 + sum(triple))
+        for sub in EXECUTOR_SUBSCRIPTS:
+            if ad._sparse_plan(coeffs, sub).func is not ad._contract_nonzeros:
+                continue
+            t_sub, x_sub, y_sub = sub.split("->")[0].split(",")
+            for n_edges, (x_real, y_real), layout in itertools.product(
+                (0, 1, 37), ((False, False), (True, True), (True, False)), (np.asarray, _rows_last)
+            ):
+                x = _operand(x_sub, dims, n_edges, rng)
+                y = _operand(y_sub, dims, n_edges, rng)
+                x, y = layout(x.real if x_real else x), layout(y.real if y_real else y)
+                got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+                want = _gathered_contraction(coeffs, sub, x, y)
+                assert got.shape == want.shape and got.dtype == want.dtype, sub
+                assert np.array_equal(got, want), (sub, n_edges, x_real, y_real)
+
+    @pytest.mark.parametrize("sub", EXECUTOR_SUBSCRIPTS)
+    def test_einsum3_copies_no_operand(self, sub):
+        # one call allocates the (nnz, [channel,] rows) product block, its
+        # (nnz, rows) channel sum where a channel is summed, and the output;
+        # gathering the operands first held one more product-sized block
+        coeffs = cg_tensor(2, 2, 2).coeffs  # 1 ⊗ 1 -> 1
+        assert ad._sparse_plan(coeffs, sub).func is ad._contract_nonzeros
+        dims = dict(zip("abc", coeffs.shape))
+        (_, x_sub, y_sub), out_sub = (part.split(",") for part in sub.split("->"))
+        rng = np.random.default_rng(11)
+        x = _rows_last(_operand(x_sub, dims, 4000, rng))
+        y = _rows_last(_operand(y_sub, dims, 4000, rng))
+        ad.einsum3(ad.Tape(), coeffs, x, y, sub)  # builds and caches the plan
+        tape = ad.Tape()
+        tracemalloc.start()
+        try:
+            out = ad.einsum3(tape, coeffs, x, y, sub).value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nnz, rows, channels = np.count_nonzero(coeffs), 4000, 4
+        summed = "t" in x_sub and "t" in y_sub and "t" not in out_sub[0]
+        block = nnz * rows * (channels if "t" in sub else 1) * out.itemsize
+        channel_sum = nnz * rows * out.itemsize if summed else 0
+        assert peak <= block + channel_sum + out.nbytes + 64 * 1024, (peak, block, out.nbytes)
 
     def test_einsum3_dense_complex_tensor(self):
         # one row: every operand carries the row axis

@@ -162,6 +162,44 @@ class TestBlockCheck:
         assert captured.err == "error: unknown mixing keys: ['scale', 'trainable']\n"
 
     @pytest.mark.parametrize(
+        "missing, owner",
+        [
+            ("diagrams", "a block"),
+            ("mixing", "a block"),
+            ("init", "mixing"),
+            ("rows", "mixing"),
+            ("seed", "mixing"),
+        ],
+    )
+    def test_missing_field_is_named(self, tmp_path, capsys, missing, owner):
+        payload = json.loads(_block_text())
+        (payload if owner == "a block" else payload["mixing"]).pop(missing)
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(payload))
+        assert main(["block", "check", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {owner} has no '{missing}' field\n"
+
+    @pytest.mark.parametrize("seed", ['"x"', "4.5", "null"])
+    def test_identity_mixing_checks_a_given_seed(self, tmp_path, capsys, seed):
+        # the identity never reads its seed, but a malformed one still fails
+        path = tmp_path / "block.json"
+        path.write_text(_block_text(init="identity").replace('"seed": 0', f'"seed": {seed}'))
+        assert main(["block", "check", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: mixing seed must be a JSON integer")
+
+    def test_identity_mixing_needs_no_seed(self, tmp_path, capsys):
+        payload = json.loads(_block_text(init="identity"))
+        del payload["mixing"]["seed"]
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(payload))
+        assert main(["block", "check", "--config", str(path), "--trials", "2"]) == 0
+
+    @pytest.mark.parametrize(
         "diagrams",
         [
             (left_comb([2, 2], [], 2, slots=[0, 1]), left_comb([2, 2, 2], [2], 2, slots=[0, 1, 2])),
