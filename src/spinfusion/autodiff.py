@@ -1,7 +1,10 @@
 """Minimal tape-based reverse-mode differentiation.
 
 A :class:`Tape` records every operation of one forward evaluation as a
-:class:`Node`.  ``backward`` seeds a real scalar node and accumulates
+:class:`Node`.  A primitive takes its operands as Nodes and reads them as
+they come; a constant operand is a ``tape.constant`` leaf that the caller
+makes, so the tape holds it at the point where the caller made it.
+``backward`` seeds a real scalar node and accumulates
 vector-Jacobian products in strictly decreasing node-id order, back to the
 nodes listed in its ``wrt``, recording the adjoint arithmetic on the tape
 it is given.  On a recording tape (the
@@ -177,10 +180,6 @@ def _primitive(name: str):
     return wrap
 
 
-def _as_node(tape: Tape, x) -> Node:
-    return x if isinstance(x, Node) else tape.constant(x)
-
-
 # Memory order: an n-axis array is stored rows-last when moving its axis 0
 # last, with ``transpose(_LAST[n])``, gives a C-contiguous array, its
 # physical form; ``_FIRST[n]`` moves the axis back.  Axis tuples by rank,
@@ -214,7 +213,6 @@ def _physical_axis(axis: int, ndim: int) -> int:
 
 @_primitive("add")
 def add(tape: Tape, x: Node, y: Node) -> Node:
-    x, y = _as_node(tape, x), _as_node(tape, y)
     value = x.value + y.value
     return tape._emit(
         value,
@@ -227,7 +225,6 @@ def add(tape: Tape, x: Node, y: Node) -> Node:
 
 @_primitive("sub")
 def sub(tape: Tape, x: Node, y: Node) -> Node:
-    x, y = _as_node(tape, x), _as_node(tape, y)
     value = x.value - y.value
     return tape._emit(
         value,
@@ -240,7 +237,6 @@ def sub(tape: Tape, x: Node, y: Node) -> Node:
 
 @_primitive("mul")
 def mul(tape: Tape, x: Node, y: Node) -> Node:
-    x, y = _as_node(tape, x), _as_node(tape, y)
     value = x.value * y.value
     return tape._emit(
         value,
@@ -253,8 +249,6 @@ def mul(tape: Tape, x: Node, y: Node) -> Node:
 
 @_primitive("div")
 def div(tape: Tape, x: Node, y: Node) -> Node:
-    x, y = _as_node(tape, x), _as_node(tape, y)
-
     def vjp_x(tape, w):
         return reduce_to_shape(tape, div(tape, w, y), x.shape)
 
@@ -268,19 +262,16 @@ def div(tape: Tape, x: Node, y: Node) -> Node:
 
 @_primitive("scale")
 def scale(tape: Tape, x: Node, factor) -> Node:
-    x = _as_node(tape, x)
     return tape._emit(x.value * factor, ((x, lambda tape, w: scale(tape, w, factor)),))
 
 
 @_primitive("real")
 def real(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
     return tape._emit(np.real(x.value), ((x, lambda tape, w: complex_cast(tape, w)),))
 
 
 @_primitive("imag")
 def imag(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
     return tape._emit(
         np.imag(x.value), ((x, lambda tape, w: scale(tape, complex_cast(tape, w), -1j)),)
     )
@@ -288,19 +279,16 @@ def imag(tape: Tape, x: Node) -> Node:
 
 @_primitive("complex_cast")
 def complex_cast(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
     return tape._emit(np.asarray(x.value, dtype=complex), ((x, lambda tape, w: real(tape, w)),))
 
 
 @_primitive("exp")
 def exp(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
     return tape._emit(np.exp(x.value), ((x, lambda tape, w: mul(tape, w, exp(tape, x))),))
 
 
 @_primitive("sqrt")
 def sqrt(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
     return tape._emit(
         np.sqrt(x.value), ((x, lambda tape, w: div(tape, w, scale(tape, sqrt(tape, x), 2.0))),)
     )
@@ -308,13 +296,11 @@ def sqrt(tape: Tape, x: Node) -> Node:
 
 @_primitive("sin")
 def sin(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
     return tape._emit(np.sin(x.value), ((x, lambda tape, w: mul(tape, w, cos(tape, x))),))
 
 
 @_primitive("cos")
 def cos(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
     return tape._emit(
         np.cos(x.value),
         ((x, lambda tape, w: scale(tape, mul(tape, w, sin(tape, x)), -1.0)),),
@@ -323,8 +309,6 @@ def cos(tape: Tape, x: Node) -> Node:
 
 @_primitive("tanh")
 def tanh(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
-
     def vjp(tape, w):
         out = tanh(tape, x)
         return sub(tape, w, mul(tape, w, mul(tape, out, out)))  # w * (1 - tanh^2)
@@ -334,7 +318,6 @@ def tanh(tape: Tape, x: Node) -> Node:
 
 @_primitive("reshape")
 def reshape(tape: Tape, x: Node, shape) -> Node:
-    x = _as_node(tape, x)
     shape = tuple(shape)
     old = x.shape
     return tape._emit(
@@ -344,7 +327,6 @@ def reshape(tape: Tape, x: Node, shape) -> Node:
 
 @_primitive("broadcast_to")
 def broadcast_to(tape: Tape, x: Node, shape) -> Node:
-    x = _as_node(tape, x)
     shape = tuple(shape)
     old = x.shape
     return tape._emit(
@@ -366,7 +348,6 @@ def _reduce_value(value: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 @_primitive("reduce_to_shape")
 def reduce_to_shape(tape: Tape, x: Node, shape) -> Node:
     """Sum over broadcast axes so the result has exactly ``shape``."""
-    x = _as_node(tape, x)
     shape = tuple(shape)
     if x.shape == shape:
         return x
@@ -379,7 +360,6 @@ def reduce_to_shape(tape: Tape, x: Node, shape) -> Node:
 
 @_primitive("sum_all")
 def sum_all(tape: Tape, x: Node) -> Node:
-    x = _as_node(tape, x)
     old = x.shape
     return tape._emit(
         np.asarray(np.sum(x.value)), ((x, lambda tape, w: broadcast_to(tape, w, old)),)
@@ -388,7 +368,6 @@ def sum_all(tape: Tape, x: Node) -> Node:
 
 @_primitive("concat")
 def concat(tape: Tape, xs, axis: int) -> Node:
-    xs = [_as_node(tape, x) for x in xs]
     if len(xs) == 1:
         return xs[0]  # one part is its own concatenation; no copy, no node
     parts = [_physical(x.value) for x in xs]
@@ -412,7 +391,6 @@ def concat(tape: Tape, xs, axis: int) -> Node:
 
 @_primitive("slice_axis")
 def slice_axis(tape: Tape, x: Node, axis: int, start: int, stop: int) -> Node:
-    x = _as_node(tape, x)
     part = _physical(x.value)
     index = [slice(None)] * part.ndim
     index[_physical_axis(axis, part.ndim)] = slice(start, stop)
@@ -425,7 +403,6 @@ def slice_axis(tape: Tape, x: Node, axis: int, start: int, stop: int) -> Node:
 
 @_primitive("pad_axis")
 def pad_axis(tape: Tape, x: Node, axis: int, before: int, after: int) -> Node:
-    x = _as_node(tape, x)
     width = x.shape[axis]
     part = _physical(x.value)
     axis_p = _physical_axis(axis, part.ndim)
@@ -470,7 +447,6 @@ def gather(tape: Tape, x: Node, indices) -> Node:
     Takes along the physical last axis, so a rows-last ``x`` is read in
     runs of its row axis and the result is rows-last whatever the layout
     of ``x``."""
-    x = _as_node(tape, x)
     indices = np.asarray(indices, dtype=int)
     n = x.shape[0]
     return tape._emit(
@@ -499,7 +475,6 @@ def index_add(tape: Tape, x: Node, indices, n_rows: int) -> Node:
     result is rows-last; the sort and the segment starts are computed once
     per index array (see ``_cached``).  Indices must lie in ``[0, n_rows)``.
     """
-    x = _as_node(tape, x)
     indices = np.asarray(indices, dtype=int)
     part = _physical(np.asarray(x.value))
     shape = part.shape[:-1] + (n_rows,)
@@ -658,7 +633,6 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     rows-last.  The cotangent of one factor contracts the same tensor with
     the other factor, as it is.
     """
-    x, y = _as_node(tape, x), _as_node(tape, y)
     tensor = np.asarray(tensor)
     entry = _cached(tensor, subscript, partial(_einsum3_entry, subscript=subscript))
     if entry is None:
@@ -719,7 +693,6 @@ def channel_mix(
     ``backward`` keeps its real part, so real parameters receive real
     gradients.
     """
-    x, weights = _as_node(tape, x), _as_node(tape, weights)
     value = _mix(np.asarray(x.value), np.asarray(weights.value), trans_x, trans_w)
 
     # Each cotangent contracts with the other factor's *node*, not its

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import FusionDiagram, contract, diagram_from_json
-from .errors import ChannelMismatch, EmptyDiagramSet, SpinMismatch, check_json, check_json_number
+from .errors import (
+    ChannelMismatch, EmptyDiagramSet, SpinMismatch, check_json, check_json_number, json_field
+)
 from .irreps import Activation, IrrepVector
 from .spins import Spin, dim
 
@@ -147,31 +149,24 @@ def apply(cfg: FusionBlockConfig, input_sets) -> IrrepVector:
     return IrrepVector(Spin(cfg.two_J), mixed)
 
 
-def _field(payload: dict, key: str, what: str):
-    """``payload[key]``, else ValueError naming the missing field."""
-    if key not in payload:
-        raise ValueError(f"{what} has no {key!r} field")
-    return payload[key]
-
-
 def block_from_json(text: str) -> FusionBlockConfig:
     payload = check_json(json.loads(text), dict, "a block")
     diagrams = tuple(
         diagram_from_json(json.dumps(d))
-        for d in check_json(_field(payload, "diagrams", "a block"), list, "diagrams")
+        for d in check_json(json_field(payload, "diagrams", "a block"), list, "diagrams")
     )
-    mix = check_json(_field(payload, "mixing", "a block"), dict, "mixing")
+    mix = check_json(json_field(payload, "mixing", "a block"), dict, "mixing")
     unknown = set(mix) - {"rows", "cols", "init", "seed"}
     if unknown:
         raise ValueError(f"unknown mixing keys: {sorted(unknown)}")
 
     def integer_field(key: str) -> int:
-        return check_json_number(_field(mix, key, "mixing"), f"mixing {key}", integer=True)
+        return check_json_number(json_field(mix, key, "mixing"), f"mixing {key}", integer=True)
 
     for key in ("rows", "cols"):
         if integer_field(key) < 1:
             raise ValueError(f"mixing {key} must be at least 1, got {mix[key]!r}")
-    init = _field(mix, "init", "mixing")
+    init = json_field(mix, "init", "mixing")
     if init == "identity":
         if mix["rows"] != mix["cols"]:
             raise ValueError("identity mixing must be square")

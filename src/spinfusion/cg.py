@@ -9,7 +9,6 @@ ordered ascending ``m = -j .. +j``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -97,7 +96,6 @@ class CGTensor:
 
 
 _cache: dict[tuple[int, int, int], CGTensor] = {}
-_cache_lock = threading.Lock()
 
 
 def cg_tensor(ja, jb, jc) -> CGTensor:
@@ -126,6 +124,4 @@ def cg_tensor(ja, jb, jc) -> CGTensor:
                 )
     coeffs.setflags(write=False)
     tensor = CGTensor(Spin(two_ja), Spin(two_jb), Spin(two_jc), coeffs)
-    with _cache_lock:
-        _cache.setdefault(key, tensor)
-    return tensor
+    return _cache.setdefault(key, tensor)

@@ -29,7 +29,7 @@ from .blocks import apply as block_apply, block_from_json
 from .cg import cg_tensor
 from .data import generate_dataset, load_jsonl, save_jsonl
 from .diagrams import diagram_from_json, enumerate_internal, validate
-from .errors import SpinFusionError, check_json
+from .errors import SpinFusionError, check_json, json_field
 from .irreps import Activation
 from .model import Model, ModelConfig
 from .potentials import POTENTIAL_KINDS
@@ -227,8 +227,10 @@ def _save_model(model: Model, path: str) -> None:
 def _load_model(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as handle:
         payload = check_json(json.load(handle), dict, f"{path}: a model file")
-    model = Model(ModelConfig.from_json(json.dumps(payload["config"])))
-    stored, expected = payload["parameters"], model.parameters()
+    config = json_field(payload, "config", f"{path}: a model file")
+    model = Model(ModelConfig.from_json(json.dumps(config)))
+    stored = json_field(payload, "parameters", f"{path}: a model file")
+    stored, expected = check_json(stored, dict, f"{path}: parameters"), model.parameters()
     missing = [name for name in expected if name not in stored]
     unknown = [name for name in stored if name not in expected]
     if missing or unknown:
@@ -236,8 +238,20 @@ def _load_model(path: str) -> Model:
             f"{path} does not match its model config: missing parameters {missing}, "
             f"unknown parameters {unknown}"
         )
-    model.set_parameters({name: np.asarray(values) for name, values in stored.items()})
+    model.set_parameters({name: _numbers(values, name) for name, values in stored.items()})
     return model
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """A stored parameter as a float array, if it parsed from JSON as
+    nested arrays of numbers, else ValueError naming it."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ValueError(f"parameter {name} must be a JSON array of numbers")
+    return array.astype(float)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -289,18 +303,17 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         raise SpinFusionError(
             "curve file must be CSV with header epoch,train_loss,val_loss"
         )
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
-        out.write("epoch,train_loss,val_loss\n")
-        for line_number, line in enumerate(lines[1:], 2):
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise SpinFusionError(f"line {line_number}: expected 3 columns")
-            epoch = int(fields[0])
-            out.write(f"{epoch},{_fmt(float(fields[1]))},{_fmt(float(fields[2]))}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = [lines[0]]  # every row is read before any is written
+    for line_number, line in enumerate(lines[1:], 2):
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise SpinFusionError(f"line {line_number}: expected 3 columns")
+        rows.append(f"{int(fields[0])},{_fmt(float(fields[1]))},{_fmt(float(fields[2]))}")
+    if args.out is None:
+        print("\n".join(rows))
+    else:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(rows) + "\n")
     return 0
 
 

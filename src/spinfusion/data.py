@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RejectionFailure, ShapeMismatch, check_integers, check_json, check_json_number
+from .errors import RejectionFailure, ShapeMismatch, check_json, check_json_number, json_field
+from .geometry import PointCloud
 from .potentials import potential_energy_forces
 
 __all__ = ["Sample", "generate_dataset", "save_jsonl", "load_jsonl"]
@@ -25,7 +26,12 @@ FORCE_CHECK_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class Sample:
-    """One labelled configuration."""
+    """One labelled configuration.
+
+    Its positions and species are checked as a ``PointCloud`` (at least one
+    atom, finite (N, 3) positions, one integer label per atom), and its
+    forces must have the positions' shape.
+    """
 
     positions: np.ndarray
     species: np.ndarray
@@ -33,17 +39,12 @@ class Sample:
     forces: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=float)
-        species = check_integers(self.species, "species")
+        pc = PointCloud(self.positions, self.species)
         forces = np.asarray(self.forces, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ShapeMismatch(f"positions must be (n_atoms, 3), got {positions.shape}")
-        if species.shape != (positions.shape[0],):
-            raise ShapeMismatch(f"species shape {species.shape} does not match positions")
-        if forces.shape != positions.shape:
+        if forces.shape != pc.positions.shape:
             raise ShapeMismatch(f"forces shape {forces.shape} does not match positions")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "species", species)
+        object.__setattr__(self, "positions", pc.positions)
+        object.__setattr__(self, "species", pc.species)
         object.__setattr__(self, "forces", forces)
         object.__setattr__(self, "energy", float(self.energy))
 
@@ -154,23 +155,24 @@ def load_jsonl(path: str) -> list[Sample]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{path}:{line_number}: invalid JSON ({error})") from None
             where = f"{path}:{line_number}"
-            check_json(record, dict, f"{where}: a record")
-            species = check_json(record["species"], list, f"{where}: species")
-            for i, label in enumerate(species):
-                check_json_number(label, f"{where}: species[{i}]", integer=True)
-            sample = Sample(
-                _json_rows(record["positions"], f"{where}: positions"),
-                species,
-                check_json_number(record["energy"], f"{where}: energy"),
-                _json_rows(record["forces"], f"{where}: forces"),
+            try:
+                record = check_json(json.loads(line), dict, f"{where}: a record")
+            except json.JSONDecodeError as error:
+                raise ValueError(f"{where}: invalid JSON ({error})") from None
+            species, positions, energy, forces = (
+                json_field(record, key, f"{where}: a record")
+                for key in ("species", "positions", "energy", "forces")
             )
-            for name in ("positions", "energy", "forces"):
-                if not np.all(np.isfinite(getattr(sample, name))):
-                    raise ValueError(f"{path}:{line_number}: non-finite {name}")
-            samples.append(sample)
+            for i, label in enumerate(check_json(species, list, f"{where}: species")):
+                check_json_number(label, f"{where}: species[{i}]", integer=True)
+            values = {
+                "positions": _json_rows(positions, f"{where}: positions"),
+                "energy": check_json_number(energy, f"{where}: energy"),
+                "forces": _json_rows(forces, f"{where}: forces"),
+            }
+            for name, value in values.items():
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"{where}: non-finite {name}")
+            samples.append(Sample(species=species, **values))
     return samples

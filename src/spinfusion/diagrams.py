@@ -29,7 +29,9 @@ from typing import Union
 import numpy as np
 
 from .cg import cg_tensor
-from .errors import ChannelMismatch, RecouplingError, SpinMismatch, check_json, check_json_number
+from .errors import (
+    ChannelMismatch, RecouplingError, SpinMismatch, check_json, check_json_number, json_field
+)
 from .irreps import Activation, IrrepVector
 from .spins import Spin, admissible, allowed_couplings, dim
 
@@ -105,21 +107,6 @@ class FusionDiagram:
     def slots(self) -> tuple[int, ...]:
         """Distinct slots consumed, ascending."""
         return tuple(sorted({slot for slot, _ in self.leaves}))
-
-    def internal_spins(self) -> tuple[int, ...]:
-        """Internal-edge spins in post-order (excludes the root edge)."""
-        spins: list[int] = []
-
-        def walk(node: TreeNode, is_root: bool) -> None:
-            if isinstance(node, LeafNode):
-                return
-            walk(node.left, False)
-            walk(node.right, False)
-            if not is_root:
-                spins.append(node.two_k)
-
-        walk(self.tree, True)
-        return tuple(spins)
 
 
 def left_comb(
@@ -413,20 +400,26 @@ def diagram_to_json(d: FusionDiagram) -> str:
 def diagram_from_json(text: str) -> FusionDiagram:
     """Parse the JSON schema; the root node's two_k may be omitted."""
     payload = check_json(json.loads(text), dict, "a diagram")
-    two_J = check_json_number(payload["two_J"], "two_J", integer=True)
 
-    def integer_field(node, key: str) -> int:
-        return check_json_number(node[key], key, integer=True)
+    def integer_field(node, key: str, what: str) -> int:
+        return check_json_number(json_field(node, key, what), key, integer=True)
+
+    two_J = integer_field(payload, "two_J", "a diagram")
 
     def parse(node, is_root: bool) -> TreeNode:
         if "slot" in check_json(node, dict, "a tree node") and "left" not in node:
-            return LeafNode(integer_field(node, "slot"))
-        two_k = two_J if is_root and "two_k" not in node else integer_field(node, "two_k")
-        return FuseNode(parse(node["left"], False), parse(node["right"], False), two_k)
+            return LeafNode(integer_field(node, "slot", "a tree node"))
+        if is_root and "two_k" not in node:
+            two_k = two_J
+        else:
+            two_k = integer_field(node, "two_k", "a tree node")
+        left, right = (json_field(node, key, "a tree node") for key in ("left", "right"))
+        return FuseNode(parse(left, False), parse(right, False), two_k)
 
     def parse_leaf(leaf) -> tuple[int, int]:
         leaf = check_json(leaf, dict, "a leaf")
-        return integer_field(leaf, "slot"), integer_field(leaf, "two_j")
+        return integer_field(leaf, "slot", "a leaf"), integer_field(leaf, "two_j", "a leaf")
 
-    leaves = tuple(map(parse_leaf, check_json(payload["leaves"], list, "leaves")))
-    return FusionDiagram(leaves, parse(payload["tree"], True), two_J)
+    leaves = check_json(json_field(payload, "leaves", "a diagram"), list, "leaves")
+    leaves = tuple(map(parse_leaf, leaves))
+    return FusionDiagram(leaves, parse(json_field(payload, "tree", "a diagram"), True), two_J)

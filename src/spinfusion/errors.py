@@ -43,7 +43,7 @@ class RejectionFailure(SpinFusionError):
     """Rejection sampling failed to place atoms within the retry budget."""
 
 
-class ShapeMismatch(SpinFusionError):
+class ShapeMismatch(SpinFusionError, ValueError):
     """Array shapes disagree where they must match."""
 
 
@@ -62,6 +62,14 @@ def check_json(value, expected: type, what: str):
         kind = "object" if expected is dict else "array"
         raise ValueError(f"{what} must be a JSON {kind}, got {json.dumps(value)[:40]}")
     return value
+
+
+def json_field(payload: dict, key: str, what: str):
+    """``payload[key]``, else ValueError naming the missing field: a bare
+    index would fail with the KeyError text alone."""
+    if key not in payload:
+        raise ValueError(f"{what} has no {key!r} field")
+    return payload[key]
 
 
 def check_json_number(value, what: str, integer: bool = False):

@@ -82,7 +82,7 @@ def taped_radial_basis(
     )
     envelope = ad.scale(
         tape,
-        ad.add(tape, ad.cos(tape, ad.scale(tape, column, np.pi / cutoff)), 1.0),
+        ad.add(tape, ad.cos(tape, ad.scale(tape, column, np.pi / cutoff)), tape.constant(1.0)),
         0.5,
     )
     return ad.mul(tape, gauss, envelope)
@@ -116,7 +116,7 @@ def taped_edge_harmonics(
     if j_max == 0:
         return harmonics
     unit = ad.div(tape, displacements, distances)
-    harmonics[2] = ad.channel_mix(tape, unit, _Y1_MATRIX)
+    harmonics[2] = ad.channel_mix(tape, unit, tape.constant(_Y1_MATRIX))
     for two_j in range(4, 2 * j_max + 1, 2):
         harmonics[two_j] = ad.einsum3(
             tape, _chain_tensor(two_j), harmonics[2], harmonics[two_j - 2], "abc,ea,eb->ec"

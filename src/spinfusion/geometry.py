@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_integers
+from .errors import ShapeMismatch, check_integers
 
 __all__ = ["PointCloud", "Neighborhood", "build_neighborhood", "edge_index"]
 
@@ -36,7 +36,13 @@ _OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Atom positions (N x 3) and integer species labels (N)."""
+    """Atom positions (N x 3) and integer species labels (N), N >= 1.
+
+    The one check of a cloud: positions that are not (N, 3), N = 0 or
+    species of another length raise ShapeMismatch, non-finite positions and
+    non-integer labels ValueError.  The range of the labels is the model's
+    to check.
+    """
 
     positions: np.ndarray
     species: np.ndarray
@@ -45,15 +51,15 @@ class PointCloud:
         positions = np.asarray(self.positions, dtype=float)
         species = check_integers(self.species, "species")
         if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ValueError(f"positions must be (N, 3), got {positions.shape}")
+            raise ShapeMismatch(f"positions must be (N, 3), got {positions.shape}")
         if positions.shape[0] < 1:
-            raise ValueError("a point cloud needs at least one atom")
+            raise ShapeMismatch("a point cloud needs at least one atom")
         finite = np.isfinite(positions).all(axis=1)
         if not finite.all():
             bad = np.flatnonzero(~finite).tolist()
             raise ValueError(f"positions must be finite; atoms {bad} are not")
         if species.shape != (positions.shape[0],):
-            raise ValueError("species must be one integer per atom")
+            raise ShapeMismatch("species must be one integer per atom")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "species", species)
 

@@ -83,9 +83,6 @@ class Activation:
     def __contains__(self, two_j) -> bool:
         return _two(two_j) in self._parts
 
-    def items(self):
-        return self._parts.items()
-
     def rotate(self, g) -> "Activation":
         """Rotate every part by its Wigner matrix."""
         from .wigner import wigner_D

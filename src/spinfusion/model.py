@@ -91,6 +91,11 @@ class ModelConfig:
             if j in spins[:i]:
                 raise ValueError(f"internal_spins lists spin {int(j)} more than once")
         object.__setattr__(self, "internal_spins", tuple(int(j) for j in self.internal_spins))
+        # a field the kind never reads takes its default, so that it enters
+        # neither the saved config nor a run's hash
+        unread = ("hidden",) if self.kind == "three_body" else ("schedule_mode", "internal_spins")
+        for name in unread:
+            object.__setattr__(self, name, ModelConfig.__dataclass_fields__[name].default)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -186,21 +191,17 @@ class Model:
 
     # -- forward passes -------------------------------------------------------
 
-    def _check_inputs(self, positions: np.ndarray, species: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions, dtype=float)
-        species = check_integers(species, "species")
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ShapeMismatch(f"positions must be (n_atoms, 3), got {positions.shape}")
-        if species.shape != (positions.shape[0],):
-            raise ShapeMismatch(
-                f"species must be ({positions.shape[0]},), got {species.shape}"
-            )
-        if species.size and (species.min() < 0 or species.max() >= self.config.n_species):
+    def _cloud(self, positions: np.ndarray, species) -> PointCloud:
+        """The checked ``PointCloud``, whose species ids must also lie in
+        [0, n_species), which the cloud itself cannot know."""
+        pc = PointCloud(positions, species)
+        n_species = self.config.n_species
+        if pc.species.min() < 0 or pc.species.max() >= n_species:
             raise ValueError(
-                f"species ids must lie in [0, {self.config.n_species}), got "
-                f"[{species.min()}, {species.max()}]"
+                f"species ids must lie in [0, {n_species}), got "
+                f"[{pc.species.min()}, {pc.species.max()}]"
             )
-        return species
+        return pc
 
     def taped_forward(
         self,
@@ -218,20 +219,20 @@ class Model:
         ``counts`` the atom count of each sample.  The batch is a
         disjoint-union graph: one neighbor search over the whole batch keys
         each atom's cell by its sample, so samples may overlap in space and
-        no edge joins two samples.
+        no edge joins two samples.  The positions' value and the species
+        are checked once, as the batch's ``PointCloud``, which the neighbor
+        search then reads.
         """
         cfg = self.config
-        species = self._check_inputs(positions.value, species)
+        pc = self._cloud(positions.value, species)
+        species, n_atoms = pc.species, pc.n_atoms
         counts = check_integers(counts, "counts")
-        n_atoms = len(species)
         if counts.ndim != 1 or counts.size == 0 or counts.min() < 1 or counts.sum() != n_atoms:
             raise ShapeMismatch(
                 f"counts must be positive atom counts summing to {n_atoms}, got {counts}"
             )
         sample_of_atom = np.repeat(np.arange(counts.size), counts)
-        src, dst = edge_index(build_neighborhood(
-            PointCloud(positions.value, species), cfg.cutoff, sample_of_atom
-        ))
+        src, dst = edge_index(build_neighborhood(pc, cfg.cutoff, sample_of_atom))
 
         disp = ad.sub(
             tape, ad.gather(tape, positions, dst), ad.gather(tape, positions, src)
@@ -310,8 +311,8 @@ class Model:
     def plain_energy(self, positions: np.ndarray, species: np.ndarray) -> float:
         """Reference energy through the per-atom layer implementations."""
         cfg = self.config
-        species = self._check_inputs(np.asarray(positions, dtype=float), species)
-        pc = PointCloud(np.asarray(positions, dtype=float), species)
+        pc = self._cloud(positions, species)
+        species = pc.species
         nbr = build_neighborhood(pc, cfg.cutoff)
         feats = edge_features(pc, nbr, cfg.j_max, cfg.radial_channels)
         acts = [

@@ -22,7 +22,6 @@ __all__ = [
     "rotation_matrix",
     "compose",
     "inverse",
-    "identity_rotation",
 ]
 
 
@@ -45,10 +44,6 @@ class Rotation:
         if not math.isfinite(norm) or norm < 1e-12:
             raise ValueError("quaternion must be nonzero and finite")
         object.__setattr__(self, "quaternion", tuple(c / norm for c in q))
-
-
-def identity_rotation() -> Rotation:
-    return Rotation((1.0, 0.0, 0.0, 0.0))
 
 
 def haar_rotation(seed) -> Rotation:

@@ -203,7 +203,7 @@ class TestComplexCotangent:
         def build(tape, z):
             c = tape.constant(CPLX_COEFFS)
             head = ad.mul(tape, ad.exp(tape, ad.scale(tape, z, 0.5j)), ad.sin(tape, z))
-            root = ad.sqrt(tape, ad.add(tape, z, 3.0))
+            root = ad.sqrt(tape, ad.add(tape, z, tape.constant(3.0)))
             tail = ad.div(tape, ad.cos(tape, _conjugate(tape, z)), root)
             mixed = ad.mul(tape, ad.add(tape, head, tail), c)
             lifted = ad.complex_cast(tape, ad.imag(tape, mixed))
@@ -292,6 +292,18 @@ def _rows_last(a):
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
 
 
+def _einsum3(tensor, x, y, sub):
+    """``einsum3``'s value on two constant operands."""
+    tape = ad.Tape()
+    return ad.einsum3(tape, tensor, tape.constant(x), tape.constant(y), sub).value
+
+
+def _index_add(x, indices, n_rows):
+    """``index_add``'s value on a constant operand."""
+    tape = ad.Tape()
+    return ad.index_add(tape, tape.constant(x), indices, n_rows).value
+
+
 class TestKernelOracles:
     """The sparse einsum3 and the segment-sum index_add against NumPy."""
 
@@ -308,7 +320,7 @@ class TestKernelOracles:
             for n_edges in (0, 1, 37):
                 x = _operand(x_sub, dims, n_edges, rng)
                 y = _operand(y_sub, dims, n_edges, rng)
-                got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+                got = _einsum3(coeffs, x, y, sub)
                 want = np.einsum(sub, coeffs, x, y)
                 assert got.shape == want.shape and got.dtype == want.dtype, sub
                 scale = np.max(np.abs(want), initial=0.0)
@@ -334,7 +346,7 @@ class TestKernelOracles:
         for n_edges in (0, 1, 37):
             _, x_sub, y_sub = sub.split("->")[0].split(",")
             x, y = _operand(x_sub, dims, n_edges, rng), _operand(y_sub, dims, n_edges, rng)
-            got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+            got = _einsum3(coeffs, x, y, sub)
             want = np.einsum(sub, coeffs, x, y)
             assert got.shape == want.shape and got.dtype == want.dtype
             scale = np.max(np.abs(want), initial=0.0)
@@ -350,7 +362,7 @@ class TestKernelOracles:
         rng = np.random.default_rng(8)
         _, x_sub, y_sub = sub.split("->")[0].split(",")
         x, y = _operand(x_sub, dims, 37, rng), _operand(y_sub, dims, 37, rng)
-        got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+        got = _einsum3(coeffs, x, y, sub)
         want = np.einsum(sub, coeffs, x, y)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -364,7 +376,7 @@ class TestKernelOracles:
         rng = np.random.default_rng(9)
         _, x_sub, y_sub = sub.split("->")[0].split(",")
         x, y = _operand(x_sub, dims, 37, rng), _operand(y_sub, dims, 37, rng)
-        got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+        got = _einsum3(coeffs, x, y, sub)
         want = np.einsum(sub, coeffs, x, y)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -386,7 +398,7 @@ class TestKernelOracles:
                 x = _operand(x_sub, dims, n_edges, rng)
                 y = _operand(y_sub, dims, n_edges, rng)
                 x, y = layout(x.real if x_real else x), layout(y.real if y_real else y)
-                got = ad.einsum3(ad.Tape(), coeffs, x, y, sub).value
+                got = _einsum3(coeffs, x, y, sub)
                 want = _gathered_contraction(coeffs, sub, x, y)
                 assert got.shape == want.shape and got.dtype == want.dtype, sub
                 assert np.array_equal(got, want), (sub, n_edges, x_real, y_real)
@@ -401,10 +413,10 @@ class TestKernelOracles:
         dims = dict(zip("abc", coeffs.shape))
         (_, x_sub, y_sub), out_sub = (part.split(",") for part in sub.split("->"))
         rng = np.random.default_rng(11)
-        x = _rows_last(_operand(x_sub, dims, 4000, rng))
-        y = _rows_last(_operand(y_sub, dims, 4000, rng))
-        ad.einsum3(ad.Tape(), coeffs, x, y, sub)  # builds and caches the plan
         tape = ad.Tape()
+        x = tape.constant(_rows_last(_operand(x_sub, dims, 4000, rng)))
+        y = tape.constant(_rows_last(_operand(y_sub, dims, 4000, rng)))
+        ad.einsum3(tape, coeffs, x, y, sub)  # builds and caches the plan
         tracemalloc.start()
         try:
             out = ad.einsum3(tape, coeffs, x, y, sub).value
@@ -421,7 +433,7 @@ class TestKernelOracles:
         # one row: every operand carries the row axis
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(1, 3, 2)) + 0j, rng.normal(size=(1, 3, 2)) * 1j
-        got = ad.einsum3(ad.Tape(), CG_LIKE, x, y, "abc,eat,ebt->ect").value
+        got = _einsum3(CG_LIKE, x, y, "abc,eat,ebt->ect")
         want = np.einsum("abc,eat,ebt->ect", CG_LIKE, x, y)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -448,7 +460,7 @@ class TestKernelOracles:
     def test_einsum3_rejects_unsupported_subscripts(self, tensor, sub):
         x, y = np.ones((3, 2), dtype=complex), np.ones((3, 2), dtype=complex)
         with pytest.raises(ValueError):
-            ad.einsum3(ad.Tape(), tensor, x, y, sub)
+            _einsum3(tensor, x, y, sub)
 
     @pytest.mark.parametrize(
         "indices, n_rows",
@@ -466,7 +478,7 @@ class TestKernelOracles:
         want = np.zeros((n_rows, 3, 2), dtype=complex)
         np.add.at(want, indices, x)
         for _ in range(2):  # the second call reuses the cached segments
-            got = ad.index_add(ad.Tape(), x, indices, n_rows).value
+            got = _index_add(x, indices, n_rows)
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.abs(x).sum()
             unhit = np.setdiff1d(np.arange(n_rows), indices)
             assert not np.any(got[unhit])
@@ -480,12 +492,12 @@ class TestKernelOracles:
             x = rng.normal(size=(len(indices), 2))
             want = np.zeros((7, 2))
             np.add.at(want, indices, x)
-            got = ad.index_add(ad.Tape(), x, indices, 7).value
+            got = _index_add(x, indices, 7)
             assert np.allclose(got, want, rtol=0, atol=1e-13)
 
     def test_index_add_rejects_negative_index(self):
         with pytest.raises(IndexError):
-            ad.index_add(ad.Tape(), np.ones((2, 1)), np.array([-1, 0]), 3)
+            _index_add(np.ones((2, 1)), np.array([-1, 0]), 3)
 
 
 class TestPrimitiveGradients:
@@ -526,7 +538,7 @@ class TestPrimitiveGradients:
             _scalar_case(
                 lambda tape, x: _real_loss(
                     tape,
-                    ad.div(tape, tape.constant(CPLX_VEC), ad.add(tape, x, 3.0)),
+                    ad.div(tape, tape.constant(CPLX_VEC), ad.add(tape, x, tape.constant(3.0))),
                     PROBE_VEC,
                 )
             ),
@@ -888,10 +900,13 @@ class TestMatmul:
                 rng.normal(size=(rows, 1, n)) + 1j * rng.normal(size=(rows, 1, n))
                 for n in (k, extra)
             )
+            x, y = tape.constant(x), tape.constant(y)
             w = rng.normal(size=(k, tau))
-            alone = ad.channel_mix(tape, x, w).value
+            alone = ad.channel_mix(tape, x, tape.constant(w)).value
             padded = ad.channel_mix(
-                tape, ad.concat(tape, [x, y], axis=2), np.vstack([w, np.zeros((extra, tau))])
+                tape,
+                ad.concat(tape, [x, y], axis=2),
+                tape.constant(np.vstack([w, np.zeros((extra, tau))])),
             ).value
             if not np.array_equal(alone, padded):
                 differ.append((k, tau, extra, rows))

@@ -96,6 +96,12 @@ class TestDiagram:
         rows = _rows(capsys.readouterr().out)
         assert len(rows) == 2  # one coupling with no internal spins
 
+    def test_enumerate_one_leaf_is_one_error_line(self, capsys):
+        assert main(["diagram", "enumerate", "--leaves", "1", "--root", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least two leaf spins (comma-separated)\n"
+
 
 class TestBlockCheck:
     @pytest.mark.parametrize(
@@ -151,6 +157,22 @@ class TestBlockCheck:
             f"error: mixing {field} must be at least 1, got {mixing[field]}\n"
         )
 
+
+    @pytest.mark.parametrize(
+        "mixing, message",
+        [
+            ({"init": "identity", "rows": 2, "cols": 3}, "identity mixing must be square"),
+            ({"init": "random"}, "unknown mixing init 'random'"),
+        ],
+        ids=["non_square_identity", "unknown_init"],
+    )
+    def test_bad_mixing_recipe_is_one_error_line(self, tmp_path, capsys, mixing, message):
+        path = tmp_path / "block.json"
+        path.write_text(_block_text(**mixing))
+        assert main(["block", "check", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_unknown_mixing_key_is_one_error_line(self, tmp_path, capsys):
         # a mixing has no "trainable" flag: "false" must not read as true
@@ -429,6 +451,21 @@ class TestModelFile:
         assert code == 1
         assert "unknown parameters ['layer9/bogus']" in err
 
+    @pytest.mark.parametrize(
+        "entries",
+        [lambda rows: [["0.5"] * len(row) for row in rows],  # strings of the right shape
+         lambda rows: [[None] * len(row) for row in rows],
+         lambda rows: [[True] * len(row) for row in rows],
+         lambda rows: [rows[0] + [0.0]] + rows[1:]],  # ragged
+        ids=["strings", "nulls", "bools", "ragged"],
+    )
+    def test_non_numeric_parameter_is_one_error_line(self, tmp_path, capsys, entries):
+        code, err = self._evaluate(
+            tmp_path, capsys, lambda p: p.update({"readout/w": entries(p["readout/w"])})
+        )
+        assert code == 1
+        assert err == "error: parameter readout/w must be a JSON array of numbers\n"
+
     def test_non_finite_parameter_is_rejected(self, tmp_path, capsys):
         def poison(parameters):
             parameters["readout/w"][0][0] = float("nan")
@@ -480,6 +517,8 @@ MALFORMED_FILES = [
     ("config.json", '{"internal_spins": null}', ["model", "describe", "--config"],
      "internal_spins"),
     ("model.json", "[1]", ["evaluate", "--data", "data.jsonl", "--model"], "a model file"),
+    ("model.json", '{"config": {}, "parameters": [1]}', ["evaluate", "--data", "data.jsonl",
+                                                         "--model"], "model.json: parameters"),
     ("diagram.json", "[]", ["diagram", "validate", "--file"], "a diagram"),
     ("diagram.json", '{"two_J": 0, "leaves": 5, "tree": {"slot": 0}}',
      ["diagram", "validate", "--file"], "leaves"),
@@ -524,6 +563,7 @@ MALFORMED_FILES = [
     "name, content, command, field",
     MALFORMED_FILES,
     ids=["config_string", "config_list", "spins_number", "spins_null", "model_list",
+         "parameters_list",
          "diagram_list", "leaves_number", "leaf_number", "tree_number", "block_list",
          "diagrams_number", "mixing_number", "jsonl_list", "two_J_null", "two_J_list",
          "two_J_float", "two_J_string", "slot_null", "slot_string", "rows_null", "rows_float",
@@ -544,6 +584,82 @@ def test_malformed_json_file_is_one_error_line(
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and f"{field} must be a JSON" in line
+
+
+def _without(text, *path):
+    """The JSON ``text`` with the field at ``path`` (keys and indices) removed."""
+    payload = json.loads(text)
+    owner = payload
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+    return json.dumps(payload) + "\n"
+
+
+_COMB = diagram_to_json(left_comb([2, 2, 2], [2], 2))
+_EVALUATE = ["evaluate", "--data", "data.jsonl", "--model"]
+
+# (file name, content, the command reading it, the owner its one error line names, field)
+MISSING_FIELDS = [
+    ("diagram.json", _without(_COMB, "two_J"), _DIAGRAM, "a diagram", "two_J"),
+    ("diagram.json", _without(_COMB, "leaves"), _DIAGRAM, "a diagram", "leaves"),
+    ("diagram.json", _without(_COMB, "tree"), _DIAGRAM, "a diagram", "tree"),
+    ("diagram.json", _without(_COMB, "leaves", 0, "slot"), _DIAGRAM, "a leaf", "slot"),
+    ("diagram.json", _without(_COMB, "leaves", 2, "two_j"), _DIAGRAM, "a leaf", "two_j"),
+    ("diagram.json", _without(_COMB, "tree", "left", "left"), _DIAGRAM, "a tree node", "left"),
+    ("diagram.json", _without(_COMB, "tree", "right"), _DIAGRAM, "a tree node", "right"),
+    ("diagram.json", _without(_COMB, "tree", "left", "two_k"), _DIAGRAM, "a tree node",
+     "two_k"),
+    ("model.json", '{"parameters": {}}', _EVALUATE, "model.json: a model file", "config"),
+    ("model.json", '{"config": {}}', _EVALUATE, "model.json: a model file", "parameters"),
+    *(
+        ("data.jsonl", _without(_record_text(), key), _TRAIN, "data.jsonl:1: a record", key)
+        for key in ("positions", "species", "energy", "forces")
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, content, command, owner, field",
+    MISSING_FIELDS,
+    ids=["diagram_two_J", "diagram_leaves", "diagram_tree", "leaf_slot", "leaf_two_j",
+         "node_left", "node_right", "node_two_k", "model_config", "model_parameters",
+         "record_positions", "record_species", "record_energy", "record_forces"],
+)
+def test_missing_field_is_one_error_line(
+    tmp_path, capsys, monkeypatch, name, content, command, owner, field
+):
+    # each file reader names the field it misses, not the bare KeyError text
+    monkeypatch.chdir(tmp_path)
+    _write_model_config(tmp_path)
+    main(["gen-data", "--out", "data.jsonl", "--n-samples", "2", "--n-atoms", "3"])
+    (tmp_path / name).write_text(content)
+    capsys.readouterr()
+    assert main(command + [name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {owner} has no '{field}' field\n"
+
+
+class TestPlotData:
+    @pytest.mark.parametrize(
+        "curve, message",
+        [
+            ("epoch,loss\n0,1.0\n", "curve file must be CSV with header epoch,train_loss,val_loss"),
+            ("epoch,train_loss,val_loss\n0,1.0,1.0\n1,0.5\n", "line 3: expected 3 columns"),
+        ],
+        ids=["wrong_header", "short_row"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
+    def test_bad_curve_is_one_error_line(self, tmp_path, capsys, curve, message, to_file):
+        # no row is written, to stdout or to --out, before the file is read through
+        path, out = tmp_path / "curve.csv", tmp_path / "plot.csv"
+        path.write_text(curve)
+        assert main(["plot-data", "--curve", str(path)] + ["--out", str(out)] * to_file) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestArgumentErrors:

@@ -64,6 +64,27 @@ class TestSample:
         with pytest.raises(ValueError, match="species"):
             Sample(np.eye(2, 3), [0.2, 1.9], 0.0, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "positions, species, error, message",
+        [
+            (np.zeros((0, 3)), [], ShapeMismatch, "at least one atom"),
+            (np.eye(2), [0, 1], ShapeMismatch, r"positions must be \(N, 3\)"),
+            (np.eye(2, 3), [0, 1, 0], ShapeMismatch, "one integer per atom"),
+            (np.array([[0.0, np.nan, 0.0], [1.0, 0.0, 0.0]]), [0, 1], ValueError,
+             r"finite; atoms \[0\]"),
+            (np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]), [0, 1], ValueError,
+             r"finite; atoms \[1\]"),
+        ],
+        ids=["empty", "two_columns", "long_species", "nan", "inf"],
+    )
+    def test_cloud_is_checked_as_a_point_cloud(self, positions, species, error, message):
+        with pytest.raises(error, match=message):
+            Sample(positions, species, 0.0, np.zeros(positions.shape))
+
+    def test_forces_of_another_shape_rejected(self):
+        with pytest.raises(ShapeMismatch, match="forces shape"):
+            Sample(np.eye(2, 3), [0, 1], 0.0, np.zeros((3, 3)))
+
     def test_integer_valued_species_are_integers(self):
         sample = Sample(np.eye(2, 3), [0.0, 1.0], 0.0, np.zeros((2, 3)))
         assert sample.species.dtype.kind == "i"
@@ -152,6 +173,17 @@ class TestJsonl:
         restored = load_jsonl(str(path))[0]
         assert restored.energy == sample.energy
         assert np.array_equal(restored.positions, sample.positions)
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        good = json.dumps({"positions": [[0.0, 0.0, 0.0]], "species": [0], "energy": 0.5,
+                           "forces": [[0.0, 0.0, 0.0]]})
+        path = tmp_path / "gaps.jsonl"
+        path.write_text(f"\n{good}\n   \n\n{good}\n\n")
+        samples = load_jsonl(str(path))
+        assert [sample.energy for sample in samples] == [0.5, 0.5]
+        path.write_text(f"\n{good}\n   \n{{not json\n")
+        with pytest.raises(ValueError, match=r"gaps\.jsonl:4: invalid JSON"):
+            load_jsonl(str(path))
 
     def test_shape_mismatch_on_load(self, tmp_path):
         path = tmp_path / "bad.jsonl"

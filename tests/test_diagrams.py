@@ -60,11 +60,11 @@ class TestLeftComb:
 
     def test_internal_spins_exclude_root(self):
         d = left_comb([1, 1, 2, 2], [0, 2], 4)
-        assert d.internal_spins() == (0, 2)
+        assert (d.tree.left.left.two_k, d.tree.left.two_k, d.tree.two_k) == (0, 2, 4)
 
     def test_two_leaves_have_no_internal_spins(self):
         d = left_comb([2, 2], [], 4)
-        assert d.internal_spins() == ()
+        assert isinstance(d.tree.left, LeafNode) and isinstance(d.tree.right, LeafNode)
 
     def test_wrong_internal_count_rejected(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ModelConfig(**{field: value})
 
+    def test_three_body_layer_without_spin_zero_output_rejected(self):
+        # internal spins [1] leave the first layer no spin-0 part to read out
+        config = ModelConfig(kind="three_body", internal_spins=(1,))
+        with pytest.raises(ValueError, match="layer 0 produces no spin-0 part"):
+            Model(config)
+
+    @pytest.mark.parametrize(
+        "kind, field, values",
+        [
+            ("three_body", "hidden", (8, 16)),
+            ("gated", "schedule_mode", ("sparse", "dense")),
+            ("fused", "internal_spins", ((0, 1), (0, 2, 3))),
+        ],
+    )
+    def test_fields_a_kind_never_reads_take_their_defaults(self, kind, field, values):
+        # so they enter neither the saved config nor a run's hash
+        configs = [_small_config(kind, **{field: value}) for value in values]
+        assert configs[0] == configs[1]
+        assert getattr(configs[0], field) == ModelConfig.__dataclass_fields__[field].default
+        assert ModelConfig.from_json(configs[1].to_json()) == configs[0]
+
     def test_nan_cutoff_rejected_by_neighborhood(self):
         pc = PointCloud(np.array([[0.0, 0, 0], [1, 0, 0]]), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="cutoff must be positive"):
@@ -383,6 +404,14 @@ class TestParameters:
         positions[2, 1] = bad
         with pytest.raises(ValueError, match=r"finite; atoms \[2\]"):
             getattr(model, path)(positions, species)
+
+    @pytest.mark.parametrize("n_species", [4, 6])
+    @pytest.mark.parametrize("path", ["energy_and_forces", "plain_energy"])
+    def test_species_of_another_length_rejected(self, path, n_species):
+        model = Model(_small_config("gated"))
+        positions, _ = _cloud(5, seed=4)
+        with pytest.raises(ShapeMismatch, match="species must be one integer per atom"):
+            getattr(model, path)(positions, np.zeros(n_species, dtype=int))
 
     def test_species_out_of_range_rejected(self):
         model = Model(_small_config("gated", n_species=2))

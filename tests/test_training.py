@@ -132,6 +132,18 @@ class TestTrainLoop:
         record = train(model, data, 0, batch_size=2, seed=1, **extra)
         assert record.config_hash == run_hash
 
+    def test_run_hash_ignores_fields_the_kind_never_reads(self):
+        # a three_body model has no gate, so its hidden width cannot change the run
+        data = generate_dataset(4, 3, "morse", seed=4)
+        hashes = {
+            train(
+                Model(ModelConfig(kind="three_body", tau=2, radial_channels=4, hidden=hidden)),
+                data, 0, batch_size=2, seed=1,
+            ).config_hash
+            for hidden in (8, 16)
+        }
+        assert len(hashes) == 1
+
     def test_zero_epochs_changes_nothing(self):
         data = generate_dataset(4, 4, "morse", seed=2)
         model = _tiny_model()

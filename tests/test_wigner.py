@@ -9,7 +9,6 @@ from spinfusion.rotations import (
     Rotation,
     compose,
     haar_rotation,
-    identity_rotation,
     inverse,
     rotation_matrix,
 )
@@ -63,7 +62,7 @@ class TestSmallD:
 class TestWignerD:
     def test_identity_rotation(self):
         for two_j in (0, 1, 2, 4):
-            d = wigner_D(Spin(two_j), identity_rotation()).matrix
+            d = wigner_D(Spin(two_j), Rotation((1.0, 0.0, 0.0, 0.0))).matrix
             assert np.max(np.abs(d - np.eye(dim(two_j)))) < 1e-14
 
     @pytest.mark.parametrize("two_j", [1, 2, 3, 4])
@@ -103,7 +102,7 @@ class TestWignerD:
 
 class TestRotationMatrix:
     def test_identity(self):
-        assert np.max(np.abs(rotation_matrix(identity_rotation()) - np.eye(3))) < 1e-15
+        assert np.max(np.abs(rotation_matrix(Rotation((1.0, 0.0, 0.0, 0.0))) - np.eye(3))) < 1e-15
 
     @pytest.mark.parametrize("seed", range(6))
     def test_proper_orthogonal(self, seed):
