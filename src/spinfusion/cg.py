@@ -78,21 +78,15 @@ def cg_coefficient(ja, ma, jb, mb, jc, mc) -> float:
 
 @dataclass(frozen=True)
 class CGTensor:
-    """Dense CG tensor C^(ja,jb,jc) with coeffs[ma, mb, mc], m ascending."""
+    """Dense CG tensor C^(ja,jb,jc) with coeffs[ma, mb, mc], m ascending;
+    its shape (2ja+1, 2jb+1, 2jc+1) holds the spins."""
 
-    ja: Spin
-    jb: Spin
-    jc: Spin
     coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        expected = (self.ja.dim, self.jb.dim, self.jc.dim)
-        if self.coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
 
     def as_matrix(self) -> np.ndarray:
         """Flatten to shape (dim_a * dim_b, dim_c); rows ordered (ma, mb)."""
-        return self.coeffs.reshape(self.ja.dim * self.jb.dim, self.jc.dim)
+        dim_a, dim_b, dim_c = self.coeffs.shape
+        return self.coeffs.reshape(dim_a * dim_b, dim_c)
 
 
 _cache: dict[tuple[int, int, int], CGTensor] = {}
@@ -123,5 +117,5 @@ def cg_tensor(ja, jb, jc) -> CGTensor:
                     two_ja, two_ma, two_jb, two_mb, two_jc, two_mc
                 )
     coeffs.setflags(write=False)
-    tensor = CGTensor(Spin(two_ja), Spin(two_jb), Spin(two_jc), coeffs)
+    tensor = CGTensor(coeffs)
     return _cache.setdefault(key, tensor)

@@ -299,7 +299,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     lines = _read_text(args.curve).strip().splitlines()
-    if not lines or lines[0].split(",") != ["epoch", "train_loss", "val_loss"]:
+    header = ["epoch", "train_loss", "val_loss"]
+    if not lines or lines[0].split(",") != header:
         raise SpinFusionError(
             "curve file must be CSV with header epoch,train_loss,val_loss"
         )
@@ -308,7 +309,16 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         fields = line.split(",")
         if len(fields) != 3:
             raise SpinFusionError(f"line {line_number}: expected 3 columns")
-        rows.append(f"{int(fields[0])},{_fmt(float(fields[1]))},{_fmt(float(fields[2]))}")
+        values = []
+        for name, text, cast in zip(header, fields, (int, float, float)):
+            try:
+                values.append(cast(text))
+            except ValueError:
+                kind = "an integer" if cast is int else "a number"
+                raise SpinFusionError(
+                    f"line {line_number}: {name} must be {kind}, got {text!r}"
+                ) from None
+        rows.append(f"{values[0]},{_fmt(values[1])},{_fmt(values[2])}")
     if args.out is None:
         print("\n".join(rows))
     else:

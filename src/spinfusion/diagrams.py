@@ -1,16 +1,17 @@
 """Fusion diagrams: rooted binary trees of Clebsch-Gordan couplings.
 
-A diagram fuses input irreps (the leaves) into one output irrep of spin J
-(the root).  Each internal node couples its two children through a CG tensor;
-the spin carried away from a node is an internal spin, except at the root
-where it is the diagram's output spin.  Contraction is channel-wise: no
-mixing across the channel axis ever happens inside a diagram.
+A diagram is its tree.  It fuses input irreps (the leaves) into one output
+irrep of spin J (the root).  Each internal node couples its two children
+through a CG tensor; the spin carried away from a node is an internal spin,
+except at the root where it is the diagram's output spin.  Contraction is
+channel-wise: no mixing across the channel axis ever happens inside a
+diagram.
 
-Leaves are listed in left-to-right tree order as (slot, 2j) pairs.  The slot
-says which input the leaf consumes; the same slot may feed several leaves
-(e.g. staged three-body couplings that reuse the same neighbor features), and
-repeated slots may carry different spins when the input is a multi-spin
-Activation.
+Each leaf carries (slot, 2j): the slot says which input the leaf consumes,
+2j which spin of it.  The same slot may feed several leaves (e.g. staged
+three-body couplings that reuse the same neighbor features), and repeated
+slots may carry different spins when the input is a multi-spin Activation.
+Nodes are tuples, so equal subtrees hash and compare equal.
 
 A collection of diagrams may be lowered to other diagrams (targets) and a
 real matrix U that maps the targets' outputs onto the collection's:
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "LeafNode",
     "FuseNode",
     "FusionDiagram",
+    "node_spin",
     "left_comb",
     "validate",
     "enumerate_internal",
@@ -51,15 +54,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LeafNode:
-    """Tree leaf referencing one input slot."""
+class LeafNode(NamedTuple):
+    """Tree leaf: input ``slot`` read at spin ``two_j`` (2j)."""
 
     slot: int
+    two_j: int
 
 
-@dataclass(frozen=True)
-class FuseNode:
+class FuseNode(NamedTuple):
     """Internal node fusing two children into spin ``two_k`` (2k)."""
 
     left: "TreeNode"
@@ -70,43 +72,47 @@ class FuseNode:
 TreeNode = Union[LeafNode, FuseNode]
 
 
-def _tree_slots(node: TreeNode) -> list[int]:
-    """Leaf slots in left-to-right tree order."""
+def node_spin(node: TreeNode) -> int:
+    """The spin a node carries, as 2j: a leaf's 2j or a fuse node's 2k."""
+    return node[-1]
+
+
+def _leaves(node: TreeNode) -> tuple[LeafNode, ...]:
     if isinstance(node, LeafNode):
-        return [node.slot]
-    return _tree_slots(node.left) + _tree_slots(node.right)
+        return (node,)
+    return _leaves(node.left) + _leaves(node.right)
 
 
 @dataclass(frozen=True)
 class FusionDiagram:
-    """leaves: (slot, 2j) pairs in left-to-right tree order; root spin 2J.
+    """A diagram is its tree, whose leaves carry (slot, 2j); everything
+    else is read off the tree.
 
-    Construction checks structure only (the leaves list matches the tree);
-    spin admissibility is checked by :func:`validate` so that inadmissible
-    diagrams can be built and reported.
+    Spin admissibility is checked by :func:`validate`, not on construction,
+    so that inadmissible diagrams can be built and reported.
     """
 
-    leaves: tuple[tuple[int, int], ...]
     tree: TreeNode
-    two_J: int
 
-    def __post_init__(self) -> None:
-        if _tree_slots(self.tree) != [slot for slot, _ in self.leaves]:
-            raise ValueError("tree leaf order does not match the leaves list")
-        if isinstance(self.tree, FuseNode) and self.tree.two_k != self.two_J:
-            raise ValueError(
-                f"root node spin {self.tree.two_k} != diagram root spin {self.two_J}"
-            )
+    @cached_property
+    def leaves(self) -> tuple[LeafNode, ...]:
+        """The (slot, 2j) leaves in left-to-right tree order."""
+        return _leaves(self.tree)
+
+    @property
+    def two_J(self) -> int:
+        """The root spin 2J."""
+        return node_spin(self.tree)
 
     @property
     def arity(self) -> int:
         """Number of leaves (repeated slots counted once per leaf)."""
         return len(self.leaves)
 
-    @property
+    @cached_property
     def slots(self) -> tuple[int, ...]:
         """Distinct slots consumed, ascending."""
-        return tuple(sorted({slot for slot, _ in self.leaves}))
+        return tuple(sorted({leaf.slot for leaf in self.leaves}))
 
 
 def left_comb(
@@ -125,30 +131,28 @@ def left_comb(
     if len(internal_two_ks) != n - 2:
         raise ValueError(f"{n} leaves need {n - 2} internal spins, got {len(internal_two_ks)}")
     slots = list(range(n)) if slots is None else list(slots)
-    node: TreeNode = LeafNode(slots[0])
+    node: TreeNode = LeafNode(slots[0], leaf_two_js[0])
     for i in range(1, n):
         out = two_J if i == n - 1 else internal_two_ks[i - 1]
-        node = FuseNode(node, LeafNode(slots[i]), out)
-    leaves = tuple((slots[i], leaf_two_js[i]) for i in range(n))
-    return FusionDiagram(leaves, node, two_J)
+        node = FuseNode(node, LeafNode(slots[i], leaf_two_js[i]), out)
+    return FusionDiagram(node)
 
 
 def validate(d: FusionDiagram) -> list[str]:
     """Empty list when admissible; otherwise one message per violating node."""
     violations: list[str] = []
-    leaf_spins = iter(two_j for _, two_j in d.leaves)
 
-    def walk(node: TreeNode, path: str) -> int:
+    def walk(node: TreeNode, path: str) -> None:
         if isinstance(node, LeafNode):
-            return next(leaf_spins)
-        a = walk(node.left, path + ".left")
-        b = walk(node.right, path + ".right")
+            return
+        walk(node.left, path + ".left")
+        walk(node.right, path + ".right")
+        a, b = node_spin(node.left), node_spin(node.right)
         if not admissible(a, b, node.two_k):
             violations.append(
                 f"{path}: ({Spin(a)}, {Spin(b)}) cannot fuse to {Spin(node.two_k)} "
                 "(triangle/integrality rule)"
             )
-        return node.two_k
 
     walk(d.tree, "root")
     return violations
@@ -199,23 +203,18 @@ def contract(d: FusionDiagram, inputs) -> IrrepVector:
     index.  All inputs must share a channel count; the output is an
     IrrepVector of the root spin with the same channel count.
     """
-    used = {slot for slot, _ in d.leaves}
-    channels = {inputs[slot].channels for slot in used}
+    channels = {inputs[slot].channels for slot in d.slots}
     if len(channels) != 1:
         raise ChannelMismatch(f"inputs disagree on channel count: {sorted(channels)}")
-    leaf_iter = iter(d.leaves)
 
-    def value(node: TreeNode) -> tuple[int, np.ndarray]:
+    def value(node: TreeNode) -> np.ndarray:
         if isinstance(node, LeafNode):
-            slot, two_j = next(leaf_iter)
-            return two_j, _resolve_leaf(inputs[slot], two_j, slot)
-        two_a, left_val = value(node.left)
-        two_b, right_val = value(node.right)
-        coeffs = cg_tensor(two_a, two_b, node.two_k).coeffs
-        return node.two_k, np.einsum("abc,at,bt->ct", coeffs, left_val, right_val)
+            return _resolve_leaf(inputs[node.slot], node.two_j, node.slot)
+        left, right = value(node.left), value(node.right)
+        coeffs = cg_tensor(node_spin(node.left), node_spin(node.right), node.two_k).coeffs
+        return np.einsum("abc,at,bt->ct", coeffs, left, right)
 
-    _, data = value(d.tree)
-    return IrrepVector(Spin(d.two_J), data)
+    return IrrepVector(Spin(d.two_J), value(d.tree))
 
 
 def dense_map(d: FusionDiagram) -> np.ndarray:
@@ -226,22 +225,18 @@ def dense_map(d: FusionDiagram) -> np.ndarray:
     ``dense_map(d).T @ flatten(kron of leaf inputs)`` channel by channel.
     Columns are orthonormal.
     """
-    leaf_iter = iter(d.leaves)
 
-    def build(node: TreeNode) -> tuple[int, np.ndarray]:
+    def build(node: TreeNode) -> np.ndarray:
         if isinstance(node, LeafNode):
-            _, two_j = next(leaf_iter)
-            return two_j, np.eye(dim(two_j), dtype=complex)
-        two_a, left_map = build(node.left)
-        two_b, right_map = build(node.right)
-        coupling = cg_tensor(two_a, two_b, node.two_k).as_matrix()
+            return np.eye(dim(node.two_j), dtype=complex)
+        left_map, right_map = build(node.left), build(node.right)
+        coupling = cg_tensor(node_spin(node.left), node_spin(node.right), node.two_k).as_matrix()
         # np.kron(left_map, right_map), as one broadcast product
         rows = left_map.shape[0] * right_map.shape[0]
         product = left_map[:, None, :, None] * right_map[None, :, None, :]
-        return node.two_k, product.reshape(rows, coupling.shape[0]) @ coupling
+        return product.reshape(rows, coupling.shape[0]) @ coupling
 
-    _, matrix = build(d.tree)
-    return matrix
+    return build(d.tree)
 
 
 # bound on U's imaginary part, cross-leaf weights and reconstruction residual
@@ -260,15 +255,12 @@ def _left_pair(d: FusionDiagram) -> bool:
     )
 
 
-def _subtrees(node, leaf_iter, out: set) -> tuple:
-    """Add (leaves, subtree) for every ``FuseNode`` under ``node`` to
-    ``out``, with ``leaf_iter`` yielding the (slot, 2j) leaves in order;
-    returns the leaves under ``node``."""
-    if isinstance(node, LeafNode):
-        return (next(leaf_iter),)
-    leaves = _subtrees(node.left, leaf_iter, out) + _subtrees(node.right, leaf_iter, out)
-    out.add((leaves, node))
-    return leaves
+def _subtrees(node: TreeNode, out: set) -> None:
+    """Add every ``FuseNode`` under ``node``, ``node`` included, to ``out``."""
+    if isinstance(node, FuseNode):
+        out.add(node)
+        _subtrees(node.left, out)
+        _subtrees(node.right, out)
 
 
 def recouple(diagrams) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
@@ -293,11 +285,11 @@ def recouple(diagrams) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
     6j code is needed.  ``check_lowering`` verifies the result.
     """
     diagrams = tuple(diagrams)
-    inner: set[tuple] = set()
+    inner: set[FuseNode] = set()
     for d in diagrams:
         if len(d.leaves) > 3:
-            _subtrees(d.tree, iter(d.leaves), inner)
-    moved = {d for d in diagrams if _left_pair(d) and (d.leaves, d.tree) not in inner}
+            _subtrees(d.tree, inner)
+    moved = {d for d in diagrams if _left_pair(d) and d.tree not in inner}
     groups: dict[object, list[FusionDiagram]] = {}
     for d in diagrams:
         if d not in moved:
@@ -305,19 +297,11 @@ def recouple(diagrams) -> tuple[tuple[FusionDiagram, ...], np.ndarray]:
             continue
         key = (d.leaves, d.two_J)
         if key not in groups:
-            (_, two_a), (slot_b, two_b), (slot_c, two_c) = d.leaves
+            a, b, c = d.leaves
             groups[key] = [
-                FusionDiagram(
-                    d.leaves,
-                    FuseNode(
-                        d.tree.left.left,
-                        FuseNode(LeafNode(slot_b), LeafNode(slot_c), two_k),
-                        d.two_J,
-                    ),
-                    d.two_J,
-                )
-                for two_k in allowed_couplings(two_b, two_c)
-                if admissible(two_a, two_k, d.two_J)
+                FusionDiagram(FuseNode(a, FuseNode(b, c, two_k), d.two_J))
+                for two_k in allowed_couplings(b.two_j, c.two_j)
+                if admissible(a.two_j, two_k, d.two_J)
             ]
     targets = tuple(t for family in groups.values() for t in family)
     row = {t: i for i, t in enumerate(targets)}
@@ -390,7 +374,7 @@ def diagram_to_json(d: FusionDiagram) -> str:
         return {"left": node_dict(node.left), "right": node_dict(node.right), "two_k": node.two_k}
 
     payload = {
-        "leaves": [{"slot": slot, "two_j": two_j} for slot, two_j in d.leaves],
+        "leaves": [{"slot": leaf.slot, "two_j": leaf.two_j} for leaf in d.leaves],
         "tree": node_dict(d.tree),
         "two_J": d.two_J,
     }
@@ -398,7 +382,9 @@ def diagram_to_json(d: FusionDiagram) -> str:
 
 
 def diagram_from_json(text: str) -> FusionDiagram:
-    """Parse the JSON schema; the root node's two_k may be omitted."""
+    """Parse the JSON schema; the root node's two_k may be omitted.  The
+    one place that pairs the file's ``leaves`` list (each leaf's 2j) with
+    its tree's leaves: slots agree in order, and the root spin is two_J."""
     payload = check_json(json.loads(text), dict, "a diagram")
 
     def integer_field(node, key: str, what: str) -> int:
@@ -406,9 +392,20 @@ def diagram_from_json(text: str) -> FusionDiagram:
 
     two_J = integer_field(payload, "two_J", "a diagram")
 
+    def parse_leaf(leaf) -> LeafNode:
+        leaf = check_json(leaf, dict, "a leaf")
+        return LeafNode(*(integer_field(leaf, key, "a leaf") for key in ("slot", "two_j")))
+
+    leaves = check_json(json_field(payload, "leaves", "a diagram"), list, "leaves")
+    leaves = tuple(map(parse_leaf, leaves))
+    listed = iter(leaves)
+
     def parse(node, is_root: bool) -> TreeNode:
         if "slot" in check_json(node, dict, "a tree node") and "left" not in node:
-            return LeafNode(integer_field(node, "slot", "a tree node"))
+            slot = integer_field(node, "slot", "a tree node")
+            leaf = next(listed, None)
+            # an unpaired leaf has no spin; the check below reports it
+            return leaf if leaf is not None and leaf.slot == slot else LeafNode(slot, None)
         if is_root and "two_k" not in node:
             two_k = two_J
         else:
@@ -416,10 +413,9 @@ def diagram_from_json(text: str) -> FusionDiagram:
         left, right = (json_field(node, key, "a tree node") for key in ("left", "right"))
         return FuseNode(parse(left, False), parse(right, False), two_k)
 
-    def parse_leaf(leaf) -> tuple[int, int]:
-        leaf = check_json(leaf, dict, "a leaf")
-        return integer_field(leaf, "slot", "a leaf"), integer_field(leaf, "two_j", "a leaf")
-
-    leaves = check_json(json_field(payload, "leaves", "a diagram"), list, "leaves")
-    leaves = tuple(map(parse_leaf, leaves))
-    return FusionDiagram(leaves, parse(json_field(payload, "tree", "a diagram"), True), two_J)
+    diagram = FusionDiagram(parse(json_field(payload, "tree", "a diagram"), True))
+    if diagram.leaves != leaves:
+        raise ValueError("tree leaf order does not match the leaves list")
+    if diagram.two_J != two_J:
+        raise ValueError(f"root node spin {diagram.two_J} != diagram root spin {two_J}")
+    return diagram

@@ -59,7 +59,10 @@ class PointCloud:
             bad = np.flatnonzero(~finite).tolist()
             raise ValueError(f"positions must be finite; atoms {bad} are not")
         if species.shape != (positions.shape[0],):
-            raise ShapeMismatch("species must be one integer per atom")
+            raise ShapeMismatch(
+                f"species must be one integer per atom, got shape {species.shape} "
+                f"for {positions.shape[0]} atoms"
+            )
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "species", species)
 

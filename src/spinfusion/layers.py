@@ -80,8 +80,8 @@ import numpy as np
 from . import autodiff as ad
 from .blocks import FusionBlockConfig, apply as block_apply
 from .cg import cg_tensor
-from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb, recouple
-from .errors import EmptySchedule
+from .diagrams import FuseNode, FusionDiagram, LeafNode, left_comb, node_spin, recouple
+from .errors import EmptySchedule, check_integers
 from .features import _Y00
 from .geometry import Neighborhood, PointCloud
 from .irreps import Activation
@@ -118,14 +118,16 @@ def seeded_uniform(shape: tuple[int, ...], seed: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinSchedule:
-    """Internal-spin selection for three-body couplings.
+    """Internal-spin selection for three-body couplings, and the one check
+    of a schedule.
 
-    ``internal_two_ks`` lists the schedule's distinct internal spins (as 2k);
-    a repeated spin would only add linearly dependent copies of the same
-    diagrams, so it is rejected.  Sparse
+    ``internal_two_ks`` lists the schedule's distinct internal spins (as 2k),
+    non-negative integers; a repeated spin would only add linearly
+    dependent copies of the same diagrams, so it is rejected.  Sparse
     mode couples through one internal spin at a time; dense mode evaluates
     ordered tuples: every single spin plus every permutation of the full
-    sequence (deduplicated, deterministic order).
+    sequence (deduplicated, deterministic order).  Messages name the
+    fields as ``ModelConfig`` does, which hands its schedule here.
     """
 
     mode: str
@@ -133,13 +135,16 @@ class SpinSchedule:
 
     def __post_init__(self) -> None:
         if self.mode not in ("sparse", "dense"):
-            raise ValueError(f"schedule mode must be sparse or dense, got {self.mode!r}")
+            raise ValueError(f"schedule_mode must be sparse or dense, got {self.mode!r}")
         if not self.internal_two_ks:
-            raise EmptySchedule("an internal-spin schedule needs at least one spin")
-        two_ks = tuple(int(k) for k in self.internal_two_ks)
+            raise EmptySchedule("internal_spins must list at least one spin")
+        two_ks = tuple(check_integers(self.internal_two_ks, "internal_spins (as 2k)").tolist())
+        if min(two_ks) < 0:
+            shown = ", ".join(map(format_spin, two_ks))
+            raise ValueError(f"internal_spins must be spins >= 0, got [{shown}]")
         for i, k in enumerate(two_ks):
             if k in two_ks[:i]:
-                raise ValueError(f"internal spin {format_spin(k)} is listed more than once")
+                raise ValueError(f"internal_spins lists spin {format_spin(k)} more than once")
         object.__setattr__(self, "internal_two_ks", two_ks)
 
     @property
@@ -215,43 +220,42 @@ def taped_diagrams(
 
     ``leaves[slot][two_j]`` is the node a (slot, 2j) leaf consumes.  Every
     ``FuseNode`` records one ``einsum3`` with its CG tensor, memoized under
-    the structural key (left key, right key, 2k), with (slot, 2j) at the
-    leaves, so every key ends in its subtree's spin.  A subtree shared
-    between diagrams, or between calls that pass the same ``memo`` and
-    ``leaves``, is recorded once.  Returns one node per diagram, in order.
+    the subtree itself (nodes are tuples, so equal subtrees are one key).
+    A subtree shared between diagrams, or between calls that pass the same
+    ``memo`` and ``leaves``, is recorded once.  Returns one node per
+    diagram, in order.
     """
-    return [_emit_diagram(tape, d.tree, iter(d.leaves), leaves, memo)[1] for d in diagrams]
+    return [_emit_diagram(tape, d.tree, leaves, memo) for d in diagrams]
 
 
-def _emit_diagram(tape, node, leaf_iter, leaves, memo) -> tuple[tuple, ad.Node]:
-    """(structural key, node) of one subtree; see ``taped_diagrams``.
+def _emit_diagram(tape, node, leaves, memo) -> ad.Node:
+    """The value of one subtree; see ``taped_diagrams``.
 
     A module-level function rather than a recursive closure, which would be
     a reference cycle holding the tape."""
     if isinstance(node, LeafNode):
-        slot, two_j = key = next(leaf_iter)
-        return key, leaves[slot][two_j]
-    left = _emit_diagram(tape, node.left, leaf_iter, leaves, memo)
-    right = _emit_diagram(tape, node.right, leaf_iter, leaves, memo)
-    return _fuse(tape, left, right, node.two_k, memo)
-
-
-def _fuse(tape, left, right, two_k: int, memo) -> tuple[tuple, ad.Node]:
-    """(key, node) of the CG product of two keyed nodes into 2k, memoized."""
-    (left_key, left), (right_key, right) = left, right
-    key = (left_key, right_key, two_k)
-    value = memo.get(key)
+        return leaves[node.slot][node.two_j]
+    value = memo.get(node)
     if value is None:
-        # activations are (E|N, 2j+1, tau); edge harmonics are (E, 2j+1)
-        left_t, right_t = ("t" if len(n.shape) == 3 else "" for n in (left, right))
-        value = memo[key] = ad.einsum3(
-            tape,
-            cg_tensor(left_key[-1], right_key[-1], two_k).coeffs,
-            left,
-            right,
-            f"abc,ea{left_t},eb{right_t}->ec{left_t or right_t}",
-        )
-    return key, value
+        left = _emit_diagram(tape, node.left, leaves, memo)
+        right = _emit_diagram(tape, node.right, leaves, memo)
+        value = _fuse(tape, node, left, right, memo)
+    return value
+
+
+def _fuse(tape, node: FuseNode, left: ad.Node, right: ad.Node, memo) -> ad.Node:
+    """The CG product of ``node``'s operand values into its 2k, recorded in
+    ``memo`` under ``node``."""
+    # activations are (E|N, 2j+1, tau); edge harmonics are (E, 2j+1)
+    left_t, right_t = ("t" if len(n.shape) == 3 else "" for n in (left, right))
+    value = memo[node] = ad.einsum3(
+        tape,
+        cg_tensor(node_spin(node.left), node_spin(node.right), node.two_k).coeffs,
+        left,
+        right,
+        f"abc,ea{left_t},eb{right_t}->ec{left_t or right_t}",
+    )
+    return value
 
 
 @dataclass(frozen=True)
@@ -296,11 +300,12 @@ class SpinTable:
 
 def _target_group(target: FusionDiagram) -> int:
     """0 = center-only, 1 = (center ⊗ T)_J with T over edge slots, 2 = other."""
-    slots = [slot for slot, _ in target.leaves]
+    slots = [leaf.slot for leaf in target.leaves]
     if not any(slots):
         return 0
     tree = target.tree
-    if isinstance(tree, FuseNode) and tree.left == LeafNode(0) and 0 not in slots[1:]:
+    center_first = isinstance(tree, FuseNode) and isinstance(tree.left, LeafNode)
+    if center_first and slots[0] == 0 and 0 not in slots[1:]:
         return 1
     return 2
 
@@ -361,9 +366,11 @@ def taped_collections(
     targets and the atom stages at N rows, next to each distinct T summed
     over ``src``; the per-edge subtrees at E rows, summed by one
     ``index_add`` per spin.  The center is gathered to the edges only when
-    an edge target reads it.  The collections' weights are stacked and
-    composed with ``fixed`` in weight space, so each spin's concatenated
-    targets are mixed by one product.
+    an edge target reads it.  Both memos are keyed by subtree: an atom
+    target ``d`` keys its summed T by ``d.tree.right`` and its product by
+    ``d.tree``.  The collections' weights are stacked and composed with
+    ``fixed`` in weight space, so each spin's concatenated targets are
+    mixed by one product.
     """
     center = leaves[0]
     n_atoms = center[0].shape[0]
@@ -377,14 +384,13 @@ def taped_collections(
     for two_J, table in wanted.items():
         chunks = taped_diagrams(tape, table.center, leaves, atom_memo)
         for d in table.atom:
-            leaf, t_leaves = d.leaves[0], iter(d.leaves[1:])
-            key, t = _emit_diagram(tape, d.tree.right, t_leaves, edge_leaves, edge_memo)
-            if key not in atom_memo:  # T's key has no slot 0, so no center key equals it
-                atom_memo[key] = ad.index_add(tape, t, src, n_atoms)
-            _, product = _fuse(
-                tape, (leaf, center[leaf[1]]), (key, atom_memo[key]), two_J, atom_memo
-            )
-            chunks.append(product)
+            leaf, t = d.tree.left, d.tree.right
+            if t not in atom_memo:  # T has no slot 0, so no center subtree equals it
+                summed = _emit_diagram(tape, t, edge_leaves, edge_memo)
+                atom_memo[t] = ad.index_add(tape, summed, src, n_atoms)
+            if d.tree not in atom_memo:
+                _fuse(tape, d.tree, center[leaf.two_j], atom_memo[t], atom_memo)
+            chunks.append(atom_memo[d.tree])
         if table.edge:
             per_edge = ad.concat(
                 tape, taped_diagrams(tape, table.edge, edge_leaves, edge_memo), axis=2
@@ -477,14 +483,11 @@ def three_body_paths(input_spins, edge_spins, two_J: int, ks: tuple[int, ...]):
 def _path_diagram(two_J: int, ks: tuple[int, ...], path) -> FusionDiagram:
     """Unroll a staged coupling into one diagram over slots (0, 4, 1):
     center, then per stage the embedded edge and the neighbor."""
-    leaves = [(0, path[0][0])]
-    node = LeafNode(0)
-    for t, two_k in enumerate(ks):
-        _, two_je, two_ji = path[t]
-        leaves.append((_EDGE, two_je))
-        leaves.append((_NEIGHBOR, two_ji))
-        node = FuseNode(FuseNode(node, LeafNode(_EDGE), two_k), LeafNode(_NEIGHBOR), two_J)
-    return FusionDiagram(tuple(leaves), node, two_J)
+    node = LeafNode(0, path[0][0])
+    for two_k, (_, two_je, two_ji) in zip(ks, path):
+        edge, neighbor = LeafNode(_EDGE, two_je), LeafNode(_NEIGHBOR, two_ji)
+        node = FuseNode(FuseNode(node, edge, two_k), neighbor, two_J)
+    return FusionDiagram(node)
 
 
 def _term_diagrams(terms, input_spins, edge_spins, two_l: int, schedule=None):
@@ -511,10 +514,9 @@ def _term_diagrams(terms, input_spins, edge_spins, two_l: int, schedule=None):
     def gated(two_ja, two_jb):
         if two_ja == 0:
             return left_comb([0, two_jb], [], two_l, slots=[_GATE, _NEIGHBOR]), _Y00
-        pair = FuseNode(LeafNode(_NEIGHBOR), LeafNode(_HARMONIC), two_l)
-        leaves = ((_GATE, 0), (_NEIGHBOR, two_jb), (_HARMONIC, two_ja))
+        pair = FuseNode(LeafNode(_NEIGHBOR, two_jb), LeafNode(_HARMONIC, two_ja), two_l)
         sign = -1.0 if (two_ja + two_jb - two_l) // 2 % 2 else 1.0
-        return FusionDiagram(leaves, FuseNode(LeafNode(_GATE), pair, two_l), two_l), sign
+        return FusionDiagram(FuseNode(LeafNode(_GATE, 0), pair, two_l)), sign
 
     def fusion(two_ji, two_jj, two_k, two_jy):
         if two_jy == 0:  # then k = l
@@ -524,7 +526,7 @@ def _term_diagrams(terms, input_spins, edge_spins, two_l: int, schedule=None):
 
     paths = {
         "self": lambda: (
-            ((FusionDiagram(((0, two_l),), LeafNode(0), two_l), 1.0),)
+            ((FusionDiagram(LeafNode(0, two_l)), 1.0),)
             if two_l in input_spins
             else ()
         ),

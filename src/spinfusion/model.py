@@ -82,20 +82,19 @@ class ModelConfig:
         cutoff = check_json_number(self.cutoff, "cutoff")
         if not (math.isfinite(cutoff) and cutoff > 0):
             raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
-        if self.schedule_mode not in ("sparse", "dense"):
-            raise ValueError(f"schedule_mode must be sparse or dense, got {self.schedule_mode!r}")
         spins = [check_json_number(j, "internal_spins", integer=True) for j in self.internal_spins]
-        if min(spins, default=0) < 0:
-            raise ValueError(f"internal_spins must be integers >= 0, got {list(self.internal_spins)}")
-        for i, j in enumerate(spins):
-            if j in spins[:i]:
-                raise ValueError(f"internal_spins lists spin {int(j)} more than once")
-        object.__setattr__(self, "internal_spins", tuple(int(j) for j in self.internal_spins))
+        object.__setattr__(self, "internal_spins", tuple(int(j) for j in spins))
+        self.schedule  # SpinSchedule checks schedule_mode and internal_spins, for every kind
         # a field the kind never reads takes its default, so that it enters
         # neither the saved config nor a run's hash
         unread = ("hidden",) if self.kind == "three_body" else ("schedule_mode", "internal_spins")
         for name in unread:
             object.__setattr__(self, name, ModelConfig.__dataclass_fields__[name].default)
+
+    @property
+    def schedule(self) -> SpinSchedule:
+        """The three-body schedule of ``schedule_mode`` and ``internal_spins``."""
+        return SpinSchedule(self.schedule_mode, tuple(2 * j for j in self.internal_spins))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -124,10 +123,7 @@ class Model:
         self.layers: list[LayerParams] = []
         spins: tuple[int, ...] = (0,)
         self.layer_input_spins: list[tuple[int, ...]] = []
-        schedule = None
-        if config.kind == "three_body":
-            two_ks = tuple(2 * j for j in config.internal_spins)
-            schedule = SpinSchedule(config.schedule_mode, two_ks)
+        schedule = config.schedule if config.kind == "three_body" else None
         for s in range(config.n_layers):
             name = f"layer{s}"
             self.layer_input_spins.append(spins)

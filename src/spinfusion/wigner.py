@@ -27,13 +27,7 @@ __all__ = ["WignerD", "wigner_D"]
 class WignerD:
     """The (2j+1)-dimensional unitary matrix of a rotation."""
 
-    j: Spin
     matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        n = self.j.dim
-        if self.matrix.shape != (n, n):
-            raise ValueError(f"matrix shape {self.matrix.shape} != ({n}, {n})")
 
 
 def wigner_D(j: Spin | int, g: Rotation) -> WignerD:
@@ -62,4 +56,4 @@ def wigner_D(j: Spin | int, g: Rotation) -> WignerD:
                     / (fact[p_pp] * fact[p_pm] * fact[p_mp] * fact[p_mm])
                 )
             out[a, b] = math.sqrt(fact[a] * fact[two_j - a] * fact[b] * fact[two_j - b]) * total
-    return WignerD(Spin(two_j), out)
+    return WignerD(out)

@@ -287,11 +287,6 @@ def _gathered_contraction(tensor, sub, x, y):
     return np.moveaxis(out.reshape((len(coeffs),) + inner), -1, 0)
 
 
-def _rows_last(a):
-    """``a`` stored with its row axis innermost, as the primitives store it."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
-
-
 def _einsum3(tensor, x, y, sub):
     """``einsum3``'s value on two constant operands."""
     tape = ad.Tape()

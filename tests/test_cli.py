@@ -76,6 +76,54 @@ class TestDiagram:
         assert main(["diagram", "validate", "--file", str(path)]) == 1
         assert "cannot fuse" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "leaves, tree, two_J, message",
+        [
+            (
+                [[0, 2], [1, 2], [2, 2]],
+                {"left": {"slot": 0}, "right": {"slot": 1}},
+                2,
+                "tree leaf order does not match the leaves list",
+            ),
+            (
+                [[0, 2]],
+                {"left": {"slot": 0}, "right": {"slot": 1}},
+                2,
+                "tree leaf order does not match the leaves list",
+            ),
+            (
+                [[1, 2], [0, 2]],
+                {"left": {"slot": 0}, "right": {"slot": 1}},
+                2,
+                "tree leaf order does not match the leaves list",
+            ),
+            (
+                [[0, 2], [1, 2]],
+                {"left": {"slot": 0}, "right": {"slot": 1}, "two_k": 0},
+                2,
+                "root node spin 0 != diagram root spin 2",
+            ),
+            ([[0, 2]], {"slot": 0}, 4, "root node spin 2 != diagram root spin 4"),
+        ],
+        ids=["leaves_longer", "leaves_shorter", "other_slot_order", "root_two_k", "one_leaf"],
+    )
+    def test_leaves_that_disagree_with_the_tree_are_one_error_line(
+        self, tmp_path, capsys, leaves, tree, two_J, message
+    ):
+        # the reader pairs the leaves list with the tree's leaves, in order,
+        # and the tree's root spin with two_J, a lone leaf's 2j included
+        payload = {
+            "two_J": two_J,
+            "leaves": [{"slot": slot, "two_j": two_j} for slot, two_j in leaves],
+            "tree": tree,
+        }
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(payload))
+        assert main(["diagram", "validate", "--file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_validate_missing_file(self, capsys):
         assert main(["diagram", "validate", "--file", "/no/such/file.json"]) == 1
         assert "error" in capsys.readouterr().err.lower()
@@ -228,8 +276,9 @@ class TestBlockCheck:
             # the gated shape: slots (3, 1) and (3, (1, 2)), none of them slot 0
             (
                 left_comb([0, 2], [], 2, slots=[3, 1]),
-                FusionDiagram(((3, 0), (1, 2), (2, 2)),
-                              FuseNode(LeafNode(3), FuseNode(LeafNode(1), LeafNode(2), 2), 2), 2),
+                FusionDiagram(
+                    FuseNode(LeafNode(3, 0), FuseNode(LeafNode(1, 2), LeafNode(2, 2), 2), 2)
+                ),
             ),
         ],
         ids=["fusion_shape", "gated_shape"],
@@ -647,8 +696,13 @@ class TestPlotData:
         [
             ("epoch,loss\n0,1.0\n", "curve file must be CSV with header epoch,train_loss,val_loss"),
             ("epoch,train_loss,val_loss\n0,1.0,1.0\n1,0.5\n", "line 3: expected 3 columns"),
+            ("epoch,train_loss,val_loss\nx,1.0,1.0\n", "line 2: epoch must be an integer, got 'x'"),
+            (
+                "epoch,train_loss,val_loss\n0,1.0,1.0\n1,abc,1.0\n",
+                "line 3: train_loss must be a number, got 'abc'",
+            ),
         ],
-        ids=["wrong_header", "short_row"],
+        ids=["wrong_header", "short_row", "non_integer_epoch", "non_numeric_loss"],
     )
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
     def test_bad_curve_is_one_error_line(self, tmp_path, capsys, curve, message, to_file):

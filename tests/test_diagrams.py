@@ -210,25 +210,21 @@ class TestRecouple:
 
     def test_other_shapes_come_back_unchanged(self):
         chain = FusionDiagram(
-            ((0, 0), (1, 2), (2, 2), (1, 2), (2, 2)),
             FuseNode(
                 FuseNode(
-                    FuseNode(FuseNode(LeafNode(0), LeafNode(1), 2), LeafNode(2), 2),
-                    LeafNode(1), 2,
+                    FuseNode(FuseNode(LeafNode(0, 0), LeafNode(1, 2), 2), LeafNode(2, 2), 2),
+                    LeafNode(1, 2), 2,
                 ),
-                LeafNode(2), 2,
-            ),
-            2,
+                LeafNode(2, 2), 2,
+            )
         )
         others = [
             left_comb([2, 2, 2, 2], [2, 2], 2, slots=[0, 1, 2, 1]),
             chain,
             left_comb([2, 2], [], 2),
-            FusionDiagram(((0, 2),), LeafNode(0), 2),
+            FusionDiagram(LeafNode(0, 2)),
             FusionDiagram(
-                ((0, 2), (1, 2), (2, 2)),
-                FuseNode(LeafNode(0), FuseNode(LeafNode(1), LeafNode(2), 2), 2),
-                2,
+                FuseNode(LeafNode(0, 2), FuseNode(LeafNode(1, 2), LeafNode(2, 2), 2), 2)
             ),
         ]
         targets, U = recouple(others)
@@ -239,15 +235,13 @@ class TestRecouple:
         # ((0 1)_2 2)_2 is the chain's first stage, so it stays as built;
         # ((0 1)_0 2)_2 is not, so it is recoupled
         chain = FusionDiagram(
-            ((0, 0), (1, 2), (2, 2), (1, 2), (2, 2)),
             FuseNode(
                 FuseNode(
-                    FuseNode(FuseNode(LeafNode(0), LeafNode(1), 2), LeafNode(2), 2),
-                    LeafNode(1), 2,
+                    FuseNode(FuseNode(LeafNode(0, 0), LeafNode(1, 2), 2), LeafNode(2, 2), 2),
+                    LeafNode(1, 2), 2,
                 ),
-                LeafNode(2), 2,
-            ),
-            2,
+                LeafNode(2, 2), 2,
+            )
         )
         stage = left_comb([0, 2, 2], [2], 2)
         single = left_comb([2, 2, 2], [0], 2)
@@ -277,9 +271,7 @@ class TestRecouple:
         # diagram lists its leaves in another order, so even with the right
         # sign it is a target of other inputs; the diagram itself passes
         d = left_comb([2, 4], [], 4, slots=[0, 1])
-        exchanged = FusionDiagram(
-            ((1, 4), (0, 2)), FuseNode(LeafNode(1), LeafNode(0), 4), 4
-        )
+        exchanged = FusionDiagram(FuseNode(LeafNode(1, 4), LeafNode(0, 2), 4))
         check_lowering([d], [d], np.eye(1))
         with pytest.raises(RecouplingError, match="other inputs"):
             check_lowering([d], [exchanged], np.array([[-1.0]]))
@@ -403,8 +395,15 @@ class TestRandomizedOracle:
 
 class TestJson:
     def test_round_trip(self):
-        d = left_comb([2, 2, 2], [2], 2, slots=[0, 1, 1])
-        assert diagram_from_json(diagram_to_json(d)) == d
+        gated = FusionDiagram(  # (g ⊗ (h ⊗ Y)_1)_1, the gate first
+            FuseNode(LeafNode(3, 0), FuseNode(LeafNode(1, 2), LeafNode(2, 4), 2), 2)
+        )
+        # a dense three-body chain: center, then (edge, neighbor) per stage
+        chain = left_comb([2, 2, 2, 4, 2], [0, 2, 4], 2, slots=[0, 4, 1, 4, 1])
+        for d in (left_comb([2, 2, 2], [2], 2, slots=[0, 1, 1]), gated, chain):
+            restored = diagram_from_json(diagram_to_json(d))
+            assert restored == d
+            assert restored.leaves == d.leaves and restored.two_J == d.two_J
 
     def test_json_is_valid_and_structured(self):
         import json

@@ -87,7 +87,7 @@ class TestSpinSchedule:
     @pytest.mark.parametrize("mode", ["sparse", "dense"])
     def test_repeated_spin_rejected(self, mode):
         # a repeated spin only adds linearly dependent copies of its diagrams
-        with pytest.raises(ValueError, match="internal spin 1 is listed more than once"):
+        with pytest.raises(ValueError, match="internal_spins lists spin 1 more than once"):
             SpinSchedule(mode, (0, 2, 2))
 
 
@@ -311,15 +311,6 @@ class TestLayerEquivariance:
         assert worst <= 1e-12
 
 
-def _subtree_key(node, leaf_iter):
-    """The taped executor's memo key of a subtree: its (slot, 2j) leaf, or
-    (left key, right key, 2k)."""
-    if isinstance(node, LeafNode):
-        return next(leaf_iter)
-    left = _subtree_key(node.left, leaf_iter)
-    return (left, _subtree_key(node.right, leaf_iter), node.two_k)
-
-
 def _random_leaves(spins_per_slot, n, tau, seed, channel_less=()):
     """Per-slot {two_j: array}; channel-less slots are (n, 2j+1) like harmonics."""
     rng = np.random.default_rng(seed)
@@ -351,9 +342,11 @@ def _row_activation(part, e, tau):
 EXECUTOR_DIAGRAMS = [
     # balanced four-leaf tree, not a left comb; slot 0 feeds two leaves
     FusionDiagram(
-        ((0, 2), (1, 1), (2, 1), (0, 0)),
-        FuseNode(FuseNode(LeafNode(0), LeafNode(1), 1), FuseNode(LeafNode(2), LeafNode(0), 1), 2),
-        2,
+        FuseNode(
+            FuseNode(LeafNode(0, 2), LeafNode(1, 1), 1),
+            FuseNode(LeafNode(2, 1), LeafNode(0, 0), 1),
+            2,
+        )
     ),
     left_comb([2, 2, 2], [2], 2, slots=[0, 1, 0]),
     left_comb([2, 2], [], 0, slots=[3, 0]),
@@ -775,13 +768,13 @@ class TestLowering:
                         (_, two_jb), (_, two_ja) = d.leaves[1:]
                         assert w == (-1.0) ** ((two_ja + two_jb - two_l) // 2)
                 for t in spin.edge:
-                    assert t.leaves[0] == (3, 0) and t.tree.left == LeafNode(3)
+                    assert t.tree.left == LeafNode(3, 0)
                     assert [slot for slot, _ in t.leaves].count(3) == 1
                 # the (center ⊗ T)_l targets are the fusion block's
                 fusion = lowered["fusion"]
                 assert spin.atom
                 for t in spin.atom:
-                    assert t.tree.left == LeafNode(0)
+                    assert isinstance(t.tree.left, LeafNode) and t.tree.left.slot == 0
                     # T = (neighbor ⊗ harmonic)_k', or the neighbor alone
                     # where the harmonic spin is 0
                     assert [slot for slot, _ in t.leaves] in ([0, 1, 2], [0, 1])
@@ -810,10 +803,8 @@ class TestLowering:
                     if term == "gated":
                         two_jb = d.leaves[1][1]
                         two_ja = d.leaves[2][1] if len(d.leaves) == 3 else 0
-                        tree = FuseNode(
-                            LeafNode(2), FuseNode(LeafNode(1), LeafNode(3), two_jb), two_l
-                        )
-                        old = FusionDiagram(((2, two_ja), (1, two_jb), (3, 0)), tree, two_l)
+                        pair = FuseNode(LeafNode(1, two_jb), LeafNode(3, 0), two_jb)
+                        old = FusionDiagram(FuseNode(LeafNode(2, two_ja), pair, two_l))
                     else:
                         spins = [two_j for _, two_j in d.leaves] + [0] * (len(d.leaves) == 2)
                         two_k = d.tree.left.two_k if len(d.leaves) == 3 else two_l
@@ -880,9 +871,10 @@ class TestLowering:
         shared = 0
         for layer in model.layers:
             for spin in layer.recoupled.values():
-                gated = {_subtree_key(t.tree.right, iter(t.leaves[1:])) for t in spin.edge}
-                fusion_T = {_subtree_key(t.tree.right, iter(t.leaves[1:])) for t in spin.atom}
-                products = {key for key in gated if len(key) == 3}  # not a bare neighbor
+                gated = {t.tree.right for t in spin.edge}
+                fusion_T = {t.tree.right for t in spin.atom}
+                # products, not a bare neighbor
+                products = {t for t in gated if isinstance(t, FuseNode)}
                 assert products <= fusion_T
                 shared += len(products)
         assert shared
@@ -926,7 +918,7 @@ class TestLowering:
             assert chains
             assert set(chains) <= set(spin.edge)
             for chain in chains:
-                first_stage = FusionDiagram(chain.leaves[:3], chain.tree.left.left, two_J)
+                first_stage = FusionDiagram(chain.tree.left.left)
                 assert first_stage in spin.edge  # a single of the schedule as well
 
     @pytest.mark.parametrize(

@@ -410,7 +410,9 @@ class TestParameters:
     def test_species_of_another_length_rejected(self, path, n_species):
         model = Model(_small_config("gated"))
         positions, _ = _cloud(5, seed=4)
-        with pytest.raises(ShapeMismatch, match="species must be one integer per atom"):
+        # the message names both lengths
+        message = rf"species must be one integer per atom, got shape \({n_species},\) for 5 atoms"
+        with pytest.raises(ShapeMismatch, match=message):
             getattr(model, path)(positions, np.zeros(n_species, dtype=int))
 
     def test_species_out_of_range_rejected(self):
