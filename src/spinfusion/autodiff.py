@@ -43,12 +43,14 @@ The two kernels the models spend their time in serve only the products
 the models record.  ``einsum3`` contracts a CG tensor with operands laid
 out as (rows, components[, channels]) over its nonzero entries only (m_c =
 m_a + m_b leaves most entries zero), with a plan built once per tensor and
-subscript; a spin-0 factor, whose CG block is the identity, is one
-broadcast multiply instead.  Its VJPs contract the forward tensor itself
-in the same layout, so they hit the same plans.  ``channel_mix`` is the
-one matrix product: the mixing x @ W and the two transposed products its
-VJPs make.  Any other form of either raises ValueError.  ``index_add`` sums
-sorted segments, with the sort computed once per index array.
+subscript; where the plan's coefficient matrix is exactly the identity
+(a spin-0 factor, whose CG block is the identity), the products of the
+operands' components are the output, with no coefficient product.  Its
+VJPs contract the forward tensor itself in the same layout, so they hit
+the same plans.  ``channel_mix`` is the one matrix product: the mixing
+x @ W and the two transposed products its VJPs make.  Any other form of
+either raises ValueError.  ``index_add`` sums sorted segments, with the
+sort computed once per index array.
 ``backward`` walks parent links back from the seed, visits only the
 ancestors that depend on a node in its ``wrt`` list, and drops every other
 adjoint once its node's VJPs have run.
@@ -505,23 +507,19 @@ def _split_subscript(subscript: str) -> tuple[str, str, str, str]:
     return t_sub, x_sub, y_sub, out
 
 
-def _is_identity(block: np.ndarray) -> bool:
-    n = len(block)
-    return block.shape == (n, n) and n > 0 and np.array_equal(block, np.eye(n))
-
-
 def _sparse_plan(tensor: np.ndarray, subscript: str):
     """The contraction of a three-index tensor as a function of the two
     operands' arrays, or None when ``subscript`` is not of ``einsum3``'s
     one layout.  Both operands are read in their physical forms, (tensor
     index, [channel,] rows), a channel-less one broadcasting along the
-    channel where the product has one.  The broadcast plan
-    (``_contract_broadcast``) serves a tensor with an operand index of
-    dimension 1 between whose other two indices it is the identity (every
-    0 ⊗ j -> j CG product, and the VJP of one that keeps that form); every
-    other tensor gets the nonzero-entry plan (``_contract_nonzeros``), so
-    do a c·I block with c != 1 and a product into a dimension-1 output such
-    as 1 ⊗ 1 -> 0."""
+    channel where the product has one.  Every tensor gets the one
+    nonzero-entry plan (``_contract_nonzeros``): the pair of operand
+    components each nonzero entry reads, and the (out dim, nnz) matrix of
+    the entries' coefficients.  Where that matrix is exactly the identity
+    (every 0 ⊗ j -> j CG product, and the VJP of one that keeps that form)
+    the plan holds None instead, and the product block is the output; a
+    c·I block with c != 1 and a product into a dimension-1 output such as
+    1 ⊗ 1 -> 0 keep their matrix."""
     t_sub, *terms = _split_subscript(subscript)
     row = terms[0][:1]
     channel = next((term[2:] for term in terms if len(term) == 3), "")
@@ -541,40 +539,14 @@ def _sparse_plan(tensor: np.ndarray, subscript: str):
     x_axes, y_axes = (_LAST[len(term)] for term in terms[:2])
     out_axes = _FIRST[len(terms[2])]
     roles = [t_sub.index(l) for l in own]
-    block = tensor.transpose(roles)  # (x index, y index, output index)
-    if any(block.shape[d] == 1 and _is_identity(block.take(0, axis=d)) for d in (0, 1)):
-        x_expand, y_expand = (
-            (slice(None), None) if (x_has or y_has) and not h else ... for h in has[:2]
-        )
-        return partial(
-            _contract_broadcast, (x_axes, x_expand), (y_axes, y_expand), summed, out_axes
-        )
-
     coords = np.nonzero(tensor)
     ix, iy, io = (coords[r] for r in roles)
-    coeffs = np.zeros((block.shape[2], len(io)), dtype=tensor.dtype)
+    coeffs = np.zeros((tensor.shape[roles[2]], len(io)), dtype=tensor.dtype)
     coeffs[io, np.arange(len(io))] = tensor[coords]
+    if np.array_equal(coeffs, np.eye(len(io))):
+        coeffs = None
     pairs = tuple(zip(ix.tolist(), iy.tolist()))
     return partial(_contract_nonzeros, (x_axes, y_axes, pairs, summed, coeffs, out_axes))
-
-
-def _contract_broadcast(x_op, y_op, summed, out_axes, x, y) -> np.ndarray:
-    """einsum with a tensor that is the identity between the output and one
-    operand, the other operand's index having dimension 1.
-
-    Each operand's tensor axis comes first (the dimension-1 one broadcasts
-    against the other, whose components are the output's) and its row axis
-    last, so the product is one broadcast multiply whose inner loops run
-    along the rows; a summed channel is reduced as in
-    ``_contract_nonzeros``.
-    """
-    (x_axes, x_expand), (y_axes, y_expand) = x_op, y_op
-    prod = np.multiply(
-        x.transpose(x_axes)[x_expand], y.transpose(y_axes)[y_expand], order="C"
-    )
-    if summed:
-        prod = prod.sum(axis=1)
-    return prod.transpose(out_axes)
 
 
 def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -587,8 +559,11 @@ def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     sums a summed channel and sums the block into the output components
     with one (out dim, nnz) coefficient matrix, whose product comes out
     with the rows innermost; a complex product meets a real matrix as one
-    real GEMM over its interleaved re/im parts.  The Python work is one
-    multiply per nonzero entry, whatever the row count.
+    real GEMM over its interleaved re/im parts.  Where the matrix is the
+    identity (``coeffs`` None) the block is the output as it is: a product
+    with I would turn -0.0 into +0.0, and an inf in one component into nan
+    in the others.  The Python work is one multiply per nonzero entry,
+    whatever the row count.
     """
     x_axes, y_axes, pairs, summed, coeffs, out_axes = plan
     x, y = x.transpose(x_axes), y.transpose(y_axes)  # (tensor index, [channel,] rows)
@@ -598,6 +573,8 @@ def _contract_nonzeros(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         np.multiply(x[a], y[b], out=prod[k])
     if summed:
         prod = prod.sum(axis=1)
+    if coeffs is None:
+        return prod.transpose(out_axes)
     inner = prod.shape[1:]
     flat = prod.reshape(len(pairs), math.prod(inner))
     if flat.dtype == np.complex128 and coeffs.dtype == np.float64:
@@ -627,11 +604,13 @@ def einsum3(tape: Tape, tensor: np.ndarray, x: Node, y: Node, subscript: str) ->
     channel letter, the row and channel letters shared by all three terms
     (``"abc,eat,ebt->ect"``, ``"abc,ea,ebt->ect"``); a channel letter in
     both operands but not in the output is summed.  Any other subscript
-    raises ValueError.  The contraction runs a plan built once per tensor
-    and subscript (``_sparse_plan``), reads its operands with the rows
-    innermost, whatever their memory order, and returns the output
-    rows-last.  The cotangent of one factor contracts the same tensor with
-    the other factor, as it is.
+    raises ValueError.  Every contraction runs the one nonzero-entry plan,
+    built once per tensor and subscript (``_sparse_plan``); it reads its
+    operands with the rows innermost, whatever their memory order, and
+    returns the output rows-last.  An identity CG block (a spin-0 factor)
+    leaves the output the elementwise product of the operands' components,
+    bit for bit.  The cotangent of one factor contracts the same tensor
+    with the other factor, as it is.
     """
     tensor = np.asarray(tensor)
     entry = _cached(tensor, subscript, partial(_einsum3_entry, subscript=subscript))

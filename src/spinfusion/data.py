@@ -88,6 +88,8 @@ def generate_dataset(
         raise ValueError(f"need at least 2 atoms, got {n_atoms}")
     if n_samples < 1:
         raise ValueError(f"need at least 1 sample, got {n_samples}")
+    if n_species < 1:
+        raise ValueError(f"n_species must be at least 1, got {n_species}")
     rng = np.random.default_rng(seed)
     side = 1.4 * max(1.0, float(n_atoms)) ** (1.0 / 3.0) + 0.6
     samples: list[Sample] = []

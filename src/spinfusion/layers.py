@@ -674,8 +674,9 @@ def taped_embed_edge(
     tape: ad.Tape, harmonics: dict[int, ad.Node], basis: ad.Node, weights: dict[str, ad.Node]
 ) -> dict[int, ad.Node]:
     """Slot 4 on the tape, per edge spin (Y^j ⊗ R_j)_j: the (E, 2j+1)
-    harmonic times its (E, 1, tau) spin-0 radial leaf R_j (one broadcast
-    multiply), and at spin 0 R_0 scaled by the constant Y^0_0."""
+    harmonic times its (E, 1, tau) spin-0 radial leaf R_j (one ``einsum3``
+    whose identity CG block leaves it an elementwise product), and at spin
+    0 R_0 scaled by the constant Y^0_0."""
     radial = {
         two_j: ad.channel_mix(tape, basis, weights[f"edge_embed/{two_j}"])
         for two_j in [0, *harmonics]

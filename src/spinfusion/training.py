@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -35,10 +36,17 @@ __all__ = ["LossConfig", "RunRecord", "batch_loss", "train", "evaluate"]
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Relative weighting of the energy and force terms."""
+    """Relative weighting of the energy and force terms, each finite and
+    >= 0."""
 
     energy_weight: float = 1.0
     force_weight: float = 1000.0
+
+    def __post_init__(self) -> None:
+        for name in ("energy_weight", "force_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 # Adam's moment decay rates and the floor of its denominator
@@ -172,6 +180,8 @@ def train(
         raise ValueError(f"n_epochs must not be negative, got {n_epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
     start = time.perf_counter()
     record = RunRecord(
         config_hash=_run_hash(
@@ -205,8 +215,8 @@ def train(
                 (first_moment / bias1) / (np.sqrt(second_moment / bias2) + ADAM_EPSILON)
             )
             parameters = model.parameters()
-            for name, start, stop in zip(names, [0] + ends, ends):
-                parameters[name] -= update[start:stop].reshape(parameters[name].shape)
+            for name, first, stop in zip(names, [0] + ends, ends):
+                parameters[name] -= update[first:stop].reshape(parameters[name].shape)
         record.train_losses.append(epoch_loss / len(train_samples))
         if val_samples:
             val_loss = sum(

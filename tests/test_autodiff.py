@@ -293,6 +293,46 @@ def _einsum3(tensor, x, y, sub):
     return ad.einsum3(tape, tensor, tape.constant(x), tape.constant(y), sub).value
 
 
+def _coefficients(tensor, sub):
+    """The (out dim, nnz) coefficient matrix of ``einsum3``'s plan, None
+    where the plan skips the coefficient product."""
+    _, _, _, _, coeffs, _ = ad._sparse_plan(tensor, sub).args[0]
+    return coeffs
+
+
+def _elementwise(sub, x, y):
+    """A spin-0 product as NumPy's elementwise product of the operands:
+    each component axis broadcasts against the other's (one of them has
+    dimension 1), a channel-less operand against the channel, and a
+    channel in both operands but not the output is summed."""
+    lhs, out_sub = sub.split("->")
+    _, x_sub, y_sub = lhs.split(",")
+    x = x[..., None] if len(x_sub) < len(y_sub) else x
+    y = y[..., None] if len(y_sub) < len(x_sub) else y
+    prod = np.multiply(x, y)
+    if len(out_sub) < prod.ndim:  # summed in the rows-last order einsum3 stores
+        prod = _rows_last(prod).sum(axis=-1)
+    return prod
+
+
+def _with_specials(sub, dims, n_edges, real, rng):
+    """An operand as ``_operand`` draws it, real or complex, of whose
+    entries about one in eight is -0.0, one in eight inf and one in eight
+    -inf, in each part of a complex entry."""
+    shape = [{"e": n_edges, "t": 4, **dims}[c] for c in sub]
+    parts = []
+    for _ in range(1 if real else 2):
+        part = rng.normal(size=shape)
+        pick = rng.integers(0, 8, size=shape)
+        part[pick == 0], part[pick == 1], part[pick == 2] = -0.0, np.inf, -np.inf
+        parts.append(part)
+    if real:
+        return parts[0]
+    value = np.empty(shape, dtype=complex)
+    value.real, value.imag = parts
+    return value
+
+
 def _index_add(x, indices, n_rows):
     """``index_add``'s value on a constant operand."""
     tape = ad.Tape()
@@ -333,9 +373,9 @@ class TestKernelOracles:
         ],
         ids=str,
     )
-    def test_einsum3_broadcast_plan(self, triple, sub):
+    def test_einsum3_identity_block_skips_the_coefficients(self, triple, sub):
         coeffs = cg_tensor(*triple).coeffs
-        assert ad._sparse_plan(coeffs, sub).func is ad._contract_broadcast
+        assert _coefficients(coeffs, sub) is None
         dims = dict(zip("abc", coeffs.shape))
         rng = np.random.default_rng(7)
         for n_edges in (0, 1, 37):
@@ -348,11 +388,11 @@ class TestKernelOracles:
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
 
     @pytest.mark.parametrize("sub", ["abc,eat,ebt->ect", "abc,ebt,ect->eat"])
-    def test_spin_zero_output_keeps_the_nonzero_plan(self, sub):
-        # 1 ⊗ 1 -> 0, and the VJP of 0 ⊗ 1 -> 1 into its spin-0 operand: no
-        # operand has dimension 1, so there is nothing to broadcast
+    def test_spin_zero_output_keeps_its_coefficients(self, sub):
+        # 1 ⊗ 1 -> 0, and the VJP of 0 ⊗ 1 -> 1 into its spin-0 operand: each
+        # output component sums three entries, so the matrix is (1, 3)
         coeffs = cg_tensor(2, 2, 0).coeffs if sub.endswith("ect") else cg_tensor(0, 2, 2).coeffs
-        assert ad._sparse_plan(coeffs, sub).func is ad._contract_nonzeros
+        assert _coefficients(coeffs, sub).shape == (1, 3)
         dims = dict(zip("abc", coeffs.shape))
         rng = np.random.default_rng(8)
         _, x_sub, y_sub = sub.split("->")[0].split(",")
@@ -361,12 +401,12 @@ class TestKernelOracles:
         want = np.einsum(sub, coeffs, x, y)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_scaled_identity_takes_the_nonzero_plan(self):
-        # only an exact identity block broadcasts; 2·I between the spin-1
-        # operand and the output goes through the nonzero entries
-        coeffs = 2.0 * cg_tensor(0, 2, 2).coeffs
+    def test_only_an_exact_identity_skips_the_coefficients(self):
+        # 2·I between the spin-1 operand and the output keeps its matrix
         sub = "abc,eat,ebt->ect"
-        assert ad._sparse_plan(coeffs, sub).func is ad._contract_nonzeros
+        assert _coefficients(cg_tensor(0, 2, 2).coeffs, sub) is None
+        coeffs = 2.0 * cg_tensor(0, 2, 2).coeffs
+        assert np.array_equal(_coefficients(coeffs, sub), 2.0 * np.eye(3))
         dims = dict(zip("abc", coeffs.shape))
         rng = np.random.default_rng(9)
         _, x_sub, y_sub = sub.split("->")[0].split(",")
@@ -375,17 +415,50 @@ class TestKernelOracles:
         want = np.einsum(sub, coeffs, x, y)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize(
+        "triple, forward",
+        [
+            ((0, 0, 0), "abc,eat,ebt->ect"),  # 0 ⊗ 0 -> 0
+            ((0, 2, 2), "abc,eat,ebt->ect"),  # the gate product (g ⊗ x)_j
+            ((0, 4, 4), "abc,eat,ebt->ect"),
+            ((2, 0, 2), "abc,ea,ebt->ect"),  # the embedded edge (Y^j ⊗ R_j)_j
+            ((4, 0, 4), "abc,ea,ebt->ect"),
+        ],
+        ids=str,
+    )
+    def test_spin_zero_product_is_the_elementwise_product(self, triple, forward):
+        # the forward and every VJP that keeps it a product of components
+        # (not the VJP into a spin-0 operand of a spin j > 0 product, which
+        # sums over the components): bit for bit NumPy's elementwise
+        # product, so -0.0 stays -0.0 and an inf makes no nan elsewhere
+        coeffs = cg_tensor(*triple).coeffs
+        dims = dict(zip("abc", coeffs.shape))
+        rng = np.random.default_rng(12)
+        skipping = [sub for sub in _vjp_subscripts(forward) if _coefficients(coeffs, sub) is None]
+        assert forward in skipping and len(skipping) >= 2
+        for sub in skipping:
+            _, x_sub, y_sub = sub.split("->")[0].split(",")
+            for n_edges, (x_real, y_real), layout in itertools.product(
+                (0, 1, 37), ((False, False), (True, True), (True, False)), (np.asarray, _rows_last)
+            ):
+                x = layout(_with_specials(x_sub, dims, n_edges, x_real, rng))
+                y = layout(_with_specials(y_sub, dims, n_edges, y_real, rng))
+                with np.errstate(invalid="ignore"):  # inf times 0 is nan
+                    got, want = _einsum3(coeffs, x, y, sub), _elementwise(sub, x, y)
+                assert got.shape == want.shape and got.dtype == want.dtype, sub
+                assert got.tobytes() == want.tobytes(), (sub, n_edges, x_real, y_real)
+
     @pytest.mark.parametrize("triple", ADMISSIBLE_UP_TO_2, ids=str)
     def test_einsum3_equals_the_gathered_contraction(self, triple):
         # multiplying each entry's components straight into the product
         # block runs the same multiplies and the same GEMM on the same
-        # values as gathering them first: equal bit for bit
+        # values as gathering them first: equal bit for bit; where the
+        # matrix is the identity and no operand is -0.0 or inf, skipping
+        # the GEMM changes no bit either
         coeffs = cg_tensor(*triple).coeffs
         dims = dict(zip("abc", coeffs.shape))
         rng = np.random.default_rng(100 + sum(triple))
         for sub in EXECUTOR_SUBSCRIPTS:
-            if ad._sparse_plan(coeffs, sub).func is not ad._contract_nonzeros:
-                continue
             t_sub, x_sub, y_sub = sub.split("->")[0].split(",")
             for n_edges, (x_real, y_real), layout in itertools.product(
                 (0, 1, 37), ((False, False), (True, True), (True, False)), (np.asarray, _rows_last)
@@ -404,7 +477,7 @@ class TestKernelOracles:
         # (nnz, rows) channel sum where a channel is summed, and the output;
         # gathering the operands first held one more product-sized block
         coeffs = cg_tensor(2, 2, 2).coeffs  # 1 ⊗ 1 -> 1
-        assert ad._sparse_plan(coeffs, sub).func is ad._contract_nonzeros
+        assert _coefficients(coeffs, sub) is not None
         dims = dict(zip("abc", coeffs.shape))
         (_, x_sub, y_sub), out_sub = (part.split(",") for part in sub.split("->"))
         rng = np.random.default_rng(11)
@@ -1068,15 +1141,14 @@ class TestMemoryOrder:
             ((2, 2, 2), "abc,eat,ebt->ect"),  # nonzero-entry plan
             ((2, 2, 2), "abc,ea,ebt->ect"),  # nonzero-entry plan, a harmonic operand
             ((2, 2, 2), "abc,eat,ect->eb"),  # nonzero-entry plan, summed letter
-            ((0, 2, 2), "abc,eat,ebt->ect"),  # broadcast plan
-            ((0, 4, 4), "abc,eat,ect->eb"),  # broadcast plan, summed letter
+            ((0, 2, 2), "abc,eat,ebt->ect"),  # identity block, no coefficient product
+            ((0, 4, 4), "abc,eat,ect->eb"),  # identity block, summed letter
         ],
         ids=str,
     )
     def test_einsum3(self, triple, sub):
         coeffs = cg_tensor(*triple).coeffs
-        plan = ad._sparse_plan(coeffs, sub).func
-        assert plan is (ad._contract_broadcast if 0 in triple else ad._contract_nonzeros)
+        assert (_coefficients(coeffs, sub) is None) == (0 in triple)
         dims = dict(zip("abc", coeffs.shape))
         x_sub, y_sub = sub.split("->")[0].split(",")[1:]
         operands = [

@@ -181,7 +181,8 @@ class TestSpinZeroAndExchange:
 
     @pytest.mark.parametrize("two_j", range(9))
     def test_spin_zero_leg_is_exactly_the_identity(self, two_j):
-        # so the gate product, (x ⊗ g)_j with g spin 0, is one broadcast multiply
+        # so the gate product, (x ⊗ g)_j with g spin 0, is an elementwise
+        # product: einsum3's coefficient matrix for it is I, which it skips
         identity = np.eye(dim(two_j))
         assert np.array_equal(cg_tensor(two_j, 0, two_j).coeffs[:, 0, :], identity)
         assert np.array_equal(cg_tensor(0, two_j, two_j).coeffs[0], identity)

@@ -130,6 +130,19 @@ class TestGeneration:
             assert s.energy == pytest.approx(energy, abs=1e-12)
             assert np.allclose(s.forces, forces, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "n_samples, n_atoms, n_species, message",
+        [
+            (1, 1, 2, "at least 2 atoms"),
+            (0, 3, 2, "at least 1 sample"),
+            (1, 3, 0, "n_species must be at least 1, got 0"),
+            (1, 3, -1, "n_species must be at least 1, got -1"),
+        ],
+    )
+    def test_bad_counts_rejected_by_name(self, n_samples, n_atoms, n_species, message):
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(n_samples, n_atoms, "morse", seed=0, n_species=n_species)
+
     def test_impossible_packing_raises(self, monkeypatch):
         # 50 atoms at 5.0 separation cannot fit in the sampling volume
         monkeypatch.setattr(data, "MIN_SEPARATION", 5.0)

@@ -1,6 +1,7 @@
 """Adam training loop, loss semantics, and evaluation metrics."""
 
 import gc
+import time
 
 import numpy as np
 import pytest
@@ -200,25 +201,39 @@ class TestTrainLoop:
             train(_tiny_model(), [], 1)
 
     @pytest.mark.parametrize(
-        "n_epochs, batch_size, name",
-        [(-1, 4, "n_epochs"), (1, 0, "batch_size"), (1, -2, "batch_size")],
+        "settings, weights, name",
+        [
+            ({"n_epochs": -1}, {}, "n_epochs"),
+            ({"batch_size": 0}, {}, "batch_size"),
+            ({"batch_size": -2}, {}, "batch_size"),
+            ({"learning_rate": float("nan")}, {}, "learning_rate"),
+            ({"learning_rate": float("inf")}, {}, "learning_rate"),
+            ({"learning_rate": 0.0}, {}, "learning_rate"),
+            ({"learning_rate": -1.0}, {}, "learning_rate"),
+            ({}, {"energy_weight": -1.0}, "energy_weight"),
+            ({}, {"energy_weight": float("nan")}, "energy_weight"),
+            ({}, {"force_weight": float("inf")}, "force_weight"),
+            ({}, {"force_weight": -1.0}, "force_weight"),
+        ],
     )
-    def test_bad_epoch_and_batch_counts_rejected(self, n_epochs, batch_size, name):
+    def test_bad_epoch_and_batch_counts_rejected(self, settings, weights, name):
         data = generate_dataset(2, 4, "morse", seed=2)
         model = _tiny_model()
         before = {k: v.copy() for k, v in model.parameters().items()}
         with pytest.raises(ValueError, match=name):
-            train(model, data, n_epochs, batch_size=batch_size)
+            train(model, data, **{"n_epochs": 1, **settings}, loss_config=LossConfig(**weights))
         for key, value in model.parameters().items():
             assert np.array_equal(value, before[key])
 
     def test_run_record_bookkeeping(self):
         data = generate_dataset(4, 4, "morse", seed=2)
+        started = time.perf_counter()
         record = train(_tiny_model(), data, 2, batch_size=2, seed=3)
+        elapsed = time.perf_counter() - started
         assert record.seed == 3
         assert len(record.config_hash) == 16
         int(record.config_hash, 16)  # hex string
-        assert record.wall_clock_seconds > 0
+        assert 0 < record.wall_clock_seconds <= elapsed
         assert record.final_energy_mae >= 0
         assert record.final_force_mae >= 0
 
